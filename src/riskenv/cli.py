@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import multiprocessing
 import os
 import sys
@@ -28,10 +29,10 @@ from .config import (
     parse_sigma,
 )
 from .prob_envelope import (
-    envelope_distribution,
+    agent_analyses,
+    contour_deviation_sets,
     risk_bounded_envelope,
     should_switch,
-    violation_expectation,
 )
 from .rss import AgentState, safety_envelope, unrestricted_envelope
 from .uncertainty import UncertaintySpec, eigendecompose
@@ -98,15 +99,20 @@ def cmd_envelope(args) -> int:
                                int(data.get("n_phi", base.n_phi)))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    tau = float(data.get("tau", cfg.tau))
+    try:
+        tau = float(data.get("tau", cfg.tau))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid tau: {exc}") from exc
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise ConfigError(f"tau must be finite and > 0, got {tau}")
     basis = eigendecompose(spec.sigma)
     det_env = safety_envelope(ego, agents, cfg.rss, tau)
     if agents:
-        dists = [envelope_distribution(ego, a, spec, basis, cfg.rss, tau, agent_id=j)
-                 for j, a in enumerate(agents)]
+        deviation_sets = (contour_deviation_sets(basis, spec)
+                          if basis.max_eigenvalue > 0.0 else None)
+        dists, expectations = agent_analyses(ego, agents, spec, basis, cfg.rss, tau,
+                                             deviation_sets=deviation_sets)
         prob_env = risk_bounded_envelope(dists, beta, cfg.rss)
-        expectations = [violation_expectation(ego, a, spec, basis, cfg.rss)
-                        for a in agents]
     else:
         prob_env = unrestricted_envelope(cfg.rss)
         expectations = []

@@ -9,6 +9,15 @@ component-wise into the most restrictive box.
 All pair computations exist in a vectorized form (arrays of other-vehicle
 states against one ego state); the scalar API wraps the vectorized kernel so
 there is a single source of truth.
+
+Each envelope bound is the largest acceleration for which a monotone
+condition still holds.  Both conditions are piecewise quadratic in the post-
+tau speed, so the kernel solves them in closed form, snaps the root down onto
+the grid of a 40-step bisection over the physical limits (spacing 2**-36 for
+a_lon, 2**-37 for a_lat) and accepts it only where the condition holds at the
+grid point and fails one grid step above.  That is exactly the point the
+bisection converges to, so the bounds are bit-identical to it; the few rows
+where the check fails run the bisection, which also stays as the test oracle.
 """
 
 from __future__ import annotations
@@ -40,6 +49,9 @@ class AgentState:
     v: float      # speed along heading (m/s), >= 0
 
     def __post_init__(self):
+        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.v)):
+            raise ValueError(f"position and speed must be finite, got "
+                             f"x={self.x}, y={self.y}, v={self.v}")
         if not (self.v >= 0.0):
             raise ValueError(f"speed must be >= 0, got {self.v}")
         if not (-math.pi < self.theta <= math.pi):
@@ -225,30 +237,77 @@ def safe_distance_lat(v1_toward, v2_toward, params: RssParams):
     return d
 
 
+def _bracket(cond, lo: float, hi: float, n: int):
+    """End-point checks shared by the bound solvers: rows where cond(hi) holds
+    get hi, all others lo.  Returns (out, active), where ``active`` are the
+    rows with cond(lo) true and cond(hi) false, whose bound lies inside."""
+    ok_hi = cond(np.full(n, hi), None)
+    out = np.where(ok_hi, hi, lo)
+    open_rows = np.flatnonzero(~ok_hi)
+    if open_rows.size == 0:
+        return out, open_rows
+    ok_lo = cond(np.full(open_rows.size, lo), open_rows)
+    return out, open_rows[ok_lo]
+
+
+def _bisect_rows(cond, lo: float, hi: float, rows: np.ndarray, iters: int) -> np.ndarray:
+    a = np.full(rows.size, lo)
+    b = np.full(rows.size, hi)
+    for _ in range(iters):
+        mid = 0.5 * (a + b)
+        ok = cond(mid, rows)
+        a = np.where(ok, mid, a)
+        b = np.where(ok, b, mid)
+    return a
+
+
 def _bisect_largest(cond, lo: float, hi: float, n: int, iters: int = 40) -> np.ndarray:
     """Vectorized largest argument in [lo, hi] satisfying a monotone-decreasing
     boolean condition; returns lo where even cond(lo) fails.
 
     ``cond(values, rows)`` evaluates the condition at ``values`` for the given
-    row subset (rows=None means all rows)."""
-    ok_hi = cond(np.full(n, hi), None)
-    out = np.where(ok_hi, hi, lo)
-    open_rows = np.flatnonzero(~ok_hi)
-    if open_rows.size == 0:
-        return out
-    ok_lo = cond(np.full(open_rows.size, lo), open_rows)
-    active = open_rows[ok_lo]
+    row subset (rows=None means all rows).  The result is the largest point
+    of the grid lo + k * (hi - lo) / 2**iters where cond holds.  This is the
+    reference that ``_solve_largest`` reproduces bit for bit."""
+    out, active = _bracket(cond, lo, hi, n)
+    if active.size:
+        out[active] = _bisect_rows(cond, lo, hi, active, iters)
+    return out
+
+
+def _solve_largest(cond, root, lo: float, hi: float, n: int, iters: int = 40) -> np.ndarray:
+    """Same result as ``_bisect_largest``, from an analytic root.
+
+    ``root(rows)`` approximates the boundary of ``cond`` for the given rows.
+    It is snapped down onto the bisection grid (spacing h) and accepted where
+    cond(g) holds and cond(g + h) fails, which is exactly the point the
+    bisection converges to.  Rows where neither the snapped point nor its
+    grid neighbours pass that check fall back to the bisection."""
+    out, active = _bracket(cond, lo, hi, n)
     if active.size == 0:
         return out
-    a = np.full(active.size, lo)
-    b = np.full(active.size, hi)
-    for _ in range(iters):
-        mid = 0.5 * (a + b)
-        ok = cond(mid, active)
-        a = np.where(ok, mid, a)
-        b = np.where(ok, b, mid)
-    out[active] = a
+    h = (hi - lo) / 2.0 ** iters
+    k_max = 2.0 ** iters - 1.0
+    k = np.floor((root(active) - lo) / h)
+    k = np.where(np.isfinite(k), k, 0.0)  # no real root: start from lo
+    rows = active
+    for off in (0, -1, 1):  # the snapped point, then its grid neighbours
+        g = lo + np.clip(k + off, 0.0, k_max) * h
+        hit = cond(g, rows) & ~cond(g + h, rows)
+        out[rows[hit]] = g[hit]
+        rows = rows[~hit]
+        if rows.size == 0:
+            return out
+        k = k[~hit]
+    out[rows] = _bisect_rows(cond, lo, hi, rows, iters)
     return out
+
+
+def _response_speed_root(b: float, k1: float, c):
+    """Largest s with s**2 / (2 b) + k1 s + c <= 0, or -inf where no s does."""
+    bk = b * k1
+    disc = bk * bk - 2.0 * b * c
+    return np.where(disc >= 0.0, -bk + np.sqrt(np.maximum(disc, 0.0)), -np.inf)
 
 
 class _PairGeometry:
@@ -287,19 +346,40 @@ class _PairGeometry:
 
     # Longitudinal condition with ego as the rear vehicle: after tau of ego
     # acceleration a and worst-case front braking, the gap still covers the
-    # safe distance at the post-tau speeds.
+    # safe distance at the post-tau speeds.  Returns (cond, root).
     def _lon_cond_rear(self, tau, idx):
         p = self.params
+        u = self.u_lon
         df, wf2 = braking_travel(self.w_lon[idx], p.b_max_brake_lon, tau)
         margin = self.gap_lon[idx] + df
 
         def cond(a, rows=None):
-            de, ue2 = advance_speed_clamped(self.u_lon, a, tau)
+            de, ue2 = advance_speed_clamped(u, a, tau)
             m = margin if rows is None else margin[rows]
             w2 = wf2 if rows is None else wf2[rows]
             return m - de >= safe_distance_lon(ue2, w2, p)
 
-        return cond
+        def root(rows):
+            # Without a stop (post-tau speed v = u + a tau >= 0) the ego
+            # travels (u + v) tau / 2.  The gap must stay >= 0 (linear in a)
+            # and >= the unclamped safe distance, a quadratic in the response
+            # speed s = v + rho a_max.
+            m = margin[rows]
+            w2 = np.maximum(wf2[rows], 0.0)
+            rho, a_r, b_r = p.rho, p.a_max_accel_lon, p.b_min_brake_lon
+            c = (-0.5 * a_r * rho * rho - w2 * w2 / (2.0 * p.b_max_brake_lon)
+                 - m + 0.5 * (u - rho * a_r) * tau)
+            s = _response_speed_root(b_r, rho + 0.5 * tau, c)
+            a_gap = 2.0 * (m - u * tau) / (tau * tau)
+            a_run = np.minimum(a_gap, (s - rho * a_r - u) / tau)
+            # Stopping inside tau (a < -u / tau): the ego travels u^2 / (2|a|)
+            # and ends at rest, so the gap must cover the rest safe distance.
+            slack = m - safe_distance_lon(0.0, wf2[rows], p)
+            with np.errstate(divide="ignore"):
+                a_stop = np.where(slack > 0.0, -u * u / (2.0 * slack), -np.inf)
+            return np.where(a_run >= -u / tau, a_run, a_stop)
+
+        return cond, root
 
     # Longitudinal robustness with ego as the front vehicle: the other (rear)
     # worst-case accelerates while the ego worst-case brakes hard.
@@ -312,7 +392,7 @@ class _PairGeometry:
 
     # Lateral condition: after tau of ego toward-acceleration b and the other
     # accelerating toward the ego, the lateral gap still covers the lateral
-    # safe distance at post-tau closing speeds.
+    # safe distance at post-tau closing speeds.  Returns (cond, root).
     def _lat_cond(self, tau, idx):
         p = self.params
         q = self.ego_toward[idx]
@@ -327,7 +407,22 @@ class _PairGeometry:
             q_travel = q_ * tau + 0.5 * b * tau * tau
             return m - q_travel >= safe_distance_lat(q_ + b * tau, r2_, p)
 
-        return cond
+        def root(rows):
+            # The ego travels (q + v) tau / 2 toward the other, v = q + b tau.
+            # For v >= 0 the safe distance is quadratic in the response speed
+            # s = v + rho a_max; below it is the constant at v = 0.
+            q_, m = q[rows], margin[rows]
+            rho, a_r, b_r = p.rho, p.a_max_accel_lat, p.b_min_brake_lat
+            d_rest = safe_distance_lat(0.0, r2[rows], p)
+            s_rest = rho * a_r
+            c = (d_rest - s_rest * rho - s_rest * s_rest / (2.0 * b_r)
+                 - m + 0.5 * (q_ - s_rest) * tau)
+            s = _response_speed_root(b_r, rho + 0.5 * tau, c)
+            b_closing = (s - s_rest - q_) / tau
+            b_opening = 2.0 * (m - d_rest - q_ * tau) / (tau * tau)
+            return np.where(b_closing >= -q_ / tau, b_closing, b_opening)
+
+        return cond, root
 
 
 def pair_analysis_batch(ego: AgentState, ox, oy, ov, otheta,
@@ -353,7 +448,7 @@ def pair_analysis_batch(ego: AgentState, ox, oy, ov, otheta,
     lon_robust = np.zeros(n, dtype=bool)
     idx_rear = np.flatnonzero(both_safe & g.other_ahead)
     if idx_rear.size:
-        cond = g._lon_cond_rear(tau, idx_rear)
+        cond, _ = g._lon_cond_rear(tau, idx_rear)
         lon_robust[idx_rear] = cond(np.full(idx_rear.size, p.a_lon_limit))
     idx_front = np.flatnonzero(both_safe & ~g.other_ahead)
     if idx_front.size:
@@ -361,7 +456,7 @@ def pair_analysis_batch(ego: AgentState, ox, oy, ov, otheta,
     lat_robust = np.zeros(n, dtype=bool)
     idx_both = np.flatnonzero(both_safe)
     if idx_both.size:
-        cond = g._lat_cond(tau, idx_both)
+        cond, _ = g._lat_cond(tau, idx_both)
         lat_robust[idx_both] = cond(np.full(idx_both.size, p.a_lat_limit))
 
     relax = both_safe & (lon_robust | lat_robust)
@@ -376,12 +471,13 @@ def pair_analysis_batch(ego: AgentState, ox, oy, ov, otheta,
 
     idx = np.flatnonzero(pick_lon)
     if idx.size:
-        cond = g._lon_cond_rear(tau, idx)
-        a_lon_max[idx] = _bisect_largest(cond, -p.a_lon_limit, p.a_lon_limit, idx.size)
+        cond, root = g._lon_cond_rear(tau, idx)
+        a_lon_max[idx] = _solve_largest(cond, root, -p.a_lon_limit, p.a_lon_limit, idx.size)
     idx = np.flatnonzero(pick_lat)
     if idx.size:
-        cond = g._lat_cond(tau, idx)
-        lat_toward_max[idx] = _bisect_largest(cond, -p.a_lat_limit, p.a_lat_limit, idx.size)
+        cond, root = g._lat_cond(tau, idx)
+        lat_toward_max[idx] = _solve_largest(cond, root, -p.a_lat_limit, p.a_lat_limit,
+                                             idx.size)
 
     a_lat_max = np.where(g.other_left, lat_toward_max, p.a_lat_limit)
     a_lat_min = np.where(g.other_left, -p.a_lat_limit, -lat_toward_max)

@@ -92,6 +92,33 @@ class TestEnvelopeCommand:
         assert data["per_agent_violation_expectation"][0] > 0.1
         assert data["switch_decision"] is True
 
+    @pytest.mark.parametrize("where", ["ego", "agent"])
+    @pytest.mark.parametrize("key,value", [("x", float("nan")), ("y", float("inf")),
+                                           ("v", float("nan")), ("v", float("inf"))])
+    def test_non_finite_state_exit_2(self, envelope_input, capsys, where, key, value):
+        ego = {"x": 0, "y": 0, "theta": 0, "v": 15}
+        agent = {"x": 6, "y": 0, "theta": 0, "v": 15}
+        (ego if where == "ego" else agent)[key] = value
+        path = envelope_input({"ego": ego, "agents": [agent],
+                               "sigma": [0.04, 0.04, 0.04, 1e-4]})
+        code, out, err = run_cli(["envelope", "--input", path], capsys)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    @pytest.mark.parametrize("tau", [0, -1, float("nan"), float("inf"), "fast"])
+    def test_bad_tau_exit_2(self, envelope_input, capsys, tau):
+        path = envelope_input({
+            "ego": {"x": 0, "y": 0, "theta": 0, "v": 17},
+            "agents": [{"x": 28, "y": 0, "theta": 0, "v": 15}],
+            "sigma": [0.04, 0.04, 0.04, 1e-4],
+            "tau": tau,
+        })
+        code, out, err = run_cli(["envelope", "--input", path], capsys)
+        assert code == 2
+        assert out == ""
+        assert "tau" in err
+
 
 class TestSimulateCommand:
     def test_trace_deterministic(self, tmp_path, capsys):

@@ -1,15 +1,19 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riskenv import rss
 from riskenv.rss import (
     AgentState,
     Envelope,
     RssParams,
     advance_speed_clamped,
+    pair_analysis_batch,
     pairwise_envelope,
     pairwise_envelope_batch,
     safe_distance_lat,
@@ -261,3 +265,102 @@ class TestKinematics:
             AgentState(0, 0, 0, -1.0)
         with pytest.raises(ValueError):
             AgentState(0, 0, 4.0, 1.0)
+
+    @pytest.mark.parametrize("field", ["x", "y", "theta", "v"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_state_rejected(self, field, value):
+        state = {"x": 6.0, "y": 0.0, "theta": 0.0, "v": 15.0}
+        state[field] = value
+        with pytest.raises(ValueError):
+            AgentState(**state)
+
+
+def _kernel_rows(rng, ego, params, n):
+    """Other-vehicle states around one ego: a third near the longitudinal
+    boundary ahead (some within centimetres, where a slow ego must stop
+    inside tau), a third near the lateral boundary beside (either side), a
+    third anywhere on the two lanes ahead of or behind the ego."""
+    kind = rng.integers(0, 3, n)
+    lon_offset = rng.uniform(-3, 8, n) * rng.choice([1.0, 0.03, 0.001], n)
+    ov = np.where(rng.random(n) < 0.15, rng.uniform(0, 1, n), rng.uniform(0, 35, n))
+    ot = rng.uniform(-0.3, 0.3, n)
+    side = rng.choice([-1.0, 1.0], n)
+    d_lon = safe_distance_lon(ego.v_lon, ov * np.cos(ot), params)
+    d_lat = safe_distance_lat(ego.v_lat * side, -ov * np.sin(ot) * side, params)
+    ox = ego.x + np.choose(kind, [params.length + d_lon + lon_offset,
+                                  rng.uniform(-7, 7, n), rng.uniform(-60, 60, n)])
+    lanes = rng.choice([-3.5, 0.0, 3.5], n) + rng.normal(0, 0.6, n)
+    oy = ego.y + np.choose(kind, [rng.normal(0, 0.3, n),
+                                  side * (params.width + d_lat + rng.uniform(-0.3, 1.5, n)),
+                                  lanes])
+    return ox, oy, ov, ot
+
+
+class TestBoundSolver:
+    """The analytic bound solver against the 40-step bisection it replaces."""
+
+    def test_matches_bisection_bit_for_bit(self, rss_params, legacy_params, monkeypatch):
+        rng = np.random.default_rng(20261018)
+        fallback_rows = []
+        bisect_rows = rss._bisect_rows
+
+        def counted(cond, lo, hi, rows, iters):
+            fallback_rows.append(rows.size)
+            return bisect_rows(cond, lo, hi, rows, iters)
+
+        def bisection_only(cond, root, lo, hi, n):
+            return rss._bisect_largest(cond, lo, hi, n)
+
+        total = stopping = opening = interior = 0
+        for params in (rss_params, legacy_params):
+            for ego_v in (0.0, 0.2, 1.0, 4.0, 12.0, 20.0, 33.0):
+                for tau in (0.1, 0.2, 0.5):
+                    ego = AgentState(0.0, float(rng.choice([0.0, 3.5])),
+                                     float(rng.uniform(-0.3, 0.3)), ego_v)
+                    rows = _kernel_rows(rng, ego, params, 2500)
+                    with monkeypatch.context() as m:
+                        m.setattr(rss, "_bisect_rows", counted)
+                        fast = pair_analysis_batch(ego, *rows, params, tau)
+                    with monkeypatch.context() as m:
+                        m.setattr(rss, "_solve_largest", bisection_only)
+                        ref = pair_analysis_batch(ego, *rows, params, tau)
+                    for got, want in zip(fast, ref):
+                        assert np.array_equal(got, want)
+                    lon_max, lat_min, lat_max, _ = ref
+                    lon_in = np.abs(lon_max) < params.a_lon_limit
+                    lat_in = ((np.abs(lat_max) < params.a_lat_limit)
+                              | (np.abs(lat_min) < params.a_lat_limit))
+                    total += lon_max.size
+                    interior += int(lon_in.sum() + lat_in.sum())
+                    stopping += int((lon_in & (lon_max * tau < -ego.v_lon)).sum())
+                    ego_lat = np.where(rows[1] >= ego.y, ego.v_lat, -ego.v_lat)
+                    toward = np.where(rows[1] >= ego.y, lat_max, -lat_min)
+                    opening += int((lat_in & (ego_lat + toward * tau < 0.0)).sum())
+        assert total >= 100_000
+        # Every branch of both roots is exercised, and the bisection fallback
+        # stays rare.
+        assert interior > 10_000 and stopping > 100 and opening > 100
+        assert sum(fallback_rows) < 0.001 * interior
+
+    def test_wrong_root_falls_back_to_bisection(self):
+        rng = np.random.default_rng(5)
+        thresholds = rng.uniform(-8.0, 8.0, 1000)
+
+        def cond(values, rows=None):
+            return values <= (thresholds if rows is None else thresholds[rows])
+
+        ref = rss._bisect_largest(cond, -8.0, 8.0, thresholds.size)
+        for root in (lambda rows: thresholds[rows] + 0.5,
+                     lambda rows: np.full(rows.size, np.nan),
+                     lambda rows: np.full(rows.size, -np.inf)):
+            got = rss._solve_largest(cond, root, -8.0, 8.0, thresholds.size)
+            assert np.array_equal(got, ref)
+
+    def test_golden_rows(self):
+        golden = json.loads((Path(__file__).parent / "kernel_golden.json").read_text())
+        for case in golden["cases"]:
+            o = case["others"]
+            got = pair_analysis_batch(AgentState(**case["ego"]), o["x"], o["y"], o["v"],
+                                      o["theta"], RssParams(**case["params"]), case["tau"])
+            for name, values in zip(("a_lon_max", "a_lat_min", "a_lat_max", "violated"), got):
+                assert values.tolist() == case[name], name
