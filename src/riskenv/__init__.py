@@ -14,11 +14,9 @@ from .rss import (
 )
 from .uncertainty import (
     EigenBasis,
-    StateDeviation,
     UncertaintySpec,
     chi2_cdf_4,
     chi2_quantile_4,
-    contour_deviation,
     draw_noise,
     eigendecompose,
     sample_contour,
@@ -29,8 +27,6 @@ from .prob_envelope import (
     envelope_distribution,
     risk_bounded_envelope,
     should_switch,
-    violation_expectation,
-    worst_case_contour_envelope,
 )
 from .config import RunConfig, load_config
 
@@ -38,12 +34,10 @@ __all__ = [
     "AgentState", "Envelope", "RssParams", "pairwise_envelope",
     "safe_distance_lat", "safe_distance_lon", "safety_envelope",
     "safety_violated", "unrestricted_envelope", "worst_of",
-    "EigenBasis", "StateDeviation", "UncertaintySpec", "chi2_cdf_4",
-    "chi2_quantile_4", "contour_deviation", "draw_noise", "eigendecompose",
-    "sample_contour",
+    "EigenBasis", "UncertaintySpec", "chi2_cdf_4", "chi2_quantile_4",
+    "draw_noise", "eigendecompose", "sample_contour",
     "ContourEnvelope", "EnvelopeDistribution", "envelope_distribution",
-    "risk_bounded_envelope", "should_switch", "violation_expectation",
-    "worst_case_contour_envelope",
+    "risk_bounded_envelope", "should_switch",
     "RunConfig", "load_config",
 ]
 

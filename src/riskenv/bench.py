@@ -22,7 +22,7 @@ import numpy as np
 from .config import POLICY_NAMES, RunConfig
 from .prob_envelope import (
     agent_analyses,
-    contour_deviation_sets,
+    contour_samples,
     perturbed_state_arrays,
     risk_bounded_envelope,
     should_switch,
@@ -108,7 +108,7 @@ class PolicyState:
 class Policy:
     """Per-episode policy closure handed to sim.simulate.
 
-    Carries the precomputed eigenbasis and contour deviation sets of the
+    Carries the precomputed eigenbasis and contour samples of the
     covariance case, its own RNG stream for sampled switching, and the latch.
     """
 
@@ -120,14 +120,12 @@ class Policy:
         self.kind = kind
         self.beta = beta
         self.cfg = cfg
-        self.spec = spec
         self.basis = basis
         self.rng = policy_rng
         self.ego_v0 = ego_v0
         self.state = PolicyState()
-        self.deviation_sets = None
-        if kind == "ProbabilisticEnvelopeRestriction" and basis.max_eigenvalue > 0.0:
-            self.deviation_sets = contour_deviation_sets(basis, spec)
+        self.samples = (contour_samples(basis, spec)
+                        if kind == "ProbabilisticEnvelopeRestriction" else None)
 
     # Returns (a_lon, a_lat, mode, envelope, env_violated) per simulate().
     def __call__(self, obs: ObservedWorld, world: WorldState):
@@ -159,9 +157,8 @@ class Policy:
         if self.kind == "Simplex":
             return safety_violated(obs.ego, obs.others, cfg.rss), None
         if self.kind == "ProbabilisticEnvelopeRestriction":
-            dists, expectations = agent_analyses(obs.ego, obs.others, self.spec,
-                                                 self.basis, cfg.rss, cfg.tau,
-                                                 deviation_sets=self.deviation_sets)
+            dists, expectations = agent_analyses(obs.ego, obs.others, self.samples,
+                                                 cfg.rss, cfg.tau)
             if should_switch(expectations, self.beta):
                 return True, None
             if not dists:

@@ -27,10 +27,11 @@ from .config import (
     POLICY_NAMES,
     load_config,
     parse_sigma,
+    read_json,
 )
 from .prob_envelope import (
     agent_analyses,
-    contour_deviation_sets,
+    contour_samples,
     risk_bounded_envelope,
     should_switch,
 )
@@ -72,11 +73,9 @@ def _agent_from(obj: dict, where: str) -> AgentState:
 
 def cmd_envelope(args) -> int:
     cfg = load_config(args.config)
-    with open(args.input, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed JSON in {args.input}: {exc}") from exc
+    data = read_json(args.input)
+    if not isinstance(data, dict):
+        raise ConfigError("envelope input must be a JSON object")
     allowed = {"ego", "agents", "sigma", "beta", "contour_levels", "n_phi", "tau"}
     for key in data:
         if key not in allowed:
@@ -89,7 +88,10 @@ def cmd_envelope(args) -> int:
     agents = [_agent_from(a, f"agents[{i}]")
               for i, a in enumerate(data.get("agents", []))]
     sigma = parse_sigma("sigma", data["sigma"])
-    beta = float(data.get("beta", args.beta))
+    try:
+        beta = float(data.get("beta", args.beta))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid beta: {exc}") from exc
     if not (0.0 <= beta <= 1.0):
         raise ConfigError(f"beta {beta} outside [0, 1]")
     base = cfg.uncertainty["small"]
@@ -108,10 +110,8 @@ def cmd_envelope(args) -> int:
     basis = eigendecompose(spec.sigma)
     det_env = safety_envelope(ego, agents, cfg.rss, tau)
     if agents:
-        deviation_sets = (contour_deviation_sets(basis, spec)
-                          if basis.max_eigenvalue > 0.0 else None)
-        dists, expectations = agent_analyses(ego, agents, spec, basis, cfg.rss, tau,
-                                             deviation_sets=deviation_sets)
+        dists, expectations = agent_analyses(ego, agents, contour_samples(basis, spec),
+                                             cfg.rss, tau)
         prob_env = risk_bounded_envelope(dists, beta, cfg.rss)
     else:
         prob_env = unrestricted_envelope(cfg.rss)

@@ -8,6 +8,7 @@ diagonal shorthand or a 16-entry row-major matrix.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -89,8 +90,8 @@ class RunConfig:
                 raise ConfigError(f"unknown covariance case {case!r}")
         if self.simplex_samples < 1:
             raise ConfigError("simplex_samples must be >= 1")
-        if self.tau <= 0.0:
-            raise ConfigError("tau must be > 0")
+        if not (math.isfinite(self.tau) and self.tau > 0.0):
+            raise ConfigError(f"tau must be finite and > 0, got {self.tau}")
 
 
 def default_uncertainty(contour_levels=DEFAULT_CONTOUR_LEVELS,
@@ -193,13 +194,37 @@ def config_from_dict(data: dict) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def _finite(value) -> bool:
+    if isinstance(value, (int, float)):
+        try:
+            return math.isfinite(value)
+        except OverflowError:  # an integer literal beyond the float range
+            return False
+    if isinstance(value, list):
+        return all(_finite(v) for v in value)
+    return True
+
+
+def _finite_object(pairs) -> dict:
+    for key, value in pairs:
+        if not _finite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
+    return dict(pairs)
+
+
+def read_json(path) -> object:
+    """Parsed JSON file.  Malformed JSON and non-finite numbers (NaN,
+    Infinity, or a literal such as 1e400 that overflows the float range)
+    raise ConfigError naming the key that holds them."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh, object_pairs_hook=_finite_object)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+
+
 def load_config(path: str | None) -> RunConfig:
     """RunConfig from a JSON file; None yields the built-in defaults."""
     if path is None:
         return RunConfig()
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
-    return config_from_dict(data)
+    return config_from_dict(read_json(path))

@@ -1,11 +1,14 @@
 """Risk-bounded envelopes over uncertain observations.
 
-Each observed agent carries a discrete distribution of worst-case envelopes,
-one per confidence contour, with mass p_k - p_{k-1}; the mass outside the
-outermost contour goes to a most-restrictive sentinel so risk is never
-understated.  The combined envelope is solved component-wise so that the
-probability of the true envelope being strictly more restrictive stays below
-the requested risk level.
+The contour samples of a covariance are built once (``contour_samples``):
+the deviations on every confidence contour, stacked, with each contour
+carrying mass p_k - p_{k-1}.  One pass of the pair kernel over an agent's
+perturbed states (``analyze_agent``) yields both its discrete distribution
+of worst-case envelopes, one per contour, and its violation expectation; the
+mass outside the outermost contour goes to a most-restrictive sentinel and
+counts as violated, so risk is never understated.  The combined envelope is
+solved component-wise so that the probability of the true envelope being
+strictly more restrictive stays below the requested risk level.
 """
 
 from __future__ import annotations
@@ -20,13 +23,10 @@ from .rss import (
     Envelope,
     RssParams,
     pair_analysis_batch,
-    pairwise_envelope_batch,
     restrictive_sentinel,
-    safety_violated,
-    violation_batch,
     wrap_angle,
 )
-from .uncertainty import EigenBasis, StateDeviation, UncertaintySpec, sample_contour
+from .uncertainty import EigenBasis, UncertaintySpec, sample_contour
 
 MASS_TOL = 1e-12
 
@@ -73,60 +73,39 @@ def perturbed_state_arrays(obs: AgentState, deviations: np.ndarray):
     return ox, oy, ov, ot
 
 
-def _as_deviation_array(deviations) -> np.ndarray:
-    if isinstance(deviations, np.ndarray):
-        return deviations
-    rows = [d.as_array() if isinstance(d, StateDeviation) else np.asarray(d, dtype=float)
-            for d in deviations]
-    if not rows:
-        return np.empty((0, 4))
-    return np.stack(rows)
+def contour_samples(basis: EigenBasis, spec: UncertaintySpec):
+    """Deviation samples of every contour, built once per covariance.
 
-
-def worst_case_contour_envelope(ego: AgentState, obs: AgentState, deviations,
-                                params: RssParams, tau: float) -> Envelope:
-    """Component-wise most restrictive envelope over all perturbed states."""
-    d = _as_deviation_array(deviations)
-    if d.shape[0] == 0:
-        raise ValueError("at least one deviation is required")
-    ox, oy, ov, ot = perturbed_state_arrays(obs, d)
-    lon_max, lat_min, lat_max = pairwise_envelope_batch(ego, ox, oy, ov, ot, params, tau)
-    return Envelope(-params.a_lon_limit, float(lon_max.min()),
-                    float(lat_min.max()), float(lat_max.min()))
-
-
-def contour_deviation_sets(basis: EigenBasis, spec: UncertaintySpec) -> list[np.ndarray]:
-    """Deviation samples for every contour level; cacheable per covariance."""
-    return [sample_contour(basis, p, spec.n_phi) for p in spec.contour_levels]
-
-
-def analyze_agent(ego: AgentState, obs: AgentState, spec: UncertaintySpec,
-                  basis: EigenBasis, params: RssParams, tau: float,
-                  agent_id: int = 0,
-                  deviation_sets=None) -> tuple[EnvelopeDistribution, float]:
-    """Envelope distribution and violation expectation of one agent in a
-    single pass over all contour samples.
-
-    Zero covariance collapses every contour onto the observation itself: the
-    whole mass sits on the point envelope, the sentinel is bypassed, and the
-    expectation is the plain violation indicator.
+    Returns (levels, deviations, counts): the contour levels, the stacked
+    (n, 4) deviations of all contours in level order, and the number of rows
+    of each contour.  Zero covariance collapses every contour onto the
+    observation itself: one zero deviation carrying all the mass, so the
+    sentinel is bypassed and the expectation is the plain violation
+    indicator.
     """
     if basis.max_eigenvalue <= 0.0:
-        point = worst_case_contour_envelope(ego, obs, np.zeros((1, 4)), params, tau)
-        entry = ContourEnvelope(agent_id, 0, 1.0, point)
-        dist = EnvelopeDistribution(agent_id, (entry,), 0.0)
-        return dist, (1.0 if safety_violated(ego, [obs], params) else 0.0)
-    if deviation_sets is None:
-        deviation_sets = contour_deviation_sets(basis, spec)
-    counts = [d.shape[0] for d in deviation_sets]
-    ox, oy, ov, ot = perturbed_state_arrays(obs, np.concatenate(deviation_sets))
+        return (1.0,), np.zeros((1, 4)), (1,)
+    sets = [sample_contour(basis, p, spec.n_phi) for p in spec.contour_levels]
+    return spec.contour_levels, np.concatenate(sets), tuple(d.shape[0] for d in sets)
+
+
+def analyze_agent(ego: AgentState, obs: AgentState, samples, params: RssParams,
+                  tau: float, agent_id: int = 0) -> tuple[EnvelopeDistribution, float]:
+    """Envelope distribution and violation expectation of one agent in a
+    single pass over the contour samples of ``contour_samples``.
+
+    A contour counts as violated if any of its perturbed states breaks both
+    safe distances; the residual mass counts as violated.
+    """
+    levels, deviations, counts = samples
+    ox, oy, ov, ot = perturbed_state_arrays(obs, deviations)
     lon_max, lat_min, lat_max, violated = pair_analysis_batch(
         ego, ox, oy, ov, ot, params, tau)
     entries = []
-    expectation = 1.0 - spec.contour_levels[-1]  # residual counted as violated
+    expectation = 1.0 - levels[-1]
     prev = 0.0
     start = 0
-    for k, (p_k, m) in enumerate(zip(spec.contour_levels, counts)):
+    for k, (p_k, m) in enumerate(zip(levels, counts)):
         sl = slice(start, start + m)
         start += m
         env = Envelope(-params.a_lon_limit, float(lon_max[sl].min()),
@@ -140,11 +119,10 @@ def analyze_agent(ego: AgentState, obs: AgentState, spec: UncertaintySpec,
 
 def envelope_distribution(ego: AgentState, obs: AgentState, spec: UncertaintySpec,
                           basis: EigenBasis, params: RssParams, tau: float,
-                          agent_id: int = 0, deviation_sets=None) -> EnvelopeDistribution:
+                          agent_id: int = 0) -> EnvelopeDistribution:
     """Per-agent random envelope over the confidence contours."""
-    dist, _ = analyze_agent(ego, obs, spec, basis, params, tau,
-                            agent_id=agent_id, deviation_sets=deviation_sets)
-    return dist
+    return analyze_agent(ego, obs, contour_samples(basis, spec), params, tau,
+                         agent_id=agent_id)[0]
 
 
 def risk_bounded_envelope(distributions, beta: float, params: RssParams) -> Envelope:
@@ -194,38 +172,14 @@ def risk_bounded_envelope(distributions, beta: float, params: RssParams) -> Enve
     return Envelope(**values)
 
 
-def violation_expectation(ego: AgentState, obs: AgentState, spec: UncertaintySpec,
-                          basis: EigenBasis, params: RssParams,
-                          deviation_sets=None) -> float:
-    """Expected violation indicator for one agent over the contour masses.
-
-    A contour counts as violated if any of its sampled perturbed states
-    breaks both safe distances; the residual mass counts as violated.
-    """
-    if basis.max_eigenvalue <= 0.0:
-        return 1.0 if safety_violated(ego, [obs], params) else 0.0
-    if deviation_sets is None:
-        deviation_sets = contour_deviation_sets(basis, spec)
-    expectation = 1.0 - spec.contour_levels[-1]  # residual counted as violated
-    prev = 0.0
-    for p_k, devs in zip(spec.contour_levels, deviation_sets):
-        ox, oy, ov, ot = perturbed_state_arrays(obs, devs)
-        if violation_batch(ego, ox, oy, ov, ot, params).any():
-            expectation += p_k - prev
-        prev = p_k
-    return expectation
-
-
-def agent_analyses(ego: AgentState, observations, spec: UncertaintySpec,
-                   basis: EigenBasis, params: RssParams, tau: float,
-                   deviation_sets=None):
-    """analyze_agent over a list of observed agents; returns
-    (distributions, expectations)."""
+def agent_analyses(ego: AgentState, observations, samples, params: RssParams,
+                   tau: float):
+    """analyze_agent over a list of observed agents, one kernel call each;
+    returns (distributions, expectations)."""
     dists = []
     expectations = []
     for j, obs in enumerate(observations):
-        dist, exp = analyze_agent(ego, obs, spec, basis, params, tau,
-                                  agent_id=j, deviation_sets=deviation_sets)
+        dist, exp = analyze_agent(ego, obs, samples, params, tau, agent_id=j)
         dists.append(dist)
         expectations.append(exp)
     return dists, expectations

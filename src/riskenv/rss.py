@@ -31,7 +31,15 @@ TWO_PI = 2.0 * math.pi
 
 
 def wrap_angle(theta):
-    """Wrap an angle (scalar or array) into (-pi, pi]."""
+    """Wrap an angle (scalar or array) into (-pi, pi].
+
+    Python floats take a ``math`` path (the simulator wraps one heading per
+    agent per step); it matches the numpy path bit for bit, because both
+    take the floored remainder of the same sum.
+    """
+    if isinstance(theta, float):
+        w = (float(theta) + math.pi) % TWO_PI - math.pi
+        return math.pi if w == -math.pi else w
     w = np.mod(np.asarray(theta, dtype=float) + math.pi, TWO_PI) - math.pi
     w = np.where(w == -math.pi, math.pi, w)
     if np.ndim(theta) == 0:

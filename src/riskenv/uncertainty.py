@@ -59,6 +59,8 @@ class UncertaintySpec:
         sigma = np.asarray(self.sigma, dtype=float)
         if sigma.shape != (STATE_DIM, STATE_DIM):
             raise ValueError(f"sigma must be 4x4, got shape {sigma.shape}")
+        if not np.isfinite(sigma).all():
+            raise ValueError("sigma entries must be finite")
         if not np.allclose(sigma, sigma.T, atol=1e-9):
             raise ValueError("sigma must be symmetric")
         object.__setattr__(self, "sigma", sigma)
@@ -91,19 +93,6 @@ class EigenBasis:
     @property
     def max_eigenvalue(self) -> float:
         return float(self.eigenvalues[0])
-
-
-@dataclass(frozen=True)
-class StateDeviation:
-    """Additive deviation applied to an observed state."""
-
-    dx: float
-    dy: float
-    dv: float
-    dtheta: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.dx, self.dy, self.dv, self.dtheta], dtype=float)
 
 
 def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
@@ -172,38 +161,17 @@ def eigendecompose(sigma) -> EigenBasis:
     return EigenBasis(eigenvalues=lam, eigenvectors=v)
 
 
-def contour_radii(basis: EigenBasis, p_k: float) -> np.ndarray:
-    """Axis-wise ellipsoid radii sqrt(Q4(p_k) * lambda_i) in the eigenbasis."""
-    q = chi2_quantile_4(p_k)
-    return np.sqrt(q * basis.eigenvalues)
-
-
-def contour_deviation(basis: EigenBasis, p_k: float,
-                      phi1: float, phi2: float, phi3: float) -> StateDeviation:
-    """Deviation on the p_k iso-probability contour at the given angles,
-    rotated back to state coordinates."""
-    if not (0.0 < p_k < 1.0):
-        raise ValueError(f"contour level must lie in (0, 1), got {p_k}")
-    r = contour_radii(basis, p_k)
-    s1, c1 = math.sin(phi1), math.cos(phi1)
-    s2, c2 = math.sin(phi2), math.cos(phi2)
-    s3, c3 = math.sin(phi3), math.cos(phi3)
-    d_eigen = np.array([r[0] * c1,
-                        r[1] * s1 * c2,
-                        r[2] * s1 * s2 * c3,
-                        r[3] * s1 * s2 * s3])
-    d_world = basis.eigenvectors @ d_eigen
-    return StateDeviation(*d_world)
-
-
 def sample_contour(basis: EigenBasis, p_k: float, n_phi: int) -> np.ndarray:
     """All n_phi^3 contour deviations for angles z * 2*pi / n_phi, as an
-    (n_phi^3, 4) array in deterministic lexicographic (z1, z2, z3) order."""
+    (n_phi^3, 4) array in deterministic lexicographic (z1, z2, z3) order.
+
+    The p_k contour is the ellipsoid with radii sqrt(Q4(p_k) * lambda_i) along
+    the eigenvectors; points are rotated back to state coordinates."""
     if n_phi < 2:
         raise ValueError("n_phi must be >= 2")
     if not (0.0 < p_k < 1.0):
         raise ValueError(f"contour level must lie in (0, 1), got {p_k}")
-    r = contour_radii(basis, p_k)
+    r = np.sqrt(chi2_quantile_4(p_k) * basis.eigenvalues)
     phis = np.arange(n_phi) * (2.0 * math.pi / n_phi)
     s = np.sin(phis)
     c = np.cos(phis)
@@ -229,7 +197,3 @@ def draw_noise(sigma, rng: np.random.Generator) -> np.ndarray:
     z = rng.standard_normal(STATE_DIM)
     return basis.eigenvectors @ (np.sqrt(basis.eigenvalues) * z)
 
-
-def mahalanobis_sq(delta: np.ndarray, sigma: np.ndarray) -> float:
-    """Squared Mahalanobis distance of a deviation under a covariance."""
-    return float(delta @ np.linalg.solve(sigma, delta))

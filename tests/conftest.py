@@ -1,14 +1,15 @@
 """Shared oracles and helpers.
 
 The oracles deliberately avoid the library's fast paths: explicit braking
-profile simulation, discretized acceleration search, and exhaustive joint
-enumeration of envelope distributions.
+profile simulation, discretized acceleration search, exhaustive joint
+enumeration of envelope distributions, and one contour point at a time.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from riskenv.rss import (
     safe_distance_lat,
     safe_distance_lon,
 )
+from riskenv.uncertainty import EigenBasis, chi2_quantile_4
 
 
 def simulate_lon_profile(v_rear: float, v_front: float, gap0: float,
@@ -141,6 +143,41 @@ def enumerate_risk_envelope(distributions, beta: float, params: RssParams) -> En
                 best = cand
         out[name] = best
     return Envelope(**out)
+
+
+@dataclass(frozen=True)
+class StateDeviation:
+    """Additive deviation applied to an observed state."""
+
+    dx: float
+    dy: float
+    dv: float
+    dtheta: float
+
+    def as_array(self) -> np.ndarray:
+        return np.array([self.dx, self.dy, self.dv, self.dtheta], dtype=float)
+
+
+def contour_deviation(basis: EigenBasis, p_k: float,
+                      phi1: float, phi2: float, phi3: float) -> StateDeviation:
+    """Scalar contour oracle: the deviation on the p_k iso-probability
+    contour at the given angles, rotated back to state coordinates."""
+    if not (0.0 < p_k < 1.0):
+        raise ValueError(f"contour level must lie in (0, 1), got {p_k}")
+    r = np.sqrt(chi2_quantile_4(p_k) * basis.eigenvalues)
+    s1, c1 = math.sin(phi1), math.cos(phi1)
+    s2, c2 = math.sin(phi2), math.cos(phi2)
+    s3, c3 = math.sin(phi3), math.cos(phi3)
+    d_eigen = np.array([r[0] * c1,
+                        r[1] * s1 * c2,
+                        r[2] * s1 * s2 * c3,
+                        r[3] * s1 * s2 * s3])
+    return StateDeviation(*(basis.eigenvectors @ d_eigen))
+
+
+def mahalanobis_sq(delta: np.ndarray, sigma: np.ndarray) -> float:
+    """Squared Mahalanobis distance of a deviation under a covariance."""
+    return float(delta @ np.linalg.solve(sigma, delta))
 
 
 @pytest.fixture

@@ -120,6 +120,33 @@ class TestEnvelopeCommand:
         assert "tau" in err
 
 
+    def test_non_finite_sigma_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_text('{"ego": {"v": 15}, "agents": [{"x": 20, "v": 15}], '
+                        '"sigma": [Infinity, 0.04, 0.04, 1e-4]}')
+        code, out, err = run_cli(["envelope", "--input", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "sigma must be finite" in err
+
+    @pytest.mark.parametrize("beta", ["abc", [0.1], -0.5])
+    def test_bad_beta_exit_2(self, envelope_input, capsys, beta):
+        path = envelope_input({
+            "ego": {"x": 0, "y": 0, "theta": 0, "v": 17},
+            "agents": [{"x": 28, "y": 0, "theta": 0, "v": 15}],
+            "sigma": [0.04, 0.04, 0.04, 1e-4],
+            "beta": beta,
+        })
+        code, out, err = run_cli(["envelope", "--input", path], capsys)
+        assert code == 2
+        assert out == ""
+        assert "beta" in err
+
+    def test_non_object_input_exit_2(self, envelope_input, capsys):
+        code, out, err = run_cli(["envelope", "--input", envelope_input([1, 2])], capsys)
+        assert code == 2
+        assert "object" in err
+
 class TestSimulateCommand:
     def test_trace_deterministic(self, tmp_path, capsys):
         args = ["simulate", "--scenario", "1", "--policy", "Simplex",
@@ -221,6 +248,32 @@ class TestValidateCommand:
                      0, 0, 0, 1e-4]
         full = config_from_dict({"uncertainty": {"large": {"sigma": row_major}}})
         assert full.uncertainty["large"].sigma[0, 1] == 0.01
+
+    @pytest.mark.parametrize("text,key", [
+        ('{"tau": NaN}', "tau"),
+        ('{"tau": 1e400}', "tau"),
+        ('{"tau": -Infinity}', "tau"),
+        ('{"tau": 1' + "0" * 400 + '}', "tau"),
+        ('{"rss": {"rho": NaN}}', "rho"),
+        ('{"uncertainty": {"small": {"sigma": [0.04, NaN, 0.04, 1e-4]}}}', "sigma"),
+    ])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, text, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        code, out, err = run_cli(["validate", "--config", str(path)], capsys)
+        assert code == 2
+        assert "config ok" not in out
+        assert f"{key} must be finite" in err
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), 0.0])
+    def test_non_finite_tau_rejected(self, tau):
+        with pytest.raises(ConfigError, match="tau"):
+            RunConfig(tau=tau)
+
+    def test_non_finite_sigma_rejected(self):
+        sigma = [0.04, 0.04, float("inf"), 1e-4]
+        with pytest.raises(ConfigError, match="finite"):
+            config_from_dict({"uncertainty": {"small": {"sigma": sigma}}})
 
     def test_invalid_beta_rejected(self):
         with pytest.raises(ConfigError):

@@ -9,11 +9,10 @@ from riskenv.prob_envelope import (
     ContourEnvelope,
     EnvelopeDistribution,
     analyze_agent,
+    contour_samples,
     envelope_distribution,
     risk_bounded_envelope,
     should_switch,
-    violation_expectation,
-    worst_case_contour_envelope,
 )
 from riskenv.rss import (
     AgentState,
@@ -24,10 +23,16 @@ from riskenv.rss import (
     safe_distance_lat,
     safe_distance_lon,
     safety_envelope,
+    safety_violated,
     unrestricted_envelope,
     worst_of,
 )
-from riskenv.uncertainty import UncertaintySpec, chi2_quantile_4, eigendecompose
+from riskenv.uncertainty import (
+    UncertaintySpec,
+    chi2_quantile_4,
+    eigendecompose,
+    sample_contour,
+)
 
 from conftest import enumerate_risk_envelope
 
@@ -46,20 +51,26 @@ def env_of(lon_max, lat_min=-4.0, lat_max=4.0, lon_min=-8.0):
     return Envelope(lon_min, lon_max, lat_min, lat_max)
 
 
+def worst_case(ego, obs, deviations, params):
+    """Envelope of a single explicit contour holding ``deviations``."""
+    samples = ((0.5,), deviations, (deviations.shape[0],))
+    dist, _ = analyze_agent(ego, obs, samples, params, TAU)
+    return dist.entries[0].envelope
+
+
 class TestWorstCaseContourEnvelope:
     def test_zero_deviation_matches_pairwise(self, rss_params):
         ego = AgentState(0, 0, 0, 17)
         obs = AgentState(25, 0, 0, 15)
-        env = worst_case_contour_envelope(ego, obs, np.zeros((1, 4)), rss_params, TAU)
+        env = worst_case(ego, obs, np.zeros((1, 4)), rss_params)
         assert env == pairwise_envelope(ego, obs, rss_params, TAU)
 
     def test_equals_most_restrictive_sample(self, rss_params):
         ego = AgentState(0, 0, 0, 17)
         obs = AgentState(26, 0, 0, 15)
         deviations = np.array([[-2.0, 0, 0, 0], [2.0, 0, 0, 0], [0, 0, 0.5, 0]])
-        env = worst_case_contour_envelope(ego, obs, deviations, rss_params, TAU)
-        singles = [worst_case_contour_envelope(ego, obs, d[None, :], rss_params, TAU)
-                   for d in deviations]
+        env = worst_case(ego, obs, deviations, rss_params)
+        singles = [worst_case(ego, obs, d[None, :], rss_params) for d in deviations]
         expected = singles[0]
         for s in singles[1:]:
             expected = worst_of(expected, s)
@@ -72,16 +83,29 @@ class TestWorstCaseContourEnvelope:
         ego = AgentState(0, 0, 0, 17)
         obs = AgentState(20, 1.5, 0, 16)
         devs = rng.normal(0, 0.5, size=(30, 4))
-        base = worst_case_contour_envelope(ego, obs, devs[:10], rss_params, TAU)
-        more = worst_case_contour_envelope(ego, obs, devs, rss_params, TAU)
+        base = worst_case(ego, obs, devs[:10], rss_params)
+        more = worst_case(ego, obs, devs, rss_params)
         assert more.a_lon_max <= base.a_lon_max
         assert more.a_lat_max <= base.a_lat_max
         assert more.a_lat_min >= base.a_lat_min
 
     def test_empty_rejected(self, rss_params):
         with pytest.raises(ValueError):
-            worst_case_contour_envelope(AgentState(0, 0, 0, 1), AgentState(9, 0, 0, 1),
-                                        np.zeros((0, 4)), rss_params, TAU)
+            worst_case(AgentState(0, 0, 0, 1), AgentState(9, 0, 0, 1),
+                       np.zeros((0, 4)), rss_params)
+
+    def test_contours_are_consecutive_slices(self, rss_params):
+        ego = AgentState(0, 0, 0, 17)
+        obs = AgentState(24, 0, 0, 15)
+        near, far = np.array([[-3.0, 0, 0, 0]]), np.array([[3.0, 0, 0, 0], [4.0, 0, 0, 0]])
+        samples = ((0.5, 0.9), np.concatenate([far, near]), (2, 1))
+        dist, _ = analyze_agent(ego, obs, samples, rss_params, TAU, agent_id=3)
+        assert [e.contour_index for e in dist.entries] == [0, 1]
+        assert {e.agent_id for e in dist.entries} == {3}
+        assert dist.entries[0].envelope == worst_case(ego, obs, far, rss_params)
+        assert dist.entries[1].envelope == worst_case(ego, obs, near, rss_params)
+        assert dist.entries[1].probability_mass == pytest.approx(0.4)
+        assert dist.residual_mass == pytest.approx(0.1)
 
 
 class TestEnvelopeDistribution:
@@ -221,22 +245,25 @@ def _random_dyadic_distributions(rng, n_agents=None):
     return dists
 
 
+def expectation(ego, obs, spec, params):
+    samples = contour_samples(eigendecompose(spec.sigma), spec)
+    return analyze_agent(ego, obs, samples, params, TAU)[1]
+
+
 class TestViolationExpectation:
     def _spec_x_only(self, sigma_x, levels=LEVELS, n_phi=8):
         return UncertaintySpec.from_diagonal([sigma_x ** 2, 0, 0, 0], levels, n_phi)
 
     def test_far_away_leaves_residual_only(self, rss_params):
         spec = UncertaintySpec.from_diagonal([0.04, 0.04, 0.04, 1e-4], LEVELS, 8)
-        basis = eigendecompose(spec.sigma)
-        e = violation_expectation(AgentState(0, 0, 0, 15), AgentState(300, 0, 0, 15),
-                                  spec, basis, rss_params)
+        e = expectation(AgentState(0, 0, 0, 15), AgentState(300, 0, 0, 15), spec,
+                        rss_params)
         assert e == pytest.approx(1.0 - LEVELS[-1])
 
     def test_overlap_with_zero_covariance(self, rss_params):
         spec = UncertaintySpec.from_diagonal([0, 0, 0, 0], LEVELS, 8)
-        basis = eigendecompose(spec.sigma)
-        e = violation_expectation(AgentState(0, 0, 0, 15), AgentState(1, 0.2, 0, 15),
-                                  spec, basis, rss_params)
+        e = expectation(AgentState(0, 0, 0, 15), AgentState(1, 0.2, 0, 15), spec,
+                        rss_params)
         assert e == 1.0
 
     def test_contour_threshold_geometry(self, rss_params):
@@ -245,24 +272,55 @@ class TestViolationExpectation:
         # mass at and beyond that contour plus the residual.
         sigma_x = 0.5
         spec = self._spec_x_only(sigma_x)
-        basis = eigendecompose(spec.sigma)
         radii = [math.sqrt(chi2_quantile_4(p)) * sigma_x for p in LEVELS]
         k0 = 3
         ego = AgentState(0, 0, 0, 17)
         d = safe_distance_lon(17.0, 15.0, rss_params)
         gap = d + 0.5 * (radii[k0 - 1] + radii[k0])
         obs = AgentState(gap + rss_params.length, 0, 0, 15)
-        e = violation_expectation(ego, obs, spec, basis, rss_params)
+        e = expectation(ego, obs, spec, rss_params)
         assert e == pytest.approx(1.0 - LEVELS[k0 - 1])
 
-    def test_matches_fused_analysis(self, rss_params):
-        spec = UncertaintySpec.from_diagonal([0.04, 0.04, 0.04, 1e-4], LEVELS, 6)
-        basis = eigendecompose(spec.sigma)
+    def test_explicit_samples_count_violated_contours(self, rss_params):
+        # Same-lane pair at 10 m: the inner contour keeps the obstacle ahead
+        # and safe laterally, the outer one reaches into the ego's lane box.
+        ego = AgentState(0, 0, 0, 15)
+        obs = AgentState(10, 3.5, 0, 15)
+        samples = ((0.5, 0.9), np.array([[0.0, 0, 0, 0], [0.0, -3.5, 0, 0]]), (1, 1))
+        _, e = analyze_agent(ego, obs, samples, rss_params, TAU)
+        assert not safety_violated(ego, [obs], rss_params)
+        assert safety_violated(ego, [AgentState(10, 0, 0, 15)], rss_params)
+        assert e == pytest.approx((0.9 - 0.5) + (1.0 - 0.9))
+
+    def test_zero_covariance_is_violation_indicator(self, rss_params):
+        spec = UncertaintySpec.from_diagonal([0, 0, 0, 0], LEVELS, 6)
+        samples = contour_samples(eigendecompose(spec.sigma), spec)
         ego = AgentState(0, 0, 0, 18)
-        obs = AgentState(14, 3.0, -0.05, 17)
-        dist, exp = analyze_agent(ego, obs, spec, basis, rss_params, TAU)
-        assert exp == violation_expectation(ego, obs, spec, basis, rss_params)
-        assert dist == envelope_distribution(ego, obs, spec, basis, rss_params, TAU)
+        for x, violated in ((1.0, True), (300.0, False)):
+            obs = AgentState(x, 0.2, 0, 17)
+            dist, exp = analyze_agent(ego, obs, samples, rss_params, TAU)
+            assert dist.residual_mass == 0.0
+            assert [e.probability_mass for e in dist.entries] == [1.0]
+            assert safety_violated(ego, [obs], rss_params) is violated
+            assert exp == (1.0 if violated else 0.0)
+
+
+class TestContourSamples:
+    def test_stacks_every_contour_once(self):
+        spec = UncertaintySpec.from_diagonal([0.04, 0.04, 0.04, 1e-4], LEVELS, 4)
+        basis = eigendecompose(spec.sigma)
+        levels, deviations, counts = contour_samples(basis, spec)
+        assert levels == LEVELS
+        assert counts == (64,) * len(LEVELS)
+        want = np.concatenate([sample_contour(basis, p, 4) for p in LEVELS])
+        assert np.array_equal(deviations, want)
+
+    def test_zero_covariance_single_point(self):
+        spec = UncertaintySpec.from_diagonal([0, 0, 0, 0], LEVELS, 8)
+        levels, deviations, counts = contour_samples(eigendecompose(spec.sigma), spec)
+        assert levels == (1.0,)
+        assert counts == (1,)
+        assert np.array_equal(deviations, np.zeros((1, 4)))
 
 
 class TestShouldSwitch:

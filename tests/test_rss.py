@@ -260,6 +260,20 @@ class TestKinematics:
         w = wrap_angle(theta)
         assert -math.pi < w <= math.pi
 
+    def test_wrap_angle_scalar_matches_array(self):
+        pi = math.pi
+        edge = [pi, -pi, 2 * pi, -2 * pi, 3 * pi, -3 * pi, 1e6, -1e6, 0.0, -0.0,
+                math.nextafter(pi, 0.0), -math.nextafter(pi, 0.0),
+                math.nextafter(pi, 4.0), math.nextafter(-pi, -4.0)]
+        rng = np.random.default_rng(12)
+        thetas = np.concatenate([edge, rng.uniform(-50, 50, 2000),
+                                 rng.uniform(-1e7, 1e7, 500)])
+        arr = wrap_angle(thetas)
+        scalars = [wrap_angle(float(t)) for t in thetas]
+        assert all(type(w) is float for w in scalars)
+        assert np.array_equal(np.array(scalars).view(np.int64), arr.view(np.int64))
+        assert wrap_angle(-pi) == pi and wrap_angle(pi) == pi
+
     def test_agent_state_validation(self):
         with pytest.raises(ValueError):
             AgentState(0, 0, 0, -1.0)

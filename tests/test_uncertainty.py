@@ -7,16 +7,15 @@ from hypothesis import strategies as st
 
 from riskenv.uncertainty import (
     EigenBasis,
-    StateDeviation,
     UncertaintySpec,
     chi2_cdf_4,
     chi2_quantile_4,
-    contour_deviation,
     draw_noise,
     eigendecompose,
-    mahalanobis_sq,
     sample_contour,
 )
+
+from conftest import StateDeviation, contour_deviation, mahalanobis_sq
 
 
 def chi2_4_density(x):
@@ -162,6 +161,20 @@ class TestContours:
         for d in devs:
             assert d @ inv @ d == pytest.approx(q, abs=1e-9)
 
+    @pytest.mark.parametrize("spectrum,rotate", [
+        ((2.0, 1.5, 1.0, 0.5), True),
+        ((0.04, 0.04, 0.04, 1e-4), False),
+    ], ids=["rotated", "tied"])
+    def test_rows_match_scalar_oracle(self, spectrum, rotate):
+        r = random_rotation(np.random.default_rng(6)) if rotate else np.eye(4)
+        b = eigendecompose(r @ np.diag(spectrum) @ r.T)
+        n = 5
+        devs = sample_contour(b, 0.9, n)
+        step = 2.0 * math.pi / n
+        want = [contour_deviation(b, 0.9, z1 * step, z2 * step, z3 * step).as_array()
+                for z1 in range(n) for z2 in range(n) for z3 in range(n)]
+        assert np.abs(devs - np.array(want)).max() <= 1e-12
+
     def test_axis_extremes_present_with_nphi4(self):
         sigma = np.diag([4.0, 1.0, 1.0, 1.0])
         b = eigendecompose(sigma)
@@ -236,6 +249,13 @@ class TestSpecValidation:
         m = np.eye(4)
         m[0, 1] = 1e-3
         with pytest.raises(ValueError):
+            UncertaintySpec(m, (0.9,), 4)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sigma_rejected(self, value):
+        m = np.eye(4)
+        m[2, 2] = value
+        with pytest.raises(ValueError, match="finite"):
             UncertaintySpec(m, (0.9,), 4)
 
     def test_n_phi_minimum(self):
