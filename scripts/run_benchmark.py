@@ -2,10 +2,12 @@
 """Run the full four-policy benchmark and print the headline rates.
 
 Equivalent to `riskenv benchmark` plus a compact console table; use --quick
-for a 20-scenario smoke run.
+for a 20-scenario smoke run.  The sha256 of the written rates.csv is printed
+so that two versions of the program can be checked for identical rates.
 """
 
 import argparse
+import hashlib
 import sys
 from pathlib import Path
 
@@ -31,8 +33,11 @@ def main() -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "rates.csv").write_text(bench.rows_to_csv(rows))
-    print(f"wrote {out_dir / 'rates.csv'} ({len(rows)} cells, {n} scenarios each)\n")
+    csv_path = out_dir / "rates.csv"
+    csv_path.write_text(bench.rows_to_csv(rows))
+    digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+    print(f"wrote {csv_path} ({len(rows)} cells, {n} scenarios each)")
+    print(f"sha256 {digest}  {csv_path}\n")
 
     print(f"{'policy':<34}{'case':<7}{'beta':>5} {'succ':>6} {'coll':>6} {'tout':>6}")
     for r in rows:

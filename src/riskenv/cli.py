@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -98,7 +99,7 @@ def cmd_envelope(args) -> int:
     try:
         spec = UncertaintySpec(sigma,
                                tuple(data.get("contour_levels", base.contour_levels)),
-                               int(data.get("n_phi", base.n_phi)))
+                               data.get("n_phi", base.n_phi))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     try:
@@ -203,7 +204,10 @@ def cmd_validate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, so every call of ``main`` can share it."""
     parser = argparse.ArgumentParser(
         prog="riskenv",
         description="Risk-bounded safety envelopes and the 2-lane highway benchmark")
@@ -246,8 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -144,10 +144,13 @@ def _parse_uncertainty(data: dict, contour_levels, n_phi) -> dict:
         sigma = parse_sigma(f"uncertainty.{case}.sigma", entry["sigma"])
         levels = tuple(entry.get("contour_levels", contour_levels))
         try:
-            out[case] = UncertaintySpec(sigma, levels, int(entry.get("n_phi", n_phi)))
+            out[case] = UncertaintySpec(sigma, levels, entry.get("n_phi", n_phi))
         except ValueError as exc:
             raise ConfigError(f"invalid uncertainty.{case}: {exc}") from exc
-    base = default_uncertainty(contour_levels, n_phi)
+    try:
+        base = default_uncertainty(contour_levels, n_phi)
+    except ValueError as exc:
+        raise ConfigError(f"invalid config: {exc}") from exc
     base.update(out)
     return base
 
@@ -162,7 +165,7 @@ def config_from_dict(data: dict) -> RunConfig:
         raise ConfigError("config root must be a JSON object")
     _check_keys("config", data, TOP_LEVEL_KEYS)
     contour_levels = tuple(data.get("contour_levels", DEFAULT_CONTOUR_LEVELS))
-    n_phi = int(data.get("n_phi", DEFAULT_N_PHI))
+    n_phi = data.get("n_phi", DEFAULT_N_PHI)
     kwargs = {}
     if "rss" in data:
         kwargs["rss"] = _build("rss", RssParams, data["rss"])

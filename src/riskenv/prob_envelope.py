@@ -78,10 +78,12 @@ def contour_samples(basis: EigenBasis, spec: UncertaintySpec):
 
     Returns (levels, deviations, counts): the contour levels, the stacked
     (n, 4) deviations of all contours in level order, and the number of rows
-    of each contour.  Zero covariance collapses every contour onto the
-    observation itself: one zero deviation carrying all the mass, so the
-    sentinel is bypassed and the expectation is the plain violation
-    indicator.
+    of each contour.  Each contour holds the distinct points of the angle
+    grid (``sample_contour``), the same unit directions scaled to its
+    radius, so no point is evaluated twice.  Zero covariance collapses every
+    contour onto the observation itself: one zero deviation carrying all the
+    mass, so the sentinel is bypassed and the expectation is the plain
+    violation indicator.
     """
     if basis.max_eigenvalue <= 0.0:
         return (1.0,), np.zeros((1, 4)), (1,)

@@ -9,11 +9,15 @@ of the covariance and rotated back to state coordinates.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 STATE_DIM = 4  # deviation axes, in order: x, y, v, theta
+# Bound on the angle grid, n_phi^3 x contour levels; admits n_phi = 24 with
+# six levels, the dense reference sampling.
+MAX_GRID_SAMPLES = 100_000
 
 
 def chi2_cdf_4(x: float) -> float:
@@ -73,13 +77,30 @@ class UncertaintySpec:
                 raise ValueError("contour levels must be strictly increasing within (0, 1)")
             prev = p
         object.__setattr__(self, "contour_levels", levels)
-        if self.n_phi < 2:
+        n_phi = _integral("n_phi", self.n_phi)
+        if n_phi < 2:
             raise ValueError("n_phi must be >= 2")
+        if n_phi ** 3 * len(levels) > MAX_GRID_SAMPLES:
+            raise ValueError(
+                f"n_phi = {self.n_phi} is too large for {len(levels)} contour "
+                f"levels: n_phi^3 x levels must be <= {MAX_GRID_SAMPLES}")
+        object.__setattr__(self, "n_phi", n_phi)
 
     @staticmethod
     def from_diagonal(variances, contour_levels, n_phi) -> "UncertaintySpec":
         return UncertaintySpec(np.diag(np.asarray(variances, dtype=float)),
-                               tuple(contour_levels), int(n_phi))
+                               tuple(contour_levels), n_phi)
+
+
+def _integral(name: str, value) -> int:
+    """``value`` as an int; a bool, a string, a fraction or a non-finite
+    number raises ValueError naming ``name``."""
+    if isinstance(value, (float, np.floating)) and math.isfinite(value) \
+            and float(value).is_integer():
+        return int(value)
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -161,12 +182,42 @@ def eigendecompose(sigma) -> EigenBasis:
     return EigenBasis(eigenvalues=lam, eigenvectors=v)
 
 
-def sample_contour(basis: EigenBasis, p_k: float, n_phi: int) -> np.ndarray:
-    """All n_phi^3 contour deviations for angles z * 2*pi / n_phi, as an
-    (n_phi^3, 4) array in deterministic lexicographic (z1, z2, z3) order.
+def _distinct_grid(n_phi: int):
+    """Grid indices (z1, z2, z3) of the distinct points of the angle grid
+    z * 2*pi / n_phi, each point under the index that comes first in
+    lexicographic order, returned in that order.
 
-    The p_k contour is the ellipsoid with radii sqrt(Q4(p_k) * lambda_i) along
-    the eigenvectors; points are rotated back to state coordinates."""
+    sin(phi) = 0 at z = 0 (and z = n_phi / 2 for even n_phi) collapses every
+    later angle, so a pole of z1 keeps only (z1, 0, 0) and a pole of z2 keeps
+    only (z1, z2, 0).  For even n_phi, (z1, z2, z3) and
+    (n_phi - z1, z2 + n_phi / 2, z3) name the same point, as do (z1, z2, z3)
+    and (z1, n_phi - z2, z3 + n_phi / 2), so z1 and z2 stop at n_phi / 2."""
+    z = np.arange(n_phi)
+    first = z == 0
+    if n_phi % 2 == 0:
+        half = z <= n_phi // 2
+        pole = first | (z == n_phi // 2)
+    else:
+        half = np.ones(n_phi, dtype=bool)
+        pole = first
+    keep = (half[:, None, None] & half[None, :, None]
+            & (~pole[:, None, None] | (first[None, :, None] & first[None, None, :]))
+            & (~pole[None, :, None] | first[None, None, :]))
+    return np.nonzero(keep)
+
+
+def sample_contour(basis: EigenBasis, p_k: float, n_phi: int) -> np.ndarray:
+    """Contour deviations at the distinct points of the angle grid
+    z * 2*pi / n_phi, z in 0..n_phi-1, as an (n, 4) array in lexicographic
+    (z1, z2, z3) order of the first grid index naming each point.
+
+    For even n_phi = 2h that is 2 + (h-1)(2 + (h-1) n_phi) rows, for odd
+    n_phi 1 + (n_phi-1)(1 + (n_phi-1) n_phi): 80 of the 512 grid points at
+    n_phi = 8.  Each row is bit-identical to the full grid's row at that
+    index; the dropped grid rows equal a kept row up to rounding.  The p_k
+    contour is the ellipsoid with radii sqrt(Q4(p_k) * lambda_i) along the
+    eigenvectors, so every contour is a scaled copy of the same set of unit
+    directions; points are rotated back to state coordinates."""
     if n_phi < 2:
         raise ValueError("n_phi must be >= 2")
     if not (0.0 < p_k < 1.0):
@@ -175,15 +226,13 @@ def sample_contour(basis: EigenBasis, p_k: float, n_phi: int) -> np.ndarray:
     phis = np.arange(n_phi) * (2.0 * math.pi / n_phi)
     s = np.sin(phis)
     c = np.cos(phis)
-    # Broadcast over the (z1, z2, z3) grid, then flatten lexicographically.
-    g1, g2, g3 = np.meshgrid(np.arange(n_phi), np.arange(n_phi), np.arange(n_phi),
-                             indexing="ij")
+    g1, g2, g3 = _distinct_grid(n_phi)
     d_eigen = np.stack([
         r[0] * c[g1],
         r[1] * s[g1] * c[g2],
         r[2] * s[g1] * s[g2] * c[g3],
         r[3] * s[g1] * s[g2] * s[g3],
-    ], axis=-1).reshape(-1, STATE_DIM)
+    ], axis=-1)
     return d_eigen @ basis.eigenvectors.T
 
 

@@ -2,7 +2,8 @@
 
 The oracles deliberately avoid the library's fast paths: explicit braking
 profile simulation, discretized acceleration search, exhaustive joint
-enumeration of envelope distributions, and one contour point at a time.
+enumeration of envelope distributions, one contour point at a time, and the
+full n_phi^3 contour grid with its repeated points.
 """
 
 from __future__ import annotations
@@ -173,6 +174,42 @@ def contour_deviation(basis: EigenBasis, p_k: float,
                         r[2] * s1 * s2 * c3,
                         r[3] * s1 * s2 * s3])
     return StateDeviation(*(basis.eigenvectors @ d_eigen))
+
+
+def full_grid_contour(basis: EigenBasis, p_k: float, n_phi: int) -> np.ndarray:
+    """Full-grid contour oracle: the deviations at every grid index
+    (z1, z2, z3), angles z * 2*pi / n_phi, as an (n_phi^3, 4) array in
+    lexicographic order, repeated points included."""
+    r = np.sqrt(chi2_quantile_4(p_k) * basis.eigenvalues)
+    phis = np.arange(n_phi) * (2.0 * math.pi / n_phi)
+    s = np.sin(phis)
+    c = np.cos(phis)
+    g1, g2, g3 = np.meshgrid(np.arange(n_phi), np.arange(n_phi), np.arange(n_phi),
+                             indexing="ij")
+    d_eigen = np.stack([
+        r[0] * c[g1],
+        r[1] * s[g1] * c[g2],
+        r[2] * s[g1] * s[g2] * c[g3],
+        r[3] * s[g1] * s[g2] * s[g3],
+    ], axis=-1).reshape(-1, 4)
+    return d_eigen @ basis.eigenvectors.T
+
+
+def grid_representatives(n_phi: int) -> np.ndarray:
+    """For each flat full-grid index, the flat index of the first grid index
+    naming the same point of the unit angle grid; points are matched by
+    rounding to 1e-9."""
+    unit = full_grid_contour(EigenBasis(np.ones(4), np.eye(4)), 0.5, n_phi)
+    key = np.round(unit * 1e9) + 0.0  # + 0.0 turns -0.0 into 0.0
+    _, first, inverse = np.unique(key, axis=0, return_index=True,
+                                  return_inverse=True)
+    return first[inverse.ravel()]
+
+
+def first_grid_indices(n_phi: int) -> np.ndarray:
+    """Flat full-grid index of the first occurrence of each distinct point of
+    the unit angle grid, ascending."""
+    return np.unique(grid_representatives(n_phi))
 
 
 def mahalanobis_sq(delta: np.ndarray, sigma: np.ndarray) -> float:

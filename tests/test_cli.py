@@ -2,10 +2,11 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
-from riskenv.cli import main
+from riskenv.cli import build_parser, main
 from riskenv.config import ConfigError, RunConfig, config_from_dict, load_config
 
 
@@ -147,6 +148,75 @@ class TestEnvelopeCommand:
         assert code == 2
         assert "object" in err
 
+    @pytest.mark.parametrize("n_phi", [8.9, 2.5, True, "8", None, [8]])
+    def test_non_integral_n_phi_exit_2(self, envelope_input, capsys, n_phi):
+        path = envelope_input({
+            "ego": {"x": 0, "y": 0, "theta": 0, "v": 17},
+            "agents": [{"x": 28, "y": 0, "theta": 0, "v": 15}],
+            "sigma": [0.04, 0.04, 0.04, 1e-4],
+            "n_phi": n_phi,
+        })
+        code, out, err = run_cli(["envelope", "--input", path], capsys)
+        assert code == 2
+        assert out == ""
+        assert "n_phi must be an integer" in err
+
+    @pytest.mark.parametrize("n_phi", [1, 25, 400, 10 ** 400])
+    def test_n_phi_out_of_range_exit_2(self, envelope_input, capsys, n_phi):
+        path = envelope_input({
+            "ego": {"x": 0, "y": 0, "theta": 0, "v": 17},
+            "agents": [{"x": 28, "y": 0, "theta": 0, "v": 15}],
+            "sigma": [0.04, 0.04, 0.04, 1e-4],
+            "contour_levels": [0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99],
+            "n_phi": n_phi,
+        })
+        start = time.perf_counter()
+        code, out, err = run_cli(["envelope", "--input", path], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "n_phi" in err
+
+    def test_integral_n_phi_accepted(self, envelope_input, capsys):
+        payload = {
+            "ego": {"x": 0, "y": 0, "theta": 0, "v": 17},
+            "agents": [{"x": 28, "y": 0, "theta": 0, "v": 15}],
+            "sigma": [0.04, 0.04, 0.04, 1e-4],
+        }
+        outs = []
+        for n_phi in (6, 6.0):
+            code, out, _ = run_cli(["envelope", "--input",
+                                    envelope_input(dict(payload, n_phi=n_phi))], capsys)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+
+class TestParserReuse:
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_consecutive_calls_share_no_state(self, envelope_input, capsys):
+        path = envelope_input({
+            "ego": {"x": 0, "y": 0, "theta": 0, "v": 17},
+            "agents": [{"x": 3, "y": 0.5, "theta": 0, "v": 17}],
+            "sigma": [0.04, 0.04, 0.04, 1e-4],
+        })
+        # The agent's expectation exceeds 0.1, the --beta default, but not
+        # 1.0, so the switch follows the beta of each call.
+        code, out, _ = run_cli(["envelope", "--input", path, "--beta", "1.0"], capsys)
+        assert code == 0
+        assert json.loads(out)["switch_decision"] is False
+        code, out, _ = run_cli(["validate"], capsys)
+        assert (code, out) == (0, "config ok\n")
+        code, out, _ = run_cli(["envelope", "--input", path], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert data["per_agent_violation_expectation"][0] > 0.1
+        assert data["switch_decision"] is True
+        code, out, _ = run_cli(["envelope", "--input", path, "--beta", "1.0"], capsys)
+        assert json.loads(out)["switch_decision"] is False
+
 class TestSimulateCommand:
     def test_trace_deterministic(self, tmp_path, capsys):
         args = ["simulate", "--scenario", "1", "--policy", "Simplex",
@@ -278,6 +348,43 @@ class TestValidateCommand:
     def test_invalid_beta_rejected(self):
         with pytest.raises(ConfigError):
             config_from_dict({"betas": [0.5, 1.5]})
+
+    @pytest.mark.parametrize("section", ["top", "case"])
+    @pytest.mark.parametrize("n_phi", [8.9, True, "8"])
+    def test_non_integral_n_phi_rejected(self, tmp_path, capsys, section, n_phi):
+        data = ({"n_phi": n_phi} if section == "top" else
+                {"uncertainty": {"small": {"sigma": [0.04, 0.04, 0.04, 1e-4],
+                                           "n_phi": n_phi}}})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(["validate", "--config", str(path)], capsys)
+        assert code == 2
+        assert "config ok" not in out
+        assert "n_phi must be an integer" in err
+
+    @pytest.mark.parametrize("section", ["top", "case"])
+    @pytest.mark.parametrize("n_phi", [1, 25, 400])
+    def test_n_phi_out_of_range_rejected(self, tmp_path, capsys, section, n_phi):
+        levels = [0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99]
+        data = ({"n_phi": n_phi, "contour_levels": levels} if section == "top" else
+                {"uncertainty": {"small": {"sigma": [0.04, 0.04, 0.04, 1e-4],
+                                           "contour_levels": levels, "n_phi": n_phi}}})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        start = time.perf_counter()
+        code, out, err = run_cli(["validate", "--config", str(path)], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "config ok" not in out
+        assert "n_phi" in err
+
+    def test_dense_reference_grid_accepted(self):
+        # n_phi = 24 over six contour levels is the densest sampling the
+        # grid budget must admit.
+        cfg = config_from_dict({"n_phi": 24})
+        assert len(cfg.uncertainty["small"].contour_levels) == 6
+        assert {spec.n_phi for spec in cfg.uncertainty.values()} == {24}
+        assert config_from_dict({"n_phi": 8.0}).uncertainty["large"].n_phi == 8
 
     def test_invalid_sigma_shape_rejected(self):
         with pytest.raises(ConfigError):

@@ -34,7 +34,7 @@ from riskenv.uncertainty import (
     sample_contour,
 )
 
-from conftest import enumerate_risk_envelope
+from conftest import enumerate_risk_envelope, full_grid_contour
 
 TAU = 0.2
 LEVELS = (0.25, 0.5, 0.75, 0.93, 0.97, 0.999)
@@ -307,13 +307,70 @@ class TestViolationExpectation:
 
 class TestContourSamples:
     def test_stacks_every_contour_once(self):
+        # n_phi = 4 names 8 distinct points: 64 grid rows less the repeats.
         spec = UncertaintySpec.from_diagonal([0.04, 0.04, 0.04, 1e-4], LEVELS, 4)
         basis = eigendecompose(spec.sigma)
         levels, deviations, counts = contour_samples(basis, spec)
         assert levels == LEVELS
-        assert counts == (64,) * len(LEVELS)
+        assert counts == (8,) * len(LEVELS)
         want = np.concatenate([sample_contour(basis, p, 4) for p in LEVELS])
         assert np.array_equal(deviations, want)
+
+    @staticmethod
+    def _nearby_agent(rng, ego, params):
+        """An agent ahead near the safe gap, beside near the lateral margin,
+        or anywhere on the road, so that many bounds lie inside the limits."""
+        v = rng.uniform(5.0, 25.0)
+        kind = rng.integers(3)
+        if kind == 0:
+            x = params.length + float(safe_distance_lon(ego.v, v, params)) \
+                + rng.uniform(-4.0, 4.0)
+            y = ego.y + rng.uniform(-0.5, 0.5)
+        elif kind == 1:
+            x = rng.uniform(-5.0, 5.0)
+            y = ego.y + rng.choice((-1.0, 1.0)) * (params.width + rng.uniform(0.2, 1.5))
+        else:
+            x = rng.uniform(-20.0, 45.0)
+            y = 3.5 * rng.integers(2) + rng.uniform(-1.0, 1.0)
+        return AgentState(x, y, rng.normal(0.0, 0.05), v)
+
+    def test_analysis_matches_full_grid(self, rss_params):
+        # Dropping the repeated grid rows leaves every expectation as it was;
+        # a bound may move by one step of the bisection grid, where a dropped
+        # row equal to a kept one up to rounding set it.
+        lon_step, lat_step = 2.0 ** -36, 2.0 ** -37
+        rng = np.random.default_rng(2024)
+        rot, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        sigmas = {
+            "diagonal": np.diag([0.16, 0.09, 0.04, 4e-4]),
+            "correlated": rot @ np.diag([0.3, 0.1, 0.05, 1e-3]) @ rot.T,
+            "tied": np.diag([0.04, 0.04, 0.04, 1e-4]),
+            "zero-eigenvalue": rot @ np.diag([0.2, 0.0, 0.05, 0.0]) @ rot.T,
+        }
+        n_states = 0
+        for sigma in sigmas.values():
+            for n_phi in (5, 6, 8):
+                spec = UncertaintySpec(sigma, LEVELS, n_phi)
+                basis = eigendecompose(spec.sigma)
+                dedup = contour_samples(basis, spec)
+                full = (LEVELS,
+                        np.concatenate([full_grid_contour(basis, p, n_phi) for p in LEVELS]),
+                        (n_phi ** 3,) * len(LEVELS))
+                for _ in range(45):
+                    ego = AgentState(0.0, 3.5 * rng.integers(2), rng.normal(0.0, 0.03),
+                                     rng.uniform(10.0, 25.0))
+                    obs = self._nearby_agent(rng, ego, rss_params)
+                    dist, exp = analyze_agent(ego, obs, dedup, rss_params, TAU)
+                    want_dist, want_exp = analyze_agent(ego, obs, full, rss_params, TAU)
+                    assert exp == want_exp
+                    for got, want in zip(dist.entries, want_dist.entries):
+                        g, w = got.envelope, want.envelope
+                        assert g.a_lon_min == w.a_lon_min
+                        assert abs(g.a_lon_max - w.a_lon_max) <= lon_step
+                        assert abs(g.a_lat_min - w.a_lat_min) <= lat_step
+                        assert abs(g.a_lat_max - w.a_lat_max) <= lat_step
+                    n_states += 1
+        assert n_states >= 500
 
     def test_zero_covariance_single_point(self):
         spec = UncertaintySpec.from_diagonal([0, 0, 0, 0], LEVELS, 8)

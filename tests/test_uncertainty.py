@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskenv.uncertainty import (
+    MAX_GRID_SAMPLES,
     EigenBasis,
     UncertaintySpec,
     chi2_cdf_4,
@@ -15,7 +16,35 @@ from riskenv.uncertainty import (
     sample_contour,
 )
 
-from conftest import StateDeviation, contour_deviation, mahalanobis_sq
+from conftest import (
+    StateDeviation,
+    contour_deviation,
+    first_grid_indices,
+    full_grid_contour,
+    grid_representatives,
+    mahalanobis_sq,
+)
+
+
+def distinct_grid_rows(n):
+    """Closed-form count of the distinct points of the n^3 angle grid."""
+    h = n // 2
+    if n % 2 == 0:
+        return 2 + (h - 1) * (2 + (h - 1) * n)
+    return 1 + (n - 1) * (1 + (n - 1) * n)
+
+
+def spectrum_basis(spectrum, rotate):
+    r = random_rotation(np.random.default_rng(6)) if rotate else np.eye(4)
+    return eigendecompose(r @ np.diag(spectrum) @ r.T)
+
+
+SPECTRA = {
+    "rotated": ((2.0, 1.5, 1.0, 0.5), True),
+    "tied": ((0.04, 0.04, 0.04, 1e-4), False),
+    "diagonal": ((0.16, 0.09, 0.04, 4e-4), False),
+    "zero-eigenvalue": ((1.0, 0.0, 0.5, 0.0), True),
+}
 
 
 def chi2_4_density(x):
@@ -147,8 +176,38 @@ class TestContours:
 
     def test_sample_count(self):
         b = eigendecompose(np.diag([1.0, 1.0, 1.0, 1.0]))
-        assert sample_contour(b, 0.9, 2).shape == (8, 4)
-        assert sample_contour(b, 0.9, 5).shape == (125, 4)
+        assert sample_contour(b, 0.9, 2).shape == (2, 4)
+        assert sample_contour(b, 0.9, 5).shape == (85, 4)
+        assert sample_contour(b, 0.9, 8).shape == (80, 4)
+        for n in range(2, 17):
+            assert sample_contour(b, 0.9, n).shape == (distinct_grid_rows(n), 4)
+            assert first_grid_indices(n).size == distinct_grid_rows(n)
+
+    @pytest.mark.parametrize("name", SPECTRA)
+    def test_rows_are_first_grid_indices_bit_for_bit(self, name):
+        b = spectrum_basis(*SPECTRA[name])
+        for n in range(2, 17):
+            for p in (0.25, 0.999):
+                assert np.array_equal(sample_contour(b, p, n),
+                                      full_grid_contour(b, p, n)[first_grid_indices(n)])
+
+    @pytest.mark.parametrize("name", SPECTRA)
+    def test_every_grid_row_is_a_kept_row(self, name):
+        b = spectrum_basis(*SPECTRA[name])
+        for n in range(2, 17):
+            kept = sample_contour(b, 0.9, n)
+            full = full_grid_contour(b, 0.9, n)
+            rep = grid_representatives(n)
+            match = kept[np.searchsorted(first_grid_indices(n), rep)]
+            assert np.abs(full - match).max() <= 1e-12 * np.abs(full).max()
+
+    def test_kept_rows_are_distinct(self):
+        b = spectrum_basis(*SPECTRA["rotated"])
+        for n in range(2, 17):
+            kept = sample_contour(b, 0.9, n)
+            for i, row in enumerate(kept[:-1]):
+                gap = np.abs(kept[i + 1:] - row).max(axis=1)
+                assert gap.min() > 1e-6 * np.abs(kept).max()
 
     def test_samples_on_ellipsoid(self):
         rng = np.random.default_rng(5)
@@ -166,14 +225,15 @@ class TestContours:
         ((0.04, 0.04, 0.04, 1e-4), False),
     ], ids=["rotated", "tied"])
     def test_rows_match_scalar_oracle(self, spectrum, rotate):
-        r = random_rotation(np.random.default_rng(6)) if rotate else np.eye(4)
-        b = eigendecompose(r @ np.diag(spectrum) @ r.T)
-        n = 5
-        devs = sample_contour(b, 0.9, n)
-        step = 2.0 * math.pi / n
-        want = [contour_deviation(b, 0.9, z1 * step, z2 * step, z3 * step).as_array()
-                for z1 in range(n) for z2 in range(n) for z3 in range(n)]
-        assert np.abs(devs - np.array(want)).max() <= 1e-12
+        b = spectrum_basis(spectrum, rotate)
+        for n in (5, 6):
+            devs = sample_contour(b, 0.9, n)
+            step = 2.0 * math.pi / n
+            want = [contour_deviation(b, 0.9, z1 * step, z2 * step, z3 * step).as_array()
+                    for z1, z2, z3 in zip(*np.unravel_index(first_grid_indices(n),
+                                                            (n, n, n)))]
+            assert devs.shape == (len(want), 4)
+            assert np.abs(devs - np.array(want)).max() <= 1e-12
 
     def test_axis_extremes_present_with_nphi4(self):
         sigma = np.diag([4.0, 1.0, 1.0, 1.0])
@@ -261,6 +321,25 @@ class TestSpecValidation:
     def test_n_phi_minimum(self):
         with pytest.raises(ValueError):
             UncertaintySpec.from_diagonal([1, 1, 1, 1], (0.9,), 1)
+
+    @pytest.mark.parametrize("n_phi", [8.9, float("nan"), float("inf"), True,
+                                       np.bool_(True), "8", None])
+    def test_n_phi_must_be_integral(self, n_phi):
+        with pytest.raises(ValueError, match="n_phi must be an integer"):
+            UncertaintySpec.from_diagonal([1, 1, 1, 1], (0.9,), n_phi)
+
+    @pytest.mark.parametrize("n_phi", [8.0, np.int64(8), np.float64(8.0)])
+    def test_integral_n_phi_stored_as_int(self, n_phi):
+        spec = UncertaintySpec.from_diagonal([1, 1, 1, 1], (0.9,), n_phi)
+        assert spec.n_phi == 8 and type(spec.n_phi) is int
+
+    def test_grid_budget(self):
+        levels = (0.25, 0.5, 0.75, 0.93, 0.97, 0.999)
+        assert UncertaintySpec.from_diagonal([1, 1, 1, 1], levels, 24).n_phi == 24
+        for n_phi in (26, 400, 10 ** 400, 1e300):
+            with pytest.raises(ValueError, match="n_phi"):
+                UncertaintySpec.from_diagonal([1, 1, 1, 1], levels, n_phi)
+        assert MAX_GRID_SAMPLES >= 24 ** 3 * len(levels)
 
     def test_state_deviation_round_trip(self):
         d = StateDeviation(0.1, -0.2, 0.3, -0.4)
