@@ -15,7 +15,7 @@ Four ego policies share one scenario set with paired seeds:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -100,11 +100,6 @@ def initial_world(scn: ScenarioConfig, cfg: RunConfig) -> WorldState:
     return WorldState(time=0.0, ego=ego, others=others, other_lanes=lanes, road=road)
 
 
-@dataclass
-class PolicyState:
-    latched: bool = False
-
-
 class Policy:
     """Per-episode policy closure handed to sim.simulate.
 
@@ -123,7 +118,7 @@ class Policy:
         self.basis = basis
         self.rng = policy_rng
         self.ego_v0 = ego_v0
-        self.state = PolicyState()
+        self.latched = False
         self.samples = (contour_samples(basis, spec)
                         if kind == "ProbabilisticEnvelopeRestriction" else None)
 
@@ -132,11 +127,11 @@ class Policy:
         cfg = self.cfg
         rss = cfg.rss
         envelope = None
-        if not self.state.latched:
+        if not self.latched:
             switch, envelope = self._decide(obs)
             if switch:
-                self.state.latched = True
-        if self.state.latched:
+                self.latched = True
+        if self.latched:
             a_lon, a_lat = safety_maneuver(obs, cfg.road, rss, cfg.lateral)
             return a_lon, a_lat, "safety", None, None
         applied = envelope if envelope is not None else unrestricted_envelope(rss)
@@ -196,7 +191,7 @@ def run_episode(scn: ScenarioConfig, kind: str, beta: float, case: str,
     world = initial_world(scn, cfg)
     others_v0 = tuple(cfg.idm.v0 if cfg.idm.v0 is not None else v
                       for _, _, v in scn.others)
-    return simulate(world, policy, spec, basis, obs_rng, cfg.idm, others_v0,
+    return simulate(world, policy, basis, obs_rng, cfg.idm, others_v0,
                     cfg.rss, scn.dt, scn.horizon, collect_trace=collect_trace)
 
 
@@ -267,15 +262,7 @@ def sweep(scenarios, policies, cases, betas, cfg: RunConfig,
         for case in cases:
             for beta in betas:
                 key_beta = betas[0] if policy in BETA_FREE_POLICIES else beta
-                src = by_key[(policy, case, key_beta)]
-                rows.append(RateRow(policy=policy, covariance_case=case, beta=beta,
-                                    success_rate=src.success_rate,
-                                    collision_rate=src.collision_rate,
-                                    timeout_rate=src.timeout_rate, n=src.n,
-                                    mean_steps=src.mean_steps,
-                                    mean_violation_freq=src.mean_violation_freq,
-                                    envelope_steps=src.envelope_steps,
-                                    outcomes=src.outcomes))
+                rows.append(replace(by_key[(policy, case, key_beta)], beta=beta))
     return rows
 
 

@@ -15,7 +15,6 @@ import dataclasses
 import functools
 import json
 import logging
-import math
 import multiprocessing
 import os
 import sys
@@ -24,10 +23,11 @@ from pathlib import Path
 from . import bench
 from .config import (
     COVARIANCE_CASES,
-    ConfigError,
     POLICY_NAMES,
+    ConfigError,
+    check_beta,
+    envelope_input,
     load_config,
-    parse_sigma,
     read_json,
 )
 from .prob_envelope import (
@@ -36,8 +36,8 @@ from .prob_envelope import (
     risk_bounded_envelope,
     should_switch,
 )
-from .rss import AgentState, safety_envelope, unrestricted_envelope
-from .uncertainty import UncertaintySpec, eigendecompose
+from .rss import safety_envelope, unrestricted_envelope
+from .uncertainty import eigendecompose
 
 log = logging.getLogger("riskenv")
 
@@ -57,57 +57,9 @@ def _envelope_dict(env) -> dict:
             "a_lat_min": env.a_lat_min, "a_lat_max": env.a_lat_max}
 
 
-def _agent_from(obj: dict, where: str) -> AgentState:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object")
-    for key in obj:
-        if key not in ("x", "y", "theta", "v"):
-            raise ConfigError(f"unknown key {where}.{key}")
-    try:
-        return AgentState(x=float(obj.get("x", 0.0)), y=float(obj.get("y", 0.0)),
-                          theta=float(obj.get("theta", 0.0)), v=float(obj["v"]))
-    except KeyError as exc:
-        raise ConfigError(f"{where}.v is required") from exc
-    except ValueError as exc:
-        raise ConfigError(f"invalid {where}: {exc}") from exc
-
-
 def cmd_envelope(args) -> int:
     cfg = load_config(args.config)
-    data = read_json(args.input)
-    if not isinstance(data, dict):
-        raise ConfigError("envelope input must be a JSON object")
-    allowed = {"ego", "agents", "sigma", "beta", "contour_levels", "n_phi", "tau"}
-    for key in data:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key}")
-    if "ego" not in data:
-        raise ConfigError("ego is required")
-    if "sigma" not in data:
-        raise ConfigError("sigma is required")
-    ego = _agent_from(data["ego"], "ego")
-    agents = [_agent_from(a, f"agents[{i}]")
-              for i, a in enumerate(data.get("agents", []))]
-    sigma = parse_sigma("sigma", data["sigma"])
-    try:
-        beta = float(data.get("beta", args.beta))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid beta: {exc}") from exc
-    if not (0.0 <= beta <= 1.0):
-        raise ConfigError(f"beta {beta} outside [0, 1]")
-    base = cfg.uncertainty["small"]
-    try:
-        spec = UncertaintySpec(sigma,
-                               tuple(data.get("contour_levels", base.contour_levels)),
-                               data.get("n_phi", base.n_phi))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    try:
-        tau = float(data.get("tau", cfg.tau))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid tau: {exc}") from exc
-    if not (math.isfinite(tau) and tau > 0.0):
-        raise ConfigError(f"tau must be finite and > 0, got {tau}")
+    ego, agents, spec, beta, tau = envelope_input(read_json(args.input), cfg, args.beta)
     basis = eigendecompose(spec.sigma)
     det_env = safety_envelope(ego, agents, cfg.rss, tau)
     if agents:
@@ -145,6 +97,7 @@ def _record_to_json(rec) -> dict:
 
 
 def cmd_simulate(args) -> int:
+    check_beta(args.beta)
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
@@ -167,24 +120,18 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    policies = args.policies.split(",") if args.policies else list(cfg.policies)
-    for p in policies:
-        if p not in POLICY_NAMES:
-            raise ConfigError(f"unknown policy {p!r}")
+    overrides = {"seed": args.seed, "policies": args.policies, "betas": args.betas}
+    cfg = dataclasses.replace(load_config(args.config),
+                              **{k: v for k, v in overrides.items() if v is not None})
     cases = [args.covariance] if args.covariance else list(COVARIANCE_CASES)
-    betas = ([float(b) for b in args.betas.split(",")] if args.betas
-             else list(cfg.betas))
     scenarios = bench.generate_scenarios(cfg.scenario.n_scenarios, cfg.seed, cfg)
     log.info("benchmark: %d scenarios, %d policies, %d cases, %d betas",
-             len(scenarios), len(policies), len(cases), len(betas))
+             len(scenarios), len(cfg.policies), len(cases), len(cfg.betas))
     if args.jobs > 1:
         with multiprocessing.Pool(args.jobs) as pool:
-            rows = bench.sweep(scenarios, policies, cases, betas, cfg, pool=pool)
+            rows = bench.sweep(scenarios, cfg.policies, cases, cfg.betas, cfg, pool=pool)
     else:
-        rows = bench.sweep(scenarios, policies, cases, betas, cfg)
+        rows = bench.sweep(scenarios, cfg.policies, cases, cfg.betas, cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "rates.csv"
@@ -202,6 +149,11 @@ def cmd_validate(args) -> int:
     load_config(args.config)
     print("config ok")
     return 0
+
+
+def risk_levels(text: str) -> tuple[float, ...]:
+    """The numbers of a comma-separated list; RunConfig checks their range."""
+    return tuple(float(b) for b in text.split(","))
 
 
 @functools.cache
@@ -236,8 +188,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="results")
     p.add_argument("--jobs", type=int, default=1, help="parallel cell workers")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--policies", default=None, help="comma-separated policy names")
-    p.add_argument("--betas", default=None, help="comma-separated risk levels")
+    p.add_argument("--policies", type=lambda text: tuple(text.split(",")),
+                   default=None, help="comma-separated policy names")
+    p.add_argument("--betas", type=risk_levels, default=None,
+                   help="comma-separated risk levels")
     p.add_argument("--covariance", default=None, choices=COVARIANCE_CASES,
                    help="restrict to one covariance case")
     p.set_defaults(func=cmd_benchmark)
@@ -253,10 +207,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:  # noqa: BLE001 - CLI boundary

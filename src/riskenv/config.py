@@ -1,21 +1,23 @@
 """Run configuration: defaults, JSON loading, and strict validation.
 
-Every physical parameter of the library lives here; the JSON schema rejects
-unknown keys so typos fail loudly.  Covariances accept either a 4-entry
-diagonal shorthand or a 16-entry row-major matrix.
+Every physical parameter of the library lives here.  The run config and the
+envelope input share one set of readers: an unknown key or a value of the
+wrong JSON type raises ConfigError naming its dotted key.  Covariances
+accept either a 4-entry diagonal shorthand or a 16-entry row-major matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .rss import RssParams
+from .rss import AgentState, RssParams
 from .sim import IdmParams, LateralControl, RoadParams
-from .uncertainty import STATE_DIM, UncertaintySpec
+from .uncertainty import STATE_DIM, UncertaintySpec, integral
 
 DEFAULT_CONTOUR_LEVELS = (0.25, 0.5, 0.75, 0.93, 0.97, 0.999)
 DEFAULT_N_PHI = 8
@@ -32,6 +34,20 @@ DEFAULT_LARGE_VARIANCES = (0.16, 0.16, 0.16, 4e-4)
 
 class ConfigError(ValueError):
     """Configuration rejected; the message names the offending field."""
+
+
+def check_beta(beta: float) -> float:
+    """``beta`` if it is a risk level in [0, 1]; NaN is not one."""
+    if not (0.0 <= beta <= 1.0):
+        raise ConfigError(f"beta {beta} outside [0, 1]")
+    return beta
+
+
+def check_tau(tau: float) -> float:
+    """``tau`` if it is a finite envelope horizon > 0."""
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise ConfigError(f"tau must be finite and > 0, got {tau}")
+    return tau
 
 
 @dataclass(frozen=True)
@@ -83,15 +99,15 @@ class RunConfig:
             if name not in POLICY_NAMES:
                 raise ConfigError(f"unknown policy {name!r}")
         for b in self.betas:
-            if not (0.0 <= b <= 1.0):
-                raise ConfigError(f"beta {b} outside [0, 1]")
+            check_beta(b)
         for case in self.uncertainty:
             if case not in COVARIANCE_CASES:
                 raise ConfigError(f"unknown covariance case {case!r}")
         if self.simplex_samples < 1:
             raise ConfigError("simplex_samples must be >= 1")
-        if not (math.isfinite(self.tau) and self.tau > 0.0):
-            raise ConfigError(f"tau must be finite and > 0, got {self.tau}")
+        check_tau(self.tau)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def default_uncertainty(contour_levels=DEFAULT_CONTOUR_LEVELS,
@@ -104,23 +120,86 @@ def default_uncertainty(contour_levels=DEFAULT_CONTOUR_LEVELS,
     }
 
 
-def _check_keys(section: str, data: dict, allowed) -> None:
-    for key in data:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {section}.{key}")
+def _key(where: str, key) -> str:
+    return f"{where}.{key}" if where else str(key)
 
 
-def _build(section: str, cls, data: dict):
-    allowed = {f.name for f in fields(cls)}
-    _check_keys(section, data, allowed)
+# A reader maps (dotted key, JSON value) to a value or raises ConfigError
+# naming the key; further arguments come first, for functools.partial.
+
+def _number(where: str, value) -> float:
+    """A JSON number; a bool or a string is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(where: str, value) -> int:
+    """A JSON integer; an integral number such as 8.0 counts as one."""
     try:
-        return cls(**data)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid {section}: {exc}") from exc
+        return integral(where, value)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
-def parse_sigma(field_name: str, values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+def _list(read, where: str, value) -> tuple:
+    """A JSON list, each item read by ``read``."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list, got {value!r}")
+    return tuple(read(f"{where}[{i}]", item) for i, item in enumerate(value))
+
+
+def _object(readers: dict, where: str, value, required=()) -> dict:
+    """A JSON object, each value read by the reader of its key; a key with
+    no reader, or a missing ``required`` key, is rejected."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where or 'input'} must be a JSON object")
+    for key in value:
+        if key not in readers:
+            raise ConfigError(f"unknown key {_key(where, key)}")
+    for key in required:
+        if key not in value:
+            raise ConfigError(f"{_key(where, key)} is required")
+    return {key: readers[key](_key(where, key), item) for key, item in value.items()}
+
+
+_TYPE_READERS = {
+    "float": _number,
+    "int": _integer,
+    "float | None": lambda where, value: None if value is None else _number(where, value),
+}
+
+
+@functools.cache
+def _field_readers(cls) -> dict:
+    """Reader of each field of the dataclass ``cls``, by its declared type."""
+    return {f.name: _TYPE_READERS[f.type] for f in fields(cls)}
+
+
+def _build(cls, where: str, value, required=(), **defaults):
+    """The dataclass ``cls`` from a JSON object that holds every ``required``
+    key; ``defaults`` fill fields that have no default of their own."""
+    kwargs = defaults | _object(_field_readers(cls), where, value, required)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {where}: {exc}") from exc
+
+
+_numbers = functools.partial(_list, _number)
+
+
+def _sigma_entry(where: str, value):
+    return _numbers(where, value) if isinstance(value, list) else _number(where, value)
+
+
+def _sigma(where: str, value) -> np.ndarray:
+    """Covariance from 4 diagonal entries, 16 row-major entries or 4 rows of 4."""
+    entries = _list(_sigma_entry, where, value)
+    try:
+        arr = np.array(entries)
+    except ValueError:  # rows of unequal length
+        arr = np.empty(0)
     if arr.shape == (STATE_DIM,):
         return np.diag(arr)
     if arr.shape == (STATE_DIM * STATE_DIM,):
@@ -128,73 +207,69 @@ def parse_sigma(field_name: str, values) -> np.ndarray:
     if arr.shape == (STATE_DIM, STATE_DIM):
         return arr
     raise ConfigError(
-        f"{field_name} must hold 4 diagonal entries or 16 row-major entries")
+        f"{where} must hold 4 diagonal entries or 16 row-major entries")
 
 
-def _parse_uncertainty(data: dict, contour_levels, n_phi) -> dict:
-    out = {}
-    for case, entry in data.items():
-        if case not in COVARIANCE_CASES:
-            raise ConfigError(f"unknown key uncertainty.{case}")
-        if not isinstance(entry, dict):
-            raise ConfigError(f"uncertainty.{case} must be an object")
-        _check_keys(f"uncertainty.{case}", entry, {"sigma", "contour_levels", "n_phi"})
-        if "sigma" not in entry:
-            raise ConfigError(f"uncertainty.{case}.sigma is required")
-        sigma = parse_sigma(f"uncertainty.{case}.sigma", entry["sigma"])
-        levels = tuple(entry.get("contour_levels", contour_levels))
-        try:
-            out[case] = UncertaintySpec(sigma, levels, entry.get("n_phi", n_phi))
-        except ValueError as exc:
-            raise ConfigError(f"invalid uncertainty.{case}: {exc}") from exc
+SPEC_READERS = {"sigma": _sigma, "contour_levels": _numbers, "n_phi": _integer}
+
+
+def uncertainty_spec(where: str, entry: dict, levels, n_phi) -> UncertaintySpec:
+    """UncertaintySpec from an object read by SPEC_READERS; its contour_levels
+    and n_phi default to ``levels`` and ``n_phi``."""
     try:
-        base = default_uncertainty(contour_levels, n_phi)
+        return UncertaintySpec(entry["sigma"], entry.get("contour_levels", levels),
+                               entry.get("n_phi", n_phi))
+    except ValueError as exc:
+        raise ConfigError(f"invalid {where}: {exc}") from exc
+
+
+TOP_LEVEL_READERS = {
+    "rss": functools.partial(_build, RssParams),
+    "idm": functools.partial(_build, IdmParams),
+    "road": functools.partial(_build, RoadParams),
+    "scenario": functools.partial(_build, ScenarioParams),
+    "lateral": functools.partial(_build, LateralControl),
+    "uncertainty": functools.partial(_object, dict.fromkeys(
+        COVARIANCE_CASES, functools.partial(_object, SPEC_READERS, required=("sigma",)))),
+    "contour_levels": _numbers,
+    "n_phi": _integer,
+    "policies": functools.partial(_list, lambda where, name: name),  # RunConfig checks them
+    "betas": _numbers,
+    "simplex_samples": _integer,
+    "tau": _number,
+    "seed": _integer,
+}
+
+
+def config_from_dict(data) -> RunConfig:
+    kwargs = _object(TOP_LEVEL_READERS, "", data)
+    levels = kwargs.pop("contour_levels", DEFAULT_CONTOUR_LEVELS)
+    n_phi = kwargs.pop("n_phi", DEFAULT_N_PHI)
+    try:
+        cases = default_uncertainty(levels, n_phi)
     except ValueError as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
-    base.update(out)
-    return base
+    for case, entry in kwargs.get("uncertainty", {}).items():
+        cases[case] = uncertainty_spec(f"uncertainty.{case}", entry, levels, n_phi)
+    kwargs["uncertainty"] = cases
+    return RunConfig(**kwargs)
 
 
-TOP_LEVEL_KEYS = ("rss", "idm", "road", "scenario", "lateral", "uncertainty",
-                  "contour_levels", "n_phi", "policies", "betas",
-                  "simplex_samples", "tau", "seed")
+_agent = functools.partial(_build, AgentState, required=("v",), x=0.0, y=0.0, theta=0.0)
+ENVELOPE_READERS = {"ego": _agent, "agents": functools.partial(_list, _agent),
+                    "beta": _number, "tau": _number, **SPEC_READERS}
 
 
-def config_from_dict(data: dict) -> RunConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-    _check_keys("config", data, TOP_LEVEL_KEYS)
-    contour_levels = tuple(data.get("contour_levels", DEFAULT_CONTOUR_LEVELS))
-    n_phi = data.get("n_phi", DEFAULT_N_PHI)
-    kwargs = {}
-    if "rss" in data:
-        kwargs["rss"] = _build("rss", RssParams, data["rss"])
-    if "idm" in data:
-        kwargs["idm"] = _build("idm", IdmParams, data["idm"])
-    if "road" in data:
-        kwargs["road"] = _build("road", RoadParams, data["road"])
-    if "scenario" in data:
-        kwargs["scenario"] = _build("scenario", ScenarioParams, data["scenario"])
-    if "lateral" in data:
-        kwargs["lateral"] = _build("lateral", LateralControl, data["lateral"])
-    kwargs["uncertainty"] = _parse_uncertainty(data.get("uncertainty", {}),
-                                               contour_levels, n_phi)
-    if "policies" in data:
-        kwargs["policies"] = tuple(data["policies"])
-    if "betas" in data:
-        kwargs["betas"] = tuple(float(b) for b in data["betas"])
-    if "simplex_samples" in data:
-        kwargs["simplex_samples"] = int(data["simplex_samples"])
-    if "tau" in data:
-        kwargs["tau"] = float(data["tau"])
-    if "seed" in data:
-        kwargs["seed"] = int(data["seed"])
-    try:
-        return RunConfig(**kwargs)
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
+def envelope_input(data, cfg: RunConfig, beta: float):
+    """(ego, agents, spec, beta, tau) of an envelope input object.  The spec
+    defaults to the contour levels and n_phi of ``cfg``'s small case, tau
+    to ``cfg.tau`` and beta to ``beta``."""
+    data = _object(ENVELOPE_READERS, "", data, ("ego", "sigma"))
+    base = cfg.uncertainty["small"]
+    spec = uncertainty_spec("input", data, base.contour_levels, base.n_phi)
+    tau = check_tau(data["tau"]) if "tau" in data else cfg.tau
+    return (data["ego"], data.get("agents", ()), spec,
+            check_beta(data.get("beta", beta)), tau)
 
 
 def _finite(value) -> bool:

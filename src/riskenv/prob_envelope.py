@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_beta
 from .rss import (
     AgentState,
     COMPONENTS,
@@ -139,8 +140,7 @@ def risk_bounded_envelope(distributions, beta: float, params: RssParams) -> Enve
     distributions = list(distributions)
     if not distributions:
         raise ValueError("at least one envelope distribution is required")
-    if not (0.0 <= beta <= 1.0):
-        raise ValueError(f"risk level must lie in [0, 1], got {beta}")
+    check_beta(beta)
     sentinel = restrictive_sentinel(params)
     values = {}
     for name, orientation in COMPONENTS:

@@ -123,12 +123,6 @@ class Envelope:
     a_lat_min: float
     a_lat_max: float
 
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.a_lon_min, self.a_lon_max, self.a_lat_min, self.a_lat_max)
-
-    def is_feasible(self) -> bool:
-        return self.a_lon_min <= self.a_lon_max and self.a_lat_min <= self.a_lat_max
-
     def clamp(self, a_lon: float, a_lat: float) -> tuple[float, float]:
         """Clamp a command into the box; the upper bound wins if the box is empty."""
         lon = min(max(a_lon, self.a_lon_min), self.a_lon_max)
@@ -167,17 +161,10 @@ def worst_of(a: Envelope, b: Envelope) -> Envelope:
     )
 
 
-def more_restrictive(orientation: float, value: float, reference: float) -> bool:
-    """True if ``value`` is strictly more restrictive than ``reference``."""
-    return orientation * value < orientation * reference
-
-
 def less_restrictive_any(applied: Envelope, true_env: Envelope) -> bool:
     """True if ``applied`` is strictly less restrictive than ``true_env`` in any component."""
-    for name, orientation in COMPONENTS:
-        if more_restrictive(orientation, getattr(true_env, name), getattr(applied, name)):
-            return True
-    return False
+    return any(orientation * getattr(true_env, name) < orientation * getattr(applied, name)
+               for name, orientation in COMPONENTS)
 
 
 def advance_speed_clamped(v0, a, t):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .rss import AgentState, Envelope, RssParams, advance_speed_clamped, wrap_angle
-from .uncertainty import EigenBasis, UncertaintySpec, draw_noise
+from .uncertainty import EigenBasis, draw_noise
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,6 @@ class WorldState:
 class ObservedWorld:
     ego: AgentState
     others: tuple[AgentState, ...]
-    spec: UncertaintySpec
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,7 @@ def idm_accel(ego_v: float, gap: float, lead_v: float, params: IdmParams,
     return min(max(a, -brake_limit), params.a)
 
 
-def observe(world: WorldState, spec: UncertaintySpec, basis: EigenBasis,
+def observe(world: WorldState, basis: EigenBasis,
             rng: np.random.Generator) -> ObservedWorld:
     """Perturb every other agent with one fresh Gaussian deviation; the ego
     state is copied exactly."""
@@ -126,7 +125,7 @@ def observe(world: WorldState, spec: UncertaintySpec, basis: EigenBasis,
             theta=wrap_angle(s.theta + d[3]),
             v=max(s.v + d[2], 0.0),
         ))
-    return ObservedWorld(ego=world.ego, others=tuple(observed), spec=spec)
+    return ObservedWorld(ego=world.ego, others=tuple(observed))
 
 
 @dataclass(frozen=True)
@@ -262,18 +261,18 @@ class EpisodeResult:
     envelope_violations: int = 0
 
 
-def simulate(world: WorldState, policy, spec: UncertaintySpec, basis: EigenBasis,
+def simulate(world: WorldState, policy, basis: EigenBasis,
              rng: np.random.Generator, idm: IdmParams, others_v0: tuple[float, ...],
              rss: RssParams, dt: float, horizon: float,
              collect_trace: bool = False) -> EpisodeResult:
     """Run one episode to its terminal outcome.
 
     ``policy`` maps an ObservedWorld to a decision with fields
-    (a_lon, a_lat, mode, envelope, env_violated); see bench.make_policy.
+    (a_lon, a_lat, mode, envelope, env_violated); see bench.Policy.
     """
     result = EpisodeResult(outcome="Timeout", steps=0)
     while True:
-        obs = observe(world, spec, basis, rng)
+        obs = observe(world, basis, rng)
         a_lon, a_lat, mode, envelope, env_violated = policy(obs, world)
         ego2 = integrate_ego(world.ego, a_lon, a_lat, dt)
         others2 = idm_step_others(world, idm, others_v0, rss, dt)

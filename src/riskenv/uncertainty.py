@@ -77,7 +77,7 @@ class UncertaintySpec:
                 raise ValueError("contour levels must be strictly increasing within (0, 1)")
             prev = p
         object.__setattr__(self, "contour_levels", levels)
-        n_phi = _integral("n_phi", self.n_phi)
+        n_phi = integral("n_phi", self.n_phi)
         if n_phi < 2:
             raise ValueError("n_phi must be >= 2")
         if n_phi ** 3 * len(levels) > MAX_GRID_SAMPLES:
@@ -92,7 +92,7 @@ class UncertaintySpec:
                                tuple(contour_levels), n_phi)
 
 
-def _integral(name: str, value) -> int:
+def integral(name: str, value) -> int:
     """``value`` as an int; a bool, a string, a fraction or a non-finite
     number raises ValueError naming ``name``."""
     if isinstance(value, (float, np.floating)) and math.isfinite(value) \

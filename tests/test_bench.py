@@ -55,7 +55,7 @@ class TestPolicyEquivalences:
         basis = eigendecompose(spec.sigma)
         rng = np.random.default_rng(0)
         policy = bench.Policy(kind, beta, cfg, spec, basis, rng, ego_v0=ego.v)
-        obs = ObservedWorld(ego=ego, others=tuple(others), spec=spec)
+        obs = ObservedWorld(ego=ego, others=tuple(others))
         return policy, obs
 
     @pytest.mark.parametrize("geometry", [

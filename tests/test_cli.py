@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from riskenv.cli import build_parser, main
@@ -107,7 +108,7 @@ class TestEnvelopeCommand:
         assert out == ""
         assert "finite" in err
 
-    @pytest.mark.parametrize("tau", [0, -1, float("nan"), float("inf"), "fast"])
+    @pytest.mark.parametrize("tau", [0, -1, float("nan"), float("inf"), "fast", "0.2"])
     def test_bad_tau_exit_2(self, envelope_input, capsys, tau):
         path = envelope_input({
             "ego": {"x": 0, "y": 0, "theta": 0, "v": 17},
@@ -130,7 +131,7 @@ class TestEnvelopeCommand:
         assert out == ""
         assert "sigma must be finite" in err
 
-    @pytest.mark.parametrize("beta", ["abc", [0.1], -0.5])
+    @pytest.mark.parametrize("beta", ["abc", [0.1], -0.5, True])
     def test_bad_beta_exit_2(self, envelope_input, capsys, beta):
         path = envelope_input({
             "ego": {"x": 0, "y": 0, "theta": 0, "v": 17},
@@ -142,6 +143,27 @@ class TestEnvelopeCommand:
         assert code == 2
         assert out == ""
         assert "beta" in err
+
+    @pytest.mark.parametrize("patch,key", [
+        ({"contour_levels": 5}, "contour_levels"),
+        ({"agents": 5}, "agents"),
+        ({"agents": [{"x": [1], "v": 15}]}, "agents[0].x"),
+        ({"agents": [{"x": 28, "v": True}]}, "agents[0].v"),
+        ({"sigma": "abc"}, "sigma"),
+        ({"sigma": [[0.04, 0, 0, 0], [0, 0.04, 0], [0, 0, 0.04, 0], [0, 0, 0, 1e-4]]},
+         "sigma"),
+    ])
+    def test_wrong_type_exit_2(self, envelope_input, capsys, patch, key):
+        payload = {
+            "ego": {"x": 0, "y": 0, "theta": 0, "v": 17},
+            "agents": [{"x": 28, "y": 0, "theta": 0, "v": 15}],
+            "sigma": [0.04, 0.04, 0.04, 1e-4],
+        }
+        code, out, err = run_cli(["envelope", "--input",
+                                  envelope_input(dict(payload, **patch))], capsys)
+        assert code == 2
+        assert out == ""
+        assert key in err
 
     def test_non_object_input_exit_2(self, envelope_input, capsys):
         code, out, err = run_cli(["envelope", "--input", envelope_input([1, 2])], capsys)
@@ -216,6 +238,29 @@ class TestParserReuse:
         assert data["switch_decision"] is True
         code, out, _ = run_cli(["envelope", "--input", path, "--beta", "1.0"], capsys)
         assert json.loads(out)["switch_decision"] is False
+
+class TestRiskLevelFlags:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--beta", "2"],
+        ["simulate", "--beta", "nan"],
+        ["simulate", "--policy", "ProbabilisticSimplex", "--beta", "-0.5"],
+        ["benchmark", "--betas", "abc", "--policies", "Simplex"],
+        ["benchmark", "--betas", "2", "--policies", "ProbabilisticEnvelopeRestriction"],
+        ["benchmark", "--betas", "nan", "--policies", "Simplex"],
+    ])
+    def test_bad_beta_exit_2_before_any_episode(self, tmp_path, capsys, argv):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"scenario": {"n_scenarios": 2}}))
+        out_dir = tmp_path / "out"
+        argv = argv + ["--config", str(cfg_path), "--out", str(out_dir)]
+        try:  # argparse exits by itself on a value it cannot convert
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert "beta" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestSimulateCommand:
     def test_trace_deterministic(self, tmp_path, capsys):
@@ -318,6 +363,10 @@ class TestValidateCommand:
                      0, 0, 0, 1e-4]
         full = config_from_dict({"uncertainty": {"large": {"sigma": row_major}}})
         assert full.uncertainty["large"].sigma[0, 1] == 0.01
+        rows = [row_major[i:i + 4] for i in range(0, 16, 4)]
+        nested = config_from_dict({"uncertainty": {"large": {"sigma": rows}}})
+        assert np.array_equal(nested.uncertainty["large"].sigma,
+                              full.uncertainty["large"].sigma)
 
     @pytest.mark.parametrize("text,key", [
         ('{"tau": NaN}', "tau"),
@@ -334,6 +383,50 @@ class TestValidateCommand:
         assert code == 2
         assert "config ok" not in out
         assert f"{key} must be finite" in err
+
+    @pytest.mark.parametrize("data,key", [
+        ({"seed": 1.5}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"tau": "0.2"}, "tau"),
+        ({"scenario": {"n_scenarios": 2.5}}, "scenario.n_scenarios"),
+        ({"contour_levels": 5}, "contour_levels"),
+        ({"betas": 0.5}, "betas"),
+        ({"simplex_samples": "abc"}, "simplex_samples"),
+        ({"uncertainty": {"small": {"sigma": [0.04, 0.04, 0.04, 1e-4],
+                                    "contour_levels": 5}}},
+         "uncertainty.small.contour_levels"),
+        ({"policies": "Simplex"}, "policies"),
+    ])
+    def test_wrong_type_rejected(self, tmp_path, capsys, data, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(["validate", "--config", str(path)], capsys)
+        assert code == 2
+        assert "config ok" not in out
+        assert key in err
+
+    @pytest.mark.parametrize("argv,seed", [
+        (["validate"], -1),
+        (["simulate", "--seed", "-1"], 0),
+        (["benchmark", "--seed", "-1", "--policies", "Simplex"], 0),
+    ])
+    def test_negative_seed_rejected(self, tmp_path, monkeypatch, capsys, argv, seed):
+        monkeypatch.chdir(tmp_path)  # simulate and benchmark write to ./results
+        (tmp_path / "cfg.json").write_text(
+            json.dumps({"seed": seed, "scenario": {"n_scenarios": 2}}))
+        code, _, err = run_cli(argv + ["--config", "cfg.json"], capsys)
+        assert code == 2
+        assert "seed" in err
+        assert not (tmp_path / "results").exists()
+
+    def test_integral_numbers_accepted(self, tmp_path, capsys):
+        data = {"n_phi": 8.0, "scenario": {"n_scenarios": 7.0}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert run_cli(["validate", "--config", str(path)], capsys)[:2] == (0, "config ok\n")
+        cfg = config_from_dict(data)
+        assert type(cfg.scenario.n_scenarios) is int and cfg.scenario.n_scenarios == 7
+        assert {spec.n_phi for spec in cfg.uncertainty.values()} == {8}
 
     @pytest.mark.parametrize("tau", [float("nan"), float("inf"), 0.0])
     def test_non_finite_tau_rejected(self, tau):

@@ -85,7 +85,7 @@ class TestObserve:
         spec = self.spec(0.0)
         basis = eigendecompose(spec.sigma)
         world = world_with([AgentState(20, 3.5, 0, 15)])
-        obs = observe(world, spec, basis, np.random.default_rng(0))
+        obs = observe(world, basis, np.random.default_rng(0))
         assert obs.ego == world.ego
         assert obs.others == world.others
 
@@ -93,8 +93,8 @@ class TestObserve:
         spec = self.spec(0.04)
         basis = eigendecompose(spec.sigma)
         world = world_with([AgentState(20, 3.5, 0, 15), AgentState(45, 3.5, 0, 17)])
-        a = [observe(world, spec, basis, np.random.default_rng(5)) for _ in range(1)]
-        b = [observe(world, spec, basis, np.random.default_rng(5)) for _ in range(1)]
+        a = [observe(world, basis, np.random.default_rng(5)) for _ in range(1)]
+        b = [observe(world, basis, np.random.default_rng(5)) for _ in range(1)]
         assert a == b
 
     def test_empirical_noise_covariance(self):
@@ -104,7 +104,7 @@ class TestObserve:
         rng = np.random.default_rng(17)
         devs = []
         for _ in range(10_000):
-            obs = observe(world, spec, basis, rng)
+            obs = observe(world, basis, rng)
             o = obs.others[0]
             t = world.others[0]
             devs.append([o.x - t.x, o.y - t.y, o.v - t.v, o.theta - t.theta])
@@ -115,9 +115,8 @@ class TestObserve:
 
 class TestControllers:
     def obs(self, others, ego=None):
-        spec = UncertaintySpec.from_diagonal([0, 0, 0, 0], (0.9,), 4)
         ego = ego or AgentState(0, ROAD.lane_center(1), 0, 17)
-        return ObservedWorld(ego=ego, others=tuple(others), spec=spec)
+        return ObservedWorld(ego=ego, others=tuple(others))
 
     def test_equilibrium_gives_zero_commands(self):
         obs = self.obs([], ego=AgentState(0, 3.5, 0, 17))
@@ -218,7 +217,7 @@ class TestOutcomes:
         def null_policy(obs, w):
             return 0.0, 0.0, "nominal", None, None
 
-        res = simulate(world, null_policy, spec, basis, np.random.default_rng(0),
+        res = simulate(world, null_policy, basis, np.random.default_rng(0),
                        IDM, (), RSS, 0.2, 8.0, collect_trace=True)
         assert res.outcome == "Timeout"
         assert res.steps == 40
