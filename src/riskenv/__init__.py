@@ -4,13 +4,10 @@ from .rss import (
     AgentState,
     Envelope,
     RssParams,
-    pairwise_envelope,
     safe_distance_lat,
     safe_distance_lon,
     safety_envelope,
-    safety_violated,
     unrestricted_envelope,
-    worst_of,
 )
 from .uncertainty import (
     EigenBasis,
@@ -31,9 +28,9 @@ from .prob_envelope import (
 from .config import RunConfig, load_config
 
 __all__ = [
-    "AgentState", "Envelope", "RssParams", "pairwise_envelope",
+    "AgentState", "Envelope", "RssParams",
     "safe_distance_lat", "safe_distance_lon", "safety_envelope",
-    "safety_violated", "unrestricted_envelope", "worst_of",
+    "unrestricted_envelope",
     "EigenBasis", "UncertaintySpec", "chi2_cdf_4", "chi2_quantile_4",
     "draw_noise", "eigendecompose", "sample_contour",
     "ContourEnvelope", "EnvelopeDistribution", "envelope_distribution",

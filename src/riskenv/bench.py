@@ -21,18 +21,18 @@ import numpy as np
 
 from .config import POLICY_NAMES, RunConfig
 from .prob_envelope import (
-    agent_analyses,
+    EXACT_SAMPLES,
+    analyze_step,
     contour_samples,
-    perturbed_state_arrays,
     risk_bounded_envelope,
     should_switch,
+    stacked_states,
+    worst_case,
 )
 from .rss import (
     AgentState,
     Envelope,
     less_restrictive_any,
-    safety_envelope,
-    safety_violated,
     unrestricted_envelope,
     violation_batch,
 )
@@ -120,56 +120,68 @@ class Policy:
         self.ego_v0 = ego_v0
         self.latched = False
         self.samples = (contour_samples(basis, spec)
-                        if kind == "ProbabilisticEnvelopeRestriction" else None)
+                        if kind == "ProbabilisticEnvelopeRestriction" else
+                        EXACT_SAMPLES if kind == "EnvelopeRestriction" else None)
 
     # Returns (a_lon, a_lat, mode, envelope, env_violated) per simulate().
     def __call__(self, obs: ObservedWorld, world: WorldState):
         cfg = self.cfg
         rss = cfg.rss
-        envelope = None
+        envelope = true_env = None
         if not self.latched:
-            switch, envelope = self._decide(obs)
-            if switch:
-                self.latched = True
+            self.latched, envelope, true_env = self._decide(obs, world)
         if self.latched:
             a_lon, a_lat = safety_maneuver(obs, cfg.road, rss, cfg.lateral)
             return a_lon, a_lat, "safety", None, None
         applied = envelope if envelope is not None else unrestricted_envelope(rss)
         a_lon, a_lat = nominal_lane_change(obs, 1, applied, cfg.road, cfg.idm,
                                            self.ego_v0, rss, cfg.lateral)
-        env_violated = None
-        if envelope is not None and world is not None:
-            true_env = safety_envelope(world.ego, world.others, rss, cfg.tau)
-            env_violated = less_restrictive_any(envelope, true_env)
+        env_violated = None if true_env is None else less_restrictive_any(envelope, true_env)
         return a_lon, a_lat, "nominal", envelope, env_violated
 
-    def _decide(self, obs: ObservedWorld) -> tuple[bool, Envelope | None]:
-        """Switch decision and (for restricting policies) the envelope."""
+    def _decide(self, obs: ObservedWorld, world: WorldState | None = None
+                ) -> tuple[bool, Envelope | None, Envelope | None]:
+        """Switch decision, the envelope of a restricting policy, and (given
+        the true world) the envelope at the true states for the audit.
+
+        The restricting policies analyse the observed agents and the true
+        agents in one ``analyze_step`` call; ``observe`` copies the ego
+        exactly, so one ego serves both.  EnvelopeRestriction is the
+        zero-covariance case: it switches on any observed violation.
+        """
         cfg = self.cfg
+        if self.samples is None:
+            return self._sampled_switch(obs), None, None
+        dists, expectations, true_env = analyze_step(
+            obs.ego, obs.others, self.samples, None if world is None else world.others,
+            cfg.rss, cfg.tau)
         if self.kind == "EnvelopeRestriction":
-            return (safety_violated(obs.ego, obs.others, cfg.rss),
-                    safety_envelope(obs.ego, obs.others, cfg.rss, cfg.tau))
+            return should_switch(expectations, 0.0), worst_case(dists, cfg.rss), true_env
+        if should_switch(expectations, self.beta):
+            return True, None, true_env
+        if not dists:
+            return False, unrestricted_envelope(cfg.rss), true_env
+        return False, risk_bounded_envelope(dists, self.beta, cfg.rss), true_env
+
+    def _sampled_switch(self, obs: ObservedWorld) -> bool:
+        """Simplex: some observed agent violates.  ProbabilisticSimplex: some
+        agent's mean violation over ``simplex_samples`` drawn deviations
+        exceeds beta.  Every agent's rows go to one violation_batch call; one
+        (k * m, 4) draw takes the same numbers as k draws of (m, 4)."""
+        cfg = self.cfg
+        k = len(obs.others)
+        if k == 0:
+            return False
         if self.kind == "Simplex":
-            return safety_violated(obs.ego, obs.others, cfg.rss), None
-        if self.kind == "ProbabilisticEnvelopeRestriction":
-            dists, expectations = agent_analyses(obs.ego, obs.others, self.samples,
-                                                 cfg.rss, cfg.tau)
-            if should_switch(expectations, self.beta):
-                return True, None
-            if not dists:
-                return False, unrestricted_envelope(cfg.rss)
-            return False, risk_bounded_envelope(dists, self.beta, cfg.rss)
-        # ProbabilisticSimplex: sampled per-agent mean violation.
-        m = cfg.simplex_samples
-        scale = np.sqrt(self.basis.eigenvalues)
-        for o in obs.others:
-            draws = self.rng.standard_normal((m, 4))
-            devs = (draws * scale) @ self.basis.eigenvectors.T
-            ox, oy, ov, ot = perturbed_state_arrays(o, devs)
-            frac = float(violation_batch(obs.ego, ox, oy, ov, ot, cfg.rss).mean())
-            if frac > self.beta:
-                return True, None
-        return False, None
+            m, limit, devs = 1, 0.0, np.zeros((k, 4))
+        else:
+            m, limit = cfg.simplex_samples, self.beta
+            draws = self.rng.standard_normal((k * m, 4))
+            devs = (draws * np.sqrt(self.basis.eigenvalues)) @ self.basis.eigenvectors.T
+        ox, oy, ov, ot = stacked_states(
+            (o, devs[j * m:(j + 1) * m]) for j, o in enumerate(obs.others))
+        violated = violation_batch(obs.ego, ox, oy, ov, ot, cfg.rss)
+        return bool((violated.reshape(k, m).mean(axis=1) > limit).any())
 
 
 def run_episode(scn: ScenarioConfig, kind: str, beta: float, case: str,

@@ -31,12 +31,12 @@ from .config import (
     read_json,
 )
 from .prob_envelope import (
-    agent_analyses,
+    analyze_step,
     contour_samples,
     risk_bounded_envelope,
     should_switch,
 )
-from .rss import safety_envelope, unrestricted_envelope
+from .rss import unrestricted_envelope
 from .uncertainty import eigendecompose
 
 log = logging.getLogger("riskenv")
@@ -60,15 +60,10 @@ def _envelope_dict(env) -> dict:
 def cmd_envelope(args) -> int:
     cfg = load_config(args.config)
     ego, agents, spec, beta, tau = envelope_input(read_json(args.input), cfg, args.beta)
-    basis = eigendecompose(spec.sigma)
-    det_env = safety_envelope(ego, agents, cfg.rss, tau)
-    if agents:
-        dists, expectations = agent_analyses(ego, agents, contour_samples(basis, spec),
-                                             cfg.rss, tau)
-        prob_env = risk_bounded_envelope(dists, beta, cfg.rss)
-    else:
-        prob_env = unrestricted_envelope(cfg.rss)
-        expectations = []
+    samples = contour_samples(eigendecompose(spec.sigma), spec)
+    dists, expectations, det_env = analyze_step(ego, agents, samples, agents, cfg.rss, tau)
+    prob_env = (risk_bounded_envelope(dists, beta, cfg.rss) if dists
+                else unrestricted_envelope(cfg.rss))
     out = {
         "deterministic_envelope": _envelope_dict(det_env),
         "probabilistic_envelope": _envelope_dict(prob_env),

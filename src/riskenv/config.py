@@ -17,7 +17,7 @@ import numpy as np
 
 from .rss import AgentState, RssParams
 from .sim import IdmParams, LateralControl, RoadParams
-from .uncertainty import STATE_DIM, UncertaintySpec, integral
+from .uncertainty import MAX_SIMPLEX_ROWS, STATE_DIM, UncertaintySpec, integral
 
 DEFAULT_CONTOUR_LEVELS = (0.25, 0.5, 0.75, 0.93, 0.97, 0.999)
 DEFAULT_N_PHI = 8
@@ -105,6 +105,10 @@ class RunConfig:
                 raise ConfigError(f"unknown covariance case {case!r}")
         if self.simplex_samples < 1:
             raise ConfigError("simplex_samples must be >= 1")
+        if self.simplex_samples * self.scenario.n_others > MAX_SIMPLEX_ROWS:
+            raise ConfigError(f"simplex_samples x scenario.n_others must be <= "
+                              f"{MAX_SIMPLEX_ROWS}, got {self.simplex_samples} x "
+                              f"{self.scenario.n_others}")
         check_tau(self.tau)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
@@ -128,10 +132,17 @@ def _key(where: str, key) -> str:
 # naming the key; further arguments come first, for functools.partial.
 
 def _number(where: str, value) -> float:
-    """A JSON number; a bool or a string is not one."""
+    """A finite JSON number; a bool, a string, NaN, an infinity or an integer
+    literal beyond the float range is not one."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf if value > 0 else -math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where} must be finite, got {number}")
+    return number
 
 
 def _integer(where: str, value) -> int:
@@ -272,32 +283,14 @@ def envelope_input(data, cfg: RunConfig, beta: float):
             check_beta(data.get("beta", beta)), tau)
 
 
-def _finite(value) -> bool:
-    if isinstance(value, (int, float)):
-        try:
-            return math.isfinite(value)
-        except OverflowError:  # an integer literal beyond the float range
-            return False
-    if isinstance(value, list):
-        return all(_finite(v) for v in value)
-    return True
-
-
-def _finite_object(pairs) -> dict:
-    for key, value in pairs:
-        if not _finite(value):
-            raise ConfigError(f"{key} must be finite, got {value}")
-    return dict(pairs)
-
-
 def read_json(path) -> object:
-    """Parsed JSON file.  Malformed JSON and non-finite numbers (NaN,
-    Infinity, or a literal such as 1e400 that overflows the float range)
-    raise ConfigError naming the key that holds them."""
+    """Parsed JSON file; malformed JSON, or an integer literal too long for
+    Python to convert, raises ConfigError.  The readers reject non-finite
+    numbers, naming their dotted key."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh, object_pairs_hook=_finite_object)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except ValueError as exc:
             raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
 
 

@@ -2,13 +2,16 @@
 
 The contour samples of a covariance are built once (``contour_samples``):
 the deviations on every confidence contour, stacked, with each contour
-carrying mass p_k - p_{k-1}.  One pass of the pair kernel over an agent's
-perturbed states (``analyze_agent``) yields both its discrete distribution
-of worst-case envelopes, one per contour, and its violation expectation; the
-mass outside the outermost contour goes to a most-restrictive sentinel and
-counts as violated, so risk is never understated.  The combined envelope is
-solved component-wise so that the probability of the true envelope being
-strictly more restrictive stays below the requested risk level.
+carrying mass p_k - p_{k-1}.  One pass of the pair kernel over the
+perturbed states of several agents (``analyze_agents``) yields each agent's
+discrete distribution of worst-case envelopes, one per contour, and its
+violation expectation; the mass outside the outermost contour goes to a
+most-restrictive sentinel and counts as violated, so risk is never
+understated.  At zero covariance (``EXACT_SAMPLES``) the same pass gives
+each agent's deterministic envelope and violation flag.  The combined
+envelope is solved component-wise so that the probability of the true
+envelope being strictly more restrictive stays below the requested risk
+level.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .rss import (
     RssParams,
     pair_analysis_batch,
     restrictive_sentinel,
+    unrestricted_envelope,
     wrap_angle,
 )
 from .uncertainty import EigenBasis, UncertaintySpec, sample_contour
@@ -74,6 +78,16 @@ def perturbed_state_arrays(obs: AgentState, deviations: np.ndarray):
     return ox, oy, ov, ot
 
 
+# Samples of a zero covariance: one zero deviation (a read-only row) carrying
+# all the mass, so the sentinel is bypassed and the expectation is the plain
+# violation indicator.
+EXACT_SAMPLES = ((1.0,), np.broadcast_to(0.0, (1, 4)), (1,))
+
+# Most kernel rows in one pass of analyze_agents: consecutive agents share a
+# pass up to this many rows, which keeps the kernel's temporaries small.
+ROW_BUDGET = 4096
+
+
 def contour_samples(basis: EigenBasis, spec: UncertaintySpec):
     """Deviation samples of every contour, built once per covariance.
 
@@ -82,50 +96,91 @@ def contour_samples(basis: EigenBasis, spec: UncertaintySpec):
     of each contour.  Each contour holds the distinct points of the angle
     grid (``sample_contour``), the same unit directions scaled to its
     radius, so no point is evaluated twice.  Zero covariance collapses every
-    contour onto the observation itself: one zero deviation carrying all the
-    mass, so the sentinel is bypassed and the expectation is the plain
-    violation indicator.
+    contour onto the observation itself (``EXACT_SAMPLES``).
     """
     if basis.max_eigenvalue <= 0.0:
-        return (1.0,), np.zeros((1, 4)), (1,)
+        return EXACT_SAMPLES
     sets = [sample_contour(basis, p, spec.n_phi) for p in spec.contour_levels]
     return spec.contour_levels, np.concatenate(sets), tuple(d.shape[0] for d in sets)
 
 
-def analyze_agent(ego: AgentState, obs: AgentState, samples, params: RssParams,
-                  tau: float, agent_id: int = 0) -> tuple[EnvelopeDistribution, float]:
-    """Envelope distribution and violation expectation of one agent in a
-    single pass over the contour samples of ``contour_samples``.
+def stacked_states(pairs):
+    """``perturbed_state_arrays`` of each (state, deviations) pair, stacked."""
+    parts = [perturbed_state_arrays(state, d) for state, d in pairs]
+    return [np.concatenate(column) for column in zip(*parts)]
 
-    A contour counts as violated if any of its perturbed states breaks both
-    safe distances; the residual mass counts as violated.
+
+def analyze_agents(ego: AgentState, agents, params: RssParams, tau: float):
+    """Envelope distribution and violation expectation of each agent.
+
+    ``agents`` is a sequence of (agent_id, state, samples) triples, with
+    samples as returned by ``contour_samples``; the result is one
+    (EnvelopeDistribution, expectation) pair per agent, in order.  The
+    perturbed states of consecutive agents share one kernel pass of at most
+    ``ROW_BUDGET`` rows (an agent with more rows runs alone).  A contour
+    counts as violated if any of its perturbed states breaks both safe
+    distances; the residual mass counts as violated.
     """
-    levels, deviations, counts = samples
-    ox, oy, ov, ot = perturbed_state_arrays(obs, deviations)
+    out, chunk, rows = [], [], 0
+    for agent in agents:
+        n = agent[2][1].shape[0]
+        if chunk and rows + n > ROW_BUDGET:
+            out += _analyze_pass(ego, chunk, params, tau)
+            chunk, rows = [], 0
+        chunk.append(agent)
+        rows += n
+    return (out + _analyze_pass(ego, chunk, params, tau)) if chunk else out
+
+
+def analyze_step(ego: AgentState, observed, samples, exact, params: RssParams,
+                 tau: float):
+    """Everything one decision needs, from one ``analyze_agents`` call: the
+    distributions and expectations of the ``observed`` agents under
+    ``samples``, and the worst-case envelope of the ``exact`` agents at zero
+    covariance (None when ``exact`` is None)."""
+    n = len(observed)
+    analyses = analyze_agents(
+        ego, [(j, s, samples) for j, s in enumerate(observed)]
+        + [(j, s, EXACT_SAMPLES) for j, s in enumerate(exact or ())], params, tau)
+    exact_env = None if exact is None else worst_case([d for d, _ in analyses[n:]], params)
+    return [d for d, _ in analyses[:n]], [e for _, e in analyses[:n]], exact_env
+
+
+def _analyze_pass(ego, agents, params, tau):
+    counts = [m for _, _, (_, _, agent_counts) in agents for m in agent_counts]
+    if min(counts) < 1:
+        raise ValueError("every contour needs at least one sample")
+    ox, oy, ov, ot = stacked_states((state, samples[1]) for _, state, samples in agents)
     lon_max, lat_min, lat_max, violated = pair_analysis_batch(
         ego, ox, oy, ov, ot, params, tau)
-    entries = []
-    expectation = 1.0 - levels[-1]
-    prev = 0.0
-    start = 0
-    for k, (p_k, m) in enumerate(zip(levels, counts)):
-        sl = slice(start, start + m)
-        start += m
-        env = Envelope(-params.a_lon_limit, float(lon_max[sl].min()),
-                       float(lat_min[sl].max()), float(lat_max[sl].min()))
-        entries.append(ContourEnvelope(agent_id, k, p_k - prev, env))
-        if violated[sl].any():
-            expectation += p_k - prev
-        prev = p_k
-    return EnvelopeDistribution(agent_id, tuple(entries), 1.0 - prev), expectation
+    # Worst case and violation flag of each contour, in stacking order.
+    starts = np.cumsum([0, *counts[:-1]])
+    contours = zip(np.minimum.reduceat(lon_max, starts).tolist(),
+                   np.maximum.reduceat(lat_min, starts).tolist(),
+                   np.minimum.reduceat(lat_max, starts).tolist(),
+                   np.logical_or.reduceat(violated, starts).tolist())
+    out = []
+    for agent_id, _, (levels, _, _) in agents:  # each agent takes its contours
+        entries = []
+        expectation = 1.0 - levels[-1]
+        prev = 0.0
+        for k, (p_k, (lon, lat_lo, lat_hi, hit)) in enumerate(zip(levels, contours)):
+            env = Envelope(-params.a_lon_limit, lon, lat_lo, lat_hi)
+            entries.append(ContourEnvelope(agent_id, k, p_k - prev, env))
+            if hit:
+                expectation += p_k - prev
+            prev = p_k
+        out.append((EnvelopeDistribution(agent_id, tuple(entries), 1.0 - prev),
+                    expectation))
+    return out
 
 
 def envelope_distribution(ego: AgentState, obs: AgentState, spec: UncertaintySpec,
                           basis: EigenBasis, params: RssParams, tau: float,
                           agent_id: int = 0) -> EnvelopeDistribution:
     """Per-agent random envelope over the confidence contours."""
-    return analyze_agent(ego, obs, contour_samples(basis, spec), params, tau,
-                         agent_id=agent_id)[0]
+    return analyze_agents(ego, [(agent_id, obs, contour_samples(basis, spec))],
+                          params, tau)[0][0]
 
 
 def risk_bounded_envelope(distributions, beta: float, params: RssParams) -> Envelope:
@@ -174,17 +229,14 @@ def risk_bounded_envelope(distributions, beta: float, params: RssParams) -> Enve
     return Envelope(**values)
 
 
-def agent_analyses(ego: AgentState, observations, samples, params: RssParams,
-                   tau: float):
-    """analyze_agent over a list of observed agents, one kernel call each;
-    returns (distributions, expectations)."""
-    dists = []
-    expectations = []
-    for j, obs in enumerate(observations):
-        dist, exp = analyze_agent(ego, obs, samples, params, tau, agent_id=j)
-        dists.append(dist)
-        expectations.append(exp)
-    return dists, expectations
+def worst_case(distributions, params: RssParams) -> Envelope:
+    """Component-wise most restrictive contour envelope of the distributions;
+    the unrestricted envelope if there are none."""
+    envs = [e.envelope for d in distributions for e in d.entries]
+    if not envs:
+        return unrestricted_envelope(params)
+    return Envelope(-params.a_lon_limit, min(e.a_lon_max for e in envs),
+                    max(e.a_lat_min for e in envs), min(e.a_lat_max for e in envs))
 
 
 def should_switch(expectations, beta: float) -> bool:

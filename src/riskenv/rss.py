@@ -7,8 +7,8 @@ intact for the next ``tau`` seconds; envelopes of several pairs combine
 component-wise into the most restrictive box.
 
 All pair computations exist in a vectorized form (arrays of other-vehicle
-states against one ego state); the scalar API wraps the vectorized kernel so
-there is a single source of truth.
+states against one ego state); ``safety_envelope`` wraps the vectorized
+kernel, so there is a single source of truth.
 
 Each envelope bound is the largest acceleration for which a monotone
 condition still holds.  Both conditions are piecewise quadratic in the post-
@@ -16,8 +16,9 @@ tau speed, so the kernel solves them in closed form, snaps the root down onto
 the grid of a 40-step bisection over the physical limits (spacing 2**-36 for
 a_lon, 2**-37 for a_lat) and accepts it only where the condition holds at the
 grid point and fails one grid step above.  That is exactly the point the
-bisection converges to, so the bounds are bit-identical to it; the few rows
-where the check fails run the bisection, which also stays as the test oracle.
+bisection converges to, so the bounds are bit-identical to it (the tests
+keep the bisection as the oracle).  A row where neither the snapped point
+nor its grid neighbours pass the check gets the most restrictive bound.
 """
 
 from __future__ import annotations
@@ -151,16 +152,6 @@ def restrictive_sentinel(params: RssParams) -> Envelope:
                     params.a_lat_limit, -params.a_lat_limit)
 
 
-def worst_of(a: Envelope, b: Envelope) -> Envelope:
-    """Component-wise most restrictive combination of two envelopes."""
-    return Envelope(
-        max(a.a_lon_min, b.a_lon_min),
-        min(a.a_lon_max, b.a_lon_max),
-        max(a.a_lat_min, b.a_lat_min),
-        min(a.a_lat_max, b.a_lat_max),
-    )
-
-
 def less_restrictive_any(applied: Envelope, true_env: Envelope) -> bool:
     """True if ``applied`` is strictly less restrictive than ``true_env`` in any component."""
     return any(orientation * getattr(true_env, name) < orientation * getattr(applied, name)
@@ -232,69 +223,35 @@ def safe_distance_lat(v1_toward, v2_toward, params: RssParams):
     return d
 
 
-def _bracket(cond, lo: float, hi: float, n: int):
-    """End-point checks shared by the bound solvers: rows where cond(hi) holds
-    get hi, all others lo.  Returns (out, active), where ``active`` are the
-    rows with cond(lo) true and cond(hi) false, whose bound lies inside."""
+def _solve_largest(cond, root, lo: float, hi: float, n: int, iters: int = 40) -> np.ndarray:
+    """Largest point g of the grid lo + k * (hi - lo) / 2**iters in [lo, hi]
+    where the monotone-decreasing boolean condition holds; lo where even
+    cond(lo) fails.
+
+    ``cond(values, rows)`` evaluates the condition at ``values`` for the
+    given row subset (rows=None means all rows), and ``root(rows)``
+    approximates its boundary.  The root is snapped down onto the grid
+    (spacing h) and accepted where cond(g) holds and cond(g + h) fails,
+    which is exactly the point an ``iters``-step bisection converges to.
+    Rows where neither the snapped point nor its grid neighbours pass that
+    check keep lo, the most restrictive bound."""
     ok_hi = cond(np.full(n, hi), None)
     out = np.where(ok_hi, hi, lo)
-    open_rows = np.flatnonzero(~ok_hi)
-    if open_rows.size == 0:
-        return out, open_rows
-    ok_lo = cond(np.full(open_rows.size, lo), open_rows)
-    return out, open_rows[ok_lo]
-
-
-def _bisect_rows(cond, lo: float, hi: float, rows: np.ndarray, iters: int) -> np.ndarray:
-    a = np.full(rows.size, lo)
-    b = np.full(rows.size, hi)
-    for _ in range(iters):
-        mid = 0.5 * (a + b)
-        ok = cond(mid, rows)
-        a = np.where(ok, mid, a)
-        b = np.where(ok, b, mid)
-    return a
-
-
-def _bisect_largest(cond, lo: float, hi: float, n: int, iters: int = 40) -> np.ndarray:
-    """Vectorized largest argument in [lo, hi] satisfying a monotone-decreasing
-    boolean condition; returns lo where even cond(lo) fails.
-
-    ``cond(values, rows)`` evaluates the condition at ``values`` for the given
-    row subset (rows=None means all rows).  The result is the largest point
-    of the grid lo + k * (hi - lo) / 2**iters where cond holds.  This is the
-    reference that ``_solve_largest`` reproduces bit for bit."""
-    out, active = _bracket(cond, lo, hi, n)
-    if active.size:
-        out[active] = _bisect_rows(cond, lo, hi, active, iters)
-    return out
-
-
-def _solve_largest(cond, root, lo: float, hi: float, n: int, iters: int = 40) -> np.ndarray:
-    """Same result as ``_bisect_largest``, from an analytic root.
-
-    ``root(rows)`` approximates the boundary of ``cond`` for the given rows.
-    It is snapped down onto the bisection grid (spacing h) and accepted where
-    cond(g) holds and cond(g + h) fails, which is exactly the point the
-    bisection converges to.  Rows where neither the snapped point nor its
-    grid neighbours pass that check fall back to the bisection."""
-    out, active = _bracket(cond, lo, hi, n)
-    if active.size == 0:
+    rows = np.flatnonzero(~ok_hi)
+    if rows.size:  # the bound lies inside where cond(lo) holds
+        rows = rows[cond(np.full(rows.size, lo), rows)]
+    if rows.size == 0:
         return out
     h = (hi - lo) / 2.0 ** iters
-    k_max = 2.0 ** iters - 1.0
-    k = np.floor((root(active) - lo) / h)
+    k = np.floor((root(rows) - lo) / h)
     k = np.where(np.isfinite(k), k, 0.0)  # no real root: start from lo
-    rows = active
     for off in (0, -1, 1):  # the snapped point, then its grid neighbours
-        g = lo + np.clip(k + off, 0.0, k_max) * h
+        g = lo + np.clip(k + off, 0.0, 2.0 ** iters - 1.0) * h
         hit = cond(g, rows) & ~cond(g + h, rows)
         out[rows[hit]] = g[hit]
-        rows = rows[~hit]
+        rows, k = rows[~hit], k[~hit]
         if rows.size == 0:
-            return out
-        k = k[~hit]
-    out[rows] = _bisect_rows(cond, lo, hi, rows, iters)
+            break
     return out
 
 
@@ -483,31 +440,12 @@ def pairwise_envelope_batch(ego: AgentState, ox, oy, ov, otheta,
                             params: RssParams, tau: float):
     """Per-pair envelopes of the ego against n other states, as
     (a_lon_max, a_lat_min, a_lat_max) arrays."""
-    lon_max, lat_min, lat_max, _ = pair_analysis_batch(ego, ox, oy, ov, otheta,
-                                                       params, tau)
-    return lon_max, lat_min, lat_max
+    return pair_analysis_batch(ego, ox, oy, ov, otheta, params, tau)[:3]
 
 
 def violation_batch(ego: AgentState, ox, oy, ov, otheta, params: RssParams) -> np.ndarray:
     """Boolean array: pair violates both safe distances at once."""
     return _PairGeometry(ego, ox, oy, ov, otheta, params).violation()
-
-
-def _states_to_arrays(others) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    ox = np.array([s.x for s in others], dtype=float)
-    oy = np.array([s.y for s in others], dtype=float)
-    ov = np.array([s.v for s in others], dtype=float)
-    ot = np.array([s.theta for s in others], dtype=float)
-    return ox, oy, ov, ot
-
-
-def pairwise_envelope(ego: AgentState, other: AgentState,
-                      params: RssParams, tau: float) -> Envelope:
-    """Envelope of the ego against a single other vehicle."""
-    lon_max, lat_min, lat_max = pairwise_envelope_batch(
-        ego, [other.x], [other.y], [other.v], [other.theta], params, tau)
-    return Envelope(-params.a_lon_limit, float(lon_max[0]),
-                    float(lat_min[0]), float(lat_max[0]))
 
 
 def safety_envelope(ego: AgentState, others, params: RssParams, tau: float) -> Envelope:
@@ -518,16 +456,8 @@ def safety_envelope(ego: AgentState, others, params: RssParams, tau: float) -> E
     others = list(others)
     if not others:
         return unrestricted_envelope(params)
-    ox, oy, ov, ot = _states_to_arrays(others)
+    ox, oy, ov, ot = (np.array([getattr(s, k) for s in others], dtype=float)
+                      for k in ("x", "y", "v", "theta"))
     lon_max, lat_min, lat_max = pairwise_envelope_batch(ego, ox, oy, ov, ot, params, tau)
     return Envelope(-params.a_lon_limit, float(lon_max.min()),
                     float(lat_min.max()), float(lat_max.min()))
-
-
-def safety_violated(ego: AgentState, others, params: RssParams) -> bool:
-    """Violation indicator: True iff some pair breaks both safe distances."""
-    others = list(others)
-    if not others:
-        return False
-    ox, oy, ov, ot = _states_to_arrays(others)
-    return bool(violation_batch(ego, ox, oy, ov, ot, params).any())

@@ -18,6 +18,9 @@ STATE_DIM = 4  # deviation axes, in order: x, y, v, theta
 # Bound on the angle grid, n_phi^3 x contour levels; admits n_phi = 24 with
 # six levels, the dense reference sampling.
 MAX_GRID_SAMPLES = 100_000
+# Bound on the deviations one ProbabilisticSimplex step draws, simplex
+# samples x agents; they are evaluated as one array.
+MAX_SIMPLEX_ROWS = 100_000
 
 
 def chi2_cdf_4(x: float) -> float:

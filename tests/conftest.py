@@ -1,9 +1,10 @@
 """Shared oracles and helpers.
 
 The oracles deliberately avoid the library's fast paths: explicit braking
-profile simulation, discretized acceleration search, exhaustive joint
-enumeration of envelope distributions, one contour point at a time, and the
-full n_phi^3 contour grid with its repeated points.
+profile simulation, discretized acceleration search, the 40-step bisection
+the closed-form bound solver reproduces, exhaustive joint enumeration of
+envelope distributions, one contour point at a time, and the full n_phi^3
+contour grid with its repeated points.
 """
 
 from __future__ import annotations
@@ -15,11 +16,21 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from riskenv.prob_envelope import (
+    EXACT_SAMPLES,
+    ContourEnvelope,
+    EnvelopeDistribution,
+    analyze_step,
+    perturbed_state_arrays,
+    should_switch,
+)
 from riskenv.rss import (
     AgentState,
     COMPONENTS,
     Envelope,
     RssParams,
+    pair_analysis_batch,
+    pairwise_envelope_batch,
     restrictive_sentinel,
     safe_distance_lat,
     safe_distance_lon,
@@ -101,6 +112,74 @@ def oracle_max_lon_accel(ego: AgentState, other: AgentState, params: RssParams,
         if gap + df - de >= safe_distance_lon(ue, wf, params):
             best = max(best, float(a))
     return best
+
+
+def bisect_largest(cond, lo: float, hi: float, n: int, iters: int = 40) -> np.ndarray:
+    """Bisection oracle of the bound solver: the largest point of the grid
+    lo + k * (hi - lo) / 2**iters where the monotone-decreasing condition
+    holds; hi where cond(hi) holds and lo where even cond(lo) fails.
+    ``cond(values, rows)`` evaluates the condition for the given rows."""
+    rows = np.arange(n)
+    a = np.full(n, lo)
+    b = np.full(n, hi)
+    for _ in range(iters):
+        mid = 0.5 * (a + b)
+        ok = cond(mid, rows)
+        a = np.where(ok, mid, a)
+        b = np.where(ok, b, mid)
+    ok_hi = cond(np.full(n, hi), rows)
+    ok_lo = cond(np.full(n, lo), rows)
+    return np.where(ok_hi, hi, np.where(ok_lo, a, lo))
+
+
+def pairwise_envelope(ego: AgentState, other: AgentState,
+                      params: RssParams, tau: float) -> Envelope:
+    """Envelope of the ego against a single other vehicle."""
+    lon_max, lat_min, lat_max = pairwise_envelope_batch(
+        ego, [other.x], [other.y], [other.v], [other.theta], params, tau)
+    return Envelope(-params.a_lon_limit, float(lon_max[0]),
+                    float(lat_min[0]), float(lat_max[0]))
+
+
+def worst_of(a: Envelope, b: Envelope) -> Envelope:
+    """Component-wise most restrictive combination of two envelopes."""
+    return Envelope(
+        max(a.a_lon_min, b.a_lon_min),
+        min(a.a_lon_max, b.a_lon_max),
+        max(a.a_lat_min, b.a_lat_min),
+        min(a.a_lat_max, b.a_lat_max),
+    )
+
+
+def safety_violated(ego: AgentState, others, params: RssParams) -> bool:
+    """Violation indicator as EnvelopeRestriction switches on it: some
+    agent's expectation at zero covariance is above 0."""
+    _, expectations, _ = analyze_step(ego, list(others), EXACT_SAMPLES, None, params, 0.2)
+    return should_switch(expectations, 0.0)
+
+
+def contour_loop_analysis(ego: AgentState, obs: AgentState, samples, params: RssParams,
+                          tau: float, agent_id: int = 0):
+    """One agent's (EnvelopeDistribution, expectation), one kernel call for
+    the agent and a slice per contour: the per-contour loop the stacked
+    ``analyze_agents`` replaces."""
+    levels, deviations, counts = samples
+    lon_max, lat_min, lat_max, violated = pair_analysis_batch(
+        ego, *perturbed_state_arrays(obs, deviations), params, tau)
+    entries = []
+    expectation = 1.0 - levels[-1]
+    prev = 0.0
+    start = 0
+    for k, (p_k, m) in enumerate(zip(levels, counts)):
+        sl = slice(start, start + m)
+        start += m
+        env = Envelope(-params.a_lon_limit, float(lon_max[sl].min()),
+                       float(lat_min[sl].max()), float(lat_max[sl].min()))
+        entries.append(ContourEnvelope(agent_id, k, p_k - prev, env))
+        if violated[sl].any():
+            expectation += p_k - prev
+        prev = p_k
+    return EnvelopeDistribution(agent_id, tuple(entries), 1.0 - prev), expectation
 
 
 def enumerate_risk_envelope(distributions, beta: float, params: RssParams) -> Envelope:

@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from riskenv import bench
+from riskenv import bench, prob_envelope, rss
 from riskenv.config import RunConfig, ScenarioParams
-from riskenv.rss import AgentState
-from riskenv.sim import ObservedWorld
+from riskenv.prob_envelope import perturbed_state_arrays
+from riskenv.rss import AgentState, safety_envelope, violation_batch
+from riskenv.sim import ObservedWorld, observe
 from riskenv.uncertainty import UncertaintySpec, eigendecompose
 
 
@@ -69,8 +72,8 @@ class TestPolicyEquivalences:
             pa, obs = self.zero_noise_policy(cfg, "ProbabilisticEnvelopeRestriction",
                                              beta, ego, others)
             pb, _ = self.zero_noise_policy(cfg, "EnvelopeRestriction", beta, ego, others)
-            switch_a, env_a = pa._decide(obs)
-            switch_b, env_b = pb._decide(obs)
+            switch_a, env_a, _ = pa._decide(obs)
+            switch_b, env_b, _ = pb._decide(obs)
             assert switch_a == switch_b
             if not switch_a:
                 assert env_a == env_b
@@ -158,6 +161,109 @@ class TestOutputs:
         payload = bench.rows_to_json(rows)
         assert payload[0]["policy"] == "Simplex"
         assert len(payload[0]["scenarios"]) == len(small_set)
+
+
+def per_agent_draw_switch(obs, rng, m, basis, beta, params):
+    """ProbabilisticSimplex's switch with one (m, 4) draw per agent, stopping
+    at the first agent whose mean violation exceeds beta."""
+    scale = np.sqrt(basis.eigenvalues)
+    for o in obs.others:
+        devs = (rng.standard_normal((m, 4)) * scale) @ basis.eigenvectors.T
+        ox, oy, ov, ot = perturbed_state_arrays(o, devs)
+        if float(violation_batch(obs.ego, ox, oy, ov, ot, params).mean()) > beta:
+            return True
+    return False
+
+
+class TestOneAnalysisPerStep:
+    def _worlds(self, cfg):
+        """Initial worlds with the ego moved along and across the road, so
+        that the platoon restricts it, or is violated, in many of them."""
+        for scn in bench.generate_scenarios(4, cfg.seed, cfg):
+            world = bench.initial_world(scn, cfg)
+            for x in np.linspace(-5.0, 60.0, 14):
+                for y in (0.0, 1.8, 3.0):
+                    yield replace(world, ego=replace(world.ego, x=float(x), y=y))
+
+    @pytest.mark.parametrize("kind", ["ProbabilisticEnvelopeRestriction",
+                                      "EnvelopeRestriction"])
+    def test_audit_envelope_is_safety_envelope_on_true_states(self, cfg, kind):
+        spec = cfg.uncertainty["large"]
+        basis = eigendecompose(spec.sigma)
+        rng = np.random.default_rng(4)
+        restricted = switched = 0
+        for world in self._worlds(cfg):
+            obs = observe(world, basis, rng)
+            # beta = 1: EnvelopeRestriction ignores it and still switches.
+            policy = bench.Policy(kind, 1.0, cfg, spec, basis, None, ego_v0=17.0)
+            switch, envelope, true_env = policy._decide(obs, world)
+            want = safety_envelope(world.ego, world.others, cfg.rss, cfg.tau)
+            assert true_env == want
+            restricted += want != rss.unrestricted_envelope(cfg.rss)
+            assert policy._decide(obs)[2] is None
+            if kind == "EnvelopeRestriction":
+                assert envelope == safety_envelope(obs.ego, obs.others, cfg.rss, cfg.tau)
+                assert switch is bool(violation_batch(
+                    obs.ego, [o.x for o in obs.others], [o.y for o in obs.others],
+                    [o.v for o in obs.others], [o.theta for o in obs.others],
+                    cfg.rss).any())
+                switched += switch
+        assert restricted > 20
+        if kind == "EnvelopeRestriction":
+            assert switched > 0
+
+    @pytest.mark.parametrize("beta", [0.1, 0.5])
+    def test_stacked_simplex_draw_matches_per_agent_draws(self, cfg, beta):
+        spec = cfg.uncertainty["large"]
+        basis = eigendecompose(spec.sigma)
+        switch_steps = set()
+        for seed in range(12):
+            policy = bench.Policy("ProbabilisticSimplex", beta, cfg, spec, basis,
+                                  np.random.default_rng(seed), ego_v0=17.0)
+            oracle_rng = np.random.default_rng(seed)
+            # The ego drifts toward a three-car platoon in the left lane; the
+            # policy latches at its first switch and draws nothing more.
+            for step, y in enumerate(np.linspace(1.0, 1.8, 41)):
+                ego = AgentState(0.0, float(y), 0.0, 17.0)
+                others = tuple(AgentState(x, 3.5, 0.0, 17.0) for x in (-12.0, 1.0, 14.0))
+                obs = ObservedWorld(ego=ego, others=others)
+                want = per_agent_draw_switch(obs, oracle_rng, cfg.simplex_samples, basis,
+                                             beta, cfg.rss)
+                mode = policy(obs, None)[2]
+                assert (mode == "safety") is want
+                if want:
+                    switch_steps.add(step)
+                    break
+        assert len(switch_steps) > 2
+
+    @pytest.mark.parametrize("kind", bench.POLICY_NAMES)
+    def test_one_kernel_call_per_step(self, cfg, small_set, kind, monkeypatch):
+        counts = {"geometry": 0, "pair_analysis_batch": 0, "violation_batch": 0,
+                  "decide": 0}
+
+        class CountedGeometry(rss._PairGeometry):
+            def __init__(self, *args):
+                counts["geometry"] += 1
+                super().__init__(*args)
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(rss, "_PairGeometry", CountedGeometry)
+        monkeypatch.setattr(prob_envelope, "pair_analysis_batch",
+                            counted("pair_analysis_batch", prob_envelope.pair_analysis_batch))
+        monkeypatch.setattr(bench, "violation_batch",
+                            counted("violation_batch", bench.violation_batch))
+        monkeypatch.setattr(bench.Policy, "_decide", counted("decide", bench.Policy._decide))
+        for scn in small_set[:3]:
+            bench.run_episode(scn, kind, 0.1, "small", cfg)
+        kernel = ("violation_batch" if kind in ("Simplex", "ProbabilisticSimplex")
+                  else "pair_analysis_batch")
+        assert counts["decide"] > 0
+        assert counts["geometry"] == counts[kernel] == counts["decide"]
 
 
 class TestSpearman:

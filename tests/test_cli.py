@@ -65,6 +65,14 @@ class TestEnvelopeCommand:
         assert code == 2
         assert "malformed JSON" in err
 
+    def test_integer_too_long_to_convert_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text('{"ego": {"v": 1' + "0" * 5000 + '}, "sigma": [0, 0, 0, 0]}')
+        code, out, err = run_cli(["envelope", "--input", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "malformed JSON" in err
+
     def test_unknown_field_named(self, envelope_input, capsys):
         path = envelope_input({
             "ego": {"x": 0, "y": 0, "theta": 0, "v": 17},
@@ -129,7 +137,38 @@ class TestEnvelopeCommand:
         code, out, err = run_cli(["envelope", "--input", str(path)], capsys)
         assert code == 2
         assert out == ""
-        assert "sigma must be finite" in err
+        assert "sigma[0] must be finite" in err
+
+    @pytest.mark.parametrize("text", ["NaN", "-Infinity", "1e400", "-1" + "0" * 400],
+                             ids=["nan", "-inf", "float-overflow", "int-overflow"])
+    def test_non_finite_agent_names_full_key(self, tmp_path, capsys, text):
+        path = tmp_path / "input.json"
+        path.write_text('{"ego": {"v": 15}, "sigma": [0.04, 0.04, 0.04, 1e-4], '
+                        '"agents": [{"x": 20, "v": 15}, {"x": ' + text + ', "v": 15}]}')
+        code, out, err = run_cli(["envelope", "--input", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "agents[1].x must be finite" in err
+
+    def test_one_kernel_call_per_row_budget(self, envelope_input, capsys, monkeypatch):
+        from riskenv import prob_envelope
+
+        rows = []
+        kernel = prob_envelope.pair_analysis_batch
+
+        def recorded(ego, ox, *args):
+            rows.append(len(ox))
+            return kernel(ego, ox, *args)
+
+        monkeypatch.setattr(prob_envelope, "pair_analysis_batch", recorded)
+        agents = [{"x": 10.0 * j, "y": 3.5, "theta": 0, "v": 15} for j in range(1, 4)]
+        for n_phi, n_agents, calls in ((8, 2, 1), (8, 3, 1), (12, 3, 2)):
+            rows.clear()
+            path = envelope_input({"ego": {"v": 17}, "agents": agents[:n_agents],
+                                   "sigma": [0.04, 0.04, 0.04, 1e-4], "n_phi": n_phi})
+            assert run_cli(["envelope", "--input", path], capsys)[0] == 0
+            assert len(rows) == calls
+            assert max(rows) <= prob_envelope.ROW_BUDGET
 
     @pytest.mark.parametrize("beta", ["abc", [0.1], -0.5, True])
     def test_bad_beta_exit_2(self, envelope_input, capsys, beta):
@@ -374,7 +413,8 @@ class TestValidateCommand:
         ('{"tau": -Infinity}', "tau"),
         ('{"tau": 1' + "0" * 400 + '}', "tau"),
         ('{"rss": {"rho": NaN}}', "rho"),
-        ('{"uncertainty": {"small": {"sigma": [0.04, NaN, 0.04, 1e-4]}}}', "sigma"),
+        ('{"uncertainty": {"small": {"sigma": [0.04, NaN, 0.04, 1e-4]}}}',
+         "uncertainty.small.sigma[1]"),
     ])
     def test_non_finite_number_rejected(self, tmp_path, capsys, text, key):
         path = tmp_path / "cfg.json"
@@ -396,6 +436,8 @@ class TestValidateCommand:
                                     "contour_levels": 5}}},
          "uncertainty.small.contour_levels"),
         ({"policies": "Simplex"}, "policies"),
+        ({"simplex_samples": 1000000000}, "simplex_samples"),
+        ({"simplex_samples": 50001}, "simplex_samples"),
     ])
     def test_wrong_type_rejected(self, tmp_path, capsys, data, key):
         path = tmp_path / "cfg.json"

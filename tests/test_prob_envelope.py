@@ -5,27 +5,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riskenv import prob_envelope
 from riskenv.prob_envelope import (
+    EXACT_SAMPLES,
+    ROW_BUDGET,
     ContourEnvelope,
     EnvelopeDistribution,
-    analyze_agent,
+    analyze_agents,
+    analyze_step,
     contour_samples,
     envelope_distribution,
     risk_bounded_envelope,
     should_switch,
+    worst_case,
 )
 from riskenv.rss import (
     AgentState,
     Envelope,
     RssParams,
-    pairwise_envelope,
     restrictive_sentinel,
     safe_distance_lat,
     safe_distance_lon,
     safety_envelope,
-    safety_violated,
     unrestricted_envelope,
-    worst_of,
+    violation_batch,
 )
 from riskenv.uncertainty import (
     UncertaintySpec,
@@ -34,7 +37,14 @@ from riskenv.uncertainty import (
     sample_contour,
 )
 
-from conftest import enumerate_risk_envelope, full_grid_contour
+from conftest import (
+    contour_loop_analysis,
+    enumerate_risk_envelope,
+    full_grid_contour,
+    pairwise_envelope,
+    safety_violated,
+    worst_of,
+)
 
 TAU = 0.2
 LEVELS = (0.25, 0.5, 0.75, 0.93, 0.97, 0.999)
@@ -51,10 +61,16 @@ def env_of(lon_max, lat_min=-4.0, lat_max=4.0, lon_min=-8.0):
     return Envelope(lon_min, lon_max, lat_min, lat_max)
 
 
-def worst_case(ego, obs, deviations, params):
+def analyze_one(ego, obs, samples, params, tau, agent_id=0):
+    """analyze_agents on one agent."""
+    [result] = analyze_agents(ego, [(agent_id, obs, samples)], params, tau)
+    return result
+
+
+def worst_case_of(ego, obs, deviations, params):
     """Envelope of a single explicit contour holding ``deviations``."""
     samples = ((0.5,), deviations, (deviations.shape[0],))
-    dist, _ = analyze_agent(ego, obs, samples, params, TAU)
+    dist, _ = analyze_one(ego, obs, samples, params, TAU)
     return dist.entries[0].envelope
 
 
@@ -62,15 +78,15 @@ class TestWorstCaseContourEnvelope:
     def test_zero_deviation_matches_pairwise(self, rss_params):
         ego = AgentState(0, 0, 0, 17)
         obs = AgentState(25, 0, 0, 15)
-        env = worst_case(ego, obs, np.zeros((1, 4)), rss_params)
+        env = worst_case_of(ego, obs, np.zeros((1, 4)), rss_params)
         assert env == pairwise_envelope(ego, obs, rss_params, TAU)
 
     def test_equals_most_restrictive_sample(self, rss_params):
         ego = AgentState(0, 0, 0, 17)
         obs = AgentState(26, 0, 0, 15)
         deviations = np.array([[-2.0, 0, 0, 0], [2.0, 0, 0, 0], [0, 0, 0.5, 0]])
-        env = worst_case(ego, obs, deviations, rss_params)
-        singles = [worst_case(ego, obs, d[None, :], rss_params) for d in deviations]
+        env = worst_case_of(ego, obs, deviations, rss_params)
+        singles = [worst_case_of(ego, obs, d[None, :], rss_params) for d in deviations]
         expected = singles[0]
         for s in singles[1:]:
             expected = worst_of(expected, s)
@@ -83,15 +99,15 @@ class TestWorstCaseContourEnvelope:
         ego = AgentState(0, 0, 0, 17)
         obs = AgentState(20, 1.5, 0, 16)
         devs = rng.normal(0, 0.5, size=(30, 4))
-        base = worst_case(ego, obs, devs[:10], rss_params)
-        more = worst_case(ego, obs, devs, rss_params)
+        base = worst_case_of(ego, obs, devs[:10], rss_params)
+        more = worst_case_of(ego, obs, devs, rss_params)
         assert more.a_lon_max <= base.a_lon_max
         assert more.a_lat_max <= base.a_lat_max
         assert more.a_lat_min >= base.a_lat_min
 
     def test_empty_rejected(self, rss_params):
         with pytest.raises(ValueError):
-            worst_case(AgentState(0, 0, 0, 1), AgentState(9, 0, 0, 1),
+            worst_case_of(AgentState(0, 0, 0, 1), AgentState(9, 0, 0, 1),
                        np.zeros((0, 4)), rss_params)
 
     def test_contours_are_consecutive_slices(self, rss_params):
@@ -99,11 +115,11 @@ class TestWorstCaseContourEnvelope:
         obs = AgentState(24, 0, 0, 15)
         near, far = np.array([[-3.0, 0, 0, 0]]), np.array([[3.0, 0, 0, 0], [4.0, 0, 0, 0]])
         samples = ((0.5, 0.9), np.concatenate([far, near]), (2, 1))
-        dist, _ = analyze_agent(ego, obs, samples, rss_params, TAU, agent_id=3)
+        dist, _ = analyze_one(ego, obs, samples, rss_params, TAU, agent_id=3)
         assert [e.contour_index for e in dist.entries] == [0, 1]
         assert {e.agent_id for e in dist.entries} == {3}
-        assert dist.entries[0].envelope == worst_case(ego, obs, far, rss_params)
-        assert dist.entries[1].envelope == worst_case(ego, obs, near, rss_params)
+        assert dist.entries[0].envelope == worst_case_of(ego, obs, far, rss_params)
+        assert dist.entries[1].envelope == worst_case_of(ego, obs, near, rss_params)
         assert dist.entries[1].probability_mass == pytest.approx(0.4)
         assert dist.residual_mass == pytest.approx(0.1)
 
@@ -247,7 +263,7 @@ def _random_dyadic_distributions(rng, n_agents=None):
 
 def expectation(ego, obs, spec, params):
     samples = contour_samples(eigendecompose(spec.sigma), spec)
-    return analyze_agent(ego, obs, samples, params, TAU)[1]
+    return analyze_one(ego, obs, samples, params, TAU)[1]
 
 
 class TestViolationExpectation:
@@ -287,7 +303,7 @@ class TestViolationExpectation:
         ego = AgentState(0, 0, 0, 15)
         obs = AgentState(10, 3.5, 0, 15)
         samples = ((0.5, 0.9), np.array([[0.0, 0, 0, 0], [0.0, -3.5, 0, 0]]), (1, 1))
-        _, e = analyze_agent(ego, obs, samples, rss_params, TAU)
+        _, e = analyze_one(ego, obs, samples, rss_params, TAU)
         assert not safety_violated(ego, [obs], rss_params)
         assert safety_violated(ego, [AgentState(10, 0, 0, 15)], rss_params)
         assert e == pytest.approx((0.9 - 0.5) + (1.0 - 0.9))
@@ -298,7 +314,7 @@ class TestViolationExpectation:
         ego = AgentState(0, 0, 0, 18)
         for x, violated in ((1.0, True), (300.0, False)):
             obs = AgentState(x, 0.2, 0, 17)
-            dist, exp = analyze_agent(ego, obs, samples, rss_params, TAU)
+            dist, exp = analyze_one(ego, obs, samples, rss_params, TAU)
             assert dist.residual_mass == 0.0
             assert [e.probability_mass for e in dist.entries] == [1.0]
             assert safety_violated(ego, [obs], rss_params) is violated
@@ -360,8 +376,8 @@ class TestContourSamples:
                     ego = AgentState(0.0, 3.5 * rng.integers(2), rng.normal(0.0, 0.03),
                                      rng.uniform(10.0, 25.0))
                     obs = self._nearby_agent(rng, ego, rss_params)
-                    dist, exp = analyze_agent(ego, obs, dedup, rss_params, TAU)
-                    want_dist, want_exp = analyze_agent(ego, obs, full, rss_params, TAU)
+                    dist, exp = analyze_one(ego, obs, dedup, rss_params, TAU)
+                    want_dist, want_exp = analyze_one(ego, obs, full, rss_params, TAU)
                     assert exp == want_exp
                     for got, want in zip(dist.entries, want_dist.entries):
                         g, w = got.envelope, want.envelope
@@ -432,3 +448,79 @@ class TestDegeneracyAndSoundness:
                 | (true_lat_min > ep.a_lat_min))
         rate = float(viol.mean())
         assert rate <= beta + 3 * math.sqrt(beta / n) + 0.02
+
+
+class TestAnalyzeAgents:
+    """One stacked pass over several agents against one pass per agent."""
+
+    @staticmethod
+    def _agents(rng, n_phi, n_agents):
+        spec = UncertaintySpec.from_diagonal([0.16, 0.09, 0.04, 4e-4], LEVELS, n_phi)
+        samples = contour_samples(eigendecompose(spec.sigma), spec)
+        agents = []
+        for agent_id in rng.permutation(100)[:n_agents]:
+            state = AgentState(float(rng.uniform(-30.0, 40.0)),
+                               float(3.5 * rng.integers(2) + rng.normal(0.0, 0.3)),
+                               float(rng.normal(0.0, 0.02)), float(rng.uniform(5.0, 25.0)))
+            agents.append((int(agent_id), state,
+                           EXACT_SAMPLES if rng.random() < 0.3 else samples))
+        return agents
+
+    @pytest.mark.parametrize("n_phi,n_agents", [(8, 1), (8, 6), (12, 3), (12, 5)])
+    def test_stacked_equals_one_agent_calls(self, rss_params, n_phi, n_agents):
+        rng = np.random.default_rng(100 * n_phi + n_agents)
+        ego = AgentState(0.0, 0.0, 0.01, 17.0)
+        for _ in range(4):
+            agents = self._agents(rng, n_phi, n_agents)
+            got = analyze_agents(ego, agents, rss_params, TAU)
+            want = [analyze_one(ego, state, samples, rss_params, TAU, agent_id=agent_id)
+                    for agent_id, state, samples in agents]
+            assert got == want
+            assert got == [contour_loop_analysis(ego, state, samples, rss_params, TAU,
+                                                 agent_id=agent_id)
+                           for agent_id, state, samples in agents]
+            assert [d.agent_id for d, _ in got] == [agent_id for agent_id, _, _ in agents]
+
+    def test_passes_split_between_whole_agents(self, rss_params, monkeypatch):
+        rows = []
+        kernel = prob_envelope.pair_analysis_batch
+
+        def recorded(ego, ox, *args):
+            rows.append(len(ox))
+            return kernel(ego, ox, *args)
+
+        monkeypatch.setattr(prob_envelope, "pair_analysis_batch", recorded)
+        ego = AgentState(0.0, 0.0, 0.0, 17.0)
+        spec = UncertaintySpec.from_diagonal([0.04, 0.04, 0.04, 1e-4], LEVELS, 12)
+        samples = contour_samples(eigendecompose(spec.sigma), spec)
+        per_agent = samples[1].shape[0]
+        assert 2 * per_agent <= ROW_BUDGET < 3 * per_agent
+        others = [AgentState(20.0 + 10.0 * j, 3.5, 0.0, 15.0) for j in range(3)]
+        analyze_step(ego, others, samples, others, rss_params, TAU)
+        assert rows == [2 * per_agent, per_agent + 3]
+        # An agent over the budget runs alone.
+        rows.clear()
+        big = ((0.5,), np.zeros((ROW_BUDGET + 1, 4)), (ROW_BUDGET + 1,))
+        analyze_agents(ego, [(0, others[0], EXACT_SAMPLES), (1, others[1], big),
+                             (2, others[2], EXACT_SAMPLES)], rss_params, TAU)
+        assert rows == [1, ROW_BUDGET + 1, 1]
+        assert analyze_agents(ego, [], rss_params, TAU) == []
+
+    def test_exact_analysis_is_the_deterministic_envelope(self, rss_params):
+        rng = np.random.default_rng(31)
+        spec = UncertaintySpec.from_diagonal([0.04, 0.04, 0.04, 1e-4], LEVELS, 8)
+        samples = contour_samples(eigendecompose(spec.sigma), spec)
+        for _ in range(40):
+            ego = AgentState(0.0, float(rng.uniform(0.0, 3.5)), 0.0, float(rng.uniform(10, 25)))
+            others = [AgentState(float(rng.uniform(-15.0, 30.0)), float(3.5 * rng.integers(2)),
+                                 0.0, float(rng.uniform(10.0, 25.0))) for _ in range(3)]
+            dists, expectations, exact_env = analyze_step(ego, others, EXACT_SAMPLES, others,
+                                                          rss_params, TAU)
+            want = safety_envelope(ego, others, rss_params, TAU)
+            assert exact_env == want == worst_case(dists, rss_params)
+            violated = violation_batch(ego, [o.x for o in others], [o.y for o in others],
+                                       [o.v for o in others], [o.theta for o in others],
+                                       rss_params)
+            assert should_switch(expectations, 0.0) is bool(violated.any())
+            assert analyze_step(ego, others, samples, None, rss_params, TAU)[2] is None
+        assert worst_case([], rss_params) == unrestricted_envelope(rss_params)

@@ -11,3 +11,11 @@ def test_star_import():
     namespace = {}
     exec("from riskenv import *", namespace)  # noqa: S102 - the point of the test
     assert set(riskenv.__all__) <= set(namespace)
+
+
+def test_test_only_helpers_not_exported():
+    # The per-pair helpers live with the tests; the violation flag comes from
+    # the one analysis path.
+    for name in ("pairwise_envelope", "worst_of", "safety_violated"):
+        assert name not in riskenv.__all__
+        assert not hasattr(riskenv, name)

@@ -14,18 +14,23 @@ from riskenv.rss import (
     RssParams,
     advance_speed_clamped,
     pair_analysis_batch,
-    pairwise_envelope,
     pairwise_envelope_batch,
     safe_distance_lat,
     safe_distance_lon,
     safety_envelope,
-    safety_violated,
     unrestricted_envelope,
-    worst_of,
     wrap_angle,
 )
 
-from conftest import oracle_max_lon_accel, simulate_lat_profile, simulate_lon_profile
+from conftest import (
+    bisect_largest,
+    oracle_max_lon_accel,
+    pairwise_envelope,
+    safety_violated,
+    simulate_lat_profile,
+    simulate_lon_profile,
+    worst_of,
+)
 
 TAU = 0.2
 
@@ -315,15 +320,9 @@ class TestBoundSolver:
 
     def test_matches_bisection_bit_for_bit(self, rss_params, legacy_params, monkeypatch):
         rng = np.random.default_rng(20261018)
-        fallback_rows = []
-        bisect_rows = rss._bisect_rows
-
-        def counted(cond, lo, hi, rows, iters):
-            fallback_rows.append(rows.size)
-            return bisect_rows(cond, lo, hi, rows, iters)
 
         def bisection_only(cond, root, lo, hi, n):
-            return rss._bisect_largest(cond, lo, hi, n)
+            return bisect_largest(cond, lo, hi, n)
 
         total = stopping = opening = interior = 0
         for params in (rss_params, legacy_params):
@@ -332,9 +331,7 @@ class TestBoundSolver:
                     ego = AgentState(0.0, float(rng.choice([0.0, 3.5])),
                                      float(rng.uniform(-0.3, 0.3)), ego_v)
                     rows = _kernel_rows(rng, ego, params, 2500)
-                    with monkeypatch.context() as m:
-                        m.setattr(rss, "_bisect_rows", counted)
-                        fast = pair_analysis_batch(ego, *rows, params, tau)
+                    fast = pair_analysis_batch(ego, *rows, params, tau)
                     with monkeypatch.context() as m:
                         m.setattr(rss, "_solve_largest", bisection_only)
                         ref = pair_analysis_batch(ego, *rows, params, tau)
@@ -351,24 +348,27 @@ class TestBoundSolver:
                     toward = np.where(rows[1] >= ego.y, lat_max, -lat_min)
                     opening += int((lat_in & (ego_lat + toward * tau < 0.0)).sum())
         assert total >= 100_000
-        # Every branch of both roots is exercised, and the bisection fallback
-        # stays rare.
+        # Every branch of both roots is exercised.
         assert interior > 10_000 and stopping > 100 and opening > 100
-        assert sum(fallback_rows) < 0.001 * interior
 
-    def test_wrong_root_falls_back_to_bisection(self):
+    def test_wrong_root_gets_most_restrictive_bound(self):
+        # Rows whose root is wrong get lo, the most restrictive bound; the
+        # others still get the bisection value.
         rng = np.random.default_rng(5)
         thresholds = rng.uniform(-8.0, 8.0, 1000)
+        wrong = rng.random(thresholds.size) < 0.5
 
         def cond(values, rows=None):
             return values <= (thresholds if rows is None else thresholds[rows])
 
-        ref = rss._bisect_largest(cond, -8.0, 8.0, thresholds.size)
-        for root in (lambda rows: thresholds[rows] + 0.5,
-                     lambda rows: np.full(rows.size, np.nan),
-                     lambda rows: np.full(rows.size, -np.inf)):
+        ref = bisect_largest(cond, -8.0, 8.0, thresholds.size)
+        for bad in (0.5, np.nan, -np.inf):
+            def root(rows, bad=bad):
+                return np.where(wrong[rows], thresholds[rows] + bad, thresholds[rows])
+
             got = rss._solve_largest(cond, root, -8.0, 8.0, thresholds.size)
-            assert np.array_equal(got, ref)
+            assert np.array_equal(got[~wrong], ref[~wrong])
+            assert np.all(got[wrong] == -8.0)
 
     def test_golden_rows(self):
         golden = json.loads((Path(__file__).parent / "kernel_golden.json").read_text())
