@@ -23,7 +23,7 @@ from riskenv.prob_envelope import (
     risk_bounded_envelope,
 )
 from riskenv.rss import AgentState, RssParams, pairwise_envelope_batch
-from riskenv.uncertainty import UncertaintySpec, eigendecompose
+from riskenv.uncertainty import UncertaintySpec
 
 CONFIGS = (
     ("following", AgentState(0, 0, 0, 17),
@@ -52,7 +52,7 @@ def main() -> int:
     print(f"{'config':<10}{'n_phi':>6}{'beta':>6} {'rate':>8} {'bound':>8}")
     for n_phi in args.n_phi:
         spec = UncertaintySpec(base.sigma, base.contour_levels, n_phi)
-        basis = eigendecompose(spec.sigma)
+        basis = spec.basis
         scale = np.sqrt(basis.eigenvalues)
         rng = np.random.default_rng(args.seed)
         for name, ego, others in CONFIGS:

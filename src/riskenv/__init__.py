@@ -16,7 +16,6 @@ from .uncertainty import (
     chi2_quantile_4,
     draw_noise,
     eigendecompose,
-    sample_contour,
 )
 from .prob_envelope import (
     ContourEnvelope,
@@ -32,7 +31,7 @@ __all__ = [
     "safe_distance_lat", "safe_distance_lon", "safety_envelope",
     "unrestricted_envelope",
     "EigenBasis", "UncertaintySpec", "chi2_cdf_4", "chi2_quantile_4",
-    "draw_noise", "eigendecompose", "sample_contour",
+    "draw_noise", "eigendecompose",
     "ContourEnvelope", "EnvelopeDistribution", "envelope_distribution",
     "risk_bounded_envelope", "should_switch",
     "RunConfig", "load_config",

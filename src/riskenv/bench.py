@@ -21,9 +21,7 @@ import numpy as np
 
 from .config import POLICY_NAMES, RunConfig
 from .prob_envelope import (
-    EXACT_SAMPLES,
     analyze_step,
-    contour_samples,
     risk_bounded_envelope,
     should_switch,
     stacked_states,
@@ -44,7 +42,7 @@ from .sim import (
     safety_maneuver,
     simulate,
 )
-from .uncertainty import EigenBasis, UncertaintySpec, eigendecompose
+from .uncertainty import EXACT_SAMPLES, UncertaintySpec, contour_samples
 
 BETA_FREE_POLICIES = ("EnvelopeRestriction", "Simplex")
 
@@ -103,23 +101,22 @@ def initial_world(scn: ScenarioConfig, cfg: RunConfig) -> WorldState:
 class Policy:
     """Per-episode policy closure handed to sim.simulate.
 
-    Carries the precomputed eigenbasis and contour samples of the
-    covariance case, its own RNG stream for sampled switching, and the latch.
+    Carries the eigenbasis and contour samples of the covariance case, its
+    own RNG stream for sampled switching, and the latch.
     """
 
-    def __init__(self, kind: str, beta: float, cfg: RunConfig,
-                 spec: UncertaintySpec, basis: EigenBasis,
+    def __init__(self, kind: str, beta: float, cfg: RunConfig, spec: UncertaintySpec,
                  policy_rng: np.random.Generator | None, ego_v0: float):
         if kind not in POLICY_NAMES:
             raise ValueError(f"unknown policy {kind!r}")
         self.kind = kind
         self.beta = beta
         self.cfg = cfg
-        self.basis = basis
+        self.basis = spec.basis
         self.rng = policy_rng
         self.ego_v0 = ego_v0
         self.latched = False
-        self.samples = (contour_samples(basis, spec)
+        self.samples = (contour_samples(self.basis, spec)
                         if kind == "ProbabilisticEnvelopeRestriction" else
                         EXACT_SAMPLES if kind == "EnvelopeRestriction" else None)
 
@@ -193,17 +190,16 @@ def run_episode(scn: ScenarioConfig, kind: str, beta: float, case: str,
     until commands diverge.
     """
     spec = cfg.uncertainty[case]
-    basis = eigendecompose(spec.sigma)
     ss = np.random.SeedSequence(entropy=scn.seed, spawn_key=(0,))
     obs_ss, policy_ss = ss.spawn(2)
     obs_rng = np.random.default_rng(obs_ss)
     policy_rng = np.random.default_rng(policy_ss)
     ego_v0 = cfg.idm.v0 if cfg.idm.v0 is not None else scn.ego_speed
-    policy = Policy(kind, beta, cfg, spec, basis, policy_rng, ego_v0=ego_v0)
+    policy = Policy(kind, beta, cfg, spec, policy_rng, ego_v0=ego_v0)
     world = initial_world(scn, cfg)
     others_v0 = tuple(cfg.idm.v0 if cfg.idm.v0 is not None else v
                       for _, _, v in scn.others)
-    return simulate(world, policy, basis, obs_rng, cfg.idm, others_v0,
+    return simulate(world, policy, spec.basis, obs_rng, cfg.idm, others_v0,
                     cfg.rss, scn.dt, scn.horizon, collect_trace=collect_trace)
 
 

@@ -30,14 +30,9 @@ from .config import (
     load_config,
     read_json,
 )
-from .prob_envelope import (
-    analyze_step,
-    contour_samples,
-    risk_bounded_envelope,
-    should_switch,
-)
+from .prob_envelope import analyze_step, risk_bounded_envelope, should_switch
 from .rss import unrestricted_envelope
-from .uncertainty import eigendecompose
+from .uncertainty import contour_samples
 
 log = logging.getLogger("riskenv")
 
@@ -60,7 +55,7 @@ def _envelope_dict(env) -> dict:
 def cmd_envelope(args) -> int:
     cfg = load_config(args.config)
     ego, agents, spec, beta, tau = envelope_input(read_json(args.input), cfg, args.beta)
-    samples = contour_samples(eigendecompose(spec.sigma), spec)
+    samples = contour_samples(spec.basis, spec)
     dists, expectations, det_env = analyze_step(ego, agents, samples, agents, cfg.rss, tau)
     prob_env = (risk_bounded_envelope(dists, beta, cfg.rss) if dists
                 else unrestricted_envelope(cfg.rss))
@@ -114,7 +109,17 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_benchmark(args) -> int:
+    cpus = available_cpus()
+    if not 1 <= args.jobs <= cpus:
+        raise ConfigError(f"--jobs must be in [1, {cpus}], got {args.jobs}")
     overrides = {"seed": args.seed, "policies": args.policies, "betas": args.betas}
     cfg = dataclasses.replace(load_config(args.config),
                               **{k: v for k, v in overrides.items() if v is not None})
@@ -181,7 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("benchmark", help="run the full rate sweep")
     p.add_argument("--config", default=None)
     p.add_argument("--out", default="results")
-    p.add_argument("--jobs", type=int, default=1, help="parallel cell workers")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel cell workers, at most the available CPUs")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--policies", type=lambda text: tuple(text.split(",")),
                    default=None, help="comma-separated policy names")

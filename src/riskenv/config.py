@@ -50,6 +50,18 @@ def check_tau(tau: float) -> float:
     return tau
 
 
+# Bounds on the scenario sizes, so that every accepted config runs in bounded
+# time and memory.  results.json keeps one record per scenario per cell (~60
+# cells in the default sweep): 10,000 scenarios, 100x the default, is ~70 MB.
+MAX_SCENARIOS = 10_000
+# A simulate trace keeps one record per step: 10,000 steps is 250x the
+# default episode (8 s at dt = 0.2 s).
+MAX_EPISODE_STEPS = 10_000
+# Each other agent adds its contour rows to every PER step: 100 agents, 50x
+# the default platoon, is 48,000 kernel rows per step on the default grid.
+MAX_OTHERS = 100
+
+
 @dataclass(frozen=True)
 class ScenarioParams:
     """Scenario generation: a two-vehicle platoon on the left lane straddling
@@ -66,16 +78,18 @@ class ScenarioParams:
     horizon: float = 8.0
 
     def __post_init__(self):
-        if self.n_scenarios < 1:
-            raise ConfigError("scenario.n_scenarios must be >= 1")
+        if not 1 <= self.n_scenarios <= MAX_SCENARIOS:
+            raise ConfigError(f"scenario.n_scenarios must be in [1, {MAX_SCENARIOS}]")
         if not (0.0 < self.speed_min <= self.speed_max):
             raise ConfigError("scenario speed range is invalid")
         if not (0.0 < self.gap_min <= self.gap_max):
             raise ConfigError("scenario gap range is invalid")
-        if self.n_others < 1:
-            raise ConfigError("scenario.n_others must be >= 1")
+        if not 1 <= self.n_others <= MAX_OTHERS:
+            raise ConfigError(f"scenario.n_others must be in [1, {MAX_OTHERS}]")
         if self.dt <= 0.0 or self.horizon <= 0.0:
             raise ConfigError("scenario dt and horizon must be > 0")
+        if self.horizon / self.dt > MAX_EPISODE_STEPS:
+            raise ConfigError(f"scenario.horizon / scenario.dt must be <= {MAX_EPISODE_STEPS}")
 
 
 @dataclass(frozen=True)
@@ -225,13 +239,20 @@ SPEC_READERS = {"sigma": _sigma, "contour_levels": _numbers, "n_phi": _integer}
 
 
 def uncertainty_spec(where: str, entry: dict, levels, n_phi) -> UncertaintySpec:
-    """UncertaintySpec from an object read by SPEC_READERS; its contour_levels
-    and n_phi default to ``levels`` and ``n_phi``."""
+    """UncertaintySpec from an object read by SPEC_READERS at the dotted key
+    ``where`` ("" for the envelope input); its contour_levels and n_phi
+    default to ``levels`` and ``n_phi``.  Its sigma is decomposed here, so a
+    matrix that is not positive semi-definite is a usage error."""
     try:
-        return UncertaintySpec(entry["sigma"], entry.get("contour_levels", levels),
+        spec = UncertaintySpec(entry["sigma"], entry.get("contour_levels", levels),
                                entry.get("n_phi", n_phi))
     except ValueError as exc:
-        raise ConfigError(f"invalid {where}: {exc}") from exc
+        raise ConfigError(f"invalid {where or 'input'}: {exc}") from exc
+    try:
+        spec.basis
+    except ValueError:
+        raise ConfigError(f"{_key(where, 'sigma')} must be positive semi-definite") from None
+    return spec
 
 
 TOP_LEVEL_READERS = {
@@ -277,7 +298,7 @@ def envelope_input(data, cfg: RunConfig, beta: float):
     to ``cfg.tau`` and beta to ``beta``."""
     data = _object(ENVELOPE_READERS, "", data, ("ego", "sigma"))
     base = cfg.uncertainty["small"]
-    spec = uncertainty_spec("input", data, base.contour_levels, base.n_phi)
+    spec = uncertainty_spec("", data, base.contour_levels, base.n_phi)
     tau = check_tau(data["tau"]) if "tau" in data else cfg.tau
     return (data["ego"], data.get("agents", ()), spec,
             check_beta(data.get("beta", beta)), tau)

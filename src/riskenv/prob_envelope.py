@@ -1,17 +1,17 @@
 """Risk-bounded envelopes over uncertain observations.
 
-The contour samples of a covariance are built once (``contour_samples``):
-the deviations on every confidence contour, stacked, with each contour
-carrying mass p_k - p_{k-1}.  One pass of the pair kernel over the
-perturbed states of several agents (``analyze_agents``) yields each agent's
-discrete distribution of worst-case envelopes, one per contour, and its
-violation expectation; the mass outside the outermost contour goes to a
-most-restrictive sentinel and counts as violated, so risk is never
-understated.  At zero covariance (``EXACT_SAMPLES``) the same pass gives
-each agent's deterministic envelope and violation flag.  The combined
-envelope is solved component-wise so that the probability of the true
-envelope being strictly more restrictive stays below the requested risk
-level.
+The contour samples of a covariance are built once
+(``uncertainty.contour_samples``): the deviations on every confidence
+contour, stacked, with each contour carrying mass p_k - p_{k-1}.  One pass
+of the pair kernel over the perturbed states of several agents
+(``analyze_agents``) yields each agent's discrete distribution of worst-case
+envelopes, one per contour, and its violation expectation; the mass outside
+the outermost contour goes to a most-restrictive sentinel and counts as
+violated, so risk is never understated.  At zero covariance
+(``EXACT_SAMPLES``) the same pass gives each agent's deterministic envelope
+and violation flag.  The combined envelope is solved component-wise so that
+the probability of the true envelope being strictly more restrictive stays
+below the requested risk level.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .rss import (
     unrestricted_envelope,
     wrap_angle,
 )
-from .uncertainty import EigenBasis, UncertaintySpec, sample_contour
+from .uncertainty import EXACT_SAMPLES, EigenBasis, UncertaintySpec, contour_samples
 
 MASS_TOL = 1e-12
 
@@ -78,30 +78,9 @@ def perturbed_state_arrays(obs: AgentState, deviations: np.ndarray):
     return ox, oy, ov, ot
 
 
-# Samples of a zero covariance: one zero deviation (a read-only row) carrying
-# all the mass, so the sentinel is bypassed and the expectation is the plain
-# violation indicator.
-EXACT_SAMPLES = ((1.0,), np.broadcast_to(0.0, (1, 4)), (1,))
-
 # Most kernel rows in one pass of analyze_agents: consecutive agents share a
 # pass up to this many rows, which keeps the kernel's temporaries small.
 ROW_BUDGET = 4096
-
-
-def contour_samples(basis: EigenBasis, spec: UncertaintySpec):
-    """Deviation samples of every contour, built once per covariance.
-
-    Returns (levels, deviations, counts): the contour levels, the stacked
-    (n, 4) deviations of all contours in level order, and the number of rows
-    of each contour.  Each contour holds the distinct points of the angle
-    grid (``sample_contour``), the same unit directions scaled to its
-    radius, so no point is evaluated twice.  Zero covariance collapses every
-    contour onto the observation itself (``EXACT_SAMPLES``).
-    """
-    if basis.max_eigenvalue <= 0.0:
-        return EXACT_SAMPLES
-    sets = [sample_contour(basis, p, spec.n_phi) for p in spec.contour_levels]
-    return spec.contour_levels, np.concatenate(sets), tuple(d.shape[0] for d in sets)
 
 
 def stacked_states(pairs):

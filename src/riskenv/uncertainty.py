@@ -8,6 +8,7 @@ of the covariance and rotated back to state coordinates.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -63,13 +64,14 @@ class UncertaintySpec:
     n_phi: int                             # angular samples per dimension, >= 2
 
     def __post_init__(self):
-        sigma = np.asarray(self.sigma, dtype=float)
+        sigma = np.array(self.sigma, dtype=float)  # a private, read-only copy
         if sigma.shape != (STATE_DIM, STATE_DIM):
             raise ValueError(f"sigma must be 4x4, got shape {sigma.shape}")
         if not np.isfinite(sigma).all():
             raise ValueError("sigma entries must be finite")
-        if not np.allclose(sigma, sigma.T, atol=1e-9):
+        if np.abs(sigma - sigma.T).max() > 1e-9:  # eigendecompose's tolerance
             raise ValueError("sigma must be symmetric")
+        sigma.flags.writeable = False
         object.__setattr__(self, "sigma", sigma)
         levels = tuple(float(p) for p in self.contour_levels)
         if not levels:
@@ -88,6 +90,12 @@ class UncertaintySpec:
                 f"n_phi = {self.n_phi} is too large for {len(levels)} contour "
                 f"levels: n_phi^3 x levels must be <= {MAX_GRID_SAMPLES}")
         object.__setattr__(self, "n_phi", n_phi)
+
+    @functools.cached_property
+    def basis(self) -> "EigenBasis":
+        """Eigendecomposition of sigma, computed on first use; raises
+        ValueError if sigma is not positive semi-definite."""
+        return eigendecompose(self.sigma)
 
     @staticmethod
     def from_diagonal(variances, contour_levels, n_phi) -> "UncertaintySpec":
@@ -209,34 +217,48 @@ def _distinct_grid(n_phi: int):
     return np.nonzero(keep)
 
 
-def sample_contour(basis: EigenBasis, p_k: float, n_phi: int) -> np.ndarray:
-    """Contour deviations at the distinct points of the angle grid
-    z * 2*pi / n_phi, z in 0..n_phi-1, as an (n, 4) array in lexicographic
-    (z1, z2, z3) order of the first grid index naming each point.
+# Samples of a zero covariance: one zero deviation (a read-only row) carrying
+# all the mass, so the sentinel is bypassed and the expectation is the plain
+# violation indicator.
+EXACT_SAMPLES = ((1.0,), np.broadcast_to(0.0, (1, 4)), (1,))
 
-    For even n_phi = 2h that is 2 + (h-1)(2 + (h-1) n_phi) rows, for odd
-    n_phi 1 + (n_phi-1)(1 + (n_phi-1) n_phi): 80 of the 512 grid points at
-    n_phi = 8.  Each row is bit-identical to the full grid's row at that
-    index; the dropped grid rows equal a kept row up to rounding.  The p_k
-    contour is the ellipsoid with radii sqrt(Q4(p_k) * lambda_i) along the
-    eigenvectors, so every contour is a scaled copy of the same set of unit
-    directions; points are rotated back to state coordinates."""
-    if n_phi < 2:
-        raise ValueError("n_phi must be >= 2")
-    if not (0.0 < p_k < 1.0):
-        raise ValueError(f"contour level must lie in (0, 1), got {p_k}")
-    r = np.sqrt(chi2_quantile_4(p_k) * basis.eigenvalues)
-    phis = np.arange(n_phi) * (2.0 * math.pi / n_phi)
+
+def contour_samples(basis: EigenBasis, spec: UncertaintySpec):
+    """Deviation samples of every contour of ``spec``, built once per covariance.
+
+    Returns (levels, deviations, counts): the contour levels, the stacked
+    (n, 4) deviations of all contours in level order, and the number of rows
+    of each contour.  The p_k contour is the ellipsoid with radii
+    sqrt(Q4(p_k) * lambda_i) along the eigenvectors, so every contour scales
+    the same directions: the distinct points of the angle grid
+    z * 2*pi / n_phi, z in 0..n_phi-1, in lexicographic (z1, z2, z3) order of
+    the first grid index naming each point, rotated back to state
+    coordinates.  For even n_phi = 2h that is 2 + (h-1)(2 + (h-1) n_phi) rows
+    per contour, for odd n_phi 1 + (n_phi-1)(1 + (n_phi-1) n_phi): 80 of the
+    512 grid points at n_phi = 8.  Each row is bit-identical to the full
+    grid's row at that index; the dropped grid rows equal a kept row up to
+    rounding.  Zero covariance collapses every contour onto the observation
+    itself (``EXACT_SAMPLES``).
+    """
+    if basis.max_eigenvalue <= 0.0:
+        return EXACT_SAMPLES
+    levels = spec.contour_levels
+    q = np.array([chi2_quantile_4(p) for p in levels])
+    r = np.sqrt(q[:, None, None] * basis.eigenvalues)  # (levels, 1, 4)
+    phis = np.arange(spec.n_phi) * (2.0 * math.pi / spec.n_phi)
     s = np.sin(phis)
     c = np.cos(phis)
-    g1, g2, g3 = _distinct_grid(n_phi)
+    g1, g2, g3 = _distinct_grid(spec.n_phi)
+    # The radius is the first factor of each product, so every level rounds
+    # as it would on its own.
     d_eigen = np.stack([
-        r[0] * c[g1],
-        r[1] * s[g1] * c[g2],
-        r[2] * s[g1] * s[g2] * c[g3],
-        r[3] * s[g1] * s[g2] * s[g3],
+        r[..., 0] * c[g1],
+        r[..., 1] * s[g1] * c[g2],
+        r[..., 2] * s[g1] * s[g2] * c[g3],
+        r[..., 3] * s[g1] * s[g2] * s[g3],
     ], axis=-1)
-    return d_eigen @ basis.eigenvectors.T
+    return (levels, d_eigen.reshape(-1, STATE_DIM) @ basis.eigenvectors.T,
+            (g1.size,) * len(levels))
 
 
 def draw_noise(sigma, rng: np.random.Generator) -> np.ndarray:

@@ -3,8 +3,8 @@
 The oracles deliberately avoid the library's fast paths: explicit braking
 profile simulation, discretized acceleration search, the 40-step bisection
 the closed-form bound solver reproduces, exhaustive joint enumeration of
-envelope distributions, one contour point at a time, and the full n_phi^3
-contour grid with its repeated points.
+envelope distributions, one contour point at a time, one contour level at a
+time, and the full n_phi^3 contour grid with its repeated points.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from riskenv import uncertainty
 from riskenv.prob_envelope import (
     EXACT_SAMPLES,
     ContourEnvelope,
@@ -35,7 +36,7 @@ from riskenv.rss import (
     safe_distance_lat,
     safe_distance_lon,
 )
-from riskenv.uncertainty import EigenBasis, chi2_quantile_4
+from riskenv.uncertainty import EigenBasis, _distinct_grid, chi2_quantile_4
 
 
 def simulate_lon_profile(v_rear: float, v_front: float, gap0: float,
@@ -255,6 +256,29 @@ def contour_deviation(basis: EigenBasis, p_k: float,
     return StateDeviation(*(basis.eigenvectors @ d_eigen))
 
 
+def sample_contour(basis: EigenBasis, p_k: float, n_phi: int) -> np.ndarray:
+    """One-level contour oracle: the deviations of the p_k contour at the
+    distinct points of the angle grid, as an (n, 4) array in lexicographic
+    order of the first grid index naming each point; ``contour_samples``
+    builds every level in one pass instead."""
+    if n_phi < 2:
+        raise ValueError("n_phi must be >= 2")
+    if not (0.0 < p_k < 1.0):
+        raise ValueError(f"contour level must lie in (0, 1), got {p_k}")
+    r = np.sqrt(chi2_quantile_4(p_k) * basis.eigenvalues)
+    phis = np.arange(n_phi) * (2.0 * math.pi / n_phi)
+    s = np.sin(phis)
+    c = np.cos(phis)
+    g1, g2, g3 = _distinct_grid(n_phi)
+    d_eigen = np.stack([
+        r[0] * c[g1],
+        r[1] * s[g1] * c[g2],
+        r[2] * s[g1] * s[g2] * c[g3],
+        r[3] * s[g1] * s[g2] * s[g3],
+    ], axis=-1)
+    return d_eigen @ basis.eigenvectors.T
+
+
 def full_grid_contour(basis: EigenBasis, p_k: float, n_phi: int) -> np.ndarray:
     """Full-grid contour oracle: the deviations at every grid index
     (z1, z2, z3), angles z * 2*pi / n_phi, as an (n_phi^3, 4) array in
@@ -294,6 +318,20 @@ def first_grid_indices(n_phi: int) -> np.ndarray:
 def mahalanobis_sq(delta: np.ndarray, sigma: np.ndarray) -> float:
     """Squared Mahalanobis distance of a deviation under a covariance."""
     return float(delta @ np.linalg.solve(sigma, delta))
+
+
+@pytest.fixture
+def eigendecompose_calls(monkeypatch) -> list:
+    """A list that grows by one sigma per ``uncertainty.eigendecompose`` call."""
+    calls = []
+    decompose = uncertainty.eigendecompose
+
+    def counted(sigma):
+        calls.append(sigma)
+        return decompose(sigma)
+
+    monkeypatch.setattr(uncertainty, "eigendecompose", counted)
+    return calls
 
 
 @pytest.fixture

@@ -55,9 +55,8 @@ class TestPolicyEquivalences:
         spec = UncertaintySpec.from_diagonal([0, 0, 0, 0],
                                              cfg.uncertainty["small"].contour_levels,
                                              cfg.uncertainty["small"].n_phi)
-        basis = eigendecompose(spec.sigma)
         rng = np.random.default_rng(0)
-        policy = bench.Policy(kind, beta, cfg, spec, basis, rng, ego_v0=ego.v)
+        policy = bench.Policy(kind, beta, cfg, spec, rng, ego_v0=ego.v)
         obs = ObservedWorld(ego=ego, others=tuple(others))
         return policy, obs
 
@@ -189,13 +188,12 @@ class TestOneAnalysisPerStep:
                                       "EnvelopeRestriction"])
     def test_audit_envelope_is_safety_envelope_on_true_states(self, cfg, kind):
         spec = cfg.uncertainty["large"]
-        basis = eigendecompose(spec.sigma)
         rng = np.random.default_rng(4)
         restricted = switched = 0
         for world in self._worlds(cfg):
-            obs = observe(world, basis, rng)
+            obs = observe(world, spec.basis, rng)
             # beta = 1: EnvelopeRestriction ignores it and still switches.
-            policy = bench.Policy(kind, 1.0, cfg, spec, basis, None, ego_v0=17.0)
+            policy = bench.Policy(kind, 1.0, cfg, spec, None, ego_v0=17.0)
             switch, envelope, true_env = policy._decide(obs, world)
             want = safety_envelope(world.ego, world.others, cfg.rss, cfg.tau)
             assert true_env == want
@@ -218,7 +216,7 @@ class TestOneAnalysisPerStep:
         basis = eigendecompose(spec.sigma)
         switch_steps = set()
         for seed in range(12):
-            policy = bench.Policy("ProbabilisticSimplex", beta, cfg, spec, basis,
+            policy = bench.Policy("ProbabilisticSimplex", beta, cfg, spec,
                                   np.random.default_rng(seed), ego_v0=17.0)
             oracle_rng = np.random.default_rng(seed)
             # The ego drifts toward a three-car platoon in the left lane; the
@@ -264,6 +262,18 @@ class TestOneAnalysisPerStep:
                   else "pair_analysis_batch")
         assert counts["decide"] > 0
         assert counts["geometry"] == counts[kernel] == counts["decide"]
+
+
+class TestOneDecompositionPerCovariance:
+    def test_run_cell_decomposes_each_spec_once(self, small_set, eigendecompose_calls):
+        cfg = RunConfig()
+        assert eigendecompose_calls == []
+        for policy in ("ProbabilisticEnvelopeRestriction", "ProbabilisticSimplex",
+                       "EnvelopeRestriction"):
+            bench.run_cell(small_set[:3], policy, "small", 0.1, cfg)
+        assert len(eigendecompose_calls) == 1
+        bench.run_cell(small_set[:3], "Simplex", "large", 0.1, cfg)
+        assert len(eigendecompose_calls) == 2
 
 
 class TestSpearman:

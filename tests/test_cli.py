@@ -7,8 +7,29 @@ import time
 import numpy as np
 import pytest
 
+from riskenv import cli
 from riskenv.cli import build_parser, main
-from riskenv.config import ConfigError, RunConfig, config_from_dict, load_config
+from riskenv.config import (
+    MAX_EPISODE_STEPS,
+    MAX_OTHERS,
+    MAX_SCENARIOS,
+    ConfigError,
+    RunConfig,
+    config_from_dict,
+    load_config,
+)
+
+# Symmetric covariances with a negative eigenvalue: a 4-entry diagonal and a
+# 16-entry matrix with eigenvalues 3, 1, 1 and -1.
+INDEFINITE_SIGMAS = pytest.mark.parametrize("sigma", [
+    [0.04, -0.04, 0.04, 1e-4],
+    [1, 2, 0, 0, 2, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1],
+], ids=["diagonal", "16-entry"])
+
+
+def two_cpus(monkeypatch):
+    """Make the process see two CPUs, whatever the host has."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
 def run_cli(args, capsys):
@@ -149,6 +170,24 @@ class TestEnvelopeCommand:
         assert code == 2
         assert out == ""
         assert "agents[1].x must be finite" in err
+
+    @INDEFINITE_SIGMAS
+    def test_indefinite_sigma_exit_2(self, envelope_input, capsys, sigma):
+        path = envelope_input({"ego": {"v": 15}, "agents": [{"x": 20, "v": 15}],
+                               "sigma": sigma})
+        code, out, err = run_cli(["envelope", "--input", path], capsys)
+        assert code == 2
+        assert out == ""
+        assert "error: sigma must be positive semi-definite" in err
+
+    def test_one_decomposition_per_query(self, envelope_input, capsys,
+                                         eigendecompose_calls):
+        path = envelope_input({"ego": {"v": 17}, "agents": [{"x": 20, "y": 3.5, "v": 15}],
+                               "sigma": [0.04, 0.01, 0, 0, 0.01, 0.04, 0, 0,
+                                         0, 0, 0.04, 0, 0, 0, 0, 1e-4]})
+        for calls in (1, 2):
+            assert run_cli(["envelope", "--input", path], capsys)[0] == 0
+            assert len(eigendecompose_calls) == calls
 
     def test_one_kernel_call_per_row_budget(self, envelope_input, capsys, monkeypatch):
         from riskenv import prob_envelope
@@ -361,7 +400,8 @@ class TestBenchmarkCommand:
         assert code == 2
         assert "Nope" in err
 
-    def test_parallel_jobs_identical_output(self, tmp_path, capsys):
+    def test_parallel_jobs_identical_output(self, tmp_path, capsys, monkeypatch):
+        two_cpus(monkeypatch)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"scenario": {"n_scenarios": 3}}))
         common = ["benchmark", "--config", str(cfg_path),
@@ -375,6 +415,77 @@ class TestBenchmarkCommand:
         assert code == 0
         assert (tmp_path / "serial" / "rates.csv").read_bytes() == \
             (tmp_path / "parallel" / "rates.csv").read_bytes()
+
+
+class TestJobsBound:
+    @pytest.mark.parametrize("jobs", ["0", "-1", "3", "100000"])
+    def test_out_of_range_exit_2_before_any_pool(self, tmp_path, monkeypatch, capsys,
+                                                 jobs):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(cli.multiprocessing, "Pool", no_pool)
+        two_cpus(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(["benchmark", f"--jobs={jobs}", "--policies", "Simplex"],
+                               capsys)
+        assert code == 2
+        assert f"--jobs must be in [1, 2], got {jobs}" in err
+        assert not (tmp_path / "results").exists()
+
+    def test_available_cpus_is_the_affinity_set(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                            raising=False)
+        assert cli.available_cpus() == 3
+
+
+class TestPositiveSemiDefiniteSigma:
+    @INDEFINITE_SIGMAS
+    @pytest.mark.parametrize("argv", [["validate"], ["simulate"],
+                                      ["benchmark", "--policies", "Simplex"]])
+    def test_config_exit_2(self, tmp_path, monkeypatch, capsys, argv, sigma):
+        monkeypatch.chdir(tmp_path)  # simulate and benchmark write to ./results
+        (tmp_path / "cfg.json").write_text(
+            json.dumps({"uncertainty": {"small": {"sigma": sigma}}}))
+        code, out, err = run_cli(argv + ["--config", "cfg.json"], capsys)
+        assert code == 2
+        assert "config ok" not in out
+        assert "uncertainty.small.sigma must be positive semi-definite" in err
+        assert not (tmp_path / "results").exists()
+
+    def test_default_specs_not_decomposed_at_load(self, eigendecompose_calls):
+        # RunConfig() runs once per envelope query.
+        RunConfig()
+        load_config(None)
+        config_from_dict({"n_phi": 6, "contour_levels": [0.5, 0.9]})
+        assert eigendecompose_calls == []
+        config_from_dict({"uncertainty": {"large": {"sigma": [0.1, 0.1, 0.1, 1e-3]}}})
+        assert len(eigendecompose_calls) == 1
+
+
+class TestScenarioBounds:
+    @pytest.mark.parametrize("scenario,key", [
+        ({"n_scenarios": 1000000000}, "scenario.n_scenarios"),
+        ({"n_scenarios": MAX_SCENARIOS + 1}, "scenario.n_scenarios"),
+        ({"horizon": 1e12}, "scenario.horizon"),
+        ({"dt": 1e-12}, "scenario.dt"),
+        ({"n_others": MAX_OTHERS + 1}, "scenario.n_others"),
+    ])
+    def test_too_large_rejected(self, tmp_path, capsys, scenario, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": scenario}))
+        code, out, err = run_cli(["validate", "--config", str(path)], capsys)
+        assert code == 2
+        assert "config ok" not in out
+        assert key in err
+
+    def test_bounds_admitted(self):
+        sp = config_from_dict({"scenario": {
+            "n_scenarios": MAX_SCENARIOS, "n_others": MAX_OTHERS,
+            "dt": 0.5, "horizon": 0.5 * MAX_EPISODE_STEPS}}).scenario
+        assert (sp.n_scenarios, sp.n_others) == (MAX_SCENARIOS, MAX_OTHERS)
+        defaults = RunConfig().scenario
+        assert defaults.horizon / defaults.dt <= MAX_EPISODE_STEPS
 
 
 class TestValidateCommand:

@@ -30,12 +30,7 @@ from riskenv.rss import (
     unrestricted_envelope,
     violation_batch,
 )
-from riskenv.uncertainty import (
-    UncertaintySpec,
-    chi2_quantile_4,
-    eigendecompose,
-    sample_contour,
-)
+from riskenv.uncertainty import UncertaintySpec, chi2_quantile_4, eigendecompose
 
 from conftest import (
     contour_loop_analysis,
@@ -43,6 +38,7 @@ from conftest import (
     full_grid_contour,
     pairwise_envelope,
     safety_violated,
+    sample_contour,
     worst_of,
 )
 

@@ -14,8 +14,15 @@ def test_star_import():
 
 
 def test_test_only_helpers_not_exported():
-    # The per-pair helpers live with the tests; the violation flag comes from
-    # the one analysis path.
-    for name in ("pairwise_envelope", "worst_of", "safety_violated"):
+    # The per-pair helpers and the one-level contour live with the tests; the
+    # violation flag comes from the one analysis path.
+    for name in ("pairwise_envelope", "worst_of", "safety_violated", "sample_contour"):
         assert name not in riskenv.__all__
         assert not hasattr(riskenv, name)
+    assert not hasattr(riskenv.uncertainty, "sample_contour")
+
+
+def test_one_contour_sampler():
+    # prob_envelope re-exports the sampler of uncertainty; it defines none.
+    assert riskenv.prob_envelope.contour_samples is riskenv.uncertainty.contour_samples
+    assert riskenv.prob_envelope.EXACT_SAMPLES is riskenv.uncertainty.EXACT_SAMPLES

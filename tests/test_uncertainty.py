@@ -11,9 +11,9 @@ from riskenv.uncertainty import (
     UncertaintySpec,
     chi2_cdf_4,
     chi2_quantile_4,
+    contour_samples,
     draw_noise,
     eigendecompose,
-    sample_contour,
 )
 
 from conftest import (
@@ -23,6 +23,7 @@ from conftest import (
     full_grid_contour,
     grid_representatives,
     mahalanobis_sq,
+    sample_contour,
 )
 
 
@@ -32,6 +33,15 @@ def distinct_grid_rows(n):
     if n % 2 == 0:
         return 2 + (h - 1) * (2 + (h - 1) * n)
     return 1 + (n - 1) * (1 + (n - 1) * n)
+
+
+def one_contour(basis, p, n_phi):
+    """The deviations ``contour_samples`` gives for a spec with the single
+    level p; it reads only the levels and n_phi of the spec."""
+    levels, deviations, counts = contour_samples(
+        basis, UncertaintySpec(np.eye(4), (p,), n_phi))
+    assert levels == (p,) and counts == (deviations.shape[0],)
+    return deviations
 
 
 def spectrum_basis(spectrum, rotate):
@@ -168,6 +178,25 @@ class TestContours:
         assert mahalanobis_sq(d.as_array(), sigma) == pytest.approx(
             chi2_quantile_4(p), abs=1e-9)
 
+    @pytest.mark.parametrize("name", [*SPECTRA, "random"])
+    def test_every_level_equals_one_level_oracle(self, name):
+        # One broadcast pass over all levels rounds each level's rows as the
+        # one-level oracle does.
+        rng = np.random.default_rng(8)
+        for n in range(2, 17):
+            if name == "random":
+                rot = random_rotation(rng)
+                b = eigendecompose(rot @ np.diag(rng.uniform(0.0, 2.0, 4)) @ rot.T)
+            else:
+                b = spectrum_basis(*SPECTRA[name])
+            for n_levels in range(1, 7):
+                levels = tuple(np.sort(rng.choice(999, n_levels, replace=False) + 1) / 1000)
+                got = contour_samples(b, UncertaintySpec(np.eye(4), levels, n))
+                want = [sample_contour(b, p, n) for p in levels]
+                assert got[0] == levels
+                assert got[2] == tuple(w.shape[0] for w in want)
+                assert np.array_equal(got[1], np.concatenate(want))
+
     def test_zero_eigenvalue_axis_stays_zero(self):
         b = eigendecompose(np.diag([1.0, 1.0, 1.0, 0.0]))
         for phi in np.linspace(0, 2 * math.pi, 7):
@@ -176,11 +205,11 @@ class TestContours:
 
     def test_sample_count(self):
         b = eigendecompose(np.diag([1.0, 1.0, 1.0, 1.0]))
-        assert sample_contour(b, 0.9, 2).shape == (2, 4)
-        assert sample_contour(b, 0.9, 5).shape == (85, 4)
-        assert sample_contour(b, 0.9, 8).shape == (80, 4)
+        assert one_contour(b, 0.9, 2).shape == (2, 4)
+        assert one_contour(b, 0.9, 5).shape == (85, 4)
+        assert one_contour(b, 0.9, 8).shape == (80, 4)
         for n in range(2, 17):
-            assert sample_contour(b, 0.9, n).shape == (distinct_grid_rows(n), 4)
+            assert one_contour(b, 0.9, n).shape == (distinct_grid_rows(n), 4)
             assert first_grid_indices(n).size == distinct_grid_rows(n)
 
     @pytest.mark.parametrize("name", SPECTRA)
@@ -188,14 +217,14 @@ class TestContours:
         b = spectrum_basis(*SPECTRA[name])
         for n in range(2, 17):
             for p in (0.25, 0.999):
-                assert np.array_equal(sample_contour(b, p, n),
+                assert np.array_equal(one_contour(b, p, n),
                                       full_grid_contour(b, p, n)[first_grid_indices(n)])
 
     @pytest.mark.parametrize("name", SPECTRA)
     def test_every_grid_row_is_a_kept_row(self, name):
         b = spectrum_basis(*SPECTRA[name])
         for n in range(2, 17):
-            kept = sample_contour(b, 0.9, n)
+            kept = one_contour(b, 0.9, n)
             full = full_grid_contour(b, 0.9, n)
             rep = grid_representatives(n)
             match = kept[np.searchsorted(first_grid_indices(n), rep)]
@@ -204,7 +233,7 @@ class TestContours:
     def test_kept_rows_are_distinct(self):
         b = spectrum_basis(*SPECTRA["rotated"])
         for n in range(2, 17):
-            kept = sample_contour(b, 0.9, n)
+            kept = one_contour(b, 0.9, n)
             for i, row in enumerate(kept[:-1]):
                 gap = np.abs(kept[i + 1:] - row).max(axis=1)
                 assert gap.min() > 1e-6 * np.abs(kept).max()
@@ -214,7 +243,7 @@ class TestContours:
         r = random_rotation(rng)
         sigma = r @ np.diag([2.0, 1.5, 1.0, 0.5]) @ r.T
         b = eigendecompose(sigma)
-        devs = sample_contour(b, 0.8, 4)
+        devs = one_contour(b, 0.8, 4)
         q = chi2_quantile_4(0.8)
         inv = np.linalg.inv(sigma)
         for d in devs:
@@ -227,7 +256,7 @@ class TestContours:
     def test_rows_match_scalar_oracle(self, spectrum, rotate):
         b = spectrum_basis(spectrum, rotate)
         for n in (5, 6):
-            devs = sample_contour(b, 0.9, n)
+            devs = one_contour(b, 0.9, n)
             step = 2.0 * math.pi / n
             want = [contour_deviation(b, 0.9, z1 * step, z2 * step, z3 * step).as_array()
                     for z1, z2, z3 in zip(*np.unravel_index(first_grid_indices(n),
@@ -238,7 +267,7 @@ class TestContours:
     def test_axis_extremes_present_with_nphi4(self):
         sigma = np.diag([4.0, 1.0, 1.0, 1.0])
         b = eigendecompose(sigma)
-        devs = sample_contour(b, 0.9, 4)
+        devs = one_contour(b, 0.9, 4)
         r0 = math.sqrt(chi2_quantile_4(0.9) * 4.0)
         hits = [d for d in devs if abs(abs(d[0]) - r0) < 1e-9
                 and np.abs(d[1:]).max() < 1e-9]
@@ -251,7 +280,7 @@ class TestContours:
         lam = np.diag([2.0, 1.0, 0.5, 0.25])
         sigma = r @ lam @ r.T
         b = eigendecompose(sigma)
-        devs = sample_contour(b, 0.9, 3)
+        devs = one_contour(b, 0.9, 3)
         inv_world = np.linalg.inv(sigma)
         for d in devs:
             d_eigen = b.eigenvectors.T @ d
@@ -304,6 +333,40 @@ class TestSpecValidation:
     def test_levels_must_be_probabilities(self):
         with pytest.raises(ValueError):
             UncertaintySpec.from_diagonal([1, 1, 1, 1], (0.5, 1.0), 4)
+
+    def test_sigma_is_a_read_only_copy(self):
+        m = np.diag([1.0, 2.0, 3.0, 4.0])
+        spec = UncertaintySpec(m, (0.9,), 4)
+        with pytest.raises(ValueError):
+            spec.sigma[0, 0] = 5.0
+        assert m.flags.writeable
+        m[0, 0] = 5.0
+        assert spec.sigma[0, 0] == 1.0
+
+    def test_basis_decomposed_once_on_first_use(self, eigendecompose_calls):
+        spec = UncertaintySpec.from_diagonal([1.0, 4.0, 2.0, 0.5], (0.9,), 4)
+        assert eigendecompose_calls == []
+        basis = spec.basis
+        assert spec.basis is basis
+        assert len(eigendecompose_calls) == 1
+        assert list(basis.eigenvalues) == [4.0, 2.0, 1.0, 0.5]
+
+    def test_basis_of_indefinite_sigma_raises(self):
+        spec = UncertaintySpec.from_diagonal([1.0, 1.0, 1.0, -0.5], (0.9,), 4)
+        with pytest.raises(ValueError, match="positive semi-definite"):
+            spec.basis
+
+    def test_symmetry_tolerance_matches_eigendecompose(self):
+        # An asymmetry inside allclose's relative tolerance but above
+        # eigendecompose's absolute one is rejected up front.
+        for gap, ok in ((1e-6, False), (1e-10, True)):
+            m = np.eye(4)
+            m[0, 1], m[1, 0] = 0.5, 0.5 + gap
+            if ok:
+                UncertaintySpec(m, (0.9,), 4).basis
+            else:
+                with pytest.raises(ValueError, match="symmetric"):
+                    UncertaintySpec(m, (0.9,), 4)
 
     def test_asymmetric_sigma_rejected(self):
         m = np.eye(4)
