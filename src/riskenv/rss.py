@@ -161,7 +161,12 @@ def less_restrictive_any(applied: Envelope, true_env: Envelope) -> bool:
 def advance_speed_clamped(v0, a, t):
     """Distance travelled and final speed after ``t`` seconds of constant
     acceleration ``a`` from speed ``v0``, with the speed clamped at 0 (no
-    reversing).  Works on scalars and arrays."""
+    reversing).  Works on scalars and arrays; two floats take a plain-float
+    path (one simulated agent) that matches the array path bit for bit."""
+    if isinstance(v0, float) and isinstance(a, float):
+        if a < 0.0 and v0 + a * t < 0.0:
+            return -v0 * v0 / (2.0 * a), 0.0
+        return v0 * t + 0.5 * a * t * t, v0 + a * t
     v0 = np.asarray(v0, dtype=float)
     a = np.asarray(a, dtype=float)
     stops = (a < 0.0) & (v0 + a * t < 0.0)

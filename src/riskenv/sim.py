@@ -10,7 +10,7 @@ itself exactly.  Episodes are fully determined by (config, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -114,11 +114,11 @@ def idm_accel(ego_v: float, gap: float, lead_v: float, params: IdmParams,
 
 def observe(world: WorldState, basis: EigenBasis,
             rng: np.random.Generator) -> ObservedWorld:
-    """Perturb every other agent with one fresh Gaussian deviation; the ego
-    state is copied exactly."""
+    """Perturb every other agent with one fresh Gaussian deviation, observed
+    as Python floats (not numpy scalars); the ego state is copied exactly."""
     observed = []
     for s in world.others:
-        d = draw_noise(basis, rng)
+        d = draw_noise(basis, rng).tolist()
         observed.append(AgentState(
             x=s.x + d[0],
             y=s.y + d[1],
@@ -211,7 +211,7 @@ def idm_step_others(world: WorldState, idm: IdmParams, others_v0: tuple[float, .
                 lead_v = v
         a = idm_accel(s.v, gap, lead_v, idm, others_v0[i], rss.a_lon_limit)
         dx, v2 = advance_speed_clamped(s.v, a, dt)
-        out.append(replace(s, x=s.x + float(dx), v=float(v2)))
+        out.append(AgentState(x=s.x + float(dx), y=s.y, theta=s.theta, v=float(v2)))
     return tuple(out)
 
 
@@ -277,7 +277,8 @@ def simulate(world: WorldState, policy, basis: EigenBasis,
         ego2 = integrate_ego(world.ego, a_lon, a_lat, dt)
         others2 = idm_step_others(world, idm, others_v0, rss, dt)
         result.steps += 1
-        world = replace(world, time=result.steps * dt, ego=ego2, others=others2)
+        world = WorldState(time=result.steps * dt, ego=ego2, others=others2,
+                           other_lanes=world.other_lanes, road=world.road)
         if env_violated is not None:
             result.envelope_steps += 1
             result.envelope_violations += int(env_violated)

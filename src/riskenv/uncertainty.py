@@ -261,13 +261,10 @@ def contour_samples(basis: EigenBasis, spec: UncertaintySpec):
             (g1.size,) * len(levels))
 
 
-def draw_noise(sigma, rng: np.random.Generator) -> np.ndarray:
-    """One Gaussian deviation (x, y, v, theta) as a length-4 array.
-
-    ``sigma`` may be a covariance matrix or a precomputed EigenBasis; the draw
-    transforms 4 independent standard normals by V diag(sqrt(lambda)).
-    """
-    basis = sigma if isinstance(sigma, EigenBasis) else eigendecompose(sigma)
+def draw_noise(basis: EigenBasis, rng: np.random.Generator) -> np.ndarray:
+    """One Gaussian deviation (x, y, v, theta) as a length-4 array: 4
+    independent standard normals transformed by V diag(sqrt(lambda)).
+    ``basis`` comes from ``eigendecompose(sigma)`` (or ``spec.basis``)."""
     z = rng.standard_normal(STATE_DIM)
     return basis.eigenvectors @ (np.sqrt(basis.eigenvalues) * z)
 

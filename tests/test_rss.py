@@ -260,6 +260,39 @@ class TestKinematics:
         assert float(v) == 0.0
         assert float(d) == pytest.approx(0.25)
 
+    @staticmethod
+    def assert_float_path_matches_array_path(v0, a, t):
+        with np.errstate(all="ignore"):
+            ref = advance_speed_clamped(np.array([v0]), np.array([a]), t)
+            got = advance_speed_clamped(v0, a, t)
+        for g, r in zip(got, ref):
+            assert isinstance(g, float)
+            if type(v0) is float and type(a) is float:
+                assert type(g) is float
+            assert np.array([g]).view(np.int64)[0] == r.view(np.int64)[0], (v0, a, t)
+
+    @given(v0=st.floats(allow_nan=False), a=st.floats(allow_nan=False),
+           t=st.floats(0.0, 10.0))
+    def test_float_path_matches_array_path(self, v0, a, t):
+        self.assert_float_path_matches_array_path(v0, a, t)
+
+    @given(a=st.floats(-1e6, 1e6), t=st.floats(0.0, 10.0), ulps=st.integers(-2, 2))
+    def test_float_path_at_the_stop_boundary(self, a, t, ulps):
+        v0 = -(a * t)  # v0 + a * t == 0 exactly
+        for _ in range(abs(ulps)):
+            v0 = math.nextafter(v0, math.copysign(math.inf, ulps))
+        self.assert_float_path_matches_array_path(v0, a, t)
+
+    @pytest.mark.parametrize("v0,a", [
+        (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.0, -8.0), (-0.0, -8.0),
+        (12.0, 0.0), (12.0, -0.0), (2.0, -10.0), (12.0, -1.3), (1e300, -1e300),
+        (1e308, 1e308), (5e-324, -5e-324),
+        (np.float64(12.0), np.float64(-1.3)), (np.float64(1.0), -8.0), (3.0, np.float64(-20.0)),
+    ])
+    def test_float_path_edge_inputs(self, v0, a):
+        for t in (0.0, 0.2, 1.0):
+            self.assert_float_path_matches_array_path(v0, a, t)
+
     @given(theta=st.floats(-20, 20))
     def test_wrap_angle_range(self, theta):
         w = wrap_angle(theta)

@@ -97,6 +97,16 @@ class TestObserve:
         b = [observe(world, basis, np.random.default_rng(5)) for _ in range(1)]
         assert a == b
 
+    @pytest.mark.parametrize("var", [0.0, 0.04])
+    def test_states_hold_python_floats(self, var):
+        basis = eigendecompose(self.spec(var).sigma)
+        world = world_with([AgentState(20.0, 3.5, 0.0, 15.0), AgentState(45.0, 3.5, 0.0, 17.0)],
+                           ego=AgentState(0.0, 0.0, 0.0, 17.0))
+        obs = observe(world, basis, np.random.default_rng(3))
+        stepped = idm_step_others(world, IDM, (15.0, 17.0), RSS, 0.2)
+        for s in obs.others + stepped + (integrate_ego(world.ego, -1.3, 0.4, 0.2),):
+            assert [type(getattr(s, f)) for f in ("x", "y", "theta", "v")] == [float] * 4
+
     def test_empirical_noise_covariance(self):
         spec = self.spec(0.04)
         basis = eigendecompose(spec.sigma)

@@ -292,7 +292,7 @@ class TestContours:
 class TestDrawNoise:
     def test_zero_covariance(self):
         rng = np.random.default_rng(1)
-        assert np.all(draw_noise(np.zeros((4, 4)), rng) == 0.0)
+        assert np.all(draw_noise(eigendecompose(np.zeros((4, 4))), rng) == 0.0)
 
     def test_same_seed_same_sequence(self):
         b = eigendecompose(np.diag([1.0, 2.0, 3.0, 4.0]))
