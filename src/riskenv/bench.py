@@ -42,7 +42,7 @@ from .sim import (
     safety_maneuver,
     simulate,
 )
-from .uncertainty import EXACT_SAMPLES, UncertaintySpec, contour_samples
+from .uncertainty import EXACT_SAMPLES, UncertaintySpec
 
 BETA_FREE_POLICIES = ("EnvelopeRestriction", "Simplex")
 
@@ -116,8 +116,7 @@ class Policy:
         self.rng = policy_rng
         self.ego_v0 = ego_v0
         self.latched = False
-        self.samples = (contour_samples(self.basis, spec)
-                        if kind == "ProbabilisticEnvelopeRestriction" else
+        self.samples = (spec.samples if kind == "ProbabilisticEnvelopeRestriction" else
                         EXACT_SAMPLES if kind == "EnvelopeRestriction" else None)
 
     # Returns (a_lon, a_lat, mode, envelope, env_violated) per simulate().

@@ -32,7 +32,6 @@ from .config import (
 )
 from .prob_envelope import analyze_step, risk_bounded_envelope, should_switch
 from .rss import unrestricted_envelope
-from .uncertainty import contour_samples
 
 log = logging.getLogger("riskenv")
 
@@ -55,8 +54,8 @@ def _envelope_dict(env) -> dict:
 def cmd_envelope(args) -> int:
     cfg = load_config(args.config)
     ego, agents, spec, beta, tau = envelope_input(read_json(args.input), cfg, args.beta)
-    samples = contour_samples(spec.basis, spec)
-    dists, expectations, det_env = analyze_step(ego, agents, samples, agents, cfg.rss, tau)
+    dists, expectations, det_env = analyze_step(ego, agents, spec.samples, agents, cfg.rss,
+                                                tau)
     prob_env = (risk_bounded_envelope(dists, beta, cfg.rss) if dists
                 else unrestricted_envelope(cfg.rss))
     out = {

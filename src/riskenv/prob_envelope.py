@@ -66,16 +66,8 @@ class EnvelopeDistribution:
 
 
 def perturbed_state_arrays(obs: AgentState, deviations: np.ndarray):
-    """Observed state plus deviations, with speeds clamped at 0 and headings
-    wrapped.  ``deviations`` is an (n, 4) array of (dx, dy, dv, dtheta)."""
-    d = np.asarray(deviations, dtype=float)
-    if d.ndim != 2 or d.shape[1] != 4:
-        raise ValueError(f"deviations must have shape (n, 4), got {d.shape}")
-    ox = obs.x + d[:, 0]
-    oy = obs.y + d[:, 1]
-    ov = np.maximum(obs.v + d[:, 2], 0.0)
-    ot = wrap_angle(obs.theta + d[:, 3])
-    return ox, oy, ov, ot
+    """``stacked_states`` of one observed state and its (n, 4) deviations."""
+    return stacked_states([(obs, deviations)])
 
 
 # Most kernel rows in one pass of analyze_agents: consecutive agents share a
@@ -84,9 +76,15 @@ ROW_BUDGET = 4096
 
 
 def stacked_states(pairs):
-    """``perturbed_state_arrays`` of each (state, deviations) pair, stacked."""
-    parts = [perturbed_state_arrays(state, d) for state, d in pairs]
-    return [np.concatenate(column) for column in zip(*parts)]
+    """(x, y, v, theta) arrays of each state plus its (n, 4) deviations, stacked
+    in pair order, with speeds clamped at 0 and headings wrapped."""
+    states, devs = zip(*pairs)
+    d = np.concatenate(devs)
+    if d.ndim != 2 or d.shape[1] != 4:
+        raise ValueError(f"deviations must have shape (n, 4), got {d.shape}")
+    table = np.array([(s.x, s.y, s.v, s.theta) for s in states], dtype=float)
+    p = np.repeat(table, [len(x) for x in devs], axis=0) + d
+    return p[:, 0], p[:, 1], np.maximum(p[:, 2], 0.0), wrap_angle(p[:, 3])
 
 
 def analyze_agents(ego: AgentState, agents, params: RssParams, tau: float):

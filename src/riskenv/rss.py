@@ -19,6 +19,8 @@ grid point and fails one grid step above.  That is exactly the point the
 bisection converges to, so the bounds are bit-identical to it (the tests
 keep the bisection as the oracle).  A row where neither the snapped point
 nor its grid neighbours pass the check gets the most restrictive bound.
+A condition takes a float (as at the physical limits) or a row array; at a
+float the ego's travel takes ``advance_speed_clamped``'s float path.
 """
 
 from __future__ import annotations
@@ -179,7 +181,6 @@ def advance_speed_clamped(v0, a, t):
 def braking_travel(v0, rate, t):
     """Displacement and final speed when braking toward standstill at
     ``rate`` for ``t`` seconds, valid for either sign of ``v0``."""
-    v0 = np.asarray(v0, dtype=float)
     dur = np.minimum(np.abs(v0) / rate, t)
     d = np.sign(v0) * (np.abs(v0) * dur - 0.5 * rate * dur * dur)
     v1 = np.sign(v0) * (np.abs(v0) - rate * dur)
@@ -228,30 +229,29 @@ def safe_distance_lat(v1_toward, v2_toward, params: RssParams):
     return d
 
 
-def _solve_largest(cond, root, lo: float, hi: float, n: int, iters: int = 40) -> np.ndarray:
+def _solve_largest(cond, root, lo: float, hi: float, iters: int = 40) -> np.ndarray:
     """Largest point g of the grid lo + k * (hi - lo) / 2**iters in [lo, hi]
     where the monotone-decreasing boolean condition holds; lo where even
     cond(lo) fails.
 
-    ``cond(values, rows)`` evaluates the condition at ``values`` for the
-    given row subset (rows=None means all rows), and ``root(rows)``
-    approximates its boundary.  The root is snapped down onto the grid
-    (spacing h) and accepted where cond(g) holds and cond(g + h) fails,
-    which is exactly the point an ``iters``-step bisection converges to.
-    Rows where neither the snapped point nor its grid neighbours pass that
-    check keep lo, the most restrictive bound."""
-    ok_hi = cond(np.full(n, hi), None)
+    ``cond(values, rows)`` evaluates the condition at ``values``, a float or
+    one value per row, for the given row subset (rows=None means all rows);
+    ``root(rows)`` approximates its boundary.  The root is snapped down onto
+    the grid (spacing h) and accepted where cond(g) holds and cond(g + h)
+    fails, which is exactly the point an ``iters``-step bisection converges
+    to.  Rows where no snapped point or grid neighbour passes keep lo."""
+    ok_hi = cond(hi, None)
     out = np.where(ok_hi, hi, lo)
-    rows = np.flatnonzero(~ok_hi)
+    rows = (~ok_hi).nonzero()[0]
     if rows.size:  # the bound lies inside where cond(lo) holds
-        rows = rows[cond(np.full(rows.size, lo), rows)]
+        rows = rows[cond(lo, rows)]
     if rows.size == 0:
         return out
     h = (hi - lo) / 2.0 ** iters
     k = np.floor((root(rows) - lo) / h)
     k = np.where(np.isfinite(k), k, 0.0)  # no real root: start from lo
     for off in (0, -1, 1):  # the snapped point, then its grid neighbours
-        g = lo + np.clip(k + off, 0.0, 2.0 ** iters - 1.0) * h
+        g = lo + np.minimum(np.maximum(k + off, 0.0), 2.0 ** iters - 1.0) * h
         hit = cond(g, rows) & ~cond(g + h, rows)
         out[rows[hit]] = g[hit]
         rows, k = rows[~hit], k[~hit]
@@ -275,10 +275,7 @@ class _PairGeometry:
         self.params = p
         self.u_lon = ego.v * math.cos(ego.theta)
         self.u_lat = ego.v * math.sin(ego.theta)
-        ox = np.asarray(ox, dtype=float)
-        oy = np.asarray(oy, dtype=float)
-        ov = np.asarray(ov, dtype=float)
-        otheta = np.asarray(otheta, dtype=float)
+        ox, oy, ov, otheta = (np.asarray(a, dtype=float) for a in (ox, oy, ov, otheta))
         self.n = ox.shape[0]
         self.w_lon = ov * np.cos(otheta)
         self.w_lat = ov * np.sin(otheta)
@@ -403,18 +400,18 @@ def pair_analysis_batch(ego: AgentState, ox, oy, ov, otheta,
     # Robustness of each direction under full ego dynamics for tau; a robust
     # direction keeps the pair non-dangerous without any restriction.
     lon_robust = np.zeros(n, dtype=bool)
-    idx_rear = np.flatnonzero(both_safe & g.other_ahead)
+    idx_rear = (both_safe & g.other_ahead).nonzero()[0]
     if idx_rear.size:
         cond, _ = g._lon_cond_rear(tau, idx_rear)
-        lon_robust[idx_rear] = cond(np.full(idx_rear.size, p.a_lon_limit))
-    idx_front = np.flatnonzero(both_safe & ~g.other_ahead)
+        lon_robust[idx_rear] = cond(p.a_lon_limit)
+    idx_front = (both_safe & ~g.other_ahead).nonzero()[0]
     if idx_front.size:
         lon_robust[idx_front] = g._lon_robust_front(tau, idx_front)
     lat_robust = np.zeros(n, dtype=bool)
-    idx_both = np.flatnonzero(both_safe)
+    idx_both = both_safe.nonzero()[0]
     if idx_both.size:
         cond, _ = g._lat_cond(tau, idx_both)
-        lat_robust[idx_both] = cond(np.full(idx_both.size, p.a_lat_limit))
+        lat_robust[idx_both] = cond(p.a_lat_limit)
 
     relax = both_safe & (lon_robust | lat_robust)
     contested = both_safe & ~relax
@@ -426,15 +423,14 @@ def pair_analysis_batch(ego: AgentState, ox, oy, ov, otheta,
     pick_lon = g.other_ahead & ((contested | danger) | (g.lon_safe & ~g.lat_safe))
     pick_lat = (g.lat_safe & ~g.lon_safe) | (contested & ~g.other_ahead) | danger
 
-    idx = np.flatnonzero(pick_lon)
+    idx = pick_lon.nonzero()[0]
     if idx.size:
         cond, root = g._lon_cond_rear(tau, idx)
-        a_lon_max[idx] = _solve_largest(cond, root, -p.a_lon_limit, p.a_lon_limit, idx.size)
-    idx = np.flatnonzero(pick_lat)
+        a_lon_max[idx] = _solve_largest(cond, root, -p.a_lon_limit, p.a_lon_limit)
+    idx = pick_lat.nonzero()[0]
     if idx.size:
         cond, root = g._lat_cond(tau, idx)
-        lat_toward_max[idx] = _solve_largest(cond, root, -p.a_lat_limit, p.a_lat_limit,
-                                             idx.size)
+        lat_toward_max[idx] = _solve_largest(cond, root, -p.a_lat_limit, p.a_lat_limit)
 
     a_lat_max = np.where(g.other_left, lat_toward_max, p.a_lat_limit)
     a_lat_min = np.where(g.other_left, -p.a_lat_limit, -lat_toward_max)

@@ -97,6 +97,13 @@ class UncertaintySpec:
         ValueError if sigma is not positive semi-definite."""
         return eigendecompose(self.sigma)
 
+    @functools.cached_property
+    def samples(self):
+        """``contour_samples(self.basis, self)`` on first use, deviations read-only."""
+        samples = contour_samples(self.basis, self)
+        samples[1].flags.writeable = False
+        return samples
+
     @staticmethod
     def from_diagonal(variances, contour_levels, n_phi) -> "UncertaintySpec":
         return UncertaintySpec(np.diag(np.asarray(variances, dtype=float)),

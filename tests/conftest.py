@@ -4,7 +4,8 @@ The oracles deliberately avoid the library's fast paths: explicit braking
 profile simulation, discretized acceleration search, the 40-step bisection
 the closed-form bound solver reproduces, exhaustive joint enumeration of
 envelope distributions, one contour point at a time, one contour level at a
-time, and the full n_phi^3 contour grid with its repeated points.
+time, one agent's perturbed states at a time, and the full n_phi^3 contour
+grid with its repeated points.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from riskenv.prob_envelope import (
     ContourEnvelope,
     EnvelopeDistribution,
     analyze_step,
-    perturbed_state_arrays,
     should_switch,
 )
 from riskenv.rss import (
@@ -35,6 +35,7 @@ from riskenv.rss import (
     restrictive_sentinel,
     safe_distance_lat,
     safe_distance_lon,
+    wrap_angle,
 )
 from riskenv.uncertainty import EigenBasis, _distinct_grid, chi2_quantile_4
 
@@ -159,6 +160,18 @@ def safety_violated(ego: AgentState, others, params: RssParams) -> bool:
     return should_switch(expectations, 0.0)
 
 
+def per_agent_states(pairs):
+    """Oracle of ``stacked_states``: each (state, deviations) pair perturbed
+    on its own (state plus deviations, speed clamped at 0, heading wrapped),
+    then the four columns concatenated."""
+    parts = []
+    for obs, deviations in pairs:
+        d = np.asarray(deviations, dtype=float)
+        parts.append((obs.x + d[:, 0], obs.y + d[:, 1], np.maximum(obs.v + d[:, 2], 0.0),
+                      wrap_angle(obs.theta + d[:, 3])))
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
 def contour_loop_analysis(ego: AgentState, obs: AgentState, samples, params: RssParams,
                           tau: float, agent_id: int = 0):
     """One agent's (EnvelopeDistribution, expectation), one kernel call for
@@ -166,7 +179,7 @@ def contour_loop_analysis(ego: AgentState, obs: AgentState, samples, params: Rss
     ``analyze_agents`` replaces."""
     levels, deviations, counts = samples
     lon_max, lat_min, lat_max, violated = pair_analysis_batch(
-        ego, *perturbed_state_arrays(obs, deviations), params, tau)
+        ego, *per_agent_states([(obs, deviations)]), params, tau)
     entries = []
     expectation = 1.0 - levels[-1]
     prev = 0.0

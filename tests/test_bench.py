@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from riskenv import bench, prob_envelope, rss
+from riskenv import bench, prob_envelope, rss, uncertainty
 from riskenv.config import RunConfig, ScenarioParams
 from riskenv.prob_envelope import perturbed_state_arrays
 from riskenv.rss import AgentState, safety_envelope, violation_batch
@@ -274,6 +274,21 @@ class TestOneDecompositionPerCovariance:
         assert len(eigendecompose_calls) == 1
         bench.run_cell(small_set[:3], "Simplex", "large", 0.1, cfg)
         assert len(eigendecompose_calls) == 2
+
+    def test_run_cell_samples_each_spec_once(self, small_set, monkeypatch):
+        calls = []
+        sample = uncertainty.contour_samples
+
+        def counted(basis, spec):
+            calls.append(spec)
+            return sample(basis, spec)
+
+        monkeypatch.setattr(uncertainty, "contour_samples", counted)
+        cfg = RunConfig()
+        for beta in (0.1, 0.6):
+            bench.run_cell(small_set[:3], "ProbabilisticEnvelopeRestriction", "small", beta,
+                           cfg)
+        assert len(calls) == 1 and calls[0] is cfg.uncertainty["small"]
 
 
 class TestSpearman:

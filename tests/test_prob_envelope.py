@@ -15,8 +15,10 @@ from riskenv.prob_envelope import (
     analyze_step,
     contour_samples,
     envelope_distribution,
+    perturbed_state_arrays,
     risk_bounded_envelope,
     should_switch,
+    stacked_states,
     worst_case,
 )
 from riskenv.rss import (
@@ -37,6 +39,7 @@ from conftest import (
     enumerate_risk_envelope,
     full_grid_contour,
     pairwise_envelope,
+    per_agent_states,
     safety_violated,
     sample_contour,
     worst_of,
@@ -520,3 +523,45 @@ class TestAnalyzeAgents:
             assert should_switch(expectations, 0.0) is bool(violated.any())
             assert analyze_step(ego, others, samples, None, rss_params, TAU)[2] is None
         assert worst_case([], rss_params) == unrestricted_envelope(rss_params)
+
+
+class TestStackedStates:
+    """The one stacking pass against the per-agent path, bit for bit."""
+
+    SAMPLES = UncertaintySpec.from_diagonal([0.16, 0.09, 0.25, 0.04], LEVELS, 6).samples
+
+    @given(seed=st.integers(0, 2**32 - 1), n_agents=st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_per_agent_path(self, seed, n_agents):
+        rng = np.random.default_rng(seed)
+        pairs = []
+        for _ in range(n_agents):
+            # Headings at +-pi wrap, speeds near 0 go below it.
+            theta = float(rng.choice([math.pi, math.nextafter(-math.pi, 0.0),
+                                      rng.uniform(-math.pi, math.pi)]))
+            v = float(rng.choice([0.0, rng.uniform(0.0, 0.5), rng.uniform(0.0, 30.0)]))
+            state = AgentState(float(rng.uniform(-50.0, 50.0)), float(rng.normal(0.0, 2.0)),
+                               theta, v)
+            m = int(rng.integers(1, 40))
+            devs = (EXACT_SAMPLES[1], self.SAMPLES[1], rng.normal(0.0, 0.5, (m, 4)),
+                    rng.uniform(-4.0, 4.0, (m, 4)))[int(rng.integers(4))]
+            pairs.append((state, devs))
+        got, want = stacked_states(pairs), per_agent_states(pairs)
+        assert len(got) == 4
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        assert (got[2] >= 0.0).all() and (np.abs(got[3]) <= math.pi).all()
+
+    def test_one_agent_view(self):
+        state = AgentState(3.0, 1.0, math.pi, 0.1)
+        devs = np.array([[0.5, -0.5, -1.0, 0.2], [0.0, 0.0, 0.0, -0.2]])
+        for g, w in zip(perturbed_state_arrays(state, devs), per_agent_states([(state, devs)])):
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4,), (2, 4, 1)])
+    def test_rejects_a_bad_shape(self, shape):
+        with pytest.raises(ValueError):
+            perturbed_state_arrays(AgentState(0.0, 0.0, 0.0, 1.0), np.zeros(shape))
+        with pytest.raises(ValueError):
+            stacked_states([(AgentState(0.0, 0.0, 0.0, 1.0), np.zeros((2, 4))),
+                            (AgentState(9.0, 0.0, 0.0, 1.0), np.zeros(shape))])

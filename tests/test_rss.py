@@ -348,14 +348,60 @@ def _kernel_rows(rng, ego, params, n):
     return ox, oy, ov, ot
 
 
+def same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape \
+        and got.tobytes() == want.tobytes()
+
+
+class TestConditionsAtAFloat:
+    """The kernel evaluates a condition at a constant acceleration (the
+    physical limits) with a float; that equals the same condition at a full
+    row array of that value, bit for bit."""
+
+    @staticmethod
+    def assert_float_matches_full(ego, value, tau, seed, subset):
+        rng = np.random.default_rng(seed)
+        params = RssParams()
+        g = rss._PairGeometry(ego, *_kernel_rows(rng, ego, params, 48), params)
+        idx = np.sort(rng.choice(48, int(rng.integers(1, 49)), replace=False))
+        rows = np.sort(rng.choice(idx.size, int(rng.integers(1, idx.size + 1)),
+                                  replace=False)) if subset else None
+        n = idx.size if rows is None else rows.size
+        for make in (g._lon_cond_rear, g._lat_cond):
+            cond, _ = make(tau, idx)
+            got, want = cond(value, rows), cond(np.full(n, value), rows)
+            assert same_bits(got, want), (make.__name__, value)
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           ego_v=st.sampled_from([0.0, 0.2, 12.0]) | st.floats(0.0, 40.0),
+           theta=st.sampled_from([0.0, 0.1, -0.3]) | st.floats(-math.pi / 2, math.pi / 2),
+           value=st.sampled_from([-8.0, -4.0, 0.0, -0.0, 4.0, 8.0]) | st.floats(-8.0, 8.0),
+           tau=st.sampled_from([0.1, 0.2, 0.25, 0.5]), subset=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_any_value(self, seed, ego_v, theta, value, tau, subset):
+        ego = AgentState(0.0, 0.0 if seed % 2 else 3.5, theta, ego_v)
+        self.assert_float_matches_full(ego, value, tau, seed, subset)
+
+    @given(seed=st.integers(0, 2**32 - 1), a=st.floats(-8.0, 0.0),
+           tau=st.sampled_from([0.1, 0.2, 0.25, 0.5]), ulps=st.integers(-2, 2),
+           subset=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_at_the_stop_boundary(self, seed, a, tau, ulps, subset):
+        v = -(a * tau)  # ego speed v + a * tau == 0 exactly (heading 0)
+        for _ in range(abs(ulps)):
+            v = math.nextafter(v, math.copysign(math.inf, ulps))
+        ego = AgentState(0.0, 0.0, 0.0, max(v, 0.0))
+        self.assert_float_matches_full(ego, a, tau, seed, subset)
+
+
 class TestBoundSolver:
     """The analytic bound solver against the 40-step bisection it replaces."""
 
     def test_matches_bisection_bit_for_bit(self, rss_params, legacy_params, monkeypatch):
         rng = np.random.default_rng(20261018)
 
-        def bisection_only(cond, root, lo, hi, n):
-            return bisect_largest(cond, lo, hi, n)
+        def bisection_only(cond, root, lo, hi):
+            return bisect_largest(cond, lo, hi, cond(hi, None).size)
 
         total = stopping = opening = interior = 0
         for params in (rss_params, legacy_params):
@@ -399,7 +445,7 @@ class TestBoundSolver:
             def root(rows, bad=bad):
                 return np.where(wrong[rows], thresholds[rows] + bad, thresholds[rows])
 
-            got = rss._solve_largest(cond, root, -8.0, 8.0, thresholds.size)
+            got = rss._solve_largest(cond, root, -8.0, 8.0)
             assert np.array_equal(got[~wrong], ref[~wrong])
             assert np.all(got[wrong] == -8.0)
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskenv.uncertainty import (
+    EXACT_SAMPLES,
     MAX_GRID_SAMPLES,
     EigenBasis,
     UncertaintySpec,
@@ -350,6 +351,20 @@ class TestSpecValidation:
         assert spec.basis is basis
         assert len(eigendecompose_calls) == 1
         assert list(basis.eigenvalues) == [4.0, 2.0, 1.0, 0.5]
+
+    def test_samples_built_once_and_read_only(self):
+        spec = UncertaintySpec.from_diagonal([1.0, 4.0, 2.0, 0.5], (0.5, 0.9), 6)
+        levels, devs, counts = spec.samples
+        assert spec.samples is spec.samples
+        want = contour_samples(spec.basis, spec)
+        assert levels == want[0] and counts == want[2]
+        assert np.array_equal(devs, want[1])
+        with pytest.raises(ValueError):
+            devs[0, 0] = 1.0
+        zero = UncertaintySpec.from_diagonal([0.0] * 4, (0.9,), 4).samples
+        assert zero is EXACT_SAMPLES
+        with pytest.raises(ValueError):
+            zero[1][0, 0] = 1.0
 
     def test_basis_of_indefinite_sigma_raises(self):
         spec = UncertaintySpec.from_diagonal([1.0, 1.0, 1.0, -0.5], (0.9,), 4)
