@@ -18,7 +18,6 @@ from .uncertainty import (
     eigendecompose,
 )
 from .prob_envelope import (
-    ContourEnvelope,
     EnvelopeDistribution,
     envelope_distribution,
     risk_bounded_envelope,
@@ -32,8 +31,8 @@ __all__ = [
     "unrestricted_envelope",
     "EigenBasis", "UncertaintySpec", "chi2_cdf_4", "chi2_quantile_4",
     "draw_noise", "eigendecompose",
-    "ContourEnvelope", "EnvelopeDistribution", "envelope_distribution",
-    "risk_bounded_envelope", "should_switch",
+    "EnvelopeDistribution", "envelope_distribution", "risk_bounded_envelope",
+    "should_switch",
     "RunConfig", "load_config",
 ]
 

@@ -55,8 +55,6 @@ class ScenarioConfig:
     seed: int
     ego_speed: float
     others: tuple[tuple[float, int, float], ...]  # (x, lane, speed)
-    dt: float = 0.2
-    horizon: float = 8.0
 
 
 def generate_scenarios(n: int, master_seed: int, cfg: RunConfig) -> list[ScenarioConfig]:
@@ -84,8 +82,7 @@ def generate_scenarios(n: int, master_seed: int, cfg: RunConfig) -> list[Scenari
             others.append((x, 1, float(rng.uniform(sp.speed_min, sp.speed_max))))
         seed = int(rng.integers(0, 2**31 - 1))
         scenarios.append(ScenarioConfig(index=i, seed=seed, ego_speed=ego_speed,
-                                        others=tuple(others), dt=sp.dt,
-                                        horizon=sp.horizon))
+                                        others=tuple(others)))
     return scenarios
 
 
@@ -155,8 +152,6 @@ class Policy:
             return should_switch(expectations, 0.0), worst_case(dists, cfg.rss), true_env
         if should_switch(expectations, self.beta):
             return True, None, true_env
-        if not dists:
-            return False, unrestricted_envelope(cfg.rss), true_env
         return False, risk_bounded_envelope(dists, self.beta, cfg.rss), true_env
 
     def _sampled_switch(self, obs: ObservedWorld) -> bool:
@@ -199,7 +194,8 @@ def run_episode(scn: ScenarioConfig, kind: str, beta: float, case: str,
     others_v0 = tuple(cfg.idm.v0 if cfg.idm.v0 is not None else v
                       for _, _, v in scn.others)
     return simulate(world, policy, spec.basis, obs_rng, cfg.idm, others_v0,
-                    cfg.rss, scn.dt, scn.horizon, collect_trace=collect_trace)
+                    cfg.rss, cfg.scenario.dt, cfg.scenario.horizon,
+                    collect_trace=collect_trace)
 
 
 @dataclass

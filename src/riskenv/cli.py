@@ -31,7 +31,6 @@ from .config import (
     read_json,
 )
 from .prob_envelope import analyze_step, risk_bounded_envelope, should_switch
-from .rss import unrestricted_envelope
 
 log = logging.getLogger("riskenv")
 
@@ -56,8 +55,7 @@ def cmd_envelope(args) -> int:
     ego, agents, spec, beta, tau = envelope_input(read_json(args.input), cfg, args.beta)
     dists, expectations, det_env = analyze_step(ego, agents, spec.samples, agents, cfg.rss,
                                                 tau)
-    prob_env = (risk_bounded_envelope(dists, beta, cfg.rss) if dists
-                else unrestricted_envelope(cfg.rss))
+    prob_env = risk_bounded_envelope(dists, beta, cfg.rss)
     out = {
         "deterministic_envelope": _envelope_dict(det_env),
         "probabilistic_envelope": _envelope_dict(prob_env),

@@ -37,28 +37,24 @@ MASS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class ContourEnvelope:
-    """Worst-case envelope over one confidence contour of one agent."""
-
-    agent_id: int
-    contour_index: int
-    probability_mass: float  # p_k - p_{k-1}
-    envelope: Envelope
-
-
-@dataclass(frozen=True)
 class EnvelopeDistribution:
     """Discrete distribution over worst-case envelopes for one agent.
 
-    The residual mass (beyond the outermost contour) maps to the sentinel.
+    Contour k carries mass ``masses[k]`` (p_k - p_{k-1}) and worst-case
+    envelope ``envelopes[k]``; the residual mass (beyond the outermost
+    contour) maps to the sentinel.
     """
 
     agent_id: int
-    entries: tuple[ContourEnvelope, ...]
+    masses: tuple[float, ...]
+    envelopes: tuple[Envelope, ...]
     residual_mass: float
 
     def __post_init__(self):
-        total = sum(e.probability_mass for e in self.entries) + self.residual_mass
+        if len(self.masses) != len(self.envelopes):
+            raise ValueError(f"{len(self.masses)} masses for "
+                             f"{len(self.envelopes)} envelopes")
+        total = sum(self.masses) + self.residual_mass
         if abs(total - 1.0) > MASS_TOL:
             raise ValueError(f"envelope distribution mass is {total}, expected 1")
         if self.residual_mass < 0.0:
@@ -138,17 +134,17 @@ def _analyze_pass(ego, agents, params, tau):
                    np.logical_or.reduceat(violated, starts).tolist())
     out = []
     for agent_id, _, (levels, _, _) in agents:  # each agent takes its contours
-        entries = []
+        masses, envelopes = [], []
         expectation = 1.0 - levels[-1]
         prev = 0.0
-        for k, (p_k, (lon, lat_lo, lat_hi, hit)) in enumerate(zip(levels, contours)):
-            env = Envelope(-params.a_lon_limit, lon, lat_lo, lat_hi)
-            entries.append(ContourEnvelope(agent_id, k, p_k - prev, env))
+        for p_k, (lon, lat_lo, lat_hi, hit) in zip(levels, contours):
+            masses.append(p_k - prev)
+            envelopes.append(Envelope(-params.a_lon_limit, lon, lat_lo, lat_hi))
             if hit:
                 expectation += p_k - prev
             prev = p_k
-        out.append((EnvelopeDistribution(agent_id, tuple(entries), 1.0 - prev),
-                    expectation))
+        out.append((EnvelopeDistribution(agent_id, tuple(masses), tuple(envelopes),
+                                         1.0 - prev), expectation))
     return out
 
 
@@ -167,12 +163,12 @@ def risk_bounded_envelope(distributions, beta: float, params: RssParams) -> Enve
     Solved per component: walk candidate values from most to least
     restrictive, accumulating per-agent mass strictly more restrictive than
     the candidate; the combined probability 1 - prod_j(1 - P_j) must not
-    exceed beta.
+    exceed beta.  With no distributions, the unrestricted envelope.
     """
+    check_beta(beta)
     distributions = list(distributions)
     if not distributions:
-        raise ValueError("at least one envelope distribution is required")
-    check_beta(beta)
+        return unrestricted_envelope(params)
     sentinel = restrictive_sentinel(params)
     values = {}
     for name, orientation in COMPONENTS:
@@ -182,9 +178,9 @@ def risk_bounded_envelope(distributions, beta: float, params: RssParams) -> Enve
             support: dict[float, float] = {}
             if dist.residual_mass > 0.0:
                 support[getattr(sentinel, name)] = dist.residual_mass
-            for entry in dist.entries:
-                v = getattr(entry.envelope, name)
-                support[v] = support.get(v, 0.0) + entry.probability_mass
+            for mass, env in zip(dist.masses, dist.envelopes):
+                v = getattr(env, name)
+                support[v] = support.get(v, 0.0) + mass
             supports.append(support)
         candidates = sorted({v for s in supports for v in s},
                             key=lambda v: orientation * v)
@@ -209,7 +205,7 @@ def risk_bounded_envelope(distributions, beta: float, params: RssParams) -> Enve
 def worst_case(distributions, params: RssParams) -> Envelope:
     """Component-wise most restrictive contour envelope of the distributions;
     the unrestricted envelope if there are none."""
-    envs = [e.envelope for d in distributions for e in d.entries]
+    envs = [e for d in distributions for e in d.envelopes]
     if not envs:
         return unrestricted_envelope(params)
     return Envelope(-params.a_lon_limit, min(e.a_lon_max for e in envs),

@@ -46,7 +46,6 @@ class RoadParams:
     """Two-lane road geometry and the goal region on the left lane."""
 
     lane_width: float = 3.5
-    n_lanes: int = 2
     goal_x_min: float = 60.0
     goal_x_max: float = 150.0
     goal_speed_min: float = 10.0

@@ -20,7 +20,6 @@ import pytest
 from riskenv import uncertainty
 from riskenv.prob_envelope import (
     EXACT_SAMPLES,
-    ContourEnvelope,
     EnvelopeDistribution,
     analyze_step,
     should_switch,
@@ -180,20 +179,21 @@ def contour_loop_analysis(ego: AgentState, obs: AgentState, samples, params: Rss
     levels, deviations, counts = samples
     lon_max, lat_min, lat_max, violated = pair_analysis_batch(
         ego, *per_agent_states([(obs, deviations)]), params, tau)
-    entries = []
+    masses, envelopes = [], []
     expectation = 1.0 - levels[-1]
     prev = 0.0
     start = 0
-    for k, (p_k, m) in enumerate(zip(levels, counts)):
+    for p_k, m in zip(levels, counts):
         sl = slice(start, start + m)
         start += m
-        env = Envelope(-params.a_lon_limit, float(lon_max[sl].min()),
-                       float(lat_min[sl].max()), float(lat_max[sl].min()))
-        entries.append(ContourEnvelope(agent_id, k, p_k - prev, env))
+        masses.append(p_k - prev)
+        envelopes.append(Envelope(-params.a_lon_limit, float(lon_max[sl].min()),
+                                  float(lat_min[sl].max()), float(lat_max[sl].min())))
         if violated[sl].any():
             expectation += p_k - prev
         prev = p_k
-    return EnvelopeDistribution(agent_id, tuple(entries), 1.0 - prev), expectation
+    return (EnvelopeDistribution(agent_id, tuple(masses), tuple(envelopes), 1.0 - prev),
+            expectation)
 
 
 def enumerate_risk_envelope(distributions, beta: float, params: RssParams) -> Envelope:
@@ -209,8 +209,8 @@ def enumerate_risk_envelope(distributions, beta: float, params: RssParams) -> En
     for name, orientation in COMPONENTS:
         supports = []
         for dist in distributions:
-            support = [(getattr(e.envelope, name), e.probability_mass)
-                       for e in dist.entries]
+            support = [(getattr(e, name), m)
+                       for m, e in zip(dist.masses, dist.envelopes)]
             if dist.residual_mass > 0.0:
                 support.append((getattr(sentinel, name), dist.residual_mass))
             supports.append(support)

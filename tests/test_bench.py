@@ -1,10 +1,11 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from riskenv import bench, prob_envelope, rss, uncertainty
-from riskenv.config import RunConfig, ScenarioParams
+from riskenv.config import COVARIANCE_CASES, RunConfig, ScenarioParams, load_config
 from riskenv.prob_envelope import perturbed_state_arrays
 from riskenv.rss import AgentState, safety_envelope, violation_batch
 from riskenv.sim import ObservedWorld, observe
@@ -132,6 +133,22 @@ class TestSweep:
             bench.sweep([], ["Simplex"], ["none"], [0.0], cfg)
         with pytest.raises(ValueError):
             bench.sweep(small_set, [], ["none"], [0.0], cfg)
+
+
+class TestQuickSweepDigest:
+    # The sha256 of the quick sweep's rates.csv under the default config: the
+    # rates of every policy, case and beta over 20 scenarios.  A change that
+    # moves it changes what the benchmark computes.
+    RATES_SHA256 = "27114b1a68c858daa800f53cbe7e07ed5ef67306ffa4e9a5ff0683f8cc70ffb5"
+
+    def test_quick_sweep_rates_unchanged(self):
+        # The sweep of ``scripts/run_benchmark.py --quick``.
+        cfg = load_config(None)
+        scenarios = bench.generate_scenarios(20, cfg.seed, cfg)
+        rows = bench.sweep(scenarios, list(cfg.policies), list(COVARIANCE_CASES),
+                           list(cfg.betas), cfg)
+        digest = hashlib.sha256(bench.rows_to_csv(rows).encode()).hexdigest()
+        assert digest == self.RATES_SHA256
 
 
 class TestDirectional:

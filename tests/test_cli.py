@@ -496,10 +496,12 @@ class TestValidateCommand:
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"rss": {"rho": 0.1, "wheelbase": 2.5}}))
-        code, _, err = run_cli(["validate", "--config", str(path)], capsys)
-        assert code == 2
-        assert "wheelbase" in err
+        for data, key in (({"rss": {"rho": 0.1, "wheelbase": 2.5}}, "rss.wheelbase"),
+                          ({"road": {"n_lanes": 3}}, "road.n_lanes")):
+            path.write_text(json.dumps(data))
+            code, _, err = run_cli(["validate", "--config", str(path)], capsys)
+            assert code == 2
+            assert key in err
 
     def test_nested_sigma_shorthand(self):
         cfg = config_from_dict({

@@ -9,7 +9,6 @@ from riskenv import prob_envelope
 from riskenv.prob_envelope import (
     EXACT_SAMPLES,
     ROW_BUDGET,
-    ContourEnvelope,
     EnvelopeDistribution,
     analyze_agents,
     analyze_step,
@@ -51,9 +50,8 @@ PARAMS = RssParams()
 
 
 def make_dist(masses_and_envs, residual, agent_id=0):
-    entries = tuple(ContourEnvelope(agent_id, k, m, e)
-                    for k, (m, e) in enumerate(masses_and_envs))
-    return EnvelopeDistribution(agent_id, entries, residual)
+    return EnvelopeDistribution(agent_id, tuple(m for m, _ in masses_and_envs),
+                                tuple(e for _, e in masses_and_envs), residual)
 
 
 def env_of(lon_max, lat_min=-4.0, lat_max=4.0, lon_min=-8.0):
@@ -70,7 +68,7 @@ def worst_case_of(ego, obs, deviations, params):
     """Envelope of a single explicit contour holding ``deviations``."""
     samples = ((0.5,), deviations, (deviations.shape[0],))
     dist, _ = analyze_one(ego, obs, samples, params, TAU)
-    return dist.entries[0].envelope
+    return dist.envelopes[0]
 
 
 class TestWorstCaseContourEnvelope:
@@ -115,11 +113,10 @@ class TestWorstCaseContourEnvelope:
         near, far = np.array([[-3.0, 0, 0, 0]]), np.array([[3.0, 0, 0, 0], [4.0, 0, 0, 0]])
         samples = ((0.5, 0.9), np.concatenate([far, near]), (2, 1))
         dist, _ = analyze_one(ego, obs, samples, rss_params, TAU, agent_id=3)
-        assert [e.contour_index for e in dist.entries] == [0, 1]
-        assert {e.agent_id for e in dist.entries} == {3}
-        assert dist.entries[0].envelope == worst_case_of(ego, obs, far, rss_params)
-        assert dist.entries[1].envelope == worst_case_of(ego, obs, near, rss_params)
-        assert dist.entries[1].probability_mass == pytest.approx(0.4)
+        assert dist.agent_id == 3
+        assert dist.envelopes == (worst_case_of(ego, obs, far, rss_params),
+                                  worst_case_of(ego, obs, near, rss_params))
+        assert dist.masses == pytest.approx((0.5, 0.4))
         assert dist.residual_mass == pytest.approx(0.1)
 
 
@@ -129,8 +126,8 @@ class TestEnvelopeDistribution:
         basis = eigendecompose(spec.sigma)
         dist = envelope_distribution(AgentState(0, 0, 0, 17), AgentState(30, 0, 0, 15),
                                      spec, basis, rss_params, TAU)
-        assert len(dist.entries) == 1
-        assert dist.entries[0].probability_mass == pytest.approx(0.999)
+        assert dist.masses == pytest.approx((0.999,))
+        assert len(dist.envelopes) == 1
         assert dist.residual_mass == pytest.approx(0.001)
 
     def test_zero_covariance_collapses(self, rss_params):
@@ -140,9 +137,8 @@ class TestEnvelopeDistribution:
         obs = AgentState(26, 0, 0, 15)
         dist = envelope_distribution(ego, obs, spec, basis, rss_params, TAU)
         assert dist.residual_mass == 0.0
-        assert len(dist.entries) == 1
-        assert dist.entries[0].probability_mass == 1.0
-        assert dist.entries[0].envelope == pairwise_envelope(ego, obs, rss_params, TAU)
+        assert dist.masses == (1.0,)
+        assert dist.envelopes == (pairwise_envelope(ego, obs, rss_params, TAU),)
 
     def test_nested_contours_monotone_on_head_on_geometry(self, rss_params):
         # Only x-deviations: proximity, and thus restriction, is monotone in
@@ -152,13 +148,18 @@ class TestEnvelopeDistribution:
         ego = AgentState(0, 0, 0, 17)
         obs = AgentState(28, 0, 0, 15)
         dist = envelope_distribution(ego, obs, spec, basis, rss_params, TAU)
-        lon_caps = [e.envelope.a_lon_max for e in dist.entries]
+        lon_caps = [e.a_lon_max for e in dist.envelopes]
         assert lon_caps[0] >= lon_caps[1] >= lon_caps[2]
         assert lon_caps[0] < rss_params.a_lon_limit
 
     def test_mass_invariant_enforced(self):
         with pytest.raises(ValueError):
-            EnvelopeDistribution(0, (ContourEnvelope(0, 0, 0.5, env_of(1.0)),), 0.4)
+            EnvelopeDistribution(0, (0.5,), (env_of(1.0),), 0.4)
+
+    @pytest.mark.parametrize("masses,n_envs", [((0.5, 0.5), 1), ((1.0,), 2), ((), 1)])
+    def test_mismatched_lengths_rejected(self, masses, n_envs):
+        with pytest.raises(ValueError, match="masses for"):
+            EnvelopeDistribution(0, masses, (env_of(1.0),) * n_envs, 1.0 - sum(masses))
 
 
 class TestRiskBoundedSolve:
@@ -191,12 +192,14 @@ class TestRiskBoundedSolve:
             want = enumerate_risk_envelope([d1, d2], beta, rss_params)
             assert got == want, f"beta={beta}"
 
-    def test_empty_input_rejected(self, rss_params):
-        with pytest.raises(ValueError):
-            risk_bounded_envelope([], 0.5, rss_params)
-        with pytest.raises(ValueError):
-            risk_bounded_envelope([make_dist([(1.0, env_of(1.0))], 0.0)], 1.5,
-                                  rss_params)
+    def test_empty_input_is_unrestricted(self, rss_params):
+        for beta in (0.0, 0.5, 1.0):
+            assert risk_bounded_envelope([], beta, rss_params) == unrestricted_envelope(
+                rss_params)
+        # beta is checked first, with or without distributions.
+        for dists in ([], [make_dist([(1.0, env_of(1.0))], 0.0)]):
+            with pytest.raises(ValueError):
+                risk_bounded_envelope(dists, 1.5, rss_params)
 
     @given(seed=st.integers(0, 100_000), beta64=st.integers(0, 64))
     @settings(max_examples=300, deadline=None)
@@ -315,7 +318,7 @@ class TestViolationExpectation:
             obs = AgentState(x, 0.2, 0, 17)
             dist, exp = analyze_one(ego, obs, samples, rss_params, TAU)
             assert dist.residual_mass == 0.0
-            assert [e.probability_mass for e in dist.entries] == [1.0]
+            assert dist.masses == (1.0,)
             assert safety_violated(ego, [obs], rss_params) is violated
             assert exp == (1.0 if violated else 0.0)
 
@@ -378,8 +381,7 @@ class TestContourSamples:
                     dist, exp = analyze_one(ego, obs, dedup, rss_params, TAU)
                     want_dist, want_exp = analyze_one(ego, obs, full, rss_params, TAU)
                     assert exp == want_exp
-                    for got, want in zip(dist.entries, want_dist.entries):
-                        g, w = got.envelope, want.envelope
+                    for g, w in zip(dist.envelopes, want_dist.envelopes):
                         assert g.a_lon_min == w.a_lon_min
                         assert abs(g.a_lon_max - w.a_lon_max) <= lon_step
                         assert abs(g.a_lat_min - w.a_lat_min) <= lat_step

@@ -15,11 +15,14 @@ def test_star_import():
 
 def test_test_only_helpers_not_exported():
     # The per-pair helpers and the one-level contour live with the tests; the
-    # violation flag comes from the one analysis path.
-    for name in ("pairwise_envelope", "worst_of", "safety_violated", "sample_contour"):
+    # violation flag comes from the one analysis path; a distribution holds
+    # its contours as masses and envelopes, with no per-contour record.
+    for name in ("pairwise_envelope", "worst_of", "safety_violated", "sample_contour",
+                 "ContourEnvelope"):
         assert name not in riskenv.__all__
         assert not hasattr(riskenv, name)
     assert not hasattr(riskenv.uncertainty, "sample_contour")
+    assert not hasattr(riskenv.prob_envelope, "ContourEnvelope")
 
 
 def test_one_contour_sampler():
