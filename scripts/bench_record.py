@@ -1,0 +1,153 @@
+#!/usr/bin/env python3
+"""Write a BENCH_<pr>.json perf record from two checkouts' perfbench results.
+
+Run ``perfbench/run.py`` in a checkout of the parent and in one of the
+change, in alternating order and with the same seeds; each run leaves
+``.perfbench/results/<workload>-seed<seed>-trace<0|1>.json`` in its checkout.
+This script pairs the results by workload and seed and writes, per workload,
+every pair (which side ran first is read from the file times), each side's
+median and quartiles of the end-to-end metrics, the change's wins and the
+gap against the parent's spread; traced runs (``--trace 1``) of one seed on
+both sides go to the "trace" section, with the run totals also per
+simulated step.
+
+    python3 scripts/bench_record.py --parent ../parent --change . --pr 11 \\
+        --title "Fewer array passes per contour-analysis step"
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+END_TO_END = {"ops_per_s": "higher", "setup_s": "lower", "peak_rss_mb": "lower"}
+# Run totals of a traced run, reported per simulated step (or per call).
+PER_STEP = (("rss.kernel.calls", "sim.steps"), ("rss.kernel.rows", "rss.kernel.calls"),
+            ("rss.advance_speed_clamped.calls", "sim.steps"))
+METHOD = ("alternating pairs, each in its own checkout of the parent and of the change; "
+          "'first' is the side whose result was written first; 'wins' counts pairs "
+          "where the change is better, ties counting for neither")
+
+
+def load_results(checkout: Path) -> dict:
+    """{(workload, seed, trace): (result, mtime)} of one checkout."""
+    out = {}
+    for path in sorted((checkout / ".perfbench" / "results").glob("*-seed*-trace*.json")):
+        data = json.loads(path.read_text())
+        ctx = data["report"]["context"]
+        trace = int(path.stem.rsplit("-trace", 1)[1])
+        out[(ctx["workload"], ctx["seed"], trace)] = (data, path.stat().st_mtime)
+    return out
+
+
+def quartiles(values) -> dict:
+    if len(values) == 1:
+        return {"q1": values[0], "median": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def side(data: dict) -> dict:
+    report = data["report"]
+    values = {name: data["metrics"][name]["value"] for name in END_TO_END}
+    return {**values, "correct": report["failed"] == 0,  # as run.py prints it
+            "failed": report["failed"], "attempted": report["attempted"]}
+
+
+def summary(pairs) -> dict:
+    out = {}
+    for name, better in END_TO_END.items():
+        parent = [p["parent"][name] for p in pairs]
+        change = [p["change"][name] for p in pairs]
+        sign = 1.0 if better == "higher" else -1.0
+        wins = sum(sign * (c - p) > 0.0 for p, c in zip(parent, change))
+        qp, qc = quartiles(parent), quartiles(change)
+        out[name] = {"better": better, "parent": qp, "change": qc,
+                     "change_wins": f"{wins}/{len(pairs)}",
+                     "median_ratio": qc["median"] / qp["median"],
+                     "parent_iqr": qp["q3"] - qp["q1"],
+                     "median_gap": qc["median"] - qp["median"]}
+    return out
+
+
+def traced(data: dict) -> dict:
+    metrics = {k: m["value"] for k, m in data["metrics"].items() if k not in data["absent"]}
+    for total, per in PER_STEP:
+        if metrics.get(per):
+            metrics[f"{total}_per_{per.rsplit('.', 1)[1]}"] = metrics[total] / metrics[per]
+    return metrics
+
+
+def git_head(checkout: Path) -> str | None:
+    try:
+        return subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
+                              capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def record(parent_dir: Path, change_dir: Path, title: str, seconds: float) -> dict:
+    parent, change = load_results(parent_dir), load_results(change_dir)
+    keys = sorted(set(parent) & set(change))
+    if not any(trace == 0 for _, _, trace in keys):
+        raise SystemExit("no workload and seed has --trace 0 results on both sides")
+    workloads, trace, sha = {}, {}, {"parent": set(), "change": set()}
+    for workload, seed, t in keys:
+        (p, p_time), (c, c_time) = parent[(workload, seed, t)], change[(workload, seed, t)]
+        sha["parent"].add(p["report"]["context"]["src_sha256"])
+        sha["change"].add(c["report"]["context"]["src_sha256"])
+        if t:
+            trace[f"{workload} seed {seed}"] = {
+                "command": f"python3 perfbench/run.py --workload {workload} --seed {seed} "
+                           f"--seconds {seconds:g} --trace 1",
+                "parent": traced(p), "change": traced(c)}
+            continue
+        workloads.setdefault(workload, {"pairs": []})["pairs"].append({
+            "seed": seed, "first": "parent" if p_time <= c_time else "change",
+            "parent": side(p), "change": side(c)})
+    for entry in workloads.values():
+        entry["summary"] = summary(entry["pairs"])
+    context = dict(change[keys[0]][0]["report"]["context"])
+    for key in ("seed", "workload", "commit", "src_sha256"):
+        context.pop(key, None)
+    return {
+        "change": title,
+        "parent_commit": git_head(parent_dir),
+        "command": f"python3 perfbench/run.py --workload <w> --seed <s> "
+                   f"--seconds {seconds:g} --trace 0",
+        "method": METHOD,
+        "context": context,
+        "src_sha256": {k: sorted(v)[0] if len(v) == 1 else sorted(v) for k, v in sha.items()},
+        "workloads": workloads,
+        "trace": trace,
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent")
+    parser.add_argument("--change", type=Path, default=Path("."), help="checkout of the change")
+    parser.add_argument("--pr", required=True, help="number in the file name BENCH_<pr>.json")
+    parser.add_argument("--title", required=True, help="one line naming the change")
+    parser.add_argument("--seconds", type=float, default=30.0,
+                        help="the --seconds every run used (recorded in the commands)")
+    parser.add_argument("--out-dir", type=Path, default=Path("."))
+    args = parser.parse_args()
+    rec = record(args.parent, args.change, args.title, args.seconds)
+    path = args.out_dir / f"BENCH_{args.pr}.json"
+    path.write_text(json.dumps(rec, indent=1) + "\n")
+    for workload, entry in rec["workloads"].items():
+        s = entry["summary"]["ops_per_s"]
+        print(f"{workload}: ops_per_s {s['parent']['median']:.1f} -> "
+              f"{s['change']['median']:.1f} ({s['median_ratio']:.3f}x, "
+              f"wins {s['change_wins']}, gap {s['median_gap']:.1f} vs parent IQR "
+              f"{s['parent_iqr']:.1f})")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .rss import AgentState, RssParams
+from .rss import MAX_SPEED, AgentState, RssParams
 from .sim import IdmParams, LateralControl, RoadParams
 from .uncertainty import MAX_SIMPLEX_ROWS, STATE_DIM, UncertaintySpec, integral
 
@@ -82,6 +82,9 @@ class ScenarioParams:
             raise ConfigError(f"scenario.n_scenarios must be in [1, {MAX_SCENARIOS}]")
         if not (0.0 < self.speed_min <= self.speed_max):
             raise ConfigError("scenario speed range is invalid")
+        if self.speed_max > MAX_SPEED:
+            raise ConfigError(f"scenario.speed_max must be <= {MAX_SPEED:g} m/s, "
+                              f"got {self.speed_max}")
         if not (0.0 < self.gap_min <= self.gap_max):
             raise ConfigError("scenario gap range is invalid")
         if not 1 <= self.n_others <= MAX_OTHERS:

@@ -17,6 +17,7 @@ below the requested risk level.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -79,7 +80,8 @@ def stacked_states(pairs):
     if d.ndim != 2 or d.shape[1] != 4:
         raise ValueError(f"deviations must have shape (n, 4), got {d.shape}")
     table = np.array([(s.x, s.y, s.v, s.theta) for s in states], dtype=float)
-    p = np.repeat(table, [len(x) for x in devs], axis=0) + d
+    p = np.repeat(table, [len(x) for x in devs], axis=0)
+    p += d
     return p[:, 0], p[:, 1], np.maximum(p[:, 2], 0.0), wrap_angle(p[:, 3])
 
 
@@ -94,6 +96,34 @@ def analyze_agents(ego: AgentState, agents, params: RssParams, tau: float):
     counts as violated if any of its perturbed states breaks both safe
     distances; the residual mass counts as violated.
     """
+    return _distributions(agents, iter(_contours(ego, agents, params, tau)), params)
+
+
+def analyze_step(ego: AgentState, observed, samples, exact, params: RssParams,
+                 tau: float):
+    """Everything one decision needs, from one stacked analysis (as in
+    ``analyze_agents``) of all the agents: the distributions and expectations
+    of the ``observed`` agents under ``samples``, and the worst-case envelope
+    of the ``exact`` agents at zero covariance (None when ``exact`` is None)."""
+    agents = [(j, s, samples) for j, s in enumerate(observed)]
+    exact_agents = [(j, s, EXACT_SAMPLES) for j, s in enumerate(exact or ())]
+    contours = _contours(ego, agents + exact_agents, params, tau)
+    analyses = _distributions(agents, iter(contours), params)
+    # Each exact agent has one contour, after those of the observed agents;
+    # their worst case is taken as ``worst_case`` takes it.
+    exact_env = None
+    if exact is not None:
+        tail = contours[len(agents) * len(samples[0]):]
+        exact_env = unrestricted_envelope(params) if not tail else Envelope(
+            -params.a_lon_limit, min(c[0] for c in tail), max(c[1] for c in tail),
+            min(c[2] for c in tail))
+    return [d for d, _ in analyses], [e for _, e in analyses], exact_env
+
+
+def _contours(ego, agents, params, tau):
+    """(a_lon_max, a_lat_min, a_lat_max, violated) of every contour of
+    ``agents`` in stacking order, each the worst case over the contour's
+    perturbed states, from passes of at most ``ROW_BUDGET`` rows."""
     out, chunk, rows = [], [], 0
     for agent in agents:
         n = agent[2][1].shape[0]
@@ -105,20 +135,6 @@ def analyze_agents(ego: AgentState, agents, params: RssParams, tau: float):
     return (out + _analyze_pass(ego, chunk, params, tau)) if chunk else out
 
 
-def analyze_step(ego: AgentState, observed, samples, exact, params: RssParams,
-                 tau: float):
-    """Everything one decision needs, from one ``analyze_agents`` call: the
-    distributions and expectations of the ``observed`` agents under
-    ``samples``, and the worst-case envelope of the ``exact`` agents at zero
-    covariance (None when ``exact`` is None)."""
-    n = len(observed)
-    analyses = analyze_agents(
-        ego, [(j, s, samples) for j, s in enumerate(observed)]
-        + [(j, s, EXACT_SAMPLES) for j, s in enumerate(exact or ())], params, tau)
-    exact_env = None if exact is None else worst_case([d for d, _ in analyses[n:]], params)
-    return [d for d, _ in analyses[:n]], [e for _, e in analyses[:n]], exact_env
-
-
 def _analyze_pass(ego, agents, params, tau):
     counts = [m for _, _, (_, _, agent_counts) in agents for m in agent_counts]
     if min(counts) < 1:
@@ -126,14 +142,18 @@ def _analyze_pass(ego, agents, params, tau):
     ox, oy, ov, ot = stacked_states((state, samples[1]) for _, state, samples in agents)
     lon_max, lat_min, lat_max, violated = pair_analysis_batch(
         ego, ox, oy, ov, ot, params, tau)
-    # Worst case and violation flag of each contour, in stacking order.
-    starts = np.cumsum([0, *counts[:-1]])
-    contours = zip(np.minimum.reduceat(lon_max, starts).tolist(),
-                   np.maximum.reduceat(lat_min, starts).tolist(),
-                   np.minimum.reduceat(lat_max, starts).tolist(),
-                   np.logical_or.reduceat(violated, starts).tolist())
+    starts = np.array([0, *accumulate(counts[:-1])])  # each contour's first row
+    return list(zip(np.minimum.reduceat(lon_max, starts).tolist(),
+                    np.maximum.reduceat(lat_min, starts).tolist(),
+                    np.minimum.reduceat(lat_max, starts).tolist(),
+                    np.logical_or.reduceat(violated, starts).tolist()))
+
+
+def _distributions(agents, contours, params):
+    """(EnvelopeDistribution, expectation) of each agent, which takes its
+    contours from the iterator ``contours`` in turn."""
     out = []
-    for agent_id, _, (levels, _, _) in agents:  # each agent takes its contours
+    for agent_id, _, (levels, _, _) in agents:
         masses, envelopes = [], []
         expectation = 1.0 - levels[-1]
         prev = 0.0

@@ -19,8 +19,11 @@ grid point and fails one grid step above.  That is exactly the point the
 bisection converges to, so the bounds are bit-identical to it (the tests
 keep the bisection as the oracle).  A row where neither the snapped point
 nor its grid neighbours pass the check gets the most restrictive bound.
-A condition takes a float (as at the physical limits) or a row array; at a
-float the ego's travel takes ``advance_speed_clamped``'s float path.
+One kernel call builds each condition once, over the rows that need its
+robustness check or its bound solve, and evaluates it once at its physical
+limit for both.  Terms that do not depend on the ego's acceleration are
+computed once per call.  A condition takes a float (as at the physical
+limits) or a row array; at a float the ego's terms stay Python floats.
 """
 
 from __future__ import annotations
@@ -31,6 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+# Bounds on a physical state: every accepted state keeps the kernel's
+# arithmetic (squares of speeds, gaps over tau**2) far inside the float range.
+MAX_SPEED = 100.0      # m/s
+MAX_POSITION = 1e7     # |x| and |y| (m)
 
 
 def wrap_angle(theta):
@@ -38,13 +45,20 @@ def wrap_angle(theta):
 
     Python floats take a ``math`` path (the simulator wraps one heading per
     agent per step); it matches the numpy path bit for bit, because both
-    take the floored remainder of the same sum.
+    take the floored remainder of the same sum.  An array whose sums all lie
+    in [0, 2 pi) skips ``np.mod``: there the remainder is the sum itself.
+    Rounding is monotone, so no sum maps to -pi if the smallest one does not.
     """
     if isinstance(theta, float):
         w = (float(theta) + math.pi) % TWO_PI - math.pi
         return math.pi if w == -math.pi else w
-    w = np.mod(np.asarray(theta, dtype=float) + math.pi, TWO_PI) - math.pi
-    w = np.where(w == -math.pi, math.pi, w)
+    s = np.asarray(theta, dtype=float) + math.pi
+    lo = s.min() if s.size else math.nan
+    if not (lo >= 0.0 and s.max() < TWO_PI):  # NaN fails too
+        s, lo = np.mod(s, TWO_PI), 0.0
+    w = s - math.pi
+    if lo - math.pi == -math.pi:
+        w = np.where(w == -math.pi, math.pi, w)
     if np.ndim(theta) == 0:
         return float(w)
     return w
@@ -60,11 +74,12 @@ class AgentState:
     v: float      # speed along heading (m/s), >= 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.v)):
-            raise ValueError(f"position and speed must be finite, got "
-                             f"x={self.x}, y={self.y}, v={self.v}")
-        if not (self.v >= 0.0):
-            raise ValueError(f"speed must be >= 0, got {self.v}")
+        for name in ("x", "y"):  # NaN fails the comparison too
+            if not abs(getattr(self, name)) <= MAX_POSITION:
+                raise ValueError(f"{name} must be finite with |{name}| <= {MAX_POSITION:g} m, "
+                                 f"got {getattr(self, name)}")
+        if not (0.0 <= self.v <= MAX_SPEED):
+            raise ValueError(f"v must be finite and in [0, {MAX_SPEED:g}] m/s, got {self.v}")
         if not (-math.pi < self.theta <= math.pi):
             raise ValueError(f"heading must lie in (-pi, pi], got {self.theta}")
 
@@ -164,27 +179,70 @@ def advance_speed_clamped(v0, a, t):
     """Distance travelled and final speed after ``t`` seconds of constant
     acceleration ``a`` from speed ``v0``, with the speed clamped at 0 (no
     reversing).  Works on scalars and arrays; two floats take a plain-float
-    path (one simulated agent) that matches the array path bit for bit."""
+    path (one simulated agent) that matches the array path bit for bit, and
+    a float ``v0`` stays a float on the array path."""
     if isinstance(v0, float) and isinstance(a, float):
         if a < 0.0 and v0 + a * t < 0.0:
             return -v0 * v0 / (2.0 * a), 0.0
         return v0 * t + 0.5 * a * t * t, v0 + a * t
-    v0 = np.asarray(v0, dtype=float)
+    if not isinstance(v0, float):
+        v0 = np.asarray(v0, dtype=float)
     a = np.asarray(a, dtype=float)
-    stops = (a < 0.0) & (v0 + a * t < 0.0)
-    denom = np.where(stops, a, -1.0)  # placeholder where not stopping
-    d = np.where(stops, -v0 * v0 / (2.0 * denom), v0 * t + 0.5 * a * t * t)
-    v1 = np.where(stops, 0.0, v0 + a * t)
+    v1 = v0 + a * t
+    d = v0 * t + 0.5 * a * t * t
+    stops = (a < 0.0) & (v1 < 0.0)
+    if stops.any():
+        denom = np.where(stops, a, -1.0)  # placeholder where not stopping
+        d = np.where(stops, -v0 * v0 / (2.0 * denom), d)
+        v1 = np.where(stops, 0.0, v1)
     return d, v1
 
 
 def braking_travel(v0, rate, t):
     """Displacement and final speed when braking toward standstill at
     ``rate`` for ``t`` seconds, valid for either sign of ``v0``."""
-    dur = np.minimum(np.abs(v0) / rate, t)
-    d = np.sign(v0) * (np.abs(v0) * dur - 0.5 * rate * dur * dur)
-    v1 = np.sign(v0) * (np.abs(v0) - rate * dur)
-    return d, v1
+    speed, sign = np.abs(v0), np.sign(v0)
+    dur = np.minimum(speed / rate, t)
+    return sign * (speed * dur - 0.5 * rate * dur * dur), sign * (speed - rate * dur)
+
+
+# The safe distances take floats or arrays: floats stay Python floats (no
+# 0-d arrays), anything else becomes an array.  The kernel evaluates their
+# parts separately, in the same operation order as the whole.
+
+def _nonneg(v):
+    """``max(v, 0)``: an array for an array (or a list), a float otherwise."""
+    if not isinstance(v, float):
+        v = np.asarray(v, dtype=float)
+        if v.ndim:
+            return np.maximum(v, 0.0)
+    return max(float(v), 0.0)
+
+
+def _rear_lon(v, p: RssParams):
+    """The rear vehicle's part of ``safe_distance_lon`` at speed v >= 0."""
+    v_resp = v + p.rho * p.a_max_accel_lon
+    return (v * p.rho + 0.5 * p.a_max_accel_lon * p.rho * p.rho
+            + v_resp * v_resp / (2.0 * p.b_min_brake_lon))
+
+
+def _front_lon(v, p: RssParams):
+    """The front vehicle's part of ``safe_distance_lon`` at speed v >= 0."""
+    return v * v / (2.0 * p.b_max_brake_lon)
+
+
+def _side_lat(v, p: RssParams):
+    """One side's (travel, braking) terms of ``safe_distance_lat`` at
+    closing speed v >= 0."""
+    v_resp = v + p.rho * p.a_max_accel_lat
+    return v_resp * p.rho, v_resp * v_resp / (2.0 * p.b_min_brake_lat)
+
+
+def _head_lat(v1_toward, p: RssParams):
+    """mu_lat plus the first side's terms: ``safe_distance_lat`` up to the
+    second side's two terms, which are added in that order."""
+    travel, braking = _side_lat(_nonneg(v1_toward), p)
+    return p.mu_lat + travel + braking
 
 
 def safe_distance_lon(v_rear, v_front, params: RssParams):
@@ -193,18 +251,7 @@ def safe_distance_lon(v_rear, v_front, params: RssParams):
     Worst case: the rear vehicle accelerates at a_max for rho seconds, then
     brakes at b_min; the front vehicle brakes at b_max.
     """
-    v_rear = np.maximum(np.asarray(v_rear, dtype=float), 0.0)
-    v_front = np.maximum(np.asarray(v_front, dtype=float), 0.0)
-    rho = params.rho
-    v_resp = v_rear + rho * params.a_max_accel_lon
-    d = (v_rear * rho
-         + 0.5 * params.a_max_accel_lon * rho * rho
-         + v_resp * v_resp / (2.0 * params.b_min_brake_lon)
-         - v_front * v_front / (2.0 * params.b_max_brake_lon))
-    d = np.maximum(d, 0.0)
-    if d.ndim == 0:
-        return float(d)
-    return d
+    return _nonneg(_rear_lon(_nonneg(v_rear), params) - _front_lon(_nonneg(v_front), params))
 
 
 def safe_distance_lat(v1_toward, v2_toward, params: RssParams):
@@ -215,32 +262,24 @@ def safe_distance_lat(v1_toward, v2_toward, params: RssParams):
     seconds and then brakes laterally at b_min_brake_lat; mu_lat is a flat
     fluctuation margin, so the result is always >= mu_lat.
     """
-    v1 = np.maximum(np.asarray(v1_toward, dtype=float), 0.0)
-    v2 = np.maximum(np.asarray(v2_toward, dtype=float), 0.0)
-    rho = params.rho
-    b = params.b_min_brake_lat
-    v1r = v1 + rho * params.a_max_accel_lat
-    v2r = v2 + rho * params.a_max_accel_lat
-    d = (params.mu_lat
-         + v1r * rho + v1r * v1r / (2.0 * b)
-         + v2r * rho + v2r * v2r / (2.0 * b))
-    if d.ndim == 0:
-        return float(d)
-    return d
+    travel, braking = _side_lat(_nonneg(v2_toward), params)
+    return _head_lat(v1_toward, params) + travel + braking
 
 
-def _solve_largest(cond, root, lo: float, hi: float, iters: int = 40) -> np.ndarray:
+def _solve_largest(cond, root, lo: float, hi: float, ok_hi, iters: int = 40) -> np.ndarray:
     """Largest point g of the grid lo + k * (hi - lo) / 2**iters in [lo, hi]
     where the monotone-decreasing boolean condition holds; lo where even
     cond(lo) fails.
 
-    ``cond(values, rows)`` evaluates the condition at ``values``, a float or
-    one value per row, for the given row subset (rows=None means all rows);
+    ``ok_hi`` is cond(hi) of every row, evaluated by the caller (which also
+    needs it for the robustness check); a row that needs no solve passes
+    True and keeps hi.  ``cond(values, rows)`` evaluates the condition at
+    ``values``, a float or one value per row, for the given row subset;
     ``root(rows)`` approximates its boundary.  The root is snapped down onto
     the grid (spacing h) and accepted where cond(g) holds and cond(g + h)
-    fails, which is exactly the point an ``iters``-step bisection converges
-    to.  Rows where no snapped point or grid neighbour passes keep lo."""
-    ok_hi = cond(hi, None)
+    fails, both checked in one evaluation; that is exactly the point an
+    ``iters``-step bisection converges to.  Rows where no snapped point or
+    grid neighbour passes keep lo."""
     out = np.where(ok_hi, hi, lo)
     rows = (~ok_hi).nonzero()[0]
     if rows.size:  # the bound lies inside where cond(lo) holds
@@ -252,7 +291,11 @@ def _solve_largest(cond, root, lo: float, hi: float, iters: int = 40) -> np.ndar
     k = np.where(np.isfinite(k), k, 0.0)  # no real root: start from lo
     for off in (0, -1, 1):  # the snapped point, then its grid neighbours
         g = lo + np.minimum(np.maximum(k + off, 0.0), 2.0 ** iters - 1.0) * h
-        hit = cond(g, rows) & ~cond(g + h, rows)
+        ok = cond(np.concatenate((g, g + h)), np.concatenate((rows, rows)))
+        hit = ok[:rows.size] & ~ok[rows.size:]
+        if hit.all():
+            out[rows] = g
+            break
         out[rows[hit]] = g[hit]
         rows, k = rows[~hit], k[~hit]
         if rows.size == 0:
@@ -288,10 +331,13 @@ class _PairGeometry:
         rear_v = np.where(self.other_ahead, self.u_lon, self.w_lon)
         front_v = np.where(self.other_ahead, self.w_lon, self.u_lon)
         self.d_lon = safe_distance_lon(rear_v, front_v, p)
-        # Lateral closing speeds, signed toward the other vehicle.
-        self.ego_toward = np.where(self.other_left, self.u_lat, -self.u_lat)
+        # Lateral closing speeds, signed toward the other vehicle: the ego's
+        # is u_lat toward a left other and -u_lat toward a right one, so its
+        # terms are two floats.
         self.oth_toward = np.where(self.other_left, -self.w_lat, self.w_lat)
-        self.d_lat = safe_distance_lat(self.ego_toward, self.oth_toward, p)
+        travel, braking = _side_lat(np.maximum(self.oth_toward, 0.0), p)
+        self.d_lat = (np.where(self.other_left, _head_lat(self.u_lat, p),
+                               _head_lat(-self.u_lat, p)) + travel + braking)
         self.lon_safe = self.gap_lon >= self.d_lon
         self.lat_safe = self.gap_lat >= self.d_lat
 
@@ -306,32 +352,33 @@ class _PairGeometry:
         u = self.u_lon
         df, wf2 = braking_travel(self.w_lon[idx], p.b_max_brake_lon, tau)
         margin = self.gap_lon[idx] + df
+        front = _front_lon(np.maximum(wf2, 0.0), p)  # the front's part of the safe distance
 
         def cond(a, rows=None):
             de, ue2 = advance_speed_clamped(u, a, tau)
-            m = margin if rows is None else margin[rows]
-            w2 = wf2 if rows is None else wf2[rows]
-            return m - de >= safe_distance_lon(ue2, w2, p)
+            m, f = (margin, front) if rows is None else (margin[rows], front[rows])
+            return m - de >= _nonneg(_rear_lon(_nonneg(ue2), p) - f)
 
         def root(rows):
             # Without a stop (post-tau speed v = u + a tau >= 0) the ego
             # travels (u + v) tau / 2.  The gap must stay >= 0 (linear in a)
             # and >= the unclamped safe distance, a quadratic in the response
             # speed s = v + rho a_max.
-            m = margin[rows]
-            w2 = np.maximum(wf2[rows], 0.0)
+            m, f = margin[rows], front[rows]
             rho, a_r, b_r = p.rho, p.a_max_accel_lon, p.b_min_brake_lon
-            c = (-0.5 * a_r * rho * rho - w2 * w2 / (2.0 * p.b_max_brake_lon)
-                 - m + 0.5 * (u - rho * a_r) * tau)
+            c = -0.5 * a_r * rho * rho - f - m + 0.5 * (u - rho * a_r) * tau
             s = _response_speed_root(b_r, rho + 0.5 * tau, c)
             a_gap = 2.0 * (m - u * tau) / (tau * tau)
             a_run = np.minimum(a_gap, (s - rho * a_r - u) / tau)
+            runs = a_run >= -u / tau
+            if runs.all():
+                return a_run
             # Stopping inside tau (a < -u / tau): the ego travels u^2 / (2|a|)
             # and ends at rest, so the gap must cover the rest safe distance.
-            slack = m - safe_distance_lon(0.0, wf2[rows], p)
-            with np.errstate(divide="ignore"):
-                a_stop = np.where(slack > 0.0, -u * u / (2.0 * slack), -np.inf)
-            return np.where(a_run >= -u / tau, a_run, a_stop)
+            slack = m - _nonneg(_rear_lon(0.0, p) - f)
+            room = slack > 0.0
+            a_stop = np.where(room, -u * u / (2.0 * np.where(room, slack, 1.0)), -np.inf)
+            return np.where(runs, a_run, a_stop)
 
         return cond, root
 
@@ -349,32 +396,48 @@ class _PairGeometry:
     # safe distance at post-tau closing speeds.  Returns (cond, root).
     def _lat_cond(self, tau, idx):
         p = self.params
-        q = self.ego_toward[idx]
-        r2 = self.oth_toward[idx] + p.a_max_accel_lat * tau
-        oth_travel = self.oth_toward[idx] * tau + 0.5 * p.a_max_accel_lat * tau * tau
-        margin = self.gap_lat[idx] - oth_travel
+        left = self.other_left[idx]
+        oth = self.oth_toward[idx]
+        # The other's part of the safe distance at its post-tau closing speed.
+        travel, braking = _side_lat(np.maximum(oth + p.a_max_accel_lat * tau, 0.0), p)
+        margin = self.gap_lat[idx] - (oth * tau + 0.5 * p.a_max_accel_lat * tau * tau)
+
+        def toward(l):  # the ego's lateral speed toward the other
+            return np.where(l, self.u_lat, -self.u_lat)
 
         def cond(b, rows=None):
-            q_ = q if rows is None else q[rows]
-            m = margin if rows is None else margin[rows]
-            r2_ = r2 if rows is None else r2[rows]
-            q_travel = q_ * tau + 0.5 * b * tau * tau
-            return m - q_travel >= safe_distance_lat(q_ + b * tau, r2_, p)
+            if rows is None:
+                m, o1, o2, l = margin, travel, braking, left
+            else:
+                m, o1, o2, l = margin[rows], travel[rows], braking[rows], left[rows]
+
+            def ego(q):  # the ego's travel and its part of the safe distance
+                return q * tau + 0.5 * b * tau * tau, _head_lat(q + b * tau, p)
+
+            if isinstance(b, float):  # on the two floats of q
+                ego_travel, ego_head = (np.where(l, x, y)
+                                        for x, y in zip(ego(self.u_lat), ego(-self.u_lat)))
+            else:
+                ego_travel, ego_head = ego(toward(l))
+            return m - ego_travel >= ego_head + o1 + o2
 
         def root(rows):
             # The ego travels (q + v) tau / 2 toward the other, v = q + b tau.
             # For v >= 0 the safe distance is quadratic in the response speed
             # s = v + rho a_max; below it is the constant at v = 0.
-            q_, m = q[rows], margin[rows]
+            q_, m = toward(left[rows]), margin[rows]
             rho, a_r, b_r = p.rho, p.a_max_accel_lat, p.b_min_brake_lat
-            d_rest = safe_distance_lat(0.0, r2[rows], p)
+            d_rest = _head_lat(0.0, p) + travel[rows] + braking[rows]
             s_rest = rho * a_r
             c = (d_rest - s_rest * rho - s_rest * s_rest / (2.0 * b_r)
                  - m + 0.5 * (q_ - s_rest) * tau)
             s = _response_speed_root(b_r, rho + 0.5 * tau, c)
             b_closing = (s - s_rest - q_) / tau
+            closes = b_closing >= -q_ / tau
+            if closes.all():
+                return b_closing
             b_opening = 2.0 * (m - d_rest - q_ * tau) / (tau * tau)
-            return np.where(b_closing >= -q_ / tau, b_closing, b_opening)
+            return np.where(closes, b_closing, b_opening)
 
         return cond, root
 
@@ -391,50 +454,49 @@ def pair_analysis_batch(ego: AgentState, ox, oy, ov, otheta,
     p = params
     g = _PairGeometry(ego, ox, oy, ov, otheta, params)
     n = g.n
-    a_lon_max = np.full(n, p.a_lon_limit)
-    lat_toward_max = np.full(n, p.a_lat_limit)
-
     both_safe = g.lon_safe & g.lat_safe
     danger = ~g.lon_safe & ~g.lat_safe
 
     # Robustness of each direction under full ego dynamics for tau; a robust
-    # direction keeps the pair non-dangerous without any restriction.
-    lon_robust = np.zeros(n, dtype=bool)
-    idx_rear = (both_safe & g.other_ahead).nonzero()[0]
-    if idx_rear.size:
-        cond, _ = g._lon_cond_rear(tau, idx_rear)
-        lon_robust[idx_rear] = cond(p.a_lon_limit)
+    # direction keeps the pair non-dangerous without any restriction.  Each
+    # condition is built once over the rows that need its robustness check
+    # (both distances safe) or its bound solve (see below), and evaluated
+    # once at its physical limit, which serves both.
+    robust = np.zeros(n, dtype=bool)
+    lon_rows = (g.other_ahead & (g.lon_safe | ~g.lat_safe)).nonzero()[0]
+    if lon_rows.size:
+        lon = g._lon_cond_rear(tau, lon_rows)
+        lon_ok = lon[0](p.a_lon_limit)
+        robust[lon_rows] = lon_ok
     idx_front = (both_safe & ~g.other_ahead).nonzero()[0]
     if idx_front.size:
-        lon_robust[idx_front] = g._lon_robust_front(tau, idx_front)
-    lat_robust = np.zeros(n, dtype=bool)
-    idx_both = both_safe.nonzero()[0]
-    if idx_both.size:
-        cond, _ = g._lat_cond(tau, idx_both)
-        lat_robust[idx_both] = cond(p.a_lat_limit)
-
-    relax = both_safe & (lon_robust | lat_robust)
-    contested = both_safe & ~relax
+        robust[idx_front] = g._lon_robust_front(tau, idx_front)
+    lat_rows = (g.lat_safe | ~g.lon_safe).nonzero()[0]
+    if lat_rows.size:
+        lat = g._lat_cond(tau, lat_rows)
+        lat_ok = lat[0](p.a_lat_limit)
+        robust[lat_rows] |= lat_ok
+    relaxed = both_safe & robust
 
     # Restrict longitudinally when the ego is the rear vehicle and the
     # longitudinal distance is the one being preserved (or in danger, as a
-    # best effort).  Restrict laterally when the lateral distance carries the
-    # pair, when a contested ego-front pair must hold its lane, or in danger.
-    pick_lon = g.other_ahead & ((contested | danger) | (g.lon_safe & ~g.lat_safe))
-    pick_lat = (g.lat_safe & ~g.lon_safe) | (contested & ~g.other_ahead) | danger
-
-    idx = pick_lon.nonzero()[0]
-    if idx.size:
-        cond, root = g._lon_cond_rear(tau, idx)
-        a_lon_max[idx] = _solve_largest(cond, root, -p.a_lon_limit, p.a_lon_limit)
-    idx = pick_lat.nonzero()[0]
-    if idx.size:
-        cond, root = g._lat_cond(tau, idx)
-        lat_toward_max[idx] = _solve_largest(cond, root, -p.a_lat_limit, p.a_lat_limit)
+    # best effort): every lon row that is not relaxed.  Restrict laterally
+    # when the lateral distance carries the pair, when a contested (both
+    # safe, not relaxed) ego-front pair must hold its lane, or in danger:
+    # every lat row but the relaxed and the both-safe ego-rear ones.
+    a_lon_max = np.full(n, p.a_lon_limit)
+    if lon_rows.size:
+        a_lon_max[lon_rows] = _solve_largest(*lon, -p.a_lon_limit, p.a_lon_limit,
+                                             lon_ok | relaxed[lon_rows])
+    lat_toward_max = np.full(n, p.a_lat_limit)
+    if lat_rows.size:
+        lat_toward_max[lat_rows] = _solve_largest(
+            *lat, -p.a_lat_limit, p.a_lat_limit,
+            lat_ok | (relaxed | (both_safe & g.other_ahead))[lat_rows])
 
     a_lat_max = np.where(g.other_left, lat_toward_max, p.a_lat_limit)
     a_lat_min = np.where(g.other_left, -p.a_lat_limit, -lat_toward_max)
-    return a_lon_max, a_lat_min, a_lat_max, g.violation()
+    return a_lon_max, a_lat_min, a_lat_max, danger
 
 
 def pairwise_envelope_batch(ego: AgentState, ox, oy, ov, otheta,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rss import AgentState, Envelope, RssParams, advance_speed_clamped, wrap_angle
+from .rss import MAX_SPEED, AgentState, Envelope, RssParams, advance_speed_clamped, wrap_angle
 from .uncertainty import EigenBasis, draw_noise
 
 
@@ -37,8 +37,8 @@ class IdmParams:
         for name in ("T", "a", "b", "s0", "delta"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be > 0")
-        if self.v0 is not None and self.v0 <= 0.0:
-            raise ValueError("v0 must be > 0 when given")
+        if self.v0 is not None and not 0.0 < self.v0 <= MAX_SPEED:
+            raise ValueError(f"v0 must be in (0, {MAX_SPEED:g}] m/s when given")
 
 
 @dataclass(frozen=True)

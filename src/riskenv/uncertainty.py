@@ -129,10 +129,6 @@ class EigenBasis:
     eigenvalues: np.ndarray   # shape (4,), descending, >= 0
     eigenvectors: np.ndarray  # shape (4, 4), columns are eigenvectors
 
-    @property
-    def max_eigenvalue(self) -> float:
-        return float(self.eigenvalues[0])
-
 
 def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
     apq = a[p, q]
@@ -247,7 +243,7 @@ def contour_samples(basis: EigenBasis, spec: UncertaintySpec):
     rounding.  Zero covariance collapses every contour onto the observation
     itself (``EXACT_SAMPLES``).
     """
-    if basis.max_eigenvalue <= 0.0:
+    if basis.eigenvalues[0] <= 0.0:  # the largest eigenvalue
         return EXACT_SAMPLES
     levels = spec.contour_levels
     q = np.array([chi2_quantile_4(p) for p in levels])

@@ -18,6 +18,7 @@ from riskenv.config import (
     config_from_dict,
     load_config,
 )
+from riskenv.rss import MAX_POSITION, MAX_SPEED
 
 # Symmetric covariances with a negative eigenvalue: a 4-entry diagonal and a
 # 16-entry matrix with eigenvalues 3, 1, 1 and -1.
@@ -136,6 +137,31 @@ class TestEnvelopeCommand:
         assert code == 2
         assert out == ""
         assert "finite" in err
+
+    @pytest.mark.parametrize("where,index", [("ego", "ego"), ("agent", "agents[0]")])
+    @pytest.mark.parametrize("key,value", [
+        ("v", 1e200), ("v", MAX_SPEED * (1 + 2**-52)), ("x", -1e300), ("y", 2 * MAX_POSITION)])
+    def test_out_of_range_state_exit_2(self, envelope_input, capsys, where, index, key,
+                                       value):
+        # Before the bounds, v = 1e200 printed an overflow warning and exited 0
+        # with the unrestricted envelope.
+        ego = {"x": 0, "y": 0, "theta": 0, "v": 15}
+        agent = {"x": 20, "y": 3.5, "theta": 0, "v": 15}
+        (ego if where == "ego" else agent)[key] = value
+        path = envelope_input({"ego": ego, "agents": [agent],
+                               "sigma": [0.04, 0.04, 0.04, 1e-4]})
+        code, out, err = run_cli(["envelope", "--input", path], capsys)
+        assert (code, out) == (2, "")
+        assert f"invalid {index}: {key} must be finite" in err
+        assert "Warning" not in err
+
+    def test_states_at_the_bounds_accepted(self, envelope_input, capsys):
+        path = envelope_input({
+            "ego": {"x": -MAX_POSITION, "y": 0, "theta": 0, "v": MAX_SPEED},
+            "agents": [{"x": MAX_POSITION, "y": -MAX_POSITION, "v": 0}],
+            "sigma": [0.04, 0.04, 0.04, 1e-4]})
+        code, out, err = run_cli(["envelope", "--input", path], capsys)
+        assert code == 0 and err == ""
 
     @pytest.mark.parametrize("tau", [0, -1, float("nan"), float("inf"), "fast", "0.2"])
     def test_bad_tau_exit_2(self, envelope_input, capsys, tau):
@@ -470,6 +496,8 @@ class TestScenarioBounds:
         ({"horizon": 1e12}, "scenario.horizon"),
         ({"dt": 1e-12}, "scenario.dt"),
         ({"n_others": MAX_OTHERS + 1}, "scenario.n_others"),
+        ({"speed_max": MAX_SPEED + 0.5}, "scenario.speed_max"),
+        ({"speed_min": 1e200, "speed_max": 1e200}, "scenario.speed_max"),
     ])
     def test_too_large_rejected(self, tmp_path, capsys, scenario, key):
         path = tmp_path / "cfg.json"
@@ -479,11 +507,19 @@ class TestScenarioBounds:
         assert "config ok" not in out
         assert key in err
 
+    def test_desired_speed_above_the_bound_rejected(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"idm": {"v0": MAX_SPEED + 1.0}}))
+        code, _, err = run_cli(["validate", "--config", str(path)], capsys)
+        assert code == 2 and "invalid idm: v0 must be in" in err
+
     def test_bounds_admitted(self):
         sp = config_from_dict({"scenario": {
             "n_scenarios": MAX_SCENARIOS, "n_others": MAX_OTHERS,
             "dt": 0.5, "horizon": 0.5 * MAX_EPISODE_STEPS}}).scenario
         assert (sp.n_scenarios, sp.n_others) == (MAX_SCENARIOS, MAX_OTHERS)
+        assert config_from_dict({"scenario": {"speed_max": MAX_SPEED}}).scenario.speed_max \
+            == MAX_SPEED
         defaults = RunConfig().scenario
         assert defaults.horizon / defaults.dt <= MAX_EPISODE_STEPS
 

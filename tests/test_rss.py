@@ -1,14 +1,18 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from riskenv import rss
 from riskenv.rss import (
+    MAX_POSITION,
+    MAX_SPEED,
+    TWO_PI,
     AgentState,
     Envelope,
     RssParams,
@@ -312,11 +316,51 @@ class TestKinematics:
         assert np.array_equal(np.array(scalars).view(np.int64), arr.view(np.int64))
         assert wrap_angle(-pi) == pi and wrap_angle(pi) == pi
 
+    @staticmethod
+    def wrap_with_mod(theta):
+        """The array path that always takes np.mod."""
+        w = np.mod(np.asarray(theta, dtype=float) + math.pi, TWO_PI) - math.pi
+        return np.where(w == -math.pi, math.pi, w)
+
+    @given(thetas=st.lists(
+        st.floats(-math.pi, math.pi)
+        | st.sampled_from([math.pi, -math.pi, 0.0, -0.0, math.nextafter(math.pi, 0.0),
+                           math.nextafter(-math.pi, 0.0), math.nextafter(-math.pi, -4.0),
+                           math.nextafter(math.pi, 4.0), 2 * math.pi, -1e-17, 1e-17])
+        | st.floats(-50.0, 50.0) | st.floats(allow_nan=True, allow_infinity=True),
+        max_size=40))
+    @settings(max_examples=400, deadline=None)
+    def test_wrap_angle_skips_mod_bit_for_bit(self, thetas):
+        with np.errstate(invalid="ignore"):
+            got, want = wrap_angle(np.array(thetas)), self.wrap_with_mod(np.array(thetas))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_wrap_angle_edges_of_the_mod_free_path(self):
+        below_pi = math.nextafter(math.pi, 0.0)
+        assert below_pi + math.pi == TWO_PI  # the sum rounds up to 2 pi
+        for thetas in ([below_pi, 0.0], [-math.pi, 0.1], [-0.0, 3.0],
+                       [math.nextafter(-math.pi, 0.0), -1.0], [], [3.5, 0.0], 0.5, -math.pi):
+            got, want = wrap_angle(np.array(thetas)), self.wrap_with_mod(thetas)
+            assert np.asarray(got).tobytes() == want.tobytes(), thetas
+        assert wrap_angle(np.array([below_pi]))[0] == wrap_angle(below_pi) == math.pi
+        assert wrap_angle(np.array([-math.pi, 1.0]))[0] == math.pi
+
     def test_agent_state_validation(self):
         with pytest.raises(ValueError):
             AgentState(0, 0, 0, -1.0)
         with pytest.raises(ValueError):
             AgentState(0, 0, 4.0, 1.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("v", math.nextafter(MAX_SPEED, math.inf)), ("v", 1e200),
+        ("x", math.nextafter(MAX_POSITION, math.inf)), ("x", -1e300),
+        ("y", math.nextafter(-MAX_POSITION, -math.inf)), ("y", 1e200)])
+    def test_out_of_range_state_rejected(self, field, value):
+        state = {"x": 6.0, "y": 0.0, "theta": 0.0, "v": 15.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            AgentState(**state)
+        AgentState(**{**state, field: math.copysign(
+            MAX_SPEED if field == "v" else MAX_POSITION, value)})
 
     @pytest.mark.parametrize("field", ["x", "y", "theta", "v"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -400,8 +444,10 @@ class TestBoundSolver:
     def test_matches_bisection_bit_for_bit(self, rss_params, legacy_params, monkeypatch):
         rng = np.random.default_rng(20261018)
 
-        def bisection_only(cond, root, lo, hi):
-            return bisect_largest(cond, lo, hi, cond(hi, None).size)
+        def bisection_only(cond, root, lo, hi, ok_hi):
+            # Rows passed as holding at hi keep hi; every other row gets the
+            # bisection value, which re-evaluates cond(hi) itself.
+            return np.where(ok_hi, hi, bisect_largest(cond, lo, hi, ok_hi.size))
 
         total = stopping = opening = interior = 0
         for params in (rss_params, legacy_params):
@@ -445,7 +491,7 @@ class TestBoundSolver:
             def root(rows, bad=bad):
                 return np.where(wrong[rows], thresholds[rows] + bad, thresholds[rows])
 
-            got = rss._solve_largest(cond, root, -8.0, 8.0)
+            got = rss._solve_largest(cond, root, -8.0, 8.0, cond(8.0))
             assert np.array_equal(got[~wrong], ref[~wrong])
             assert np.all(got[wrong] == -8.0)
 
@@ -457,3 +503,77 @@ class TestBoundSolver:
                                       o["theta"], RssParams(**case["params"]), case["tau"])
             for name, values in zip(("a_lon_max", "a_lat_min", "a_lat_max", "violated"), got):
                 assert values.tolist() == case[name], name
+
+
+class TestOneLimitCheckPerCall:
+    """One kernel call builds each condition once and evaluates it once at
+    its physical limit, for the robustness check and the solve together."""
+
+    def test_each_condition_checked_at_its_limit_once(self, rss_params, monkeypatch):
+        events = []
+
+        def counted(make, name):
+            def build(self, tau, idx):
+                cond, root = make(self, tau, idx)
+                events.append((name, "build"))
+
+                def counted_cond(values, rows=None):
+                    events.append((name, values if isinstance(values, float) else "array"))
+                    return cond(values, rows)
+
+                return counted_cond, root
+            return build
+
+        for name in ("_lon_cond_rear", "_lat_cond"):
+            monkeypatch.setattr(rss._PairGeometry, name,
+                                counted(getattr(rss._PairGeometry, name), name))
+        rng = np.random.default_rng(11)
+        ego = AgentState(0.0, 1.0, 0.05, 12.0)
+        rows = _kernel_rows(rng, ego, rss_params, 3000)
+        lon_max, lat_min, lat_max, _ = pair_analysis_batch(ego, *rows, rss_params, TAU)
+        # The batch needs robustness checks and interior solves of both bounds.
+        g = rss._PairGeometry(ego, *rows, rss_params)
+        assert (g.lon_safe & g.lat_safe & g.other_ahead).sum() > 100
+        assert (np.abs(lon_max) < rss_params.a_lon_limit).sum() > 100
+        assert (np.abs(np.concatenate([lat_min, lat_max])) < rss_params.a_lat_limit).sum() > 100
+        for name, limit in (("_lon_cond_rear", rss_params.a_lon_limit),
+                            ("_lat_cond", rss_params.a_lat_limit)):
+            assert events.count((name, "build")) == 1
+            assert events.count((name, limit)) == 1
+            assert events.count((name, -limit)) == 1  # the solve's cond(lo)
+
+
+class TestBoundedStates:
+    """Every state AgentState accepts keeps the kernel's arithmetic finite:
+    no floating-point warning, whatever the positions and speeds."""
+
+    coord = st.floats(-MAX_POSITION, MAX_POSITION) | st.sampled_from(
+        [-MAX_POSITION, MAX_POSITION, 0.0])
+    speed = st.floats(0.0, MAX_SPEED) | st.sampled_from([0.0, MAX_SPEED])
+    heading = st.floats(-math.pi, math.pi, exclude_min=True) | st.sampled_from(
+        [math.pi, 0.0, math.pi / 2, -math.pi / 2])
+
+    @given(ego=st.tuples(coord, coord, heading, speed),
+           others=st.lists(st.tuples(st.booleans(), coord, coord, st.floats(-60.0, 60.0),
+                                     st.floats(-8.0, 8.0), heading, speed),
+                           min_size=1, max_size=12),
+           tau=st.sampled_from([0.05, 0.1, 0.2, 0.5, 1.0]))
+    # No shrink phase: shrinking a failure of this many floats runs for minutes.
+    @settings(max_examples=300, deadline=None, phases=set(Phase) - {Phase.shrink})
+    def test_accepted_states_raise_no_float_warning(self, ego, others, tau):
+        ego = AgentState(*ego)
+        states = []
+        for near, x, y, dx, dy, theta, v in others:
+            if near:  # around the ego, where the bounds get solved
+                x = min(max(ego.x + dx, -MAX_POSITION), MAX_POSITION)
+                y = min(max(ego.y + dy, -MAX_POSITION), MAX_POSITION)
+            states.append(AgentState(x, y, theta, v))
+        ox, oy, ov, ot = (np.array([getattr(s, k) for s in states])
+                          for k in ("x", "y", "v", "theta"))
+        # Underflow stays ignored, as numpy's default has it: a subnormal
+        # heading's sine is one, and it is no fault.
+        with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+            warnings.simplefilter("error")
+            for params in (RssParams(), RssParams(rho=1.0, a_max_accel_lon=3.5)):
+                out = pair_analysis_batch(ego, ox, oy, ov, ot, params, tau)
+                assert all(np.isfinite(a).all() for a in out[:3])
