@@ -42,7 +42,7 @@ from .sim import (
     safety_maneuver,
     simulate,
 )
-from .uncertainty import EXACT_SAMPLES, UncertaintySpec
+from .uncertainty import EXACT_SAMPLES, UncertaintySpec, draw_noise
 
 BETA_FREE_POLICIES = ("EnvelopeRestriction", "Simplex")
 
@@ -132,10 +132,10 @@ class Policy:
         env_violated = None if true_env is None else less_restrictive_any(envelope, true_env)
         return a_lon, a_lat, "nominal", envelope, env_violated
 
-    def _decide(self, obs: ObservedWorld, world: WorldState | None = None
+    def _decide(self, obs: ObservedWorld, world: WorldState
                 ) -> tuple[bool, Envelope | None, Envelope | None]:
-        """Switch decision, the envelope of a restricting policy, and (given
-        the true world) the envelope at the true states for the audit.
+        """Switch decision, the envelope of a restricting policy, and the
+        envelope at the true states of ``world`` for the audit.
 
         The restricting policies analyse the observed agents and the true
         agents in one ``analyze_step`` call; ``observe`` copies the ego
@@ -146,8 +146,7 @@ class Policy:
         if self.samples is None:
             return self._sampled_switch(obs), None, None
         dists, expectations, true_env = analyze_step(
-            obs.ego, obs.others, self.samples, None if world is None else world.others,
-            cfg.rss, cfg.tau)
+            obs.ego, obs.others, self.samples, world.others, cfg.rss, cfg.tau)
         if self.kind == "EnvelopeRestriction":
             return should_switch(expectations, 0.0), worst_case(dists, cfg.rss), true_env
         if should_switch(expectations, self.beta):
@@ -158,7 +157,7 @@ class Policy:
         """Simplex: some observed agent violates.  ProbabilisticSimplex: some
         agent's mean violation over ``simplex_samples`` drawn deviations
         exceeds beta.  Every agent's rows go to one violation_batch call; one
-        (k * m, 4) draw takes the same numbers as k draws of (m, 4)."""
+        draw of k * m rows takes the same numbers as k draws of m rows."""
         cfg = self.cfg
         k = len(obs.others)
         if k == 0:
@@ -167,8 +166,7 @@ class Policy:
             m, limit, devs = 1, 0.0, np.zeros((k, 4))
         else:
             m, limit = cfg.simplex_samples, self.beta
-            draws = self.rng.standard_normal((k * m, 4))
-            devs = (draws * np.sqrt(self.basis.eigenvalues)) @ self.basis.eigenvectors.T
+            devs = draw_noise(self.basis, self.rng, k * m)
         ox, oy, ov, ot = stacked_states(
             (o, devs[j * m:(j + 1) * m]) for j, o in enumerate(obs.others))
         violated = violation_batch(obs.ego, ox, oy, ov, ot, cfg.rss)

@@ -4,7 +4,7 @@ The contour samples of a covariance are built once
 (``uncertainty.contour_samples``): the deviations on every confidence
 contour, stacked, with each contour carrying mass p_k - p_{k-1}.  One pass
 of the pair kernel over the perturbed states of several agents
-(``analyze_agents``) yields each agent's discrete distribution of worst-case
+(``analyze_step``) yields each agent's discrete distribution of worst-case
 envelopes, one per contour, and its violation expectation; the mass outside
 the outermost contour goes to a most-restrictive sentinel and counts as
 violated, so risk is never understated.  At zero covariance
@@ -16,7 +16,7 @@ below the requested risk level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 
 import numpy as np
@@ -67,7 +67,7 @@ def perturbed_state_arrays(obs: AgentState, deviations: np.ndarray):
     return stacked_states([(obs, deviations)])
 
 
-# Most kernel rows in one pass of analyze_agents: consecutive agents share a
+# Most kernel rows in one pass of analyze_step: consecutive agents share a
 # pass up to this many rows, which keeps the kernel's temporaries small.
 ROW_BUDGET = 4096
 
@@ -85,48 +85,51 @@ def stacked_states(pairs):
     return p[:, 0], p[:, 1], np.maximum(p[:, 2], 0.0), wrap_angle(p[:, 3])
 
 
-def analyze_agents(ego: AgentState, agents, params: RssParams, tau: float):
-    """Envelope distribution and violation expectation of each agent.
+def analyze_step(ego: AgentState, observed, samples, exact, params: RssParams,
+                 tau: float):
+    """Everything one decision needs, from one stacked analysis of all the
+    agents: the distribution (agent_id = its index) and violation expectation
+    of each ``observed`` agent under ``samples``, as returned by
+    ``contour_samples``, and the worst-case envelope of the ``exact`` agents
+    at zero covariance (the unrestricted envelope when there are none).
 
-    ``agents`` is a sequence of (agent_id, state, samples) triples, with
-    samples as returned by ``contour_samples``; the result is one
-    (EnvelopeDistribution, expectation) pair per agent, in order.  The
-    perturbed states of consecutive agents share one kernel pass of at most
-    ``ROW_BUDGET`` rows (an agent with more rows runs alone).  A contour
+    The perturbed states of consecutive agents share one kernel pass of at
+    most ``ROW_BUDGET`` rows (an agent with more rows runs alone).  A contour
     counts as violated if any of its perturbed states breaks both safe
     distances; the residual mass counts as violated.
     """
-    return _distributions(agents, iter(_contours(ego, agents, params, tau)), params)
-
-
-def analyze_step(ego: AgentState, observed, samples, exact, params: RssParams,
-                 tau: float):
-    """Everything one decision needs, from one stacked analysis (as in
-    ``analyze_agents``) of all the agents: the distributions and expectations
-    of the ``observed`` agents under ``samples``, and the worst-case envelope
-    of the ``exact`` agents at zero covariance (None when ``exact`` is None)."""
-    agents = [(j, s, samples) for j, s in enumerate(observed)]
-    exact_agents = [(j, s, EXACT_SAMPLES) for j, s in enumerate(exact or ())]
-    contours = _contours(ego, agents + exact_agents, params, tau)
-    analyses = _distributions(agents, iter(contours), params)
+    agents = [(s, samples) for s in observed] + [(s, EXACT_SAMPLES) for s in exact]
+    contours = _contours(ego, agents, params, tau)
+    levels = samples[0]
+    masses = tuple(p_k - prev for p_k, prev in zip(levels, (0.0, *levels)))
+    dists, expectations = [], []
+    for j in range(len(observed)):
+        own = contours[j * len(levels):(j + 1) * len(levels)]
+        expectation = 1.0 - levels[-1]
+        for mass, (_, _, _, hit) in zip(masses, own):
+            if hit:
+                expectation += mass
+        dists.append(EnvelopeDistribution(
+            j, masses, tuple(Envelope(-params.a_lon_limit, *c[:3]) for c in own),
+            1.0 - levels[-1]))
+        expectations.append(expectation)
     # Each exact agent has one contour, after those of the observed agents;
     # their worst case is taken as ``worst_case`` takes it.
-    exact_env = None
-    if exact is not None:
-        tail = contours[len(agents) * len(samples[0]):]
-        exact_env = unrestricted_envelope(params) if not tail else Envelope(
-            -params.a_lon_limit, min(c[0] for c in tail), max(c[1] for c in tail),
-            min(c[2] for c in tail))
-    return [d for d, _ in analyses], [e for _, e in analyses], exact_env
+    tail = contours[len(observed) * len(levels):]
+    exact_env = unrestricted_envelope(params) if not tail else Envelope(
+        -params.a_lon_limit, min(c[0] for c in tail), max(c[1] for c in tail),
+        min(c[2] for c in tail))
+    return dists, expectations, exact_env
 
 
 def _contours(ego, agents, params, tau):
     """(a_lon_max, a_lat_min, a_lat_max, violated) of every contour of
-    ``agents`` in stacking order, each the worst case over the contour's
-    perturbed states, from passes of at most ``ROW_BUDGET`` rows."""
+    ``agents``, (state, samples) pairs, in stacking order, each the worst case
+    over the contour's perturbed states, from passes of at most
+    ``ROW_BUDGET`` rows."""
     out, chunk, rows = [], [], 0
     for agent in agents:
-        n = agent[2][1].shape[0]
+        n = agent[1][1].shape[0]
         if chunk and rows + n > ROW_BUDGET:
             out += _analyze_pass(ego, chunk, params, tau)
             chunk, rows = [], 0
@@ -136,10 +139,10 @@ def _contours(ego, agents, params, tau):
 
 
 def _analyze_pass(ego, agents, params, tau):
-    counts = [m for _, _, (_, _, agent_counts) in agents for m in agent_counts]
+    counts = [m for _, (_, _, agent_counts) in agents for m in agent_counts]
     if min(counts) < 1:
         raise ValueError("every contour needs at least one sample")
-    ox, oy, ov, ot = stacked_states((state, samples[1]) for _, state, samples in agents)
+    ox, oy, ov, ot = stacked_states((state, samples[1]) for state, samples in agents)
     lon_max, lat_min, lat_max, violated = pair_analysis_batch(
         ego, ox, oy, ov, ot, params, tau)
     starts = np.array([0, *accumulate(counts[:-1])])  # each contour's first row
@@ -149,31 +152,12 @@ def _analyze_pass(ego, agents, params, tau):
                     np.logical_or.reduceat(violated, starts).tolist()))
 
 
-def _distributions(agents, contours, params):
-    """(EnvelopeDistribution, expectation) of each agent, which takes its
-    contours from the iterator ``contours`` in turn."""
-    out = []
-    for agent_id, _, (levels, _, _) in agents:
-        masses, envelopes = [], []
-        expectation = 1.0 - levels[-1]
-        prev = 0.0
-        for p_k, (lon, lat_lo, lat_hi, hit) in zip(levels, contours):
-            masses.append(p_k - prev)
-            envelopes.append(Envelope(-params.a_lon_limit, lon, lat_lo, lat_hi))
-            if hit:
-                expectation += p_k - prev
-            prev = p_k
-        out.append((EnvelopeDistribution(agent_id, tuple(masses), tuple(envelopes),
-                                         1.0 - prev), expectation))
-    return out
-
-
 def envelope_distribution(ego: AgentState, obs: AgentState, spec: UncertaintySpec,
                           basis: EigenBasis, params: RssParams, tau: float,
                           agent_id: int = 0) -> EnvelopeDistribution:
     """Per-agent random envelope over the confidence contours."""
-    return analyze_agents(ego, [(agent_id, obs, contour_samples(basis, spec))],
-                          params, tau)[0][0]
+    [dist], _, _ = analyze_step(ego, [obs], contour_samples(basis, spec), (), params, tau)
+    return replace(dist, agent_id=agent_id)
 
 
 def risk_bounded_envelope(distributions, beta: float, params: RssParams) -> Envelope:

@@ -266,10 +266,14 @@ def safe_distance_lat(v1_toward, v2_toward, params: RssParams):
     return _head_lat(v1_toward, params) + travel + braking
 
 
-def _solve_largest(cond, root, lo: float, hi: float, ok_hi, iters: int = 40) -> np.ndarray:
-    """Largest point g of the grid lo + k * (hi - lo) / 2**iters in [lo, hi]
-    where the monotone-decreasing boolean condition holds; lo where even
-    cond(lo) fails.
+# Steps of the bisection whose grid the bound solver snaps onto.
+BISECTION_STEPS = 40
+
+
+def _solve_largest(cond, root, lo: float, hi: float, ok_hi) -> np.ndarray:
+    """Largest point g of the grid lo + k * (hi - lo) / 2**BISECTION_STEPS in
+    [lo, hi] where the monotone-decreasing boolean condition holds; lo where
+    even cond(lo) fails.
 
     ``ok_hi`` is cond(hi) of every row, evaluated by the caller (which also
     needs it for the robustness check); a row that needs no solve passes
@@ -277,20 +281,20 @@ def _solve_largest(cond, root, lo: float, hi: float, ok_hi, iters: int = 40) -> 
     ``values``, a float or one value per row, for the given row subset;
     ``root(rows)`` approximates its boundary.  The root is snapped down onto
     the grid (spacing h) and accepted where cond(g) holds and cond(g + h)
-    fails, both checked in one evaluation; that is exactly the point an
-    ``iters``-step bisection converges to.  Rows where no snapped point or
-    grid neighbour passes keep lo."""
+    fails, both checked in one evaluation; that is exactly the point the
+    bisection converges to.  Rows where no snapped point or grid neighbour
+    passes keep lo."""
     out = np.where(ok_hi, hi, lo)
     rows = (~ok_hi).nonzero()[0]
     if rows.size:  # the bound lies inside where cond(lo) holds
         rows = rows[cond(lo, rows)]
     if rows.size == 0:
         return out
-    h = (hi - lo) / 2.0 ** iters
+    h = (hi - lo) / 2.0 ** BISECTION_STEPS
     k = np.floor((root(rows) - lo) / h)
     k = np.where(np.isfinite(k), k, 0.0)  # no real root: start from lo
     for off in (0, -1, 1):  # the snapped point, then its grid neighbours
-        g = lo + np.minimum(np.maximum(k + off, 0.0), 2.0 ** iters - 1.0) * h
+        g = lo + np.minimum(np.maximum(k + off, 0.0), 2.0 ** BISECTION_STEPS - 1.0) * h
         ok = cond(np.concatenate((g, g + h)), np.concatenate((rows, rows)))
         hit = ok[:rows.size] & ~ok[rows.size:]
         if hit.all():

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rss import MAX_SPEED, AgentState, Envelope, RssParams, advance_speed_clamped, wrap_angle
+from .rss import (MAX_POSITION, MAX_SPEED, AgentState, Envelope, RssParams,
+                  advance_speed_clamped, wrap_angle)
 from .uncertainty import EigenBasis, draw_noise
 
 
@@ -111,19 +112,21 @@ def idm_accel(ego_v: float, gap: float, lead_v: float, params: IdmParams,
     return min(max(a, -brake_limit), params.a)
 
 
-def observe(world: WorldState, basis: EigenBasis,
-            rng: np.random.Generator) -> ObservedWorld:
-    """Perturb every other agent with one fresh Gaussian deviation, observed
-    as Python floats (not numpy scalars); the ego state is copied exactly."""
+def observe(world: WorldState, deviations: np.ndarray) -> ObservedWorld:
+    """The world as the ego perceives it: other agent j perturbed by row j of
+    the (k, 4) ``deviations`` (x, y, v, theta), each quantity saturated at
+    its ``AgentState`` bound and held as a Python float (not a numpy scalar);
+    the ego state is copied exactly."""
     observed = []
-    for s in world.others:
-        d = draw_noise(basis, rng).tolist()
-        observed.append(AgentState(
-            x=s.x + d[0],
-            y=s.y + d[1],
-            theta=wrap_angle(s.theta + d[3]),
-            v=max(s.v + d[2], 0.0),
-        ))
+    for s, (dx, dy, dv, dth) in zip(world.others, deviations.tolist(), strict=True):
+        x, y, v = s.x + dx, s.y + dy, s.v + dv
+        # Comparisons first: they cost less than the min / max calls.
+        if not (-MAX_POSITION <= x <= MAX_POSITION and -MAX_POSITION <= y <= MAX_POSITION
+                and 0.0 <= v <= MAX_SPEED):
+            x = min(max(x, -MAX_POSITION), MAX_POSITION)
+            y = min(max(y, -MAX_POSITION), MAX_POSITION)
+            v = min(max(v, 0.0), MAX_SPEED)
+        observed.append(AgentState(x=x, y=y, theta=wrap_angle(s.theta + dth), v=v))
     return ObservedWorld(ego=world.ego, others=tuple(observed))
 
 
@@ -266,12 +269,14 @@ def simulate(world: WorldState, policy, basis: EigenBasis,
              collect_trace: bool = False) -> EpisodeResult:
     """Run one episode to its terminal outcome.
 
-    ``policy`` maps an ObservedWorld to a decision with fields
-    (a_lon, a_lat, mode, envelope, env_violated); see bench.Policy.
+    Each step observes the world through one ``draw_noise`` call from
+    ``basis`` and ``rng``, one deviation per other agent.  ``policy`` maps an
+    ObservedWorld to a decision with fields (a_lon, a_lat, mode, envelope,
+    env_violated); see bench.Policy.
     """
     result = EpisodeResult(outcome="Timeout", steps=0)
     while True:
-        obs = observe(world, basis, rng)
+        obs = observe(world, draw_noise(basis, rng, len(world.others)))
         a_lon, a_lat, mode, envelope, env_violated = policy(obs, world)
         ego2 = integrate_ego(world.ego, a_lon, a_lat, dt)
         others2 = idm_step_others(world, idm, others_v0, rss, dt)

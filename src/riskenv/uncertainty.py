@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rss import MAX_POSITION
+
 STATE_DIM = 4  # deviation axes, in order: x, y, v, theta
 # Bound on the angle grid, n_phi^3 x contour levels; admits n_phi = 24 with
 # six levels, the dense reference sampling.
@@ -22,6 +24,9 @@ MAX_GRID_SAMPLES = 100_000
 # Bound on the deviations one ProbabilisticSimplex step draws, simplex
 # samples x agents; they are evaluated as one array.
 MAX_SIMPLEX_ROWS = 100_000
+# Bound on |sigma| entries: a standard deviation of at most MAX_POSITION keeps
+# the contour rows, and the kernel's arithmetic on them, finite.
+MAX_SIGMA = MAX_POSITION ** 2
 
 
 def chi2_cdf_4(x: float) -> float:
@@ -67,8 +72,9 @@ class UncertaintySpec:
         sigma = np.array(self.sigma, dtype=float)  # a private, read-only copy
         if sigma.shape != (STATE_DIM, STATE_DIM):
             raise ValueError(f"sigma must be 4x4, got shape {sigma.shape}")
-        if not np.isfinite(sigma).all():
-            raise ValueError("sigma entries must be finite")
+        if not (np.abs(sigma) <= MAX_SIGMA).all():  # NaN fails too
+            raise ValueError(f"sigma entries must be finite and at most "
+                             f"{MAX_SIGMA:g} in magnitude")
         if np.abs(sigma - sigma.T).max() > 1e-9:  # eigendecompose's tolerance
             raise ValueError("sigma must be symmetric")
         sigma.flags.writeable = False
@@ -130,70 +136,33 @@ class EigenBasis:
     eigenvectors: np.ndarray  # shape (4, 4), columns are eigenvectors
 
 
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    apq = a[p, q]
-    if apq == 0.0:
-        return
-    tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-    if tau >= 0.0:
-        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-    app, aqq = a[p, p], a[q, q]
-    a[p, p] = app - t * apq
-    a[q, q] = aqq + t * apq
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    n = a.shape[0]
-    for i in range(n):
-        if i != p and i != q:
-            aip, aiq = a[i, p], a[i, q]
-            a[i, p] = aip * c - aiq * s
-            a[p, i] = a[i, p]
-            a[i, q] = aiq * c + aip * s
-            a[q, i] = a[i, q]
-    for i in range(n):
-        vip, viq = v[i, p], v[i, q]
-        v[i, p] = vip * c - viq * s
-        v[i, q] = viq * c + vip * s
-
-
 def eigendecompose(sigma) -> EigenBasis:
-    """Eigendecomposition of a symmetric PSD matrix by cyclic Jacobi sweeps.
+    """Eigendecomposition of a symmetric PSD matrix by LAPACK (``np.linalg.eigh``).
 
-    Deterministic: eigenvalues sorted descending (stable), eigenvector signs
-    canonicalized so the largest-magnitude component is positive.
+    Deterministic: eigenvalues descending, with negative round-off clamped to
+    0; equal eigenvalues ordered by the axis on which their eigenvector's
+    largest-magnitude component lies, so a diagonal matrix gives unit vectors
+    in axis order; each eigenvector signed so that this component is
+    positive.  A non-finite, asymmetric or indefinite matrix raises
+    ValueError.
     """
     a = np.array(sigma, dtype=float)
     if a.shape != (STATE_DIM, STATE_DIM):
         raise ValueError(f"expected a 4x4 matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
     if np.abs(a - a.T).max() > 1e-9:
         raise ValueError("matrix must be symmetric")
-    a = 0.5 * (a + a.T)
-    n = a.shape[0]
-    v = np.eye(n)
-    for _ in range(100):
-        off = math.sqrt(float(np.sum(np.tril(a, -1) ** 2) * 2.0))
-        if off <= 1e-12:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                _jacobi_rotate(a, v, p, q)
-    lam = np.diag(a).copy()
+    lam, v = np.linalg.eigh(0.5 * (a + a.T))
     scale = max(1.0, float(np.abs(lam).max()))
     if lam.min() < -1e-9 * scale:
         raise ValueError("matrix is not positive semi-definite")
     lam = np.maximum(lam, 0.0)
-    order = np.argsort(-lam, kind="stable")
-    lam = lam[order]
+    axis = np.abs(v).argmax(axis=0)
+    order = np.lexsort((axis, -lam))
     v = v[:, order]
-    for j in range(n):
-        k = int(np.argmax(np.abs(v[:, j])))
-        if v[k, j] < 0.0:
-            v[:, j] = -v[:, j]
-    return EigenBasis(eigenvalues=lam, eigenvectors=v)
+    v[:, v[axis[order], np.arange(STATE_DIM)] < 0.0] *= -1.0
+    return EigenBasis(eigenvalues=lam[order], eigenvectors=v)
 
 
 def _distinct_grid(n_phi: int):
@@ -264,10 +233,10 @@ def contour_samples(basis: EigenBasis, spec: UncertaintySpec):
             (g1.size,) * len(levels))
 
 
-def draw_noise(basis: EigenBasis, rng: np.random.Generator) -> np.ndarray:
-    """One Gaussian deviation (x, y, v, theta) as a length-4 array: 4
-    independent standard normals transformed by V diag(sqrt(lambda)).
+def draw_noise(basis: EigenBasis, rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` Gaussian deviations (x, y, v, theta) as an (n, 4) array: rows of
+    4 independent standard normals scaled by sqrt(lambda) and rotated by V.
+    One call takes the same normals in the same order as n one-row calls.
     ``basis`` comes from ``eigendecompose(sigma)`` (or ``spec.basis``)."""
-    z = rng.standard_normal(STATE_DIM)
-    return basis.eigenvectors @ (np.sqrt(basis.eigenvalues) * z)
-
+    z = rng.standard_normal((n, STATE_DIM))
+    return (z * np.sqrt(basis.eigenvalues)) @ basis.eigenvectors.T

@@ -155,7 +155,7 @@ def worst_of(a: Envelope, b: Envelope) -> Envelope:
 def safety_violated(ego: AgentState, others, params: RssParams) -> bool:
     """Violation indicator as EnvelopeRestriction switches on it: some
     agent's expectation at zero covariance is above 0."""
-    _, expectations, _ = analyze_step(ego, list(others), EXACT_SAMPLES, None, params, 0.2)
+    _, expectations, _ = analyze_step(ego, list(others), EXACT_SAMPLES, (), params, 0.2)
     return should_switch(expectations, 0.0)
 
 
@@ -175,7 +175,7 @@ def contour_loop_analysis(ego: AgentState, obs: AgentState, samples, params: Rss
                           tau: float, agent_id: int = 0):
     """One agent's (EnvelopeDistribution, expectation), one kernel call for
     the agent and a slice per contour: the per-contour loop the stacked
-    ``analyze_agents`` replaces."""
+    ``analyze_step`` replaces."""
     levels, deviations, counts = samples
     lon_max, lat_min, lat_max, violated = pair_analysis_batch(
         ego, *per_agent_states([(obs, deviations)]), params, tau)

@@ -8,8 +8,8 @@ from riskenv import bench, prob_envelope, rss, uncertainty
 from riskenv.config import COVARIANCE_CASES, RunConfig, ScenarioParams, load_config
 from riskenv.prob_envelope import perturbed_state_arrays
 from riskenv.rss import AgentState, safety_envelope, violation_batch
-from riskenv.sim import ObservedWorld, observe
-from riskenv.uncertainty import UncertaintySpec, eigendecompose
+from riskenv.sim import ObservedWorld, WorldState, observe
+from riskenv.uncertainty import UncertaintySpec, draw_noise, eigendecompose
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +59,10 @@ class TestPolicyEquivalences:
         rng = np.random.default_rng(0)
         policy = bench.Policy(kind, beta, cfg, spec, rng, ego_v0=ego.v)
         obs = ObservedWorld(ego=ego, others=tuple(others))
-        return policy, obs
+        # At zero noise the true world is the observed one.
+        world = WorldState(0.0, ego, tuple(others),
+                           tuple(cfg.road.lane_of(o.y) for o in others), cfg.road)
+        return policy, obs, world
 
     @pytest.mark.parametrize("geometry", [
         (AgentState(0, 0, 0, 17), [AgentState(28, 0, 0, 15)]),
@@ -69,33 +72,33 @@ class TestPolicyEquivalences:
     def test_zero_noise_prob_env_equals_env_restriction(self, cfg, geometry):
         ego, others = geometry
         for beta in (0.05, 0.5):
-            pa, obs = self.zero_noise_policy(cfg, "ProbabilisticEnvelopeRestriction",
-                                             beta, ego, others)
-            pb, _ = self.zero_noise_policy(cfg, "EnvelopeRestriction", beta, ego, others)
-            switch_a, env_a, _ = pa._decide(obs)
-            switch_b, env_b, _ = pb._decide(obs)
+            pa, obs, world = self.zero_noise_policy(
+                cfg, "ProbabilisticEnvelopeRestriction", beta, ego, others)
+            pb, _, _ = self.zero_noise_policy(cfg, "EnvelopeRestriction", beta, ego, others)
+            switch_a, env_a, _ = pa._decide(obs, world)
+            switch_b, env_b, _ = pb._decide(obs, world)
             assert switch_a == switch_b
             if not switch_a:
                 assert env_a == env_b
-            cmd_a = pa(obs, None)[:3]
-            cmd_b = pb(obs, None)[:3]
+            cmd_a = pa(obs, world)[:3]
+            cmd_b = pb(obs, world)[:3]
             assert cmd_a == cmd_b
 
     def test_zero_noise_simplex_flavors_switch_identically(self, cfg):
         ego = AgentState(0, 1.4, 0.1, 17)
         others = [AgentState(6, 3.5, 0, 19)]
         for beta in (0.0, 0.1, 0.9):
-            pa, obs = self.zero_noise_policy(cfg, "Simplex", beta, ego, others)
-            pb, _ = self.zero_noise_policy(cfg, "ProbabilisticSimplex", beta, ego, others)
-            assert pa._decide(obs)[0] == pb._decide(obs)[0]
+            pa, obs, world = self.zero_noise_policy(cfg, "Simplex", beta, ego, others)
+            pb, _, _ = self.zero_noise_policy(cfg, "ProbabilisticSimplex", beta, ego, others)
+            assert pa._decide(obs, world)[0] == pb._decide(obs, world)[0]
 
     def test_far_traffic_pure_nominal(self, cfg):
         ego = AgentState(0, 0, 0, 17)
         others = [AgentState(400, 3.5, 0, 17)]
         commands = set()
         for kind in bench.POLICY_NAMES:
-            policy, obs = self.zero_noise_policy(cfg, kind, 0.1, ego, others)
-            a_lon, a_lat, mode, _, _ = policy(obs, None)
+            policy, obs, world = self.zero_noise_policy(cfg, kind, 0.1, ego, others)
+            a_lon, a_lat, mode, _, _ = policy(obs, world)
             assert mode == "nominal"
             commands.add((a_lon, a_lat))
         assert len(commands) == 1
@@ -208,14 +211,13 @@ class TestOneAnalysisPerStep:
         rng = np.random.default_rng(4)
         restricted = switched = 0
         for world in self._worlds(cfg):
-            obs = observe(world, spec.basis, rng)
+            obs = observe(world, draw_noise(spec.basis, rng, len(world.others)))
             # beta = 1: EnvelopeRestriction ignores it and still switches.
             policy = bench.Policy(kind, 1.0, cfg, spec, None, ego_v0=17.0)
             switch, envelope, true_env = policy._decide(obs, world)
             want = safety_envelope(world.ego, world.others, cfg.rss, cfg.tau)
             assert true_env == want
             restricted += want != rss.unrestricted_envelope(cfg.rss)
-            assert policy._decide(obs)[2] is None
             if kind == "EnvelopeRestriction":
                 assert envelope == safety_envelope(obs.ego, obs.others, cfg.rss, cfg.tau)
                 assert switch is bool(violation_batch(

@@ -19,6 +19,7 @@ from riskenv.config import (
     load_config,
 )
 from riskenv.rss import MAX_POSITION, MAX_SPEED
+from riskenv.uncertainty import MAX_SIGMA
 
 # Symmetric covariances with a negative eigenvalue: a 4-entry diagonal and a
 # 16-entry matrix with eigenvalues 3, 1, 1 and -1.
@@ -185,6 +186,23 @@ class TestEnvelopeCommand:
         assert code == 2
         assert out == ""
         assert "sigma[0] must be finite" in err
+
+    def test_sigma_beyond_the_bound_exit_2(self, envelope_input, capsys):
+        # Before the bound, a + a.T overflowed in eigendecompose and the query
+        # exited 0 with NaN contour rows.
+        path = envelope_input({"ego": {"v": 15}, "agents": [{"x": 20, "y": 3.5, "v": 15}],
+                               "sigma": [1e308, 1e308, 1e308, 1e-4]})
+        code, out, err = run_cli(["envelope", "--input", path], capsys)
+        assert (code, out) == (2, "")
+        assert f"invalid input: sigma entries must be finite and at most {MAX_SIGMA:g}" in err
+        assert "Warning" not in err
+
+    def test_sigma_at_the_bound_accepted(self, envelope_input, capsys):
+        path = envelope_input({"ego": {"v": 15}, "agents": [{"x": 20, "y": 3.5, "v": 15}],
+                               "sigma": [MAX_SIGMA] * 4})
+        code, out, _ = run_cli(["envelope", "--input", path], capsys)
+        assert code == 0
+        assert json.loads(out)["switch_decision"] is True
 
     @pytest.mark.parametrize("text", ["NaN", "-Infinity", "1e400", "-1" + "0" * 400],
                              ids=["nan", "-inf", "float-overflow", "int-overflow"])
@@ -512,6 +530,33 @@ class TestScenarioBounds:
         path.write_text(json.dumps({"idm": {"v0": MAX_SPEED + 1.0}}))
         code, _, err = run_cli(["validate", "--config", str(path)], capsys)
         assert code == 2 and "invalid idm: v0 must be in" in err
+
+    @pytest.mark.parametrize("config", [
+        {"scenario": {"n_scenarios": 5, "speed_min": 99.5, "speed_max": 100.0}},
+        {"scenario": {"n_scenarios": 5},
+         "uncertainty": {"small": {"sigma": [0.04, 0.04, 10000.0, 1e-4]}}},
+    ], ids=["speeds-at-the-bound", "large-speed-variance"])
+    @pytest.mark.parametrize("argv", [
+        ["benchmark", "--policies", "Simplex", "--covariance", "small"],
+        ["simulate", "--scenario", "1", "--policy", "Simplex", "--covariance", "small"],
+    ], ids=["benchmark", "simulate"])
+    def test_observed_states_stay_in_bounds(self, tmp_path, monkeypatch, capsys, config,
+                                            argv):
+        # An observed speed used to pass MAX_SPEED under noise, and the run
+        # exited 1 on a config that validate accepts.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert run_cli(["validate", "--config", "cfg.json"], capsys)[0] == 0
+        code, _, err = run_cli(argv + ["--config", "cfg.json"], capsys)
+        assert (code, err) == (0, "")
+
+    def test_sigma_beyond_the_bound_rejected(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"uncertainty": {"large": {
+            "sigma": [0.04, 0.04, 2 * MAX_SIGMA, 1e-4]}}}))
+        code, out, err = run_cli(["validate", "--config", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert "invalid uncertainty.large: sigma entries must be finite and at most" in err
 
     def test_bounds_admitted(self):
         sp = config_from_dict({"scenario": {

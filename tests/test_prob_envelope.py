@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from riskenv import prob_envelope
@@ -10,7 +11,6 @@ from riskenv.prob_envelope import (
     EXACT_SAMPLES,
     ROW_BUDGET,
     EnvelopeDistribution,
-    analyze_agents,
     analyze_step,
     contour_samples,
     envelope_distribution,
@@ -31,7 +31,7 @@ from riskenv.rss import (
     unrestricted_envelope,
     violation_batch,
 )
-from riskenv.uncertainty import UncertaintySpec, chi2_quantile_4, eigendecompose
+from riskenv.uncertainty import MAX_SIGMA, UncertaintySpec, chi2_quantile_4, eigendecompose
 
 from conftest import (
     contour_loop_analysis,
@@ -58,10 +58,10 @@ def env_of(lon_max, lat_min=-4.0, lat_max=4.0, lon_min=-8.0):
     return Envelope(lon_min, lon_max, lat_min, lat_max)
 
 
-def analyze_one(ego, obs, samples, params, tau, agent_id=0):
-    """analyze_agents on one agent."""
-    [result] = analyze_agents(ego, [(agent_id, obs, samples)], params, tau)
-    return result
+def analyze_one(ego, obs, samples, params, tau):
+    """(EnvelopeDistribution, expectation) of one agent from analyze_step."""
+    [dist], [expectation], _ = analyze_step(ego, [obs], samples, (), params, tau)
+    return dist, expectation
 
 
 def worst_case_of(ego, obs, deviations, params):
@@ -112,8 +112,8 @@ class TestWorstCaseContourEnvelope:
         obs = AgentState(24, 0, 0, 15)
         near, far = np.array([[-3.0, 0, 0, 0]]), np.array([[3.0, 0, 0, 0], [4.0, 0, 0, 0]])
         samples = ((0.5, 0.9), np.concatenate([far, near]), (2, 1))
-        dist, _ = analyze_one(ego, obs, samples, rss_params, TAU, agent_id=3)
-        assert dist.agent_id == 3
+        dist, _ = analyze_one(ego, obs, samples, rss_params, TAU)
+        assert dist.agent_id == 0
         assert dist.envelopes == (worst_case_of(ego, obs, far, rss_params),
                                   worst_case_of(ego, obs, near, rss_params))
         assert dist.masses == pytest.approx((0.5, 0.4))
@@ -452,35 +452,38 @@ class TestDegeneracyAndSoundness:
 
 
 class TestAnalyzeAgents:
-    """One stacked pass over several agents against one pass per agent."""
+    """analyze_step's stacked passes over several agents against one pass per
+    agent."""
 
     @staticmethod
     def _agents(rng, n_phi, n_agents):
+        """Samples, and the observed and exact agents among n_agents states."""
         spec = UncertaintySpec.from_diagonal([0.16, 0.09, 0.04, 4e-4], LEVELS, n_phi)
-        samples = contour_samples(eigendecompose(spec.sigma), spec)
-        agents = []
-        for agent_id in rng.permutation(100)[:n_agents]:
+        observed, exact = [], []
+        for _ in range(n_agents):
             state = AgentState(float(rng.uniform(-30.0, 40.0)),
                                float(3.5 * rng.integers(2) + rng.normal(0.0, 0.3)),
                                float(rng.normal(0.0, 0.02)), float(rng.uniform(5.0, 25.0)))
-            agents.append((int(agent_id), state,
-                           EXACT_SAMPLES if rng.random() < 0.3 else samples))
-        return agents
+            (exact if rng.random() < 0.3 else observed).append(state)
+        return contour_samples(eigendecompose(spec.sigma), spec), observed, exact
 
     @pytest.mark.parametrize("n_phi,n_agents", [(8, 1), (8, 6), (12, 3), (12, 5)])
     def test_stacked_equals_one_agent_calls(self, rss_params, n_phi, n_agents):
         rng = np.random.default_rng(100 * n_phi + n_agents)
         ego = AgentState(0.0, 0.0, 0.01, 17.0)
         for _ in range(4):
-            agents = self._agents(rng, n_phi, n_agents)
-            got = analyze_agents(ego, agents, rss_params, TAU)
-            want = [analyze_one(ego, state, samples, rss_params, TAU, agent_id=agent_id)
-                    for agent_id, state, samples in agents]
-            assert got == want
-            assert got == [contour_loop_analysis(ego, state, samples, rss_params, TAU,
-                                                 agent_id=agent_id)
-                           for agent_id, state, samples in agents]
-            assert [d.agent_id for d, _ in got] == [agent_id for agent_id, _, _ in agents]
+            samples, observed, exact = self._agents(rng, n_phi, n_agents)
+            dists, expectations, exact_env = analyze_step(ego, observed, samples, exact,
+                                                          rss_params, TAU)
+            want = [contour_loop_analysis(ego, state, samples, rss_params, TAU, agent_id=j)
+                    for j, state in enumerate(observed)]
+            assert list(zip(dists, expectations)) == want
+            assert [analyze_one(ego, state, samples, rss_params, TAU) for state in observed] \
+                == [contour_loop_analysis(ego, state, samples, rss_params, TAU)
+                    for state in observed]
+            assert exact_env == worst_case(
+                [contour_loop_analysis(ego, state, EXACT_SAMPLES, rss_params, TAU)[0]
+                 for state in exact], rss_params)
 
     def test_passes_split_between_whole_agents(self, rss_params, monkeypatch):
         rows = []
@@ -502,10 +505,12 @@ class TestAnalyzeAgents:
         # An agent over the budget runs alone.
         rows.clear()
         big = ((0.5,), np.zeros((ROW_BUDGET + 1, 4)), (ROW_BUDGET + 1,))
-        analyze_agents(ego, [(0, others[0], EXACT_SAMPLES), (1, others[1], big),
-                             (2, others[2], EXACT_SAMPLES)], rss_params, TAU)
-        assert rows == [1, ROW_BUDGET + 1, 1]
-        assert analyze_agents(ego, [], rss_params, TAU) == []
+        analyze_step(ego, others[:2], big, others[2:], rss_params, TAU)
+        assert rows == [ROW_BUDGET + 1, ROW_BUDGET + 1, 1]
+        rows.clear()
+        assert analyze_step(ego, [], samples, [], rss_params, TAU) == (
+            [], [], unrestricted_envelope(rss_params))
+        assert rows == []
 
     def test_exact_analysis_is_the_deterministic_envelope(self, rss_params):
         rng = np.random.default_rng(31)
@@ -523,7 +528,8 @@ class TestAnalyzeAgents:
                                        [o.v for o in others], [o.theta for o in others],
                                        rss_params)
             assert should_switch(expectations, 0.0) is bool(violated.any())
-            assert analyze_step(ego, others, samples, None, rss_params, TAU)[2] is None
+            assert analyze_step(ego, others, samples, (), rss_params, TAU)[2] == \
+                unrestricted_envelope(rss_params)
         assert worst_case([], rss_params) == unrestricted_envelope(rss_params)
 
 
@@ -567,3 +573,33 @@ class TestStackedStates:
         with pytest.raises(ValueError):
             stacked_states([(AgentState(0.0, 0.0, 0.0, 1.0), np.zeros((2, 4))),
                             (AgentState(9.0, 0.0, 0.0, 1.0), np.zeros(shape))])
+
+
+class TestBoundedSigma:
+    """A covariance whose largest entry sits at MAX_SIGMA keeps the contour
+    rows finite and the kernel free of floating-point warnings."""
+
+    @given(seed=st.integers(0, 2**32 - 1), rotate=st.booleans(),
+           spectrum=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(any),
+           n_phi=st.sampled_from([2, 5, 8]))
+    @settings(max_examples=100, deadline=None, phases=set(Phase) - {Phase.shrink})
+    def test_sigma_at_the_bound_stays_finite(self, seed, rotate, spectrum, n_phi):
+        rng = np.random.default_rng(seed)
+        rot = np.linalg.qr(rng.standard_normal((4, 4)))[0] if rotate else np.eye(4)
+        sigma = rot @ np.diag(spectrum) @ rot.T
+        sigma = 0.5 * (sigma + sigma.T) * (MAX_SIGMA / np.abs(sigma).max())
+        spec = UncertaintySpec(np.clip(sigma, -MAX_SIGMA, MAX_SIGMA), LEVELS, n_phi)
+        ego = AgentState(0.0, float(rng.uniform(0.0, 3.5)), 0.0, float(rng.uniform(0.0, 30.0)))
+        others = [AgentState(float(rng.uniform(-50.0, 50.0)), float(3.5 * rng.integers(2)),
+                             float(rng.normal(0.0, 0.1)), float(rng.uniform(0.0, 30.0)))
+                  for _ in range(2)]
+        # Underflow stays ignored, as in the bounded-state property of the kernel.
+        with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+            warnings.simplefilter("error")
+            levels, deviations, counts = spec.samples
+            assert np.isfinite(deviations).all()
+            dists, expectations, _ = analyze_step(ego, others, spec.samples, others,
+                                                  PARAMS, TAU)
+        for env in (e for d in dists for e in d.envelopes):
+            assert all(map(math.isfinite, (env.a_lon_max, env.a_lat_min, env.a_lat_max)))
+        assert all(0.0 <= e <= 1.0 for e in expectations)

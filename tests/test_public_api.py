@@ -1,4 +1,5 @@
 import riskenv
+import riskenv.bench
 
 
 def test_every_exported_name_resolves():
@@ -29,3 +30,14 @@ def test_one_contour_sampler():
     # prob_envelope re-exports the sampler of uncertainty; it defines none.
     assert riskenv.prob_envelope.contour_samples is riskenv.uncertainty.contour_samples
     assert riskenv.prob_envelope.EXACT_SAMPLES is riskenv.uncertainty.EXACT_SAMPLES
+
+
+def test_one_decomposition_one_noise_transform_one_analysis_entry():
+    # eigendecompose runs on LAPACK, draw_noise is the only Gaussian
+    # transform (sim and bench call it by name), and analyze_step is the
+    # only stacked analysis.
+    assert not hasattr(riskenv.uncertainty, "_jacobi_rotate")
+    assert riskenv.sim.draw_noise is riskenv.uncertainty.draw_noise
+    assert riskenv.bench.draw_noise is riskenv.uncertainty.draw_noise
+    assert not hasattr(riskenv.prob_envelope, "analyze_agents")
+    assert "analyze_agents" not in riskenv.__all__

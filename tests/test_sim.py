@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskenv.config import RunConfig
-from riskenv.rss import AgentState, RssParams, unrestricted_envelope
+from riskenv.rss import (
+    MAX_POSITION,
+    MAX_SPEED,
+    AgentState,
+    RssParams,
+    unrestricted_envelope,
+    wrap_angle,
+)
 from riskenv.sim import (
     IdmParams,
     LateralControl,
@@ -25,7 +32,7 @@ from riskenv.sim import (
     safety_maneuver,
     simulate,
 )
-from riskenv.uncertainty import UncertaintySpec, eigendecompose
+from riskenv.uncertainty import UncertaintySpec, draw_noise, eigendecompose
 from riskenv import bench
 
 RSS = RssParams()
@@ -85,7 +92,7 @@ class TestObserve:
         spec = self.spec(0.0)
         basis = eigendecompose(spec.sigma)
         world = world_with([AgentState(20, 3.5, 0, 15)])
-        obs = observe(world, basis, np.random.default_rng(0))
+        obs = observe(world, draw_noise(basis, np.random.default_rng(0), 1))
         assert obs.ego == world.ego
         assert obs.others == world.others
 
@@ -93,8 +100,8 @@ class TestObserve:
         spec = self.spec(0.04)
         basis = eigendecompose(spec.sigma)
         world = world_with([AgentState(20, 3.5, 0, 15), AgentState(45, 3.5, 0, 17)])
-        a = [observe(world, basis, np.random.default_rng(5)) for _ in range(1)]
-        b = [observe(world, basis, np.random.default_rng(5)) for _ in range(1)]
+        a = [observe(world, draw_noise(basis, np.random.default_rng(5), 2)) for _ in range(1)]
+        b = [observe(world, draw_noise(basis, np.random.default_rng(5), 2)) for _ in range(1)]
         assert a == b
 
     @pytest.mark.parametrize("var", [0.0, 0.04])
@@ -102,7 +109,7 @@ class TestObserve:
         basis = eigendecompose(self.spec(var).sigma)
         world = world_with([AgentState(20.0, 3.5, 0.0, 15.0), AgentState(45.0, 3.5, 0.0, 17.0)],
                            ego=AgentState(0.0, 0.0, 0.0, 17.0))
-        obs = observe(world, basis, np.random.default_rng(3))
+        obs = observe(world, draw_noise(basis, np.random.default_rng(3), 2))
         stepped = idm_step_others(world, IDM, (15.0, 17.0), RSS, 0.2)
         for s in obs.others + stepped + (integrate_ego(world.ego, -1.3, 0.4, 0.2),):
             assert [type(getattr(s, f)) for f in ("x", "y", "theta", "v")] == [float] * 4
@@ -114,13 +121,45 @@ class TestObserve:
         rng = np.random.default_rng(17)
         devs = []
         for _ in range(10_000):
-            obs = observe(world, basis, rng)
+            obs = observe(world, draw_noise(basis, rng, 1))
             o = obs.others[0]
             t = world.others[0]
             devs.append([o.x - t.x, o.y - t.y, o.v - t.v, o.theta - t.theta])
         emp = np.cov(np.array(devs).T)
         for i in range(4):
             assert emp[i, i] == pytest.approx(spec.sigma[i, i], rel=0.1)
+
+    @given(seed=st.integers(0, 2**32 - 1), n_agents=st.integers(0, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_pure_function_of_world_and_deviations(self, seed, n_agents):
+        rng = np.random.default_rng(seed)
+        world = world_with([AgentState(float(rng.uniform(-50.0, 150.0)),
+                                       float(3.5 * rng.integers(2)),
+                                       float(rng.normal(0.0, 0.05)),
+                                       float(rng.uniform(0.0, 30.0)))
+                            for _ in range(n_agents)])
+        devs = rng.normal(0.0, 0.5, (n_agents, 4))
+        kept = devs.copy()
+        obs = observe(world, devs)
+        assert observe(world, devs) == obs
+        assert np.array_equal(devs, kept)
+        assert obs.ego == world.ego
+        for s, d, o in zip(world.others, devs.tolist(), obs.others):
+            assert (o.x, o.y, o.v) == (s.x + d[0], s.y + d[1], max(s.v + d[2], 0.0))
+            assert o.theta == wrap_angle(s.theta + d[3])
+
+    def test_row_count_must_match_the_agents(self):
+        world = world_with([AgentState(20, 3.5, 0, 15), AgentState(45, 3.5, 0, 17)])
+        with pytest.raises(ValueError):
+            observe(world, np.zeros((1, 4)))
+
+    def test_observed_quantities_saturate_at_the_state_bounds(self):
+        world = world_with([AgentState(MAX_POSITION - 1.0, 1.0 - MAX_POSITION, 0.0,
+                                       MAX_SPEED - 0.5),
+                            AgentState(1.0 - MAX_POSITION, MAX_POSITION - 1.0, 0.0, 0.5)])
+        obs = observe(world, np.array([[2.0, -2.0, 1.0, 0.0], [-2.0, 2.0, -1.0, 0.0]]))
+        assert [(o.x, o.y, o.v) for o in obs.others] == [
+            (MAX_POSITION, -MAX_POSITION, MAX_SPEED), (-MAX_POSITION, MAX_POSITION, 0.0)]
 
 
 class TestControllers:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -146,6 +147,45 @@ class TestEigendecompose:
         with pytest.raises(ValueError):
             eigendecompose(np.diag([1.0, 1.0, 1.0, -0.5]))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [(3, 3), (0, 2)])
+    def test_non_finite_rejected(self, value, where):
+        m = np.eye(4)
+        m[where] = m[where[::-1]] = value
+        with pytest.raises(ValueError, match="finite"):
+            eigendecompose(m)
+
+    def test_diagonal_gives_the_sorted_diagonal_and_axis_vectors(self):
+        # Equal eigenvalues keep their axis order, so a diagonal covariance
+        # gives unit vectors exactly; the golden traces and the rates digest
+        # rest on it.
+        values = (0.0, 1e-4, 4e-4, 0.04, 0.09)
+        for diag in itertools.product(values, repeat=4):
+            b = eigendecompose(np.diag(diag))
+            order = np.lexsort((np.arange(4), -np.array(diag)))
+            assert np.array_equal(b.eigenvalues, np.array(diag)[order])
+            assert np.array_equal(b.eigenvectors, np.eye(4)[:, order])
+            assert not np.signbit(b.eigenvectors).any()
+            assert not np.signbit(b.eigenvalues).any()
+
+    @given(seed=st.integers(0, 10_000), ties=st.sampled_from([(0, 1), (1, 2), (0, 3)]))
+    @settings(max_examples=50, deadline=None)
+    def test_signs_and_tie_order_are_canonical(self, seed, ties):
+        # Each column's largest-magnitude component is positive, and equal
+        # eigenvalues come in the (non-decreasing) order of the axes of
+        # those components.
+        rng = np.random.default_rng(seed)
+        spectrum = np.sort(rng.uniform(0.0, 2.0, 4))[::-1]
+        spectrum[ties[1]] = spectrum[ties[0]]
+        rot = random_rotation(rng)
+        b = eigendecompose(rot @ np.diag(spectrum) @ rot.T)
+        v = b.eigenvectors
+        axis = np.abs(v).argmax(axis=0)
+        assert np.all(v[axis, np.arange(4)] > 0.0)
+        assert np.all(np.diff(b.eigenvalues) <= 0.0)
+        same = b.eigenvalues[1:] == b.eigenvalues[:-1]
+        assert np.all(axis[1:][same] >= axis[:-1][same])
+
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
     def test_reconstruction_and_orthonormality(self, seed):
@@ -293,12 +333,14 @@ class TestContours:
 class TestDrawNoise:
     def test_zero_covariance(self):
         rng = np.random.default_rng(1)
-        assert np.all(draw_noise(eigendecompose(np.zeros((4, 4))), rng) == 0.0)
+        draws = draw_noise(eigendecompose(np.zeros((4, 4))), rng, 3)
+        assert draws.shape == (3, 4)
+        assert np.all(draws == 0.0)
 
     def test_same_seed_same_sequence(self):
         b = eigendecompose(np.diag([1.0, 2.0, 3.0, 4.0]))
-        a = [draw_noise(b, np.random.default_rng(42)) for _ in range(1)]
-        c = [draw_noise(b, np.random.default_rng(42)) for _ in range(1)]
+        a = draw_noise(b, np.random.default_rng(42), 5)
+        c = draw_noise(b, np.random.default_rng(42), 5)
         assert np.array_equal(a, c)
 
     def test_empirical_covariance(self):
@@ -306,7 +348,7 @@ class TestDrawNoise:
         rot = random_rotation(np.random.default_rng(2))
         sigma = rot @ np.diag([1.0, 0.6, 0.3, 0.1]) @ rot.T
         b = eigendecompose(sigma)
-        draws = np.array([draw_noise(b, rng) for _ in range(100_000)])
+        draws = draw_noise(b, rng, 100_000)
         emp = np.cov(draws.T)
         for i in range(4):
             for j in range(4):
@@ -317,13 +359,29 @@ class TestDrawNoise:
     def test_confidence_coverage(self, p):
         rng = np.random.default_rng(100)
         sigma = np.diag([0.04, 0.04, 0.04, 1e-4])
-        b = eigendecompose(sigma)
-        n = 100_000
-        z = rng.standard_normal((n, 4))
-        draws = (z * np.sqrt(b.eigenvalues)) @ b.eigenvectors.T
+        draws = draw_noise(eigendecompose(sigma), rng, 100_000)
         m = np.sum(draws ** 2 / np.diag(sigma), axis=1)
         frac = float(np.mean(m <= chi2_quantile_4(p)))
         assert frac == pytest.approx(p, abs=0.01)
+
+    @pytest.mark.parametrize("name", SPECTRA)
+    def test_one_call_takes_the_normals_of_one_row_draws(self, name):
+        # One (n, 4) draw equals n one-agent draws V (sqrt(lambda) * z) from
+        # an equal generator: bit for bit when V is a permutation, to
+        # rounding otherwise.
+        b = spectrum_basis(*SPECTRA[name])
+        diagonal = not SPECTRA[name][1]
+        for n in (0, 1, 2, 7):
+            got = draw_noise(b, np.random.default_rng(n), n)
+            rng = np.random.default_rng(n)
+            want = np.array([b.eigenvectors @ (np.sqrt(b.eigenvalues) * rng.standard_normal(4))
+                             for _ in range(n)]).reshape(n, 4)
+            assert got.shape == (n, 4)
+            if diagonal:
+                assert np.array_equal(got, want)
+            else:
+                assert np.abs(got - want).max(initial=0.0) <= 1e-15 * max(
+                    1.0, np.abs(want).max(initial=0.0))
 
 
 class TestSpecValidation:
