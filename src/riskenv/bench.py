@@ -1,5 +1,7 @@
-"""Benchmark harness: scenario generation, baseline policies, rate sweeps.
+"""Benchmark harness: scenario generation, the episode loop, rate sweeps.
 
+``run_episode`` is the closed loop: perception, the policy's switch
+decision (latched once it switches), the command, the simulator step.
 Four ego policies share one scenario set with paired seeds:
 
 * ProbabilisticEnvelopeRestriction: risk-bounded envelope clamps the nominal
@@ -37,10 +39,14 @@ from .rss import (
 from .sim import (
     EpisodeResult,
     ObservedWorld,
+    StepRecord,
     WorldState,
+    classify_outcome,
+    idm_step_others,
+    integrate_ego,
     nominal_lane_change,
+    observe,
     safety_maneuver,
-    simulate,
 )
 from .uncertainty import EXACT_SAMPLES, UncertaintySpec, draw_noise
 
@@ -96,14 +102,15 @@ def initial_world(scn: ScenarioConfig, cfg: RunConfig) -> WorldState:
 
 
 class Policy:
-    """Per-episode policy closure handed to sim.simulate.
+    """One policy's switch decision on one covariance case.
 
-    Carries the eigenbasis and contour samples of the covariance case, its
-    own RNG stream for sampled switching, and the latch.
+    Carries the eigenbasis and contour samples of the case and its own RNG
+    stream for sampled switching; the latch and the commands belong to
+    run_episode.
     """
 
     def __init__(self, kind: str, beta: float, cfg: RunConfig, spec: UncertaintySpec,
-                 policy_rng: np.random.Generator | None, ego_v0: float):
+                 policy_rng: np.random.Generator | None):
         if kind not in POLICY_NAMES:
             raise ValueError(f"unknown policy {kind!r}")
         self.kind = kind
@@ -111,29 +118,11 @@ class Policy:
         self.cfg = cfg
         self.basis = spec.basis
         self.rng = policy_rng
-        self.ego_v0 = ego_v0
-        self.latched = False
         self.samples = (spec.samples if kind == "ProbabilisticEnvelopeRestriction" else
                         EXACT_SAMPLES if kind == "EnvelopeRestriction" else None)
 
-    # Returns (a_lon, a_lat, mode, envelope, env_violated) per simulate().
-    def __call__(self, obs: ObservedWorld, world: WorldState):
-        cfg = self.cfg
-        rss = cfg.rss
-        envelope = true_env = None
-        if not self.latched:
-            self.latched, envelope, true_env = self._decide(obs, world)
-        if self.latched:
-            a_lon, a_lat = safety_maneuver(obs, cfg.road, rss, cfg.lateral)
-            return a_lon, a_lat, "safety", None, None
-        applied = envelope if envelope is not None else unrestricted_envelope(rss)
-        a_lon, a_lat = nominal_lane_change(obs, 1, applied, cfg.road, cfg.idm,
-                                           self.ego_v0, rss, cfg.lateral)
-        env_violated = None if true_env is None else less_restrictive_any(envelope, true_env)
-        return a_lon, a_lat, "nominal", envelope, env_violated
-
-    def _decide(self, obs: ObservedWorld, world: WorldState
-                ) -> tuple[bool, Envelope | None, Envelope | None]:
+    def __call__(self, obs: ObservedWorld, world: WorldState
+                 ) -> tuple[bool, Envelope | None, Envelope | None]:
         """Switch decision, the envelope of a restricting policy, and the
         envelope at the true states of ``world`` for the audit.
 
@@ -177,23 +166,57 @@ def run_episode(scn: ScenarioConfig, kind: str, beta: float, case: str,
                 cfg: RunConfig, collect_trace: bool = False) -> EpisodeResult:
     """One deterministic episode of one policy on one covariance case.
 
+    Each step observes the world through one ``draw_noise`` call and, until
+    the policy switches, clamps the nominal controller into its envelope
+    and audits that envelope against the true states; once it switches, the
+    safety maneuver is latched.
+
     Observation noise and policy sampling use independent child streams of
     the scenario seed, so the observed world is identical across policies
     until commands diverge.
     """
     spec = cfg.uncertainty[case]
-    ss = np.random.SeedSequence(entropy=scn.seed, spawn_key=(0,))
-    obs_ss, policy_ss = ss.spawn(2)
+    obs_ss, policy_ss = np.random.SeedSequence(entropy=scn.seed, spawn_key=(0,)).spawn(2)
     obs_rng = np.random.default_rng(obs_ss)
-    policy_rng = np.random.default_rng(policy_ss)
+    policy = Policy(kind, beta, cfg, spec, np.random.default_rng(policy_ss))
+    rss, road, dt = cfg.rss, cfg.road, cfg.scenario.dt
     ego_v0 = cfg.idm.v0 if cfg.idm.v0 is not None else scn.ego_speed
-    policy = Policy(kind, beta, cfg, spec, policy_rng, ego_v0=ego_v0)
-    world = initial_world(scn, cfg)
     others_v0 = tuple(cfg.idm.v0 if cfg.idm.v0 is not None else v
                       for _, _, v in scn.others)
-    return simulate(world, policy, spec.basis, obs_rng, cfg.idm, others_v0,
-                    cfg.rss, cfg.scenario.dt, cfg.scenario.horizon,
-                    collect_trace=collect_trace)
+    unrestricted = unrestricted_envelope(rss)
+    world = initial_world(scn, cfg)
+    result = EpisodeResult(outcome="Timeout", steps=0)
+    latched = False
+    while True:
+        obs = observe(world, draw_noise(spec.basis, obs_rng, len(world.others)))
+        envelope = env_violated = None
+        if not latched:
+            latched, envelope, true_env = policy(obs, world)
+        if latched:
+            envelope = None  # ER's switching step returns its envelope
+            a_lon, a_lat = safety_maneuver(obs, road, rss, cfg.lateral)
+        else:
+            a_lon, a_lat = nominal_lane_change(obs, 1, envelope or unrestricted, road,
+                                               cfg.idm, ego_v0, rss, cfg.lateral)
+            if true_env is not None:
+                env_violated = less_restrictive_any(envelope, true_env)
+                result.envelope_steps += 1
+                result.envelope_violations += int(env_violated)
+        result.steps += 1
+        world = WorldState(time=result.steps * dt,
+                           ego=integrate_ego(world.ego, a_lon, a_lat, dt),
+                           others=idm_step_others(world, cfg.idm, others_v0, rss, dt),
+                           other_lanes=world.other_lanes, road=road)
+        outcome = classify_outcome(world, world.time, cfg.scenario.horizon, rss)
+        if collect_trace:
+            result.records.append(StepRecord(
+                t=world.time, ego=world.ego, observations=obs.others, envelope=envelope,
+                a_lon=a_lon, a_lat=a_lat, mode="safety" if latched else "nominal",
+                collision=outcome == "Collision", success=outcome == "Success",
+                env_violated=env_violated))
+        if outcome is not None:
+            result.outcome = outcome
+            return result
 
 
 @dataclass

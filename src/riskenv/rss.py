@@ -459,7 +459,7 @@ def pair_analysis_batch(ego: AgentState, ox, oy, ov, otheta,
     g = _PairGeometry(ego, ox, oy, ov, otheta, params)
     n = g.n
     both_safe = g.lon_safe & g.lat_safe
-    danger = ~g.lon_safe & ~g.lat_safe
+    danger = g.violation()
 
     # Robustness of each direction under full ego dynamics for tau; a robust
     # direction keeps the pair non-dangerous without any restriction.  Each

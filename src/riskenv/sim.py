@@ -1,10 +1,12 @@
-"""Closed-loop 2-lane highway simulation.
+"""World model of the closed-loop 2-lane highway simulation.
 
-The ego runs a lane-change controller whose commands can be clamped into a
-safety envelope or replaced by a latched emergency maneuver; the other
-vehicles follow the intelligent-driver car-following law on the true states.
-Observations of the others carry i.i.d. Gaussian noise; the ego observes
-itself exactly.  Episodes are fully determined by (config, seed).
+The ego's lane-change controller can be clamped into a safety envelope, and
+its emergency maneuver brakes at the physical limit; the other vehicles
+follow the intelligent-driver car-following law on the true states.
+``observe`` perturbs the others by one step's Gaussian deviations; the ego
+observes itself exactly.  The step loop, which latches the emergency
+maneuver once a policy switches, is ``bench.run_episode``; episodes are
+fully determined by (config, seed).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .rss import (MAX_POSITION, MAX_SPEED, AgentState, Envelope, RssParams,
                   advance_speed_clamped, wrap_angle)
-from .uncertainty import EigenBasis, draw_noise
+from .uncertainty import draw_noise  # noqa: F401 - perfbench's tests look it up here
 
 
 @dataclass(frozen=True)
@@ -262,37 +264,3 @@ class EpisodeResult:
     envelope_steps: int = 0      # steps with an active (pre-switch) envelope
     envelope_violations: int = 0
 
-
-def simulate(world: WorldState, policy, basis: EigenBasis,
-             rng: np.random.Generator, idm: IdmParams, others_v0: tuple[float, ...],
-             rss: RssParams, dt: float, horizon: float,
-             collect_trace: bool = False) -> EpisodeResult:
-    """Run one episode to its terminal outcome.
-
-    Each step observes the world through one ``draw_noise`` call from
-    ``basis`` and ``rng``, one deviation per other agent.  ``policy`` maps an
-    ObservedWorld to a decision with fields (a_lon, a_lat, mode, envelope,
-    env_violated); see bench.Policy.
-    """
-    result = EpisodeResult(outcome="Timeout", steps=0)
-    while True:
-        obs = observe(world, draw_noise(basis, rng, len(world.others)))
-        a_lon, a_lat, mode, envelope, env_violated = policy(obs, world)
-        ego2 = integrate_ego(world.ego, a_lon, a_lat, dt)
-        others2 = idm_step_others(world, idm, others_v0, rss, dt)
-        result.steps += 1
-        world = WorldState(time=result.steps * dt, ego=ego2, others=others2,
-                           other_lanes=world.other_lanes, road=world.road)
-        if env_violated is not None:
-            result.envelope_steps += 1
-            result.envelope_violations += int(env_violated)
-        outcome = classify_outcome(world, world.time, horizon, rss)
-        if collect_trace:
-            result.records.append(StepRecord(
-                t=world.time, ego=world.ego, observations=obs.others,
-                envelope=envelope, a_lon=a_lon, a_lat=a_lat, mode=mode,
-                collision=outcome == "Collision", success=outcome == "Success",
-                env_violated=env_violated))
-        if outcome is not None:
-            result.outcome = outcome
-            return result

@@ -57,7 +57,7 @@ class TestPolicyEquivalences:
                                              cfg.uncertainty["small"].contour_levels,
                                              cfg.uncertainty["small"].n_phi)
         rng = np.random.default_rng(0)
-        policy = bench.Policy(kind, beta, cfg, spec, rng, ego_v0=ego.v)
+        policy = bench.Policy(kind, beta, cfg, spec, rng)
         obs = ObservedWorld(ego=ego, others=tuple(others))
         # At zero noise the true world is the observed one.
         world = WorldState(0.0, ego, tuple(others),
@@ -75,14 +75,13 @@ class TestPolicyEquivalences:
             pa, obs, world = self.zero_noise_policy(
                 cfg, "ProbabilisticEnvelopeRestriction", beta, ego, others)
             pb, _, _ = self.zero_noise_policy(cfg, "EnvelopeRestriction", beta, ego, others)
-            switch_a, env_a, _ = pa._decide(obs, world)
-            switch_b, env_b, _ = pb._decide(obs, world)
+            # run_episode commands from the switch and the envelope alone, so
+            # equal decisions give equal commands.
+            switch_a, env_a, _ = pa(obs, world)
+            switch_b, env_b, _ = pb(obs, world)
             assert switch_a == switch_b
             if not switch_a:
                 assert env_a == env_b
-            cmd_a = pa(obs, world)[:3]
-            cmd_b = pb(obs, world)[:3]
-            assert cmd_a == cmd_b
 
     def test_zero_noise_simplex_flavors_switch_identically(self, cfg):
         ego = AgentState(0, 1.4, 0.1, 17)
@@ -90,17 +89,25 @@ class TestPolicyEquivalences:
         for beta in (0.0, 0.1, 0.9):
             pa, obs, world = self.zero_noise_policy(cfg, "Simplex", beta, ego, others)
             pb, _, _ = self.zero_noise_policy(cfg, "ProbabilisticSimplex", beta, ego, others)
-            assert pa._decide(obs, world)[0] == pb._decide(obs, world)[0]
+            assert pa(obs, world)[0] == pb(obs, world)[0]
 
     def test_far_traffic_pure_nominal(self, cfg):
         ego = AgentState(0, 0, 0, 17)
         others = [AgentState(400, 3.5, 0, 17)]
-        commands = set()
         for kind in bench.POLICY_NAMES:
             policy, obs, world = self.zero_noise_policy(cfg, kind, 0.1, ego, others)
-            a_lon, a_lat, mode, _, _ = policy(obs, world)
-            assert mode == "nominal"
-            commands.add((a_lon, a_lat))
+            switch, envelope, _ = policy(obs, world)
+            assert not switch
+            assert envelope in (None, rss.unrestricted_envelope(cfg.rss))
+        # Whole episodes: no policy restricts or switches, so every policy
+        # commands the same nominal trajectory.
+        scn = bench.ScenarioConfig(index=0, seed=5, ego_speed=17.0,
+                                   others=((400.0, 1, 17.0),))
+        commands = set()
+        for kind in bench.POLICY_NAMES:
+            res = bench.run_episode(scn, kind, 0.1, "small", cfg, collect_trace=True)
+            assert {r.mode for r in res.records} == {"nominal"}
+            commands.add(tuple((r.a_lon, r.a_lat) for r in res.records))
         assert len(commands) == 1
 
 
@@ -136,6 +143,74 @@ class TestSweep:
             bench.sweep([], ["Simplex"], ["none"], [0.0], cfg)
         with pytest.raises(ValueError):
             bench.sweep(small_set, [], ["none"], [0.0], cfg)
+
+
+class TestEpisodeLoop:
+    @pytest.fixture(scope="class")
+    def scenarios(self, cfg):
+        return bench.generate_scenarios(20, cfg.seed, cfg)
+
+    @pytest.mark.parametrize("kind", ["ProbabilisticEnvelopeRestriction",
+                                      "ProbabilisticSimplex"])
+    @pytest.mark.parametrize("case", ["small", "large"])
+    def test_latch_holds_and_stops_the_decisions(self, cfg, scenarios, kind, case,
+                                                 monkeypatch):
+        calls = []
+        decide = bench.Policy.__call__
+
+        def counted(policy, obs, world):
+            calls.append(None)
+            return decide(policy, obs, world)
+
+        monkeypatch.setattr(bench.Policy, "__call__", counted)
+        switched = 0
+        for scn in scenarios[:6]:
+            calls.clear()
+            res = bench.run_episode(scn, kind, 0.1, case, cfg, collect_trace=True)
+            modes = [r.mode for r in res.records]
+            first = modes.index("safety") if "safety" in modes else len(modes)
+            assert set(modes[:first]) <= {"nominal"}
+            for r in res.records[first:]:
+                assert (r.mode, r.envelope, r.env_violated) == ("safety", None, None)
+            # One decision per step up to and including the switching step.
+            assert len(calls) == min(first + 1, res.steps)
+            switched += first < len(modes)
+        assert switched > 0
+
+    @pytest.mark.parametrize("kind, betas, baseline", [
+        ("ProbabilisticEnvelopeRestriction", (0.0, 0.1, 0.6), "EnvelopeRestriction"),
+        ("ProbabilisticSimplex", (0.0, 0.5), "Simplex"),
+    ])
+    def test_zero_noise_replays_the_deterministic_policy(self, cfg, scenarios, kind,
+                                                         betas, baseline):
+        # At zero covariance every support is one point and every expectation
+        # is 0 or 1, so below beta = 1 the probabilistic policy is its
+        # deterministic counterpart step for step.
+        for scn in scenarios:
+            want = bench.run_episode(scn, baseline, 0.0, "none", cfg, collect_trace=True)
+            for beta in betas:
+                got = bench.run_episode(scn, kind, beta, "none", cfg, collect_trace=True)
+                assert got.records == want.records
+                assert (got.outcome, got.envelope_steps, got.envelope_violations) == (
+                    want.outcome, want.envelope_steps, want.envelope_violations)
+
+    def test_paired_prefix_across_betas(self, cfg, scenarios):
+        # Episodes of one scenario draw the same observation noise, so two
+        # betas observe the same world until their commands first differ.
+        split = 0
+        for scn in scenarios:
+            for case in ("small", "large"):
+                a, b = (bench.run_episode(scn, "ProbabilisticEnvelopeRestriction", beta,
+                                          case, cfg, collect_trace=True)
+                        for beta in (0.1, 0.6))
+                for ra, rb in zip(a.records, b.records):
+                    assert ra.observations == rb.observations
+                    if (ra.a_lon, ra.a_lat, ra.mode) != (rb.a_lon, rb.a_lat, rb.mode):
+                        split += 1
+                        break
+                else:
+                    assert a.records == b.records
+        assert split > 0
 
 
 class TestQuickSweepDigest:
@@ -213,8 +288,8 @@ class TestOneAnalysisPerStep:
         for world in self._worlds(cfg):
             obs = observe(world, draw_noise(spec.basis, rng, len(world.others)))
             # beta = 1: EnvelopeRestriction ignores it and still switches.
-            policy = bench.Policy(kind, 1.0, cfg, spec, None, ego_v0=17.0)
-            switch, envelope, true_env = policy._decide(obs, world)
+            policy = bench.Policy(kind, 1.0, cfg, spec, None)
+            switch, envelope, true_env = policy(obs, world)
             want = safety_envelope(world.ego, world.others, cfg.rss, cfg.tau)
             assert true_env == want
             restricted += want != rss.unrestricted_envelope(cfg.rss)
@@ -236,18 +311,17 @@ class TestOneAnalysisPerStep:
         switch_steps = set()
         for seed in range(12):
             policy = bench.Policy("ProbabilisticSimplex", beta, cfg, spec,
-                                  np.random.default_rng(seed), ego_v0=17.0)
+                                  np.random.default_rng(seed))
             oracle_rng = np.random.default_rng(seed)
-            # The ego drifts toward a three-car platoon in the left lane; the
-            # policy latches at its first switch and draws nothing more.
+            # The ego drifts toward a three-car platoon in the left lane; an
+            # episode latches at its first switch and draws nothing more.
             for step, y in enumerate(np.linspace(1.0, 1.8, 41)):
                 ego = AgentState(0.0, float(y), 0.0, 17.0)
                 others = tuple(AgentState(x, 3.5, 0.0, 17.0) for x in (-12.0, 1.0, 14.0))
                 obs = ObservedWorld(ego=ego, others=others)
                 want = per_agent_draw_switch(obs, oracle_rng, cfg.simplex_samples, basis,
                                              beta, cfg.rss)
-                mode = policy(obs, None)[2]
-                assert (mode == "safety") is want
+                assert policy(obs, None)[0] is want
                 if want:
                     switch_steps.add(step)
                     break
@@ -274,7 +348,7 @@ class TestOneAnalysisPerStep:
                             counted("pair_analysis_batch", prob_envelope.pair_analysis_batch))
         monkeypatch.setattr(bench, "violation_batch",
                             counted("violation_batch", bench.violation_batch))
-        monkeypatch.setattr(bench.Policy, "_decide", counted("decide", bench.Policy._decide))
+        monkeypatch.setattr(bench.Policy, "__call__", counted("decide", bench.Policy.__call__))
         for scn in small_set[:3]:
             bench.run_episode(scn, kind, 0.1, "small", cfg)
         kernel = ("violation_batch" if kind in ("Simplex", "ProbabilisticSimplex")

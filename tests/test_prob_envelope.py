@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from riskenv import prob_envelope
@@ -583,10 +583,15 @@ class TestBoundedSigma:
            spectrum=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(any),
            n_phi=st.sampled_from([2, 5, 8]))
     @settings(max_examples=100, deadline=None, phases=set(Phase) - {Phase.shrink})
+    @example(seed=1_691_811_342, rotate=False, spectrum=[2.225073858507203e-309] * 4, n_phi=2)
+    @example(seed=7, rotate=True, spectrum=[5e-324, 0.0, 0.0, 0.0], n_phi=5)
     def test_sigma_at_the_bound_stays_finite(self, seed, rotate, spectrum, n_phi):
         rng = np.random.default_rng(seed)
         rot = np.linalg.qr(rng.standard_normal((4, 4)))[0] if rotate else np.eye(4)
-        sigma = rot @ np.diag(spectrum) @ rot.T
+        # The covariance is rescaled to MAX_SIGMA below, so only the spectrum's
+        # shape matters; a largest eigenvalue of 1 keeps a subnormal spectrum
+        # from overflowing the rescale factor.
+        sigma = rot @ np.diag(np.divide(spectrum, max(spectrum))) @ rot.T
         sigma = 0.5 * (sigma + sigma.T) * (MAX_SIGMA / np.abs(sigma).max())
         spec = UncertaintySpec(np.clip(sigma, -MAX_SIGMA, MAX_SIGMA), LEVELS, n_phi)
         ego = AgentState(0.0, float(rng.uniform(0.0, 3.5)), 0.0, float(rng.uniform(0.0, 30.0)))

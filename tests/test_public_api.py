@@ -34,10 +34,16 @@ def test_one_contour_sampler():
 
 def test_one_decomposition_one_noise_transform_one_analysis_entry():
     # eigendecompose runs on LAPACK, draw_noise is the only Gaussian
-    # transform (sim and bench call it by name), and analyze_step is the
-    # only stacked analysis.
+    # transform (bench calls it by name), and analyze_step is the only
+    # stacked analysis.
     assert not hasattr(riskenv.uncertainty, "_jacobi_rotate")
-    assert riskenv.sim.draw_noise is riskenv.uncertainty.draw_noise
     assert riskenv.bench.draw_noise is riskenv.uncertainty.draw_noise
     assert not hasattr(riskenv.prob_envelope, "analyze_agents")
     assert "analyze_agents" not in riskenv.__all__
+
+
+def test_one_episode_loop():
+    # bench.run_episode holds the step loop and the latch; sim is the world
+    # model, and a Policy is only the switch decision.
+    assert not hasattr(riskenv.sim, "simulate")
+    assert not hasattr(riskenv.bench.Policy, "_decide")

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from riskenv.sim import (
     nominal_lane_change,
     observe,
     safety_maneuver,
-    simulate,
 )
 from riskenv.uncertainty import UncertaintySpec, draw_noise, eigendecompose
 from riskenv import bench
@@ -258,19 +258,18 @@ class TestOutcomes:
         assert classify_outcome(idle, 7.8, 8.0, RSS) is None
 
     def test_stationary_world_stays_put(self):
-        # Null policy, no other agents: nothing moves.
-        world = world_with([], ego=AgentState(5.0, 1.0, 0, 0.0))
-        spec = UncertaintySpec.from_diagonal([0, 0, 0, 0], (0.9,), 4)
-        basis = eigendecompose(spec.sigma)
-
-        def null_policy(obs, w):
-            return 0.0, 0.0, "nominal", None, None
-
-        res = simulate(world, null_policy, basis, np.random.default_rng(0),
-                       IDM, (), RSS, 0.2, 8.0, collect_trace=True)
-        assert res.outcome == "Timeout"
-        assert res.steps == 40
-        assert all(r.ego.x == 5.0 and r.ego.y == 1.0 for r in res.records)
+        # Zero commands, no other agents: nothing moves, and the step at
+        # t = horizon (step 40 of 0.2 s, at the time run_episode gives step
+        # n) is the first that ends the episode.
+        ego = AgentState(5.0, 1.0, 0, 0.0)
+        world = world_with([], ego=ego)
+        for step in range(1, 41):
+            assert classify_outcome(world, world.time, 8.0, RSS) is None
+            world = WorldState(time=step * 0.2, ego=integrate_ego(world.ego, 0.0, 0.0, 0.2),
+                               others=idm_step_others(world, IDM, (), RSS, 0.2),
+                               other_lanes=(), road=ROAD)
+            assert world.ego == ego and world.others == ()
+        assert classify_outcome(world, world.time, 8.0, RSS) == "Timeout"
 
 
 class TestEpisodes:
@@ -295,6 +294,16 @@ class TestEpisodes:
                     continue
                 assert rec.envelope.a_lon_min - 1e-9 <= rec.a_lon <= rec.envelope.a_lon_max + 1e-9
                 assert rec.envelope.a_lat_min - 1e-9 <= rec.a_lat <= rec.envelope.a_lat_max + 1e-9
+
+    @pytest.mark.parametrize("kind", bench.POLICY_NAMES)
+    def test_unreachable_goal_times_out_at_the_horizon(self, kind):
+        cfg = replace(RunConfig(), road=RoadParams(goal_x_min=1000.0, goal_x_max=1100.0))
+        scn = bench.ScenarioConfig(index=0, seed=3, ego_speed=17.0, others=())
+        res = bench.run_episode(scn, kind, 0.1, "small", cfg, collect_trace=True)
+        assert res.outcome == "Timeout"
+        assert res.steps == len(res.records) == 40
+        assert [r.t for r in res.records] == [n * 0.2 for n in range(1, 41)]
+        assert {r.mode for r in res.records} == {"nominal"}
 
     def test_outcome_partition(self):
         cfg = RunConfig()
