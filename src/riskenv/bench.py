@@ -7,11 +7,11 @@ Four ego policies share one scenario set with paired seeds:
 * ProbabilisticEnvelopeRestriction: risk-bounded envelope clamps the nominal
   controller; the safety maneuver latches when the expected violation of any
   single agent exceeds the risk level.
-* EnvelopeRestriction: envelope at the observed states clamps the controller;
-  switches on an observed violation.
-* Simplex: unrestricted controller; switches on an observed violation.
 * ProbabilisticSimplex: unrestricted controller; switches when the sampled
   mean violation over drawn deviations exceeds the risk level.
+* EnvelopeRestriction and Simplex: the two above at zero covariance and
+  beta 0, so the envelope is the one at the observed states and either
+  switches on an observed violation.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .prob_envelope import (
     risk_bounded_envelope,
     should_switch,
     stacked_states,
-    worst_case,
 )
 from .rss import (
     AgentState,
@@ -51,6 +50,7 @@ from .sim import (
 from .uncertainty import EXACT_SAMPLES, UncertaintySpec, draw_noise
 
 BETA_FREE_POLICIES = ("EnvelopeRestriction", "Simplex")
+RESTRICTING_POLICIES = ("ProbabilisticEnvelopeRestriction", "EnvelopeRestriction")
 
 
 @dataclass(frozen=True)
@@ -102,64 +102,62 @@ def initial_world(scn: ScenarioConfig, cfg: RunConfig) -> WorldState:
 
 
 class Policy:
-    """One policy's switch decision on one covariance case.
-
-    Carries the eigenbasis and contour samples of the case and its own RNG
-    stream for sampled switching; the latch and the commands belong to
-    run_episode.
+    """One policy's switch decision on one covariance case; a beta-free
+    policy runs as its probabilistic twin at zero covariance and beta 0.
+    The latch and the commands belong to run_episode.
     """
 
     def __init__(self, kind: str, beta: float, cfg: RunConfig, spec: UncertaintySpec,
                  policy_rng: np.random.Generator | None):
         if kind not in POLICY_NAMES:
             raise ValueError(f"unknown policy {kind!r}")
-        self.kind = kind
-        self.beta = beta
+        exact = kind in BETA_FREE_POLICIES
+        self.beta = 0.0 if exact else beta
         self.cfg = cfg
-        self.basis = spec.basis
         self.rng = policy_rng
-        self.samples = (spec.samples if kind == "ProbabilisticEnvelopeRestriction" else
-                        EXACT_SAMPLES if kind == "EnvelopeRestriction" else None)
+        # The analysis: the case's contour samples, or deviations drawn in its
+        # eigenbasis (None at zero covariance: one zero deviation per agent).
+        self.samples = self.basis = None
+        if kind in RESTRICTING_POLICIES:
+            self.samples = EXACT_SAMPLES if exact else spec.samples
+        elif not (exact or spec.basis.eigenvalues[0] <= 0.0):
+            self.basis = spec.basis
 
     def __call__(self, obs: ObservedWorld, world: WorldState
                  ) -> tuple[bool, Envelope | None, Envelope | None]:
-        """Switch decision, the envelope of a restricting policy, and the
+        """Switch decision (some agent's expectation exceeds beta), the
+        envelope of a restricting policy (None when it switches), and the
         envelope at the true states of ``world`` for the audit.
 
-        The restricting policies analyse the observed agents and the true
-        agents in one ``analyze_step`` call; ``observe`` copies the ego
-        exactly, so one ego serves both.  EnvelopeRestriction is the
-        zero-covariance case: it switches on any observed violation.
+        A restricting policy analyses the observed and the true agents in one
+        ``analyze_step`` call; ``observe`` copies the ego exactly.
         """
         cfg = self.cfg
         if self.samples is None:
-            return self._sampled_switch(obs), None, None
+            return should_switch(self._mean_violations(obs), self.beta), None, None
         dists, expectations, true_env = analyze_step(
             obs.ego, obs.others, self.samples, world.others, cfg.rss, cfg.tau)
-        if self.kind == "EnvelopeRestriction":
-            return should_switch(expectations, 0.0), worst_case(dists, cfg.rss), true_env
         if should_switch(expectations, self.beta):
             return True, None, true_env
         return False, risk_bounded_envelope(dists, self.beta, cfg.rss), true_env
 
-    def _sampled_switch(self, obs: ObservedWorld) -> bool:
-        """Simplex: some observed agent violates.  ProbabilisticSimplex: some
-        agent's mean violation over ``simplex_samples`` drawn deviations
-        exceeds beta.  Every agent's rows go to one violation_batch call; one
-        draw of k * m rows takes the same numbers as k draws of m rows."""
-        cfg = self.cfg
+    def _mean_violations(self, obs: ObservedWorld):
+        """Each observed agent's mean violation over ``simplex_samples``
+        drawn deviations, or over one zero deviation at zero covariance.
+        Every agent's rows go to one violation_batch call; one draw of k * m
+        rows takes the same numbers as k draws of m rows."""
         k = len(obs.others)
         if k == 0:
-            return False
-        if self.kind == "Simplex":
-            m, limit, devs = 1, 0.0, np.zeros((k, 4))
+            return ()
+        if self.basis is None:
+            m, devs = 1, np.zeros((k, 4))
         else:
-            m, limit = cfg.simplex_samples, self.beta
+            m = self.cfg.simplex_samples
             devs = draw_noise(self.basis, self.rng, k * m)
         ox, oy, ov, ot = stacked_states(
             (o, devs[j * m:(j + 1) * m]) for j, o in enumerate(obs.others))
-        violated = violation_batch(obs.ego, ox, oy, ov, ot, cfg.rss)
-        return bool((violated.reshape(k, m).mean(axis=1) > limit).any())
+        violated = violation_batch(obs.ego, ox, oy, ov, ot, self.cfg.rss)
+        return violated.reshape(k, m).mean(axis=1)
 
 
 def run_episode(scn: ScenarioConfig, kind: str, beta: float, case: str,
@@ -193,7 +191,6 @@ def run_episode(scn: ScenarioConfig, kind: str, beta: float, case: str,
         if not latched:
             latched, envelope, true_env = policy(obs, world)
         if latched:
-            envelope = None  # ER's switching step returns its envelope
             a_lon, a_lat = safety_maneuver(obs, road, rss, cfg.lateral)
         else:
             a_lon, a_lat = nominal_lane_change(obs, 1, envelope or unrestricted, road,
@@ -265,29 +262,23 @@ def sweep(scenarios, policies, cases, betas, cfg: RunConfig,
           pool=None) -> list[RateRow]:
     """Rate table over every (policy, covariance case, beta) cell.
 
-    Policies that ignore the risk level run once per case and replicate
-    across the beta grid; all cells share the per-scenario seeds.
+    Each distinct (policy, case, beta) runs once; policies that ignore the
+    risk level run once per case and replicate across the beta grid.  All
+    cells share the per-scenario seeds.
     """
     if not (scenarios and policies and cases and betas):
         raise ValueError("scenarios, policies, cases and betas must be non-empty")
-    jobs = []
-    for policy in policies:
-        for case in cases:
-            cell_betas = [betas[0]] if policy in BETA_FREE_POLICIES else list(betas)
-            for beta in cell_betas:
-                jobs.append((policy, case, beta))
+    cells = [(policy, case, beta, betas[0] if policy in BETA_FREE_POLICIES else beta)
+             for policy in policies for case in cases for beta in betas]
+    jobs = list(dict.fromkeys((policy, case, run_beta)
+                              for policy, case, _, run_beta in cells))
     if pool is None:
-        cells = [run_cell(scenarios, p, c, b, cfg) for p, c, b in jobs]
+        rows = [run_cell(scenarios, p, c, b, cfg) for p, c, b in jobs]
     else:
-        cells = pool.starmap(run_cell, [(scenarios, p, c, b, cfg) for p, c, b in jobs])
-    by_key = {(r.policy, r.covariance_case, r.beta): r for r in cells}
-    rows = []
-    for policy in policies:
-        for case in cases:
-            for beta in betas:
-                key_beta = betas[0] if policy in BETA_FREE_POLICIES else beta
-                rows.append(replace(by_key[(policy, case, key_beta)], beta=beta))
-    return rows
+        rows = pool.starmap(run_cell, [(scenarios, p, c, b, cfg) for p, c, b in jobs])
+    by_job = dict(zip(jobs, rows))
+    return [replace(by_job[(policy, case, run_beta)], beta=beta)
+            for policy, case, beta, run_beta in cells]
 
 
 CSV_HEADER = ("policy,covariance_case,beta,success_rate,collision_rate,"

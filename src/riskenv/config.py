@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .rss import MAX_SPEED, AgentState, RssParams
+from .rss import MAX_SPEED, MAX_TAU, AgentState, RssParams
 from .sim import IdmParams, LateralControl, RoadParams
 from .uncertainty import MAX_SIMPLEX_ROWS, STATE_DIM, UncertaintySpec, integral
 
@@ -44,9 +44,9 @@ def check_beta(beta: float) -> float:
 
 
 def check_tau(tau: float) -> float:
-    """``tau`` if it is a finite envelope horizon > 0."""
-    if not (math.isfinite(tau) and tau > 0.0):
-        raise ConfigError(f"tau must be finite and > 0, got {tau}")
+    """``tau`` if it is an envelope horizon in (0, MAX_TAU]; NaN is not one."""
+    if not (0.0 < tau <= MAX_TAU):
+        raise ConfigError(f"tau must be finite, > 0 and <= {MAX_TAU:g} s, got {tau}")
     return tau
 
 
@@ -112,6 +112,9 @@ class RunConfig:
     def __post_init__(self):
         if not self.uncertainty:
             object.__setattr__(self, "uncertainty", default_uncertainty())
+        for key in ("policies", "betas"):
+            if not getattr(self, key):
+                raise ConfigError(f"{key} must be non-empty")
         for name in self.policies:
             if name not in POLICY_NAMES:
                 raise ConfigError(f"unknown policy {name!r}")

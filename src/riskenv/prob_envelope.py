@@ -114,7 +114,7 @@ def analyze_step(ego: AgentState, observed, samples, exact, params: RssParams,
             1.0 - levels[-1]))
         expectations.append(expectation)
     # Each exact agent has one contour, after those of the observed agents;
-    # their worst case is taken as ``worst_case`` takes it.
+    # their worst case is the component-wise most restrictive one.
     tail = contours[len(observed) * len(levels):]
     exact_env = unrestricted_envelope(params) if not tail else Envelope(
         -params.a_lon_limit, min(c[0] for c in tail), max(c[1] for c in tail),
@@ -204,16 +204,6 @@ def risk_bounded_envelope(distributions, beta: float, params: RssParams) -> Enve
                 cum[j] += s.get(v, 0.0)
         values[name] = best
     return Envelope(**values)
-
-
-def worst_case(distributions, params: RssParams) -> Envelope:
-    """Component-wise most restrictive contour envelope of the distributions;
-    the unrestricted envelope if there are none."""
-    envs = [e for d in distributions for e in d.envelopes]
-    if not envs:
-        return unrestricted_envelope(params)
-    return Envelope(-params.a_lon_limit, min(e.a_lon_max for e in envs),
-                    max(e.a_lat_min for e in envs), min(e.a_lat_max for e in envs))
 
 
 def should_switch(expectations, beta: float) -> bool:

@@ -38,6 +38,9 @@ TWO_PI = 2.0 * math.pi
 # arithmetic (squares of speeds, gaps over tau**2) far inside the float range.
 MAX_SPEED = 100.0      # m/s
 MAX_POSITION = 1e7     # |x| and |y| (m)
+# Bound on the envelope horizon tau: the time the fastest vehicle takes to
+# cross the position bound; with it, tau**2 times an acceleration stays finite.
+MAX_TAU = MAX_POSITION / MAX_SPEED  # s
 
 
 def wrap_angle(theta):

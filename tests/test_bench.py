@@ -89,7 +89,10 @@ class TestPolicyEquivalences:
         for beta in (0.0, 0.1, 0.9):
             pa, obs, world = self.zero_noise_policy(cfg, "Simplex", beta, ego, others)
             pb, _, _ = self.zero_noise_policy(cfg, "ProbabilisticSimplex", beta, ego, others)
+            state = pb.rng.bit_generator.state
             assert pa(obs, world)[0] == pb(obs, world)[0]
+            # At zero covariance nothing is drawn: one zero deviation per agent.
+            assert pb.rng.bit_generator.state == state
 
     def test_far_traffic_pure_nominal(self, cfg):
         ego = AgentState(0, 0, 0, 17)
@@ -137,6 +140,31 @@ class TestSweep:
             assert ra.ego == rb.ego
             if (ra.a_lon, ra.a_lat) != (rb.a_lon, rb.a_lat):
                 break
+
+    def test_each_distinct_cell_runs_once(self, cfg, small_set, monkeypatch):
+        calls = []
+        run_cell = bench.run_cell
+
+        def counted(scenarios, policy, case, beta, cfg):
+            calls.append((policy, case, beta))
+            return run_cell(scenarios, policy, case, beta, cfg)
+
+        scenarios = small_set[:2]
+        want = bench.sweep(scenarios, ["ProbabilisticEnvelopeRestriction", "Simplex"],
+                           ["small"], [0.1, 0.4], cfg)
+        monkeypatch.setattr(bench, "run_cell", counted)
+        rows = bench.sweep(scenarios, ["ProbabilisticEnvelopeRestriction", "Simplex",
+                                       "ProbabilisticEnvelopeRestriction"],
+                           ["small"], [0.1, 0.4, 0.1], cfg)
+        assert sorted(calls) == [("ProbabilisticEnvelopeRestriction", "small", 0.1),
+                                 ("ProbabilisticEnvelopeRestriction", "small", 0.4),
+                                 ("Simplex", "small", 0.1)]
+        # One row per requested (policy, case, beta), repeats included.
+        assert [(r.policy, r.beta) for r in rows] == [
+            (p, b) for p in ("ProbabilisticEnvelopeRestriction", "Simplex",
+                             "ProbabilisticEnvelopeRestriction") for b in (0.1, 0.4, 0.1)]
+        by_cell = {(r.policy, r.beta): r for r in want}
+        assert all(r == by_cell[(r.policy, r.beta)] for r in rows)
 
     def test_empty_inputs_rejected(self, cfg, small_set):
         with pytest.raises(ValueError):
@@ -284,7 +312,7 @@ class TestOneAnalysisPerStep:
     def test_audit_envelope_is_safety_envelope_on_true_states(self, cfg, kind):
         spec = cfg.uncertainty["large"]
         rng = np.random.default_rng(4)
-        restricted = switched = 0
+        restricted = switched = clamped = 0
         for world in self._worlds(cfg):
             obs = observe(world, draw_noise(spec.basis, rng, len(world.others)))
             # beta = 1: EnvelopeRestriction ignores it and still switches.
@@ -293,8 +321,13 @@ class TestOneAnalysisPerStep:
             want = safety_envelope(world.ego, world.others, cfg.rss, cfg.tau)
             assert true_env == want
             restricted += want != rss.unrestricted_envelope(cfg.rss)
+            # No policy returns an envelope on its switching step.
+            assert (envelope is None) is switch
             if kind == "EnvelopeRestriction":
-                assert envelope == safety_envelope(obs.ego, obs.others, cfg.rss, cfg.tau)
+                if not switch:
+                    assert envelope == safety_envelope(obs.ego, obs.others, cfg.rss,
+                                                       cfg.tau)
+                    clamped += envelope != rss.unrestricted_envelope(cfg.rss)
                 assert switch is bool(violation_batch(
                     obs.ego, [o.x for o in obs.others], [o.y for o in obs.others],
                     [o.v for o in obs.others], [o.theta for o in obs.others],
@@ -302,7 +335,7 @@ class TestOneAnalysisPerStep:
                 switched += switch
         assert restricted > 20
         if kind == "EnvelopeRestriction":
-            assert switched > 0
+            assert switched > 0 and clamped > 0
 
     @pytest.mark.parametrize("beta", [0.1, 0.5])
     def test_stacked_simplex_draw_matches_per_agent_draws(self, cfg, beta):

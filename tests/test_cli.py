@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from riskenv.config import (
     config_from_dict,
     load_config,
 )
-from riskenv.rss import MAX_POSITION, MAX_SPEED
+from riskenv.rss import MAX_POSITION, MAX_SPEED, MAX_TAU
 from riskenv.uncertainty import MAX_SIGMA
 
 # Symmetric covariances with a negative eigenvalue: a 4-entry diagonal and a
@@ -164,7 +165,8 @@ class TestEnvelopeCommand:
         code, out, err = run_cli(["envelope", "--input", path], capsys)
         assert code == 0 and err == ""
 
-    @pytest.mark.parametrize("tau", [0, -1, float("nan"), float("inf"), "fast", "0.2"])
+    @pytest.mark.parametrize("tau", [0, -1, float("nan"), float("inf"), "fast", "0.2",
+                                     1e160, math.nextafter(MAX_TAU, math.inf)])
     def test_bad_tau_exit_2(self, envelope_input, capsys, tau):
         path = envelope_input({
             "ego": {"x": 0, "y": 0, "theta": 0, "v": 17},
@@ -178,6 +180,18 @@ class TestEnvelopeCommand:
         assert "tau" in err
 
 
+
+    @pytest.mark.parametrize("tau", [5e-324, MAX_TAU])
+    def test_tau_at_the_bounds_accepted(self, envelope_input, capsys, tau):
+        path = envelope_input({
+            "ego": {"x": 0, "y": 0, "theta": 0, "v": 17},
+            "agents": [{"x": 28, "y": 0, "theta": 0, "v": 15}],
+            "sigma": [0.04, 0.04, 0.04, 1e-4],
+            "tau": tau,
+        })
+        code, out, err = run_cli(["envelope", "--input", path], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)
     def test_non_finite_sigma_exit_2(self, tmp_path, capsys):
         path = tmp_path / "input.json"
         path.write_text('{"ego": {"v": 15}, "agents": [{"x": 20, "v": 15}], '
@@ -664,10 +678,31 @@ class TestValidateCommand:
         assert type(cfg.scenario.n_scenarios) is int and cfg.scenario.n_scenarios == 7
         assert {spec.n_phi for spec in cfg.uncertainty.values()} == {8}
 
-    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), 0.0])
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), 0.0, 1e160,
+                                     math.nextafter(MAX_TAU, math.inf)])
     def test_non_finite_tau_rejected(self, tau):
         with pytest.raises(ConfigError, match="tau"):
             RunConfig(tau=tau)
+
+    def test_tau_bound_named_by_validate(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"tau": 1e160}')
+        code, out, err = run_cli(["validate", "--config", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert f"tau must be finite, > 0 and <= {MAX_TAU:g} s" in err
+        path.write_text(json.dumps({"tau": MAX_TAU}))
+        assert run_cli(["validate", "--config", str(path)], capsys)[:2] == (0, "config ok\n")
+
+    @pytest.mark.parametrize("key", ["policies", "betas"])
+    @pytest.mark.parametrize("command", ["validate", "benchmark"])
+    def test_empty_list_rejected(self, tmp_path, monkeypatch, capsys, key, command):
+        monkeypatch.chdir(tmp_path)  # benchmark writes to ./results
+        (tmp_path / "cfg.json").write_text(
+            json.dumps({key: [], "scenario": {"n_scenarios": 2}}))
+        code, out, err = run_cli([command, "--config", "cfg.json"], capsys)
+        assert (code, out) == (2, "")
+        assert f"{key} must be non-empty" in err
+        assert not (tmp_path / "results").exists()
 
     def test_non_finite_sigma_rejected(self):
         sigma = [0.04, 0.04, float("inf"), 1e-4]

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -18,7 +19,6 @@ from riskenv.prob_envelope import (
     risk_bounded_envelope,
     should_switch,
     stacked_states,
-    worst_case,
 )
 from riskenv.rss import (
     AgentState,
@@ -481,9 +481,11 @@ class TestAnalyzeAgents:
             assert [analyze_one(ego, state, samples, rss_params, TAU) for state in observed] \
                 == [contour_loop_analysis(ego, state, samples, rss_params, TAU)
                     for state in observed]
-            assert exact_env == worst_case(
+            assert exact_env == functools.reduce(
+                worst_of,
                 [contour_loop_analysis(ego, state, EXACT_SAMPLES, rss_params, TAU)[0]
-                 for state in exact], rss_params)
+                 .envelopes[0] for state in exact],
+                unrestricted_envelope(rss_params))
 
     def test_passes_split_between_whole_agents(self, rss_params, monkeypatch):
         rows = []
@@ -523,14 +525,38 @@ class TestAnalyzeAgents:
             dists, expectations, exact_env = analyze_step(ego, others, EXACT_SAMPLES, others,
                                                           rss_params, TAU)
             want = safety_envelope(ego, others, rss_params, TAU)
-            assert exact_env == want == worst_case(dists, rss_params)
+            assert exact_env == want
+            for beta in (0.0, 0.05, 0.5, 1.0):
+                assert risk_bounded_envelope(dists, beta, rss_params) == want
             violated = violation_batch(ego, [o.x for o in others], [o.y for o in others],
                                        [o.v for o in others], [o.theta for o in others],
                                        rss_params)
             assert should_switch(expectations, 0.0) is bool(violated.any())
             assert analyze_step(ego, others, samples, (), rss_params, TAU)[2] == \
                 unrestricted_envelope(rss_params)
-        assert worst_case([], rss_params) == unrestricted_envelope(rss_params)
+
+    # Positions around the ego in both lanes, so that some agents restrict
+    # it and some are violated.
+    agent = st.tuples(st.floats(-15.0, 30.0), st.sampled_from([0.0, 1.8, 3.5]),
+                      st.floats(-0.2, 0.2), st.floats(0.0, 30.0))
+
+    @given(ego=agent, others=st.lists(agent, max_size=4), beta=st.floats(0.0, 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_exact_risk_envelope_is_the_safety_envelope_at_any_beta(
+            self, ego, others, beta):
+        # EnvelopeRestriction runs as ProbabilisticEnvelopeRestriction at
+        # zero covariance, which rests on this identity.  It needs each
+        # distribution to be one point of mass exactly 1: within MASS_TOL a
+        # mass of 1 - 1e-13 would be accepted, and at beta = 1 the solve
+        # would then discard it.
+        rss_params = RssParams()
+        ego, others = AgentState(*ego), [AgentState(*o) for o in others]
+        dists, _, _ = analyze_step(ego, others, EXACT_SAMPLES, (), rss_params, TAU)
+        assert EXACT_SAMPLES[0] == (1.0,)
+        for dist in dists:
+            assert dist.masses == (1.0,) and dist.residual_mass == 0.0
+        assert risk_bounded_envelope(dists, beta, rss_params) == safety_envelope(
+            ego, others, rss_params, TAU)
 
 
 class TestStackedStates:

@@ -47,3 +47,11 @@ def test_one_episode_loop():
     # model, and a Policy is only the switch decision.
     assert not hasattr(riskenv.sim, "simulate")
     assert not hasattr(riskenv.bench.Policy, "_decide")
+
+
+def test_one_decision_rule():
+    # EnvelopeRestriction and Simplex run as their probabilistic twins at
+    # zero covariance and beta 0: every policy switches through
+    # should_switch and restricts through risk_bounded_envelope.
+    assert not hasattr(riskenv.prob_envelope, "worst_case")
+    assert "worst_case" not in riskenv.__all__

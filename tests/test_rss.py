@@ -12,6 +12,7 @@ from riskenv import rss
 from riskenv.rss import (
     MAX_POSITION,
     MAX_SPEED,
+    MAX_TAU,
     TWO_PI,
     AgentState,
     Envelope,
@@ -557,7 +558,8 @@ class TestBoundedStates:
            others=st.lists(st.tuples(st.booleans(), coord, coord, st.floats(-60.0, 60.0),
                                      st.floats(-8.0, 8.0), heading, speed),
                            min_size=1, max_size=12),
-           tau=st.sampled_from([0.05, 0.1, 0.2, 0.5, 1.0]))
+           tau=st.floats(0.0, MAX_TAU, exclude_min=True) | st.sampled_from(
+               [5e-324, MAX_TAU]))
     # No shrink phase: shrinking a failure of this many floats runs for minutes.
     @settings(max_examples=300, deadline=None, phases=set(Phase) - {Phase.shrink})
     def test_accepted_states_raise_no_float_warning(self, ego, others, tau):
