@@ -17,7 +17,9 @@ below the requested risk level.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import accumulate
+from operator import add, attrgetter
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from .rss import (
     COMPONENTS,
     Envelope,
     RssParams,
+    clear_ahead,
     pair_analysis_batch,
     restrictive_sentinel,
     unrestricted_envelope,
@@ -125,23 +128,34 @@ def analyze_step(ego: AgentState, observed, samples, exact, params: RssParams,
 def _contours(ego, agents, params, tau):
     """(a_lon_max, a_lat_min, a_lat_max, violated) of every contour of
     ``agents``, (state, samples) pairs, in stacking order, each the worst case
-    over the contour's perturbed states, from passes of at most
-    ``ROW_BUDGET`` rows."""
-    out, chunk, rows = [], [], 0
-    for agent in agents:
-        n = agent[1][1].shape[0]
-        if chunk and rows + n > ROW_BUDGET:
-            out += _analyze_pass(ego, chunk, params, tau)
+    over the contour's perturbed states.  Agents that ``clear_ahead`` admits
+    get the kernel's unrestricted contours without rows; the others share
+    passes of at most ``ROW_BUDGET`` rows."""
+    lon, lat = float(params.a_lon_limit), float(params.a_lat_limit)
+    out, analysed, chunk, rows, last = [], [], [], 0, None
+    for state, samples in agents:
+        _, deviations, counts = samples
+        if samples is not last:  # the deviation bounds, once per sample set
+            if min(counts) < 1:
+                raise ValueError("every contour needs at least one sample")
+            last, dx_min = samples, np.minimum.reduce(deviations[:, 0])
+            dtheta = np.maximum.reduce(np.abs(deviations[:, 3]))
+        if clear_ahead(ego, state.x + dx_min - ego.x, abs(state.theta) + dtheta,
+                       params, tau):
+            out += [(lon, -lat, lat, False)] * len(counts)
+            continue
+        out += [None] * len(counts)
+        if chunk and rows + deviations.shape[0] > ROW_BUDGET:
+            analysed += _analyze_pass(ego, chunk, params, tau)
             chunk, rows = [], 0
-        chunk.append(agent)
-        rows += n
-    return (out + _analyze_pass(ego, chunk, params, tau)) if chunk else out
+        chunk.append((state, samples))
+        rows += deviations.shape[0]
+    analysed = iter(analysed + (_analyze_pass(ego, chunk, params, tau) if chunk else []))
+    return [c or next(analysed) for c in out]
 
 
 def _analyze_pass(ego, agents, params, tau):
     counts = [m for _, (_, _, agent_counts) in agents for m in agent_counts]
-    if min(counts) < 1:
-        raise ValueError("every contour needs at least one sample")
     ox, oy, ov, ot = stacked_states((state, samples[1]) for state, samples in agents)
     lon_max, lat_min, lat_max, violated = pair_analysis_batch(
         ego, ox, oy, ov, ot, params, tau)
@@ -173,35 +187,35 @@ def risk_bounded_envelope(distributions, beta: float, params: RssParams) -> Enve
     distributions = list(distributions)
     if not distributions:
         return unrestricted_envelope(params)
-    sentinel = restrictive_sentinel(params)
+    read = attrgetter(*(name for name, _ in COMPONENTS))
+    sentinel = read(restrictive_sentinel(params))
+    supports = ([], [], [], [])  # per component, each agent's value -> mass
+    for dist in distributions:
+        columns = tuple(zip(*map(read, dist.envelopes))) or ((),) * len(supports)
+        total = reduce(add, dist.masses, 0.0)  # a value on every contour, summed as below
+        for k, column in enumerate(columns):
+            support = {sentinel[k]: dist.residual_mass} if dist.residual_mass > 0.0 else {}
+            if column and column.count(column[0]) == len(column) and column[0] not in support:
+                support[column[0]] = total
+            else:
+                for mass, v in zip(dist.masses, column):
+                    support[v] = support.get(v, 0.0) + mass
+            supports[k].append(support)
     values = {}
-    for name, orientation in COMPONENTS:
-        # Per-agent support: value -> mass, including the sentinel residual.
-        supports = []
-        for dist in distributions:
-            support: dict[float, float] = {}
-            if dist.residual_mass > 0.0:
-                support[getattr(sentinel, name)] = dist.residual_mass
-            for mass, env in zip(dist.masses, dist.envelopes):
-                v = getattr(env, name)
-                support[v] = support.get(v, 0.0) + mass
-            supports.append(support)
-        candidates = sorted({v for s in supports for v in s},
-                            key=lambda v: orientation * v)
-        cum = [0.0] * len(supports)
-        best = candidates[0]
-        for v in candidates:
+    for (name, orientation), component in zip(COMPONENTS, supports):
+        candidates = sorted({v for s in component for v in s}, reverse=orientation < 0.0)
+        best, cum = candidates[0], [0.0] * len(component)
+        for prev, v in zip(candidates, candidates[1:]):  # nothing to discard before the first
+            for j, s in enumerate(component):
+                cum[j] += s.get(prev, 0.0)
             survive = 1.0
             for c in cum:
                 survive *= 1.0 - c
             # Mass that is certain to be more restrictive is never discarded,
             # so beta = 1 still respects any agent's full support.
-            if 1.0 - survive <= beta and survive > 0.0:
-                best = v
-            else:
+            if not (1.0 - survive <= beta and survive > 0.0):
                 break
-            for j, s in enumerate(supports):
-                cum[j] += s.get(v, 0.0)
+            best = v
         values[name] = best
     return Envelope(**values)
 

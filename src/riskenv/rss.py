@@ -24,6 +24,14 @@ robustness check or its bound solve, and evaluates it once at its physical
 limit for both.  Terms that do not depend on the ego's acceleration are
 computed once per call.  A condition takes a float (as at the physical
 limits) or a row array; at a float the ego's terms stay Python floats.
+
+``clear_ahead`` is a sufficient test before the kernel: a vehicle at least
+dx_min ahead, at a speed >= 0 and a heading within theta_max <= 1 rad, gets
+the unrestricted row, unviolated, if gap = dx_min - length >= rear(max(u_lon,
+0)) and gap - de >= rear(max(ue2, 0)), with rear the rear vehicle's part of
+the longitudinal safe distance and (de, ue2) the ego's travel and speed after
+tau at a_lon_limit: the front's braking travel and its part of it are >= 0,
+and rounding is monotone, so the smallest gap decides every row bit for bit.
 """
 
 from __future__ import annotations
@@ -41,6 +49,10 @@ MAX_POSITION = 1e7     # |x| and |y| (m)
 # Bound on the envelope horizon tau: the time the fastest vehicle takes to
 # cross the position bound; with it, tau**2 times an acceleration stays finite.
 MAX_TAU = MAX_POSITION / MAX_SPEED  # s
+# RssParams bounds that keep the kernel finite: accelerations and limits up to
+# MAX_ACCEL, and every divisor (braking rates, limits) at least MIN_ACCEL.
+MAX_ACCEL = 1e3   # m/s^2
+MIN_ACCEL = 1e-3  # m/s^2
 
 
 def wrap_angle(theta):
@@ -117,15 +129,17 @@ class RssParams:
     width: float = 1.8              # vehicle box width (m)
 
     def __post_init__(self):
-        if self.rho <= 0.0:
-            raise ValueError("response time rho must be > 0")
-        for name in ("b_min_brake_lon", "b_max_brake_lon", "b_min_brake_lat",
-                     "a_lon_limit", "a_lat_limit", "length", "width"):
+        accel, divisor, size = (0.0, MAX_ACCEL), (MIN_ACCEL, MAX_ACCEL), (0.0, MAX_POSITION)
+        for key, (lo, hi) in (("rho", (0.0, MAX_TAU)), ("a_max_accel_lon", accel),
+                              ("b_min_brake_lon", divisor), ("b_max_brake_lon", divisor),
+                              ("a_max_accel_lat", accel), ("b_min_brake_lat", divisor),
+                              ("mu_lat", size), ("a_lon_limit", divisor),
+                              ("a_lat_limit", divisor), ("length", size), ("width", size)):
+            if not lo <= getattr(self, key) <= hi:  # NaN fails too
+                raise ValueError(f"{key} must be in [{lo:g}, {hi:g}], got {getattr(self, key)}")
+        for name in ("rho", "length", "width"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be > 0")
-        for name in ("a_max_accel_lon", "a_max_accel_lat", "mu_lat"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
         if self.b_min_brake_lon > self.b_max_brake_lon:
             raise ValueError("b_min_brake_lon must not exceed b_max_brake_lon")
 
@@ -294,8 +308,9 @@ def _solve_largest(cond, root, lo: float, hi: float, ok_hi) -> np.ndarray:
     if rows.size == 0:
         return out
     h = (hi - lo) / 2.0 ** BISECTION_STEPS
-    k = np.floor((root(rows) - lo) / h)
-    k = np.where(np.isfinite(k), k, 0.0)  # no real root: start from lo
+    with np.errstate(all="ignore"):  # the root is a guess that the check confirms
+        k = np.floor((root(rows) - lo) / h)
+    k = np.where(np.isfinite(k), k, 0.0)  # no real root, or tau too small: start from lo
     for off in (0, -1, 1):  # the snapped point, then its grid neighbours
         g = lo + np.minimum(np.maximum(k + off, 0.0), 2.0 ** BISECTION_STEPS - 1.0) * h
         ok = cond(np.concatenate((g, g + h)), np.concatenate((rows, rows)))
@@ -504,6 +519,17 @@ def pair_analysis_batch(ego: AgentState, ox, oy, ov, otheta,
     a_lat_max = np.where(g.other_left, lat_toward_max, p.a_lat_limit)
     a_lat_min = np.where(g.other_left, -p.a_lat_limit, -lat_toward_max)
     return a_lon_max, a_lat_min, a_lat_max, danger
+
+
+def clear_ahead(ego: AgentState, dx_min: float, theta_max: float, params: RssParams,
+                tau: float) -> bool:
+    """True if ``pair_analysis_batch`` gives every vehicle at least ``dx_min`` ahead,
+    at speed >= 0 and |heading| <= ``theta_max`` <= 1 rad, the unrestricted, unviolated row."""
+    u, gap = ego.v * math.cos(ego.theta), dx_min - params.length
+    de, ue2 = advance_speed_clamped(u, params.a_lon_limit, tau)
+    return bool(dx_min >= 0.0 and theta_max <= 1.0 and tau > 0.0  # NaN fails too
+                and gap >= _rear_lon(_nonneg(u), params)
+                and gap - de >= _rear_lon(_nonneg(ue2), params))
 
 
 def pairwise_envelope_batch(ego: AgentState, ox, oy, ov, otheta,

@@ -362,8 +362,10 @@ class TestOneAnalysisPerStep:
 
     @pytest.mark.parametrize("kind", bench.POLICY_NAMES)
     def test_one_kernel_call_per_step(self, cfg, small_set, kind, monkeypatch):
-        counts = {"geometry": 0, "pair_analysis_batch": 0, "violation_batch": 0,
-                  "decide": 0}
+        """At most one kernel call and one geometry per decision, and none
+        when every agent of a restricting policy is clear ahead."""
+        counts = {"geometry": 0, "pair_analysis_batch": 0, "violation_batch": 0}
+        decisions = []
 
         class CountedGeometry(rss._PairGeometry):
             def __init__(self, *args):
@@ -376,18 +378,37 @@ class TestOneAnalysisPerStep:
                 return fn(*args)
             return wrapper
 
+        def clear(ego, state, deviations):
+            return rss.clear_ahead(ego, state.x + deviations[:, 0].min() - ego.x,
+                                   abs(state.theta) + np.abs(deviations[:, 3]).max(),
+                                   cfg.rss, cfg.tau)
+
+        decide = bench.Policy.__call__
+
+        def recorded(policy, obs, world):
+            before = dict(counts)
+            out = decide(policy, obs, world)
+            all_clear = policy.samples is not None and all(
+                [clear(obs.ego, o, policy.samples[1]) for o in obs.others]
+                + [clear(obs.ego, o, uncertainty.EXACT_SAMPLES[1]) for o in world.others])
+            decisions.append(({k: counts[k] - before[k] for k in counts}, all_clear))
+            return out
+
         monkeypatch.setattr(rss, "_PairGeometry", CountedGeometry)
         monkeypatch.setattr(prob_envelope, "pair_analysis_batch",
                             counted("pair_analysis_batch", prob_envelope.pair_analysis_batch))
         monkeypatch.setattr(bench, "violation_batch",
                             counted("violation_batch", bench.violation_batch))
-        monkeypatch.setattr(bench.Policy, "__call__", counted("decide", bench.Policy.__call__))
+        monkeypatch.setattr(bench.Policy, "__call__", recorded)
         for scn in small_set[:3]:
             bench.run_episode(scn, kind, 0.1, "small", cfg)
         kernel = ("violation_batch" if kind in ("Simplex", "ProbabilisticSimplex")
                   else "pair_analysis_batch")
-        assert counts["decide"] > 0
-        assert counts["geometry"] == counts[kernel] == counts["decide"]
+        assert decisions
+        for calls, all_clear in decisions:
+            assert calls["geometry"] == calls[kernel] == (0 if all_clear else 1)
+        if kernel == "pair_analysis_batch":
+            assert 0 < sum(all_clear for _, all_clear in decisions) < len(decisions)
 
 
 class TestOneDecompositionPerCovariance:

@@ -583,6 +583,35 @@ class TestScenarioBounds:
         assert defaults.horizon / defaults.dt <= MAX_EPISODE_STEPS
 
 
+class TestRssParamBounds:
+    @pytest.mark.parametrize("rss,key", [
+        ({"a_lon_limit": 1e300}, "a_lon_limit"),
+        ({"rho": 1e300}, "rho"),
+        ({"a_max_accel_lon": 1e200}, "a_max_accel_lon"),
+        ({"b_min_brake_lon": 1e-308, "b_max_brake_lon": 1e-308}, "b_min_brake_lon"),
+        ({"b_max_brake_lon": 1e-308}, "b_max_brake_lon"),
+        ({"width": 1e300}, "width"),
+    ])
+    def test_out_of_range_rejected(self, tmp_path, capsys, rss, key):
+        # Before the bounds, validate printed "config ok" for each of these,
+        # and the kernel overflowed on several.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"rss": rss}))
+        code, out, err = run_cli(["validate", "--config", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert f"invalid rss: {key} must be in" in err
+
+    def test_bounds_named_by_envelope(self, tmp_path, envelope_input, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"rss": {"a_max_accel_lat": 1e200}}))
+        path = envelope_input({"ego": {"v": 100}, "agents": [{"x": 20, "y": 3.5, "v": 15}],
+                               "sigma": [0.04, 0.04, 0.04, 1e-4]})
+        code, out, err = run_cli(["envelope", "--config", str(config), "--input", path],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert "invalid rss: a_max_accel_lat must be in" in err and "Warning" not in err
+
+
 class TestValidateCommand:
     def test_default_config_ok(self, capsys):
         code, out, _ = run_cli(["validate"], capsys)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from riskenv import prob_envelope
+from riskenv import bench, prob_envelope
+from riskenv.config import RunConfig
 from riskenv.prob_envelope import (
     EXACT_SAMPLES,
     ROW_BUDGET,
@@ -557,6 +558,97 @@ class TestAnalyzeAgents:
             assert dist.masses == (1.0,) and dist.residual_mass == 0.0
         assert risk_bounded_envelope(dists, beta, rss_params) == safety_envelope(
             ego, others, rss_params, TAU)
+
+
+class TestBroadPhase:
+    """Agents that ``clear_ahead`` admits skip the kernel, and every output
+    stays exactly what the kernel gives them."""
+
+    @staticmethod
+    def _with_and_without(monkeypatch, args):
+        """analyze_step(*args) with the broad phase and with it switched
+        off, and the kernel rows each one ran."""
+        rows = []
+        kernel = prob_envelope.pair_analysis_batch
+
+        def recorded(ego, ox, *rest):
+            rows.append(len(ox))
+            return kernel(ego, ox, *rest)
+
+        with monkeypatch.context() as m:
+            m.setattr(prob_envelope, "pair_analysis_batch", recorded)
+            got = analyze_step(*args)
+            got_rows = sum(rows)
+            m.setattr(prob_envelope, "clear_ahead", lambda *_: False)
+            want = analyze_step(*args)
+        assert got == want and repr(got) == repr(want)
+        return got_rows, sum(rows) - got_rows
+
+    def test_sweep_steps_unchanged(self, monkeypatch):
+        cfg = RunConfig()
+        steps = []
+        analyze = bench.analyze_step
+
+        def recorded(*args):
+            steps.append(args)
+            return analyze(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(bench, "analyze_step", recorded)
+            for scn in bench.generate_scenarios(4, 7, cfg):
+                for kind, case in (("ProbabilisticEnvelopeRestriction", "small"),
+                                   ("ProbabilisticEnvelopeRestriction", "large"),
+                                   ("EnvelopeRestriction", "small")):
+                    bench.run_episode(scn, kind, 0.2, case, cfg)
+        rows = [self._with_and_without(monkeypatch, args) for args in steps]
+        assert sum(r for r, _ in rows) < sum(r for _, r in rows)
+        assert any(r == 0 for r, _ in rows) and any(r == full for r, full in rows)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_query_inputs_unchanged(self, rss_params, monkeypatch, seed):
+        # As riskenv envelope analyses them: 1-8 agents ahead, behind and
+        # beside the ego in both lanes, each observed and exact, under
+        # diagonal and correlated covariances.
+        rng = np.random.default_rng(seed)
+        skipped = 0
+        for _ in range(8):
+            variances = np.array([0.16, 0.16, 0.16, 4e-4]) * rng.choice([0.25, 1.0])
+            rotation = np.linalg.qr(rng.normal(size=(4, 4)))[0] if rng.random() < 0.5 \
+                else np.eye(4)
+            sigma = rotation @ np.diag(variances) @ rotation.T
+            spec = UncertaintySpec(0.5 * (sigma + sigma.T), LEVELS, int(rng.choice([6, 8, 12])))
+            ego = AgentState(0.0, float(rng.choice([0.0, 1.75, 3.5])),
+                             float(rng.normal(0.0, 0.02)), float(rng.uniform(10.0, 30.0)))
+            agents = [AgentState(float(rng.uniform(-40.0, 90.0)),
+                                 float(3.5 * rng.integers(2) + rng.normal(0.0, 0.3)),
+                                 float(rng.normal(0.0, 0.05)), float(rng.uniform(5.0, 30.0)))
+                      for _ in range(int(rng.integers(1, 9)))]
+            got_rows, all_rows = self._with_and_without(
+                monkeypatch, (ego, agents, spec.samples, agents, rss_params, TAU))
+            skipped += all_rows - got_rows
+        assert skipped > 0
+
+    def test_far_ahead_agent_adds_no_rows(self, rss_params, monkeypatch):
+        rows = []
+        kernel = prob_envelope.pair_analysis_batch
+
+        def recorded(ego, ox, *args):
+            rows.append(len(ox))
+            return kernel(ego, ox, *args)
+
+        monkeypatch.setattr(prob_envelope, "pair_analysis_batch", recorded)
+        ego = AgentState(0.0, 0.0, 0.0, 17.0)
+        samples = UncertaintySpec.from_diagonal([0.04, 0.04, 0.04, 1e-4], LEVELS, 8).samples
+        near, behind, far = (AgentState(x, 3.5, 0.0, 15.0) for x in (20.0, -120.0, 120.0))
+        analyze_step(ego, [near, far, behind], samples, [far, near], rss_params, TAU)
+        assert rows == [2 * samples[1].shape[0] + 1]
+        rows.clear()
+        dists, expectations, exact_env = analyze_step(ego, [far], samples, [far],
+                                                      rss_params, TAU)
+        assert rows == []
+        free = unrestricted_envelope(rss_params)
+        assert dists[0].envelopes == (free,) * len(LEVELS) and exact_env == free
+        assert expectations == [1.0 - LEVELS[-1]]
 
 
 class TestStackedStates:

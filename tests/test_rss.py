@@ -5,19 +5,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from riskenv import rss
 from riskenv.rss import (
+    MAX_ACCEL,
     MAX_POSITION,
     MAX_SPEED,
     MAX_TAU,
+    MIN_ACCEL,
     TWO_PI,
     AgentState,
     Envelope,
     RssParams,
     advance_speed_clamped,
+    clear_ahead,
     pair_analysis_batch,
     pairwise_envelope_batch,
     safe_distance_lat,
@@ -40,6 +43,27 @@ from conftest import (
 TAU = 0.2
 
 
+def _within(lo, hi):
+    """Floats in [lo, hi], or in (0, hi] for lo = 0 exclusive (lo None)."""
+    if lo is None:
+        return st.floats(0.0, hi, exclude_min=True) | st.sampled_from([5e-324, hi])
+    return st.floats(lo, hi) | st.sampled_from([lo, hi])
+
+
+# Every parameter set RssParams accepts, from each field's bounds, with the
+# defaults among them.
+ACCEPTED_PARAMS = st.just(RssParams()) | st.builds(
+    lambda b1, b2, **kw: RssParams(b_min_brake_lon=min(b1, b2), b_max_brake_lon=max(b1, b2),
+                                   **kw),
+    b1=_within(MIN_ACCEL, MAX_ACCEL), b2=_within(MIN_ACCEL, MAX_ACCEL),
+    rho=_within(None, MAX_TAU), a_max_accel_lon=_within(0.0, MAX_ACCEL),
+    a_max_accel_lat=_within(0.0, MAX_ACCEL), b_min_brake_lat=_within(MIN_ACCEL, MAX_ACCEL),
+    mu_lat=_within(0.0, MAX_POSITION), a_lon_limit=_within(MIN_ACCEL, MAX_ACCEL),
+    a_lat_limit=_within(MIN_ACCEL, MAX_ACCEL), length=_within(None, MAX_POSITION),
+    width=_within(None, MAX_POSITION))
+ACCEPTED_TAU = st.floats(0.0, MAX_TAU, exclude_min=True) | st.sampled_from([5e-324, MAX_TAU])
+
+
 class TestSafeDistanceLon:
     def test_all_terms_vanish(self):
         p = RssParams(rho=1.0, a_max_accel_lon=0.0)
@@ -59,6 +83,25 @@ class TestSafeDistanceLon:
             RssParams(b_min_brake_lon=0.0)
         with pytest.raises(ValueError):
             RssParams(b_min_brake_lon=9.0, b_max_brake_lon=8.0)
+
+    @pytest.mark.parametrize("name,value", [
+        ("rho", MAX_TAU * 2), ("rho", 1e300), ("rho", 0.0), ("a_max_accel_lon", 1e200),
+        ("a_max_accel_lon", -1e-9), ("a_max_accel_lat", MAX_ACCEL * 1.5),
+        ("b_min_brake_lon", MIN_ACCEL / 2), ("b_max_brake_lon", 2 * MAX_ACCEL),
+        ("b_min_brake_lat", 1e-308), ("a_lon_limit", 1e300), ("a_lat_limit", MIN_ACCEL / 2),
+        ("mu_lat", 2 * MAX_POSITION), ("length", 1e300), ("width", 0.0), ("width", math.nan)])
+    def test_magnitudes_bounded(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            RssParams(**{name: value})
+
+    def test_magnitudes_at_the_bounds_accepted(self):
+        RssParams(rho=MAX_TAU, a_max_accel_lon=MAX_ACCEL, b_min_brake_lon=MAX_ACCEL,
+                  b_max_brake_lon=MAX_ACCEL, a_max_accel_lat=MAX_ACCEL,
+                  b_min_brake_lat=MAX_ACCEL, mu_lat=MAX_POSITION, a_lon_limit=MAX_ACCEL,
+                  a_lat_limit=MAX_ACCEL, length=MAX_POSITION, width=MAX_POSITION)
+        RssParams(a_max_accel_lon=0.0, b_min_brake_lon=MIN_ACCEL, b_max_brake_lon=MIN_ACCEL,
+                  a_max_accel_lat=0.0, b_min_brake_lat=MIN_ACCEL, mu_lat=0.0,
+                  a_lon_limit=MIN_ACCEL, a_lat_limit=MIN_ACCEL)
 
     @given(vr=st.floats(0, 40), vf=st.floats(0, 40), dv=st.floats(0, 5))
     def test_monotone_in_speeds(self, vr, vf, dv):
@@ -579,3 +622,68 @@ class TestBoundedStates:
             for params in (RssParams(), RssParams(rho=1.0, a_max_accel_lon=3.5)):
                 out = pair_analysis_batch(ego, ox, oy, ov, ot, params, tau)
                 assert all(np.isfinite(a).all() for a in out[:3])
+
+    @given(params=ACCEPTED_PARAMS, ego=st.tuples(coord, coord, heading, speed),
+           others=st.lists(st.tuples(st.floats(-60.0, 60.0), st.floats(-8.0, 8.0), heading,
+                                     speed), min_size=1, max_size=12),
+           tau=ACCEPTED_TAU)
+    @settings(max_examples=300, deadline=None, phases=set(Phase) - {Phase.shrink})
+    def test_accepted_params_raise_no_float_warning(self, params, ego, others, tau):
+        ego = AgentState(*ego)
+        dx, dy, ot, ov = (np.array(col) for col in zip(*others))
+        ox = np.clip(ego.x + dx, -MAX_POSITION, MAX_POSITION)
+        oy = np.clip(ego.y + dy, -MAX_POSITION, MAX_POSITION)
+        with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+            warnings.simplefilter("error")
+            out = pair_analysis_batch(ego, ox, oy, ov, ot, params, tau)
+            assert all(np.isfinite(a).all() for a in out[:3])
+            clear_ahead(ego, float((ox - ego.x).min()), min(float(np.abs(ot).max()), 1.0),
+                        params, tau)
+
+
+class TestClearAhead:
+    """``clear_ahead`` is sufficient: every row it admits gets exactly the
+    unrestricted row, unviolated, from the kernel."""
+
+    # Horizons up to MAX_TAU, and as many of the size the simulator uses:
+    # over long ones most rows leave the road's bounds before they clear.
+    @given(params=ACCEPTED_PARAMS, tau=ACCEPTED_TAU | st.floats(0.05, 2.0),
+           ego=st.tuples(TestBoundedStates.coord, TestBoundedStates.coord,
+                         TestBoundedStates.heading, TestBoundedStates.speed),
+           theta_max=st.floats(0.0, 1.0) | st.just(1.0),
+           ulps=st.integers(-2, 3), extra=st.floats(0.0, 1e3) | st.just(0.0),
+           rows=st.lists(st.tuples(st.floats(0.0, 50.0) | st.just(0.0),
+                                   TestBoundedStates.coord, st.floats(-1.0, 1.0),
+                                   TestBoundedStates.speed), min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None, phases=set(Phase) - {Phase.shrink})
+    def test_admitted_rows_get_the_unrestricted_row(self, params, tau, ego, theta_max, ulps,
+                                                     extra, rows):
+        x, y, theta, v = ego
+        # The smallest dx that passes, a few ulps off, or farther out; the
+        # ego moves back where the nearest row would leave the road's bounds.
+        u = v * math.cos(theta)
+        de, ue2 = advance_speed_clamped(u, params.a_lon_limit, tau)
+        dx = params.length + max(rss._rear_lon(max(u, 0.0), params),
+                                 rss._rear_lon(max(ue2, 0.0), params) + de)
+        for _ in range(abs(ulps)):
+            dx = math.nextafter(dx, math.copysign(math.inf, ulps))
+        ego = AgentState(max(min(x, MAX_POSITION - (dx + extra)), -MAX_POSITION), y, theta, v)
+        x_min = ego.x + dx + extra
+        dx_min = x_min - ego.x  # as a caller finds it: its smallest row's dx
+        assume(x_min <= MAX_POSITION and clear_ahead(ego, dx_min, theta_max, params, tau))
+        ox = np.array([min(x_min + d, MAX_POSITION) for d, _, _, _ in rows])
+        oy, turn, ov = (np.array(col) for col in list(zip(*rows))[1:])
+        lon_max, lat_min, lat_max, violated = pair_analysis_batch(
+            ego, ox, oy, ov, turn * theta_max, params, tau)
+        assert (lon_max == params.a_lon_limit).all()
+        assert (lat_min == -params.a_lat_limit).all()
+        assert (lat_max == params.a_lat_limit).all()
+        assert not violated.any()
+
+    @pytest.mark.parametrize("dx_min,theta_max,tau", [
+        (-1e-9, 0.0, TAU), (math.nan, 0.0, TAU), (1e3, 1.0 + 1e-9, TAU), (1e3, math.nan, TAU),
+        (1e3, 0.0, 0.0), (1e3, 0.0, -1.0), (1e3, 0.0, math.nan)])
+    def test_out_of_scope_arguments_are_not_clear(self, dx_min, theta_max, tau):
+        assert clear_ahead(AgentState(0.0, 0.0, 0.0, 10.0), dx_min, theta_max, RssParams(),
+                           tau) is False
+        assert clear_ahead(AgentState(0.0, 0.0, 0.0, 10.0), 1e3, 0.0, RssParams(), TAU)
