@@ -9,7 +9,11 @@ every pair (which side ran first is read from the file times), each side's
 median and quartiles of the end-to-end metrics, the change's wins and the
 gap against the parent's spread; traced runs (``--trace 1``) of one seed on
 both sides go to the "trace" section, with the run totals also per
-simulated step.
+simulated step.  It then runs ``scripts/run_benchmark.py --quick`` in each
+checkout, alternating, ``--sweep-pairs`` times, and records each side's
+wall times and the sha256 of its rates.csv (they must agree across runs).
+The parent commit is read with ``git rev-parse``; where the parent is no
+git checkout (a ``git archive`` copy), pass it as ``--parent-commit``.
 
     python3 scripts/bench_record.py --parent ../parent --change . --pr 11 \\
         --title "Fewer array passes per contour-analysis step"
@@ -17,9 +21,12 @@ simulated step.
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 END_TO_END = {"ops_per_s": "higher", "setup_s": "lower", "peak_rss_mb": "lower"}
@@ -88,7 +95,40 @@ def git_head(checkout: Path) -> str | None:
         return None
 
 
-def record(parent_dir: Path, change_dir: Path, title: str, seconds: float) -> dict:
+def quick_sweep(checkout: Path) -> tuple[float, str]:
+    """Wall time and rates.csv sha256 of one ``run_benchmark.py --quick``
+    run in ``checkout``."""
+    with tempfile.TemporaryDirectory() as out:
+        start = time.perf_counter()
+        run = subprocess.run([sys.executable, "scripts/run_benchmark.py", "--quick",
+                              "--out", out], cwd=checkout, capture_output=True, text=True,
+                             check=True)
+        wall = time.perf_counter() - start
+    return wall, re.search(r"^sha256 ([0-9a-f]{64}) ", run.stdout, re.M).group(1)
+
+
+def quick_sweeps(parent_dir: Path, change_dir: Path, pairs: int) -> dict:
+    """``pairs`` alternating quick sweeps per side: wall times and digest."""
+    runs = {"parent": [], "change": []}
+    for i in range(pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for name in order:
+            runs[name].append(quick_sweep(parent_dir if name == "parent" else change_dir))
+    digests = {name: sorted({d for _, d in r}) for name, r in runs.items()}
+    if any(len(d) != 1 for d in digests.values()):
+        raise SystemExit(f"quick sweep digests vary between runs: {digests}")
+    return {"quick_sweep_sha256": {name: d[0] for name, d in digests.items()},
+            "quick_sweep_wall_s": {"command": "python3 scripts/run_benchmark.py --quick",
+                                   "order": "alternating, parent first",
+                                   **{name: [round(w, 3) for w, _ in r]
+                                      for name, r in runs.items()}}}
+
+
+def record(parent_dir: Path, change_dir: Path, title: str, seconds: float,
+           parent_commit: str | None = None, sweep_pairs: int = 1) -> dict:
+    parent_commit = git_head(parent_dir) or parent_commit
+    if not parent_commit:
+        raise SystemExit(f"{parent_dir} is no git checkout: pass --parent-commit")
     parent, change = load_results(parent_dir), load_results(change_dir)
     keys = sorted(set(parent) & set(change))
     if not any(trace == 0 for _, _, trace in keys):
@@ -114,7 +154,7 @@ def record(parent_dir: Path, change_dir: Path, title: str, seconds: float) -> di
         context.pop(key, None)
     return {
         "change": title,
-        "parent_commit": git_head(parent_dir),
+        "parent_commit": parent_commit,
         "command": f"python3 perfbench/run.py --workload <w> --seed <s> "
                    f"--seconds {seconds:g} --trace 0",
         "method": METHOD,
@@ -122,6 +162,7 @@ def record(parent_dir: Path, change_dir: Path, title: str, seconds: float) -> di
         "src_sha256": {k: sorted(v)[0] if len(v) == 1 else sorted(v) for k, v in sha.items()},
         "workloads": workloads,
         "trace": trace,
+        **quick_sweeps(parent_dir, change_dir, sweep_pairs),
     }
 
 
@@ -135,8 +176,15 @@ def main() -> int:
     parser.add_argument("--seconds", type=float, default=30.0,
                         help="the --seconds every run used (recorded in the commands)")
     parser.add_argument("--out-dir", type=Path, default=Path("."))
+    parser.add_argument("--parent-commit", default=None,
+                        help="the parent's commit, where --parent is no git checkout")
+    parser.add_argument("--sweep-pairs", type=int, default=1,
+                        help="alternating quick-sweep runs per side (at least 1)")
     args = parser.parse_args()
-    rec = record(args.parent, args.change, args.title, args.seconds)
+    if args.sweep_pairs < 1:
+        parser.error("--sweep-pairs must be at least 1")
+    rec = record(args.parent, args.change, args.title, args.seconds, args.parent_commit,
+                 args.sweep_pairs)
     path = args.out_dir / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(rec, indent=1) + "\n")
     for workload, entry in rec["workloads"].items():
@@ -145,6 +193,8 @@ def main() -> int:
               f"{s['change']['median']:.1f} ({s['median_ratio']:.3f}x, "
               f"wins {s['change_wins']}, gap {s['median_gap']:.1f} vs parent IQR "
               f"{s['parent_iqr']:.1f})")
+    digests = rec["quick_sweep_sha256"]
+    print(f"quick sweep sha256: parent {digests['parent']}, change {digests['change']}")
     print(f"wrote {path}")
     return 0
 

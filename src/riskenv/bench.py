@@ -30,6 +30,7 @@ from .prob_envelope import (
 )
 from .rss import (
     AgentState,
+    BroadPhase,
     Envelope,
     less_restrictive_any,
     unrestricted_envelope,
@@ -51,6 +52,11 @@ from .uncertainty import EXACT_SAMPLES, UncertaintySpec, draw_noise
 
 BETA_FREE_POLICIES = ("EnvelopeRestriction", "Simplex")
 RESTRICTING_POLICIES = ("ProbabilisticEnvelopeRestriction", "EnvelopeRestriction")
+# Each probabilistic policy's deterministic twin: at zero covariance every
+# expectation is 0 or 1 and every envelope support one point, so below
+# beta = 1 the two run the same episodes.
+TWINS = {"ProbabilisticEnvelopeRestriction": "EnvelopeRestriction",
+         "ProbabilisticSimplex": "Simplex"}
 
 
 @dataclass(frozen=True)
@@ -144,20 +150,27 @@ class Policy:
     def _mean_violations(self, obs: ObservedWorld):
         """Each observed agent's mean violation over ``simplex_samples``
         drawn deviations, or over one zero deviation at zero covariance.
-        Every agent's rows go to one violation_batch call; one draw of k * m
-        rows takes the same numbers as k draws of m rows."""
+        One draw of k * m rows takes the same numbers as k draws of m rows.
+        An agent whose rows ``BroadPhase`` finds unviolated has mean 0.0; the
+        other agents' rows go to one violation_batch call."""
         k = len(obs.others)
         if k == 0:
             return ()
         if self.basis is None:
-            m, devs = 1, np.zeros((k, 4))
+            m, devs, boxes = 1, np.zeros((k, 1, 4)), [EXACT_SAMPLES.box] * k
         else:
             m = self.cfg.simplex_samples
-            devs = draw_noise(self.basis, self.rng, k * m)
-        ox, oy, ov, ot = stacked_states(
-            (o, devs[j * m:(j + 1) * m]) for j, o in enumerate(obs.others))
-        violated = violation_batch(obs.ego, ox, oy, ov, ot, self.cfg.rss)
-        return violated.reshape(k, m).mean(axis=1)
+            devs = draw_noise(self.basis, self.rng, k * m).reshape(k, m, 4)
+            boxes = zip(devs.min(axis=1).tolist(), devs.max(axis=1).tolist())
+        broad = BroadPhase(obs.ego, self.cfg.rss)
+        rest = [j for j, (o, box) in enumerate(zip(obs.others, boxes))
+                if not broad.unviolated(o, *box)]
+        means = np.zeros(k)
+        if rest:
+            ox, oy, ov, ot = stacked_states((obs.others[j], devs[j]) for j in rest)
+            violated = violation_batch(obs.ego, ox, oy, ov, ot, self.cfg.rss)
+            means[rest] = violated.reshape(len(rest), m).mean(axis=1)
+        return means
 
 
 def run_episode(scn: ScenarioConfig, kind: str, beta: float, case: str,
@@ -263,22 +276,28 @@ def sweep(scenarios, policies, cases, betas, cfg: RunConfig,
     """Rate table over every (policy, covariance case, beta) cell.
 
     Each distinct (policy, case, beta) runs once; policies that ignore the
-    risk level run once per case and replicate across the beta grid.  All
-    cells share the per-scenario seeds.
+    risk level run once per case and replicate across the beta grid, and a
+    probabilistic policy on a zero covariance below beta = 1 takes its
+    twin's row.  All cells share the per-scenario seeds.
     """
     if not (scenarios and policies and cases and betas):
         raise ValueError("scenarios, policies, cases and betas must be non-empty")
-    cells = [(policy, case, beta, betas[0] if policy in BETA_FREE_POLICIES else beta)
+
+    def job(policy, case, beta):
+        if policy in TWINS and beta < 1.0 \
+                and cfg.uncertainty[case].basis.eigenvalues[0] <= 0.0:
+            policy = TWINS[policy]
+        return policy, case, betas[0] if policy in BETA_FREE_POLICIES else beta
+
+    cells = [(policy, case, beta, job(policy, case, beta))
              for policy in policies for case in cases for beta in betas]
-    jobs = list(dict.fromkeys((policy, case, run_beta)
-                              for policy, case, _, run_beta in cells))
+    jobs = list(dict.fromkeys(j for *_, j in cells))
     if pool is None:
         rows = [run_cell(scenarios, p, c, b, cfg) for p, c, b in jobs]
     else:
         rows = pool.starmap(run_cell, [(scenarios, p, c, b, cfg) for p, c, b in jobs])
     by_job = dict(zip(jobs, rows))
-    return [replace(by_job[(policy, case, run_beta)], beta=beta)
-            for policy, case, beta, run_beta in cells]
+    return [replace(by_job[j], policy=policy, beta=beta) for policy, case, beta, j in cells]
 
 
 CSV_HEADER = ("policy,covariance_case,beta,success_rate,collision_rate,"

@@ -26,10 +26,10 @@ import numpy as np
 from .config import check_beta
 from .rss import (
     AgentState,
+    BroadPhase,
     COMPONENTS,
     Envelope,
     RssParams,
-    clear_ahead,
     pair_analysis_batch,
     restrictive_sentinel,
     unrestricted_envelope,
@@ -92,15 +92,18 @@ def analyze_step(ego: AgentState, observed, samples, exact, params: RssParams,
                  tau: float):
     """Everything one decision needs, from one stacked analysis of all the
     agents: the distribution (agent_id = its index) and violation expectation
-    of each ``observed`` agent under ``samples``, as returned by
-    ``contour_samples``, and the worst-case envelope of the ``exact`` agents
-    at zero covariance (the unrestricted envelope when there are none).
+    of each ``observed`` agent under ``samples``, a ``SampleSet`` as
+    ``contour_samples`` returns it, and the worst-case envelope of the
+    ``exact`` agents at zero covariance (the unrestricted envelope when there
+    are none).
 
     The perturbed states of consecutive agents share one kernel pass of at
     most ``ROW_BUDGET`` rows (an agent with more rows runs alone).  A contour
     counts as violated if any of its perturbed states breaks both safe
     distances; the residual mass counts as violated.
     """
+    if min(samples[2]) < 1:
+        raise ValueError("every contour needs at least one sample")
     agents = [(s, samples) for s in observed] + [(s, EXACT_SAMPLES) for s in exact]
     contours = _contours(ego, agents, params, tau)
     levels = samples[0]
@@ -128,20 +131,15 @@ def analyze_step(ego: AgentState, observed, samples, exact, params: RssParams,
 def _contours(ego, agents, params, tau):
     """(a_lon_max, a_lat_min, a_lat_max, violated) of every contour of
     ``agents``, (state, samples) pairs, in stacking order, each the worst case
-    over the contour's perturbed states.  Agents that ``clear_ahead`` admits
-    get the kernel's unrestricted contours without rows; the others share
-    passes of at most ``ROW_BUDGET`` rows."""
+    over the contour's perturbed states.  Agents that ``BroadPhase`` finds
+    free get the kernel's unrestricted contours without rows; the others
+    share passes of at most ``ROW_BUDGET`` rows."""
     lon, lat = float(params.a_lon_limit), float(params.a_lat_limit)
-    out, analysed, chunk, rows, last = [], [], [], 0, None
+    broad = BroadPhase(ego, params, tau)
+    out, analysed, chunk, rows = [], [], [], 0
     for state, samples in agents:
         _, deviations, counts = samples
-        if samples is not last:  # the deviation bounds, once per sample set
-            if min(counts) < 1:
-                raise ValueError("every contour needs at least one sample")
-            last, dx_min = samples, np.minimum.reduce(deviations[:, 0])
-            dtheta = np.maximum.reduce(np.abs(deviations[:, 3]))
-        if clear_ahead(ego, state.x + dx_min - ego.x, abs(state.theta) + dtheta,
-                       params, tau):
+        if broad.free(state, *samples.box):
             out += [(lon, -lat, lat, False)] * len(counts)
             continue
         out += [None] * len(counts)

@@ -18,20 +18,37 @@ a_lon, 2**-37 for a_lat) and accepts it only where the condition holds at the
 grid point and fails one grid step above.  That is exactly the point the
 bisection converges to, so the bounds are bit-identical to it (the tests
 keep the bisection as the oracle).  A row where neither the snapped point
-nor its grid neighbours pass the check gets the most restrictive bound.
+nor its grid neighbours pass the check runs the bisection itself.
 One kernel call builds each condition once, over the rows that need its
 robustness check or its bound solve, and evaluates it once at its physical
 limit for both.  Terms that do not depend on the ego's acceleration are
 computed once per call.  A condition takes a float (as at the physical
 limits) or a row array; at a float the ego's terms stay Python floats.
 
-``clear_ahead`` is a sufficient test before the kernel: a vehicle at least
-dx_min ahead, at a speed >= 0 and a heading within theta_max <= 1 rad, gets
-the unrestricted row, unviolated, if gap = dx_min - length >= rear(max(u_lon,
-0)) and gap - de >= rear(max(ue2, 0)), with rear the rear vehicle's part of
-the longitudinal safe distance and (de, ue2) the ego's travel and speed after
-tau at a_lon_limit: the front's braking travel and its part of it are >= 0,
-and rounding is monotone, so the smallest gap decides every row bit for bit.
+``BroadPhase`` decides before the kernel, from an agent's state and the
+per-column (min, max) box of its deviations, which kernel outputs are
+certain for every row of the box.  A row is *free* (the unrestricted row,
+unviolated) if it lies ahead with ``lon_safe`` and the lon condition at
+a_lon_limit holding, or on one side with ``lat_safe`` and the lat
+condition at a_lat_limit holding: the kernel then relaxes or skips every
+bound, whatever the row's other coordinate.  It is *unviolated* if
+``lon_safe`` or ``lat_safe`` holds.  Each test evaluates the kernel's own
+expressions at the box's worst row: the smallest gap, the slowest forward
+speed of an agent ahead, the fastest of one behind, the largest closing
+speed.  A row's position and speed are its state plus a deviation, rounded
+monotonically, and every safe-distance part rises with its speed, so the
+worst row's terms bound every row's bit for bit, the ``_nonneg`` clamps
+included (a negative gap certifies nothing).  Three steps are not monotone
+and get a margin.  Headings round-trip through pi (by < 2**-51 rad), and
+numpy's cos and sin need not match ``math``'s: ``TRIG_TOL`` covers both.
+``braking_travel`` subtracts two growing terms: with every speed at most
+MAX_SPEED, the front's computed braking travel, and its part of the safe
+distance after tau, lie within 2**-51 * MAX_POSITION of their exact values
+(the terms are at most MAX_SPEED * MAX_TAU and MAX_SPEED**2 / MIN_ACCEL,
+both MAX_POSITION), and the exact values never fall as the front speeds
+up; ``LON_SLACK`` = 2**-40 * MAX_POSITION covers the slowest row's error
+plus any other row's hundreds of times over.  A box with a heading beyond
+``HEADING_BOUND`` or a speed beyond MAX_SPEED certifies nothing.
 """
 
 from __future__ import annotations
@@ -53,6 +70,10 @@ MAX_TAU = MAX_POSITION / MAX_SPEED  # s
 # MAX_ACCEL, and every divisor (braking rates, limits) at least MIN_ACCEL.
 MAX_ACCEL = 1e3   # m/s^2
 MIN_ACCEL = 1e-3  # m/s^2
+# Broad-phase domain and margins (see the module docstring).
+HEADING_BOUND = 1.5                   # |heading| of a certified row (rad), < pi / 2
+TRIG_TOL = 1e-12                      # on cos and sin of a row's heading
+LON_SLACK = 2.0 ** -40 * MAX_POSITION  # on the front's braking terms, ~9e-6 m
 
 
 def wrap_angle(theta):
@@ -300,7 +321,8 @@ def _solve_largest(cond, root, lo: float, hi: float, ok_hi) -> np.ndarray:
     the grid (spacing h) and accepted where cond(g) holds and cond(g + h)
     fails, both checked in one evaluation; that is exactly the point the
     bisection converges to.  Rows where no snapped point or grid neighbour
-    passes keep lo."""
+    passes (rounding can move the root by many grid steps when tau is small)
+    run the bisection itself."""
     out = np.where(ok_hi, hi, lo)
     rows = (~ok_hi).nonzero()[0]
     if rows.size:  # the bound lies inside where cond(lo) holds
@@ -310,18 +332,24 @@ def _solve_largest(cond, root, lo: float, hi: float, ok_hi) -> np.ndarray:
     h = (hi - lo) / 2.0 ** BISECTION_STEPS
     with np.errstate(all="ignore"):  # the root is a guess that the check confirms
         k = np.floor((root(rows) - lo) / h)
-    k = np.where(np.isfinite(k), k, 0.0)  # no real root, or tau too small: start from lo
+    k = np.where(np.isfinite(k), k, 0.0)  # no real root: start from lo
     for off in (0, -1, 1):  # the snapped point, then its grid neighbours
         g = lo + np.minimum(np.maximum(k + off, 0.0), 2.0 ** BISECTION_STEPS - 1.0) * h
         ok = cond(np.concatenate((g, g + h)), np.concatenate((rows, rows)))
         hit = ok[:rows.size] & ~ok[rows.size:]
         if hit.all():
             out[rows] = g
-            break
+            return out
         out[rows[hit]] = g[hit]
         rows, k = rows[~hit], k[~hit]
         if rows.size == 0:
-            break
+            return out
+    a, b = np.full(rows.size, lo), np.full(rows.size, hi)
+    for _ in range(BISECTION_STEPS):  # the guess missed: bisect as the oracle does
+        mid = 0.5 * (a + b)
+        ok = cond(mid, rows)
+        a, b = np.where(ok, mid, a), np.where(ok, b, mid)
+    out[rows] = a
     return out
 
 
@@ -390,7 +418,7 @@ class _PairGeometry:
             rho, a_r, b_r = p.rho, p.a_max_accel_lon, p.b_min_brake_lon
             c = -0.5 * a_r * rho * rho - f - m + 0.5 * (u - rho * a_r) * tau
             s = _response_speed_root(b_r, rho + 0.5 * tau, c)
-            a_gap = 2.0 * (m - u * tau) / (tau * tau)
+            a_gap = 2.0 * (m - u * tau) / tau / tau  # tau**2 would underflow
             a_run = np.minimum(a_gap, (s - rho * a_r - u) / tau)
             runs = a_run >= -u / tau
             if runs.all():
@@ -458,7 +486,7 @@ class _PairGeometry:
             closes = b_closing >= -q_ / tau
             if closes.all():
                 return b_closing
-            b_opening = 2.0 * (m - d_rest - q_ * tau) / (tau * tau)
+            b_opening = 2.0 * (m - d_rest - q_ * tau) / tau / tau
             return np.where(closes, b_closing, b_opening)
 
         return cond, root
@@ -521,15 +549,89 @@ def pair_analysis_batch(ego: AgentState, ox, oy, ov, otheta,
     return a_lon_max, a_lat_min, a_lat_max, danger
 
 
-def clear_ahead(ego: AgentState, dx_min: float, theta_max: float, params: RssParams,
-                tau: float) -> bool:
-    """True if ``pair_analysis_batch`` gives every vehicle at least ``dx_min`` ahead,
-    at speed >= 0 and |heading| <= ``theta_max`` <= 1 rad, the unrestricted, unviolated row."""
-    u, gap = ego.v * math.cos(ego.theta), dx_min - params.length
-    de, ue2 = advance_speed_clamped(u, params.a_lon_limit, tau)
-    return bool(dx_min >= 0.0 and theta_max <= 1.0 and tau > 0.0  # NaN fails too
-                and gap >= _rear_lon(_nonneg(u), params)
-                and gap - de >= _rear_lon(_nonneg(ue2), params))
+class BroadPhase:
+    """Sufficient tests of the pair kernel over a box of rows of one agent,
+    with the ego's terms computed once (see the module docstring).  ``lo``
+    and ``hi`` are the per-column (x, y, v, theta) bounds of the deviations
+    that perturb ``state``, as floats.  Without a ``tau`` in (0, MAX_TAU],
+    nothing is free."""
+
+    def __init__(self, ego: AgentState, params: RssParams, tau: float | None = None):
+        p = self.params = params
+        self.x, self.y, self.tau = ego.x, ego.y, tau
+        u, q = ego.v * math.cos(ego.theta), ego.v * math.sin(ego.theta)
+        self.rear, self.front = _rear_lon(_nonneg(u), p), _front_lon(_nonneg(u), p)
+        self.head = (_head_lat(q, p), _head_lat(-q, p))  # toward a left, a right agent
+        self.timed = tau is not None and 0.0 < tau <= MAX_TAU  # NaN fails too
+        if self.timed:  # the conditions at the physical limits
+            self.de, ue2 = advance_speed_clamped(u, p.a_lon_limit, tau)
+            self.rear2 = _rear_lon(_nonneg(ue2), p)
+            b, a = p.a_lat_limit, p.a_max_accel_lat
+            self.lat_ego = tuple((s * tau + 0.5 * b * tau * tau, _head_lat(s + b * tau, p))
+                                 for s in (q, -q))
+            self.lat_other = (a * tau, 0.5 * a * tau * tau)
+
+    def free(self, state: AgentState, lo, hi) -> bool:
+        """True if ``pair_analysis_batch`` gives every row of the box
+        (a_lon_limit, -a_lat_limit, a_lat_limit, False)."""
+        b = self.timed and self._bounds(state, lo, hi)
+        return bool(b) and (self._lon(b, True) or self._lat(b, True))
+
+    def unviolated(self, state: AgentState, lo, hi) -> bool:
+        """True if ``violation_batch`` gives False on every row of the box."""
+        b = self._bounds(state, lo, hi)
+        return bool(b) and (self._lon(b, False) or self._lat(b, False))
+
+    def _bounds(self, s, lo, hi):
+        """(dx, dy, w_lon, w_lat) as (lowest, highest) over the box's rows,
+        or None outside the domain."""
+        (x0, y0, v0, t0), (x1, y1, v1, t1) = lo, hi
+        t0, t1, v0, v1 = s.theta + t0, s.theta + t1, s.v + v0, s.v + v1
+        if not (-HEADING_BOUND <= t0 <= t1 <= HEADING_BOUND and v0 <= v1 <= MAX_SPEED):
+            return None  # NaN fails too
+        v0, v1 = (v0 if v0 > 0.0 else 0.0), (v1 if v1 > 0.0 else 0.0)  # as the stacking clamps
+        s0, s1 = math.sin(t0) - TRIG_TOL, math.sin(t1) + TRIG_TOL
+        return ((s.x + x0) - self.x, (s.x + x1) - self.x,
+                (s.y + y0) - self.y, (s.y + y1) - self.y,
+                v0 * (math.cos(t1 if t1 > -t0 else -t0) - TRIG_TOL),  # at the largest |theta|
+                v1 * (math.cos(t0 if t0 > 0.0 else -t1 if t1 < 0.0 else 0.0) + TRIG_TOL),
+                (v0 if s0 >= 0.0 else v1) * s0, (v1 if s1 >= 0.0 else v0) * s1)
+
+    def _lon(self, b, free: bool) -> bool:
+        p = self.params
+        dx_lo, dx_hi, _, _, w_lo, w_hi, _, _ = b
+        if dx_hi < 0.0:  # behind on every row: the ego is the front vehicle
+            return not free and -dx_hi - p.length >= _nonneg(_rear_lon(w_hi, p) - self.front)
+        gap = dx_lo - p.length
+        if not (dx_lo >= 0.0  # ahead on every row: the ego is the rear vehicle
+                and gap >= _nonneg(self.rear - _front_lon(w_lo, p))):
+            return False
+        if not free:
+            return True
+        rate = p.b_max_brake_lon
+        dur = min(w_lo / rate, self.tau)
+        df, wf2 = w_lo * dur - 0.5 * rate * dur * dur, w_lo - rate * dur
+        front = _front_lon(max(wf2, 0.0), p) - LON_SLACK
+        return (gap + (df - LON_SLACK)) - self.de >= _nonneg(self.rear2 - front)
+
+    def _lat(self, b, free: bool) -> bool:
+        p = self.params
+        _, _, dy_lo, dy_hi, _, _, wl_lo, wl_hi = b
+        if dy_lo >= 0.0:  # left of the ego on every row
+            side, gap, closing = 0, dy_lo - p.width, -wl_lo
+        elif dy_hi < 0.0:
+            side, gap, closing = 1, -dy_hi - p.width, wl_hi
+        else:
+            return False
+        travel, braking = _side_lat(max(closing, 0.0), p)
+        if not (gap >= self.head[side] + travel + braking):
+            return False
+        if not free:
+            return True
+        travel, braking = _side_lat(max(closing + self.lat_other[0], 0.0), p)
+        ego_travel, ego_head = self.lat_ego[side]
+        return (gap - (closing * self.tau + self.lat_other[1]) - ego_travel
+                >= ego_head + travel + braking)
 
 
 def pairwise_envelope_batch(ego: AgentState, ox, oy, ov, otheta,

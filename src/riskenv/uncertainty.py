@@ -189,16 +189,26 @@ def _distinct_grid(n_phi: int):
     return np.nonzero(keep)
 
 
+class SampleSet(tuple):
+    """``(levels, deviations, counts)``, as ``contour_samples`` returns them,
+    with the per-column (min, max) of the deviations, as two lists of
+    floats, computed on first use (``box``)."""
+
+    @functools.cached_property
+    def box(self):
+        return self[1].min(axis=0).tolist(), self[1].max(axis=0).tolist()
+
+
 # Samples of a zero covariance: one zero deviation (a read-only row) carrying
 # all the mass, so the sentinel is bypassed and the expectation is the plain
 # violation indicator.
-EXACT_SAMPLES = ((1.0,), np.broadcast_to(0.0, (1, 4)), (1,))
+EXACT_SAMPLES = SampleSet(((1.0,), np.broadcast_to(0.0, (1, 4)), (1,)))
 
 
 def contour_samples(basis: EigenBasis, spec: UncertaintySpec):
     """Deviation samples of every contour of ``spec``, built once per covariance.
 
-    Returns (levels, deviations, counts): the contour levels, the stacked
+    Returns a ``SampleSet`` (levels, deviations, counts): the contour levels, the stacked
     (n, 4) deviations of all contours in level order, and the number of rows
     of each contour.  The p_k contour is the ellipsoid with radii
     sqrt(Q4(p_k) * lambda_i) along the eigenvectors, so every contour scales
@@ -229,8 +239,8 @@ def contour_samples(basis: EigenBasis, spec: UncertaintySpec):
         r[..., 2] * s[g1] * s[g2] * c[g3],
         r[..., 3] * s[g1] * s[g2] * s[g3],
     ], axis=-1)
-    return (levels, d_eigen.reshape(-1, STATE_DIM) @ basis.eigenvectors.T,
-            (g1.size,) * len(levels))
+    return SampleSet((levels, d_eigen.reshape(-1, STATE_DIM) @ basis.eigenvectors.T,
+                      (g1.size,) * len(levels)))
 
 
 def draw_noise(basis: EigenBasis, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -166,6 +166,53 @@ class TestSweep:
         by_cell = {(r.policy, r.beta): r for r in want}
         assert all(r == by_cell[(r.policy, r.beta)] for r in rows)
 
+    @staticmethod
+    def _with_and_without_twins(monkeypatch, *args):
+        """sweep(*args) as it runs, and with no cell mapped to its twin."""
+        got = bench.sweep(*args)
+        with monkeypatch.context() as m:
+            m.setattr(bench, "TWINS", {})
+            want = bench.sweep(*args)
+        assert got == want
+        assert bench.rows_to_csv(got) == bench.rows_to_csv(want)
+        assert bench.rows_to_json(got) == bench.rows_to_json(want)
+        return got
+
+    def test_zero_covariance_cells_take_their_twins_rows(self, cfg, monkeypatch):
+        # The quick sweep's cells that the mapping touches: the probabilistic
+        # policies on "none" over the default beta grid.
+        scenarios = bench.generate_scenarios(20, cfg.seed, cfg)
+        calls = []
+        run_cell = bench.run_cell
+
+        def counted(scenarios, policy, case, beta, cfg):
+            calls.append((policy, case, beta))
+            return run_cell(scenarios, policy, case, beta, cfg)
+
+        monkeypatch.setattr(bench, "run_cell", counted)
+        self._with_and_without_twins(
+            monkeypatch, scenarios, ["ProbabilisticEnvelopeRestriction",
+                                     "ProbabilisticSimplex"], ["none"], list(cfg.betas), cfg)
+        unmapped = 2 * len(cfg.betas)  # the sweep without twins runs every cell
+        assert calls[:-unmapped] == [("EnvelopeRestriction", "none", cfg.betas[0]),
+                                     ("ProbabilisticEnvelopeRestriction", "none", 1.0),
+                                     ("Simplex", "none", cfg.betas[0]),
+                                     ("ProbabilisticSimplex", "none", 1.0)]
+
+    def test_twins_keyed_on_the_covariance(self, cfg, small_set, monkeypatch):
+        # A zero covariance under another name, and a beta grid with 1.0 and
+        # a repeat in it; "none" itself is left out.
+        zero = replace(cfg, uncertainty={"small": cfg.uncertainty["none"],
+                                         "large": cfg.uncertainty["large"]})
+        rows = self._with_and_without_twins(
+            monkeypatch, small_set[:4], list(bench.POLICY_NAMES), ["small", "large"],
+            [0.0, 1.0, 0.3, 1.0], zero)
+        by_cell = {(r.policy, r.covariance_case, r.beta): r for r in rows}
+        for beta in (0.0, 0.3):
+            assert replace(by_cell[("ProbabilisticSimplex", "small", beta)],
+                           policy="Simplex") == by_cell[("Simplex", "small", beta)]
+        assert by_cell[("ProbabilisticSimplex", "small", 1.0)].success_rate == 1.0
+
     def test_empty_inputs_rejected(self, cfg, small_set):
         with pytest.raises(ValueError):
             bench.sweep([], ["Simplex"], ["none"], [0.0], cfg)
@@ -363,9 +410,9 @@ class TestOneAnalysisPerStep:
     @pytest.mark.parametrize("kind", bench.POLICY_NAMES)
     def test_one_kernel_call_per_step(self, cfg, small_set, kind, monkeypatch):
         """At most one kernel call and one geometry per decision, and none
-        when every agent of a restricting policy is clear ahead."""
+        when the broad phase certifies every agent."""
         counts = {"geometry": 0, "pair_analysis_batch": 0, "violation_batch": 0}
-        decisions = []
+        certified, decisions = [], []
 
         class CountedGeometry(rss._PairGeometry):
             def __init__(self, *args):
@@ -378,20 +425,21 @@ class TestOneAnalysisPerStep:
                 return fn(*args)
             return wrapper
 
-        def clear(ego, state, deviations):
-            return rss.clear_ahead(ego, state.x + deviations[:, 0].min() - ego.x,
-                                   abs(state.theta) + np.abs(deviations[:, 3]).max(),
-                                   cfg.rss, cfg.tau)
+        def recorded(test):
+            def wrapper(*args):
+                certified.append(test(*args))
+                return certified[-1]
+            return wrapper
 
         decide = bench.Policy.__call__
 
-        def recorded(policy, obs, world):
+        def decision(policy, obs, world):
             before = dict(counts)
+            certified.clear()
             out = decide(policy, obs, world)
-            all_clear = policy.samples is not None and all(
-                [clear(obs.ego, o, policy.samples[1]) for o in obs.others]
-                + [clear(obs.ego, o, uncertainty.EXACT_SAMPLES[1]) for o in world.others])
-            decisions.append(({k: counts[k] - before[k] for k in counts}, all_clear))
+            agents = len(obs.others) + (len(world.others) if policy.samples else 0)
+            assert len(certified) == agents
+            decisions.append(({k: counts[k] - before[k] for k in counts}, all(certified)))
             return out
 
         monkeypatch.setattr(rss, "_PairGeometry", CountedGeometry)
@@ -399,16 +447,17 @@ class TestOneAnalysisPerStep:
                             counted("pair_analysis_batch", prob_envelope.pair_analysis_batch))
         monkeypatch.setattr(bench, "violation_batch",
                             counted("violation_batch", bench.violation_batch))
-        monkeypatch.setattr(bench.Policy, "__call__", recorded)
+        for name in ("free", "unviolated"):
+            monkeypatch.setattr(rss.BroadPhase, name, recorded(getattr(rss.BroadPhase, name)))
+        monkeypatch.setattr(bench.Policy, "__call__", decision)
         for scn in small_set[:3]:
             bench.run_episode(scn, kind, 0.1, "small", cfg)
         kernel = ("violation_batch" if kind in ("Simplex", "ProbabilisticSimplex")
                   else "pair_analysis_batch")
         assert decisions
-        for calls, all_clear in decisions:
-            assert calls["geometry"] == calls[kernel] == (0 if all_clear else 1)
-        if kernel == "pair_analysis_batch":
-            assert 0 < sum(all_clear for _, all_clear in decisions) < len(decisions)
+        for calls, all_certified in decisions:
+            assert calls["geometry"] == calls[kernel] == (0 if all_certified else 1)
+        assert 0 < sum(all_certified for _, all_certified in decisions) < len(decisions)
 
 
 class TestOneDecompositionPerCovariance:

@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from riskenv import cli
 from riskenv.cli import build_parser, main
@@ -19,7 +25,7 @@ from riskenv.config import (
     config_from_dict,
     load_config,
 )
-from riskenv.rss import MAX_POSITION, MAX_SPEED, MAX_TAU
+from riskenv.rss import MAX_POSITION, MAX_SPEED, MAX_TAU, RssParams, restrictive_sentinel
 from riskenv.uncertainty import MAX_SIGMA
 
 # Symmetric covariances with a negative eigenvalue: a 4-entry diagonal and a
@@ -258,7 +264,8 @@ class TestEnvelopeCommand:
             return kernel(ego, ox, *args)
 
         monkeypatch.setattr(prob_envelope, "pair_analysis_batch", recorded)
-        agents = [{"x": 10.0 * j, "y": 3.5, "theta": 0, "v": 15} for j in range(1, 4)]
+        # Half a lane across, where the broad phase certifies none of them.
+        agents = [{"x": 10.0 * j, "y": 1.0, "theta": 0, "v": 15} for j in range(1, 4)]
         for n_phi, n_agents, calls in ((8, 2, 1), (8, 3, 1), (12, 3, 2)):
             rows.clear()
             path = envelope_input({"ego": {"v": 17}, "agents": agents[:n_agents],
@@ -348,6 +355,70 @@ class TestEnvelopeCommand:
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]
+
+
+def _beyond(bound: float) -> float:
+    return math.nextafter(bound, math.copysign(math.inf, bound))
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+POSITIONS = NON_FINITE + [_beyond(MAX_POSITION), _beyond(-MAX_POSITION), 1e300]
+# (path into the envelope input, a value outside that field's range)
+CORRUPTIONS = [
+    *[((owner, key), value) for owner in ("ego", "agents") for key, values in (
+        ("x", POSITIONS), ("y", POSITIONS),
+        ("theta", NON_FINITE + [_beyond(math.pi), -math.pi, 7.0]),
+        ("v", NON_FINITE + [-5e-324, -1.0, _beyond(MAX_SPEED), 1e300])) for value in values],
+    *[(("sigma",), v) for v in NON_FINITE + [-1.0, _beyond(MAX_SIGMA)]],
+    *[(("beta",), v) for v in NON_FINITE + [-1e-300, _beyond(1.0)]],
+    *[(("tau",), v) for v in NON_FINITE + [0.0, -1.0, _beyond(MAX_TAU)]],
+    *[(("n_phi",), v) for v in (1, 0, -3, 10**6)],
+    *[(("contour_levels",), v) for v in NON_FINITE + [0.0, 1.0, -0.5]],
+]
+
+
+class TestEnvelopeFailsClosed:
+    """An envelope input with a non-finite or out-of-range value exits 2, or
+    gives the most restrictive envelope; it never warns and exits 0."""
+
+    state = st.fixed_dictionaries({"x": st.floats(-50.0, 50.0), "y": st.floats(-2.0, 5.0),
+                                   "theta": st.floats(-0.3, 0.3), "v": st.floats(0.0, 40.0)})
+
+    # Every corruption, each with a few drawn inputs and maybe a second one.
+    @pytest.mark.parametrize("corruption", CORRUPTIONS, ids=repr)
+    @given(ego=state, agents=st.lists(state, min_size=1, max_size=3), index=st.integers(0, 3),
+           more=st.lists(st.tuples(st.sampled_from(CORRUPTIONS), st.integers(0, 3)),
+                         max_size=1))
+    @settings(max_examples=3, deadline=None, phases=set(Phase) - {Phase.shrink})
+    def test_invalid_values_exit_2_or_fail_closed(self, corruption, ego, agents, index, more):
+        payload = {"ego": ego, "agents": agents, "sigma": [0.04, 0.04, 0.04, 1e-4],
+                   "beta": 0.1, "tau": 0.2, "n_phi": 6, "contour_levels": [0.5, 0.9]}
+        for (path, value), index in [(corruption, index), *more]:
+            if path[0] in ("ego", "agents"):  # one field of one state
+                target = ego if path[0] == "ego" else agents[index % len(agents)]
+                target[path[1]] = value
+            elif path[0] in ("sigma", "contour_levels"):  # one entry of a list
+                payload[path[0]][index % len(payload[path[0]])] = value
+            else:
+                payload[path[0]] = value
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as seen, \
+                contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            warnings.simplefilter("always")
+            path = os.path.join(tmp, "input.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh)
+            code = main(["envelope", "--input", path])
+        if code == 2:
+            assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+            return
+        assert code == 0
+        assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+        data = json.loads(out.getvalue())
+        sentinel = restrictive_sentinel(RssParams())
+        assert data["probabilistic_envelope"] == {
+            k: getattr(sentinel, k) for k in ("a_lon_min", "a_lon_max", "a_lat_min",
+                                              "a_lat_max")}
 
 
 class TestParserReuse:

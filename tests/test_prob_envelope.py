@@ -1,3 +1,4 @@
+import copy
 import functools
 import math
 import warnings
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from riskenv import bench, prob_envelope
+from riskenv import bench, prob_envelope, rss
 from riskenv.config import RunConfig
 from riskenv.prob_envelope import (
     EXACT_SAMPLES,
@@ -32,7 +33,13 @@ from riskenv.rss import (
     unrestricted_envelope,
     violation_batch,
 )
-from riskenv.uncertainty import MAX_SIGMA, UncertaintySpec, chi2_quantile_4, eigendecompose
+from riskenv.uncertainty import (
+    MAX_SIGMA,
+    SampleSet,
+    UncertaintySpec,
+    chi2_quantile_4,
+    eigendecompose,
+)
 
 from conftest import (
     contour_loop_analysis,
@@ -67,7 +74,7 @@ def analyze_one(ego, obs, samples, params, tau):
 
 def worst_case_of(ego, obs, deviations, params):
     """Envelope of a single explicit contour holding ``deviations``."""
-    samples = ((0.5,), deviations, (deviations.shape[0],))
+    samples = SampleSet(((0.5,), deviations, (deviations.shape[0],)))
     dist, _ = analyze_one(ego, obs, samples, params, TAU)
     return dist.envelopes[0]
 
@@ -112,7 +119,7 @@ class TestWorstCaseContourEnvelope:
         ego = AgentState(0, 0, 0, 17)
         obs = AgentState(24, 0, 0, 15)
         near, far = np.array([[-3.0, 0, 0, 0]]), np.array([[3.0, 0, 0, 0], [4.0, 0, 0, 0]])
-        samples = ((0.5, 0.9), np.concatenate([far, near]), (2, 1))
+        samples = SampleSet(((0.5, 0.9), np.concatenate([far, near]), (2, 1)))
         dist, _ = analyze_one(ego, obs, samples, rss_params, TAU)
         assert dist.agent_id == 0
         assert dist.envelopes == (worst_case_of(ego, obs, far, rss_params),
@@ -305,7 +312,8 @@ class TestViolationExpectation:
         # and safe laterally, the outer one reaches into the ego's lane box.
         ego = AgentState(0, 0, 0, 15)
         obs = AgentState(10, 3.5, 0, 15)
-        samples = ((0.5, 0.9), np.array([[0.0, 0, 0, 0], [0.0, -3.5, 0, 0]]), (1, 1))
+        samples = SampleSet(((0.5, 0.9), np.array([[0.0, 0, 0, 0], [0.0, -3.5, 0, 0]]),
+                             (1, 1)))
         _, e = analyze_one(ego, obs, samples, rss_params, TAU)
         assert not safety_violated(ego, [obs], rss_params)
         assert safety_violated(ego, [AgentState(10, 0, 0, 15)], rss_params)
@@ -372,9 +380,9 @@ class TestContourSamples:
                 spec = UncertaintySpec(sigma, LEVELS, n_phi)
                 basis = eigendecompose(spec.sigma)
                 dedup = contour_samples(basis, spec)
-                full = (LEVELS,
-                        np.concatenate([full_grid_contour(basis, p, n_phi) for p in LEVELS]),
-                        (n_phi ** 3,) * len(LEVELS))
+                full = SampleSet((
+                    LEVELS, np.concatenate([full_grid_contour(basis, p, n_phi) for p in LEVELS]),
+                    (n_phi ** 3,) * len(LEVELS)))
                 for _ in range(45):
                     ego = AgentState(0.0, 3.5 * rng.integers(2), rng.normal(0.0, 0.03),
                                      rng.uniform(10.0, 25.0))
@@ -502,12 +510,13 @@ class TestAnalyzeAgents:
         samples = contour_samples(eigendecompose(spec.sigma), spec)
         per_agent = samples[1].shape[0]
         assert 2 * per_agent <= ROW_BUDGET < 3 * per_agent
-        others = [AgentState(20.0 + 10.0 * j, 3.5, 0.0, 15.0) for j in range(3)]
+        # Half a lane across, where the broad phase certifies none of them.
+        others = [AgentState(20.0 + 5.0 * j, 1.0, 0.0, 15.0) for j in range(3)]
         analyze_step(ego, others, samples, others, rss_params, TAU)
         assert rows == [2 * per_agent, per_agent + 3]
         # An agent over the budget runs alone.
         rows.clear()
-        big = ((0.5,), np.zeros((ROW_BUDGET + 1, 4)), (ROW_BUDGET + 1,))
+        big = SampleSet(((0.5,), np.zeros((ROW_BUDGET + 1, 4)), (ROW_BUDGET + 1,)))
         analyze_step(ego, others[:2], big, others[2:], rss_params, TAU)
         assert rows == [ROW_BUDGET + 1, ROW_BUDGET + 1, 1]
         rows.clear()
@@ -561,48 +570,69 @@ class TestAnalyzeAgents:
 
 
 class TestBroadPhase:
-    """Agents that ``clear_ahead`` admits skip the kernel, and every output
-    stays exactly what the kernel gives them."""
+    """Agents that ``BroadPhase`` certifies skip the kernel, and every output
+    stays exactly what the kernel gives them: with the tests patched to
+    certify nothing, each decision is the same, ``==`` and repr."""
 
     @staticmethod
-    def _with_and_without(monkeypatch, args):
-        """analyze_step(*args) with the broad phase and with it switched
-        off, and the kernel rows each one ran."""
+    def _with_and_without(monkeypatch, fn, *args):
+        """fn(*args) with the broad phase and with it certifying nothing, and
+        the kernel rows each one ran."""
         rows = []
-        kernel = prob_envelope.pair_analysis_batch
+        kernels = {name: getattr(module, name) for module, name in
+                   ((prob_envelope, "pair_analysis_batch"), (bench, "violation_batch"))}
 
-        def recorded(ego, ox, *rest):
-            rows.append(len(ox))
-            return kernel(ego, ox, *rest)
+        def recorded(name):
+            def kernel(ego, ox, *rest):
+                rows.append(len(ox))
+                return kernels[name](ego, ox, *rest)
+            return kernel
 
         with monkeypatch.context() as m:
-            m.setattr(prob_envelope, "pair_analysis_batch", recorded)
-            got = analyze_step(*args)
+            m.setattr(prob_envelope, "pair_analysis_batch", recorded("pair_analysis_batch"))
+            m.setattr(bench, "violation_batch", recorded("violation_batch"))
+            got = fn(*copy.deepcopy(args))
             got_rows = sum(rows)
-            m.setattr(prob_envelope, "clear_ahead", lambda *_: False)
-            want = analyze_step(*args)
-        assert got == want and repr(got) == repr(want)
+            m.setattr(rss.BroadPhase, "free", lambda *_: False)
+            m.setattr(rss.BroadPhase, "unviolated", lambda *_: False)
+            want = fn(*copy.deepcopy(args))
+        assert repr(got) == repr(want)
+        assert got == want if isinstance(got, tuple) else np.array_equal(got, want)
         return got_rows, sum(rows) - got_rows
 
     def test_sweep_steps_unchanged(self, monkeypatch):
+        # Every policy's decisions over seeded episodes: the analyses of the
+        # restricting policies, the draws of the Simplex family (replayed
+        # from the generator's state before each draw).
         cfg = RunConfig()
-        steps = []
-        analyze = bench.analyze_step
+        calls = []
+        analyze, mean_violations = bench.analyze_step, bench.Policy._mean_violations
 
-        def recorded(*args):
-            steps.append(args)
+        def analysis(*args):
+            calls.append((analyze_step, *args))
             return analyze(*args)
 
+        def draws(policy, obs):
+            calls.append((mean_violations, copy.copy(policy), obs))
+            calls[-1][1].rng = copy.deepcopy(policy.rng)
+            return mean_violations(policy, obs)
+
         with monkeypatch.context() as m:
-            m.setattr(bench, "analyze_step", recorded)
-            for scn in bench.generate_scenarios(4, 7, cfg):
+            m.setattr(bench, "analyze_step", analysis)
+            m.setattr(bench.Policy, "_mean_violations", draws)
+            for scn in bench.generate_scenarios(3, 7, cfg):
                 for kind, case in (("ProbabilisticEnvelopeRestriction", "small"),
                                    ("ProbabilisticEnvelopeRestriction", "large"),
-                                   ("EnvelopeRestriction", "small")):
+                                   ("EnvelopeRestriction", "small"), ("Simplex", "small"),
+                                   ("ProbabilisticSimplex", "small"),
+                                   ("ProbabilisticSimplex", "large")):
                     bench.run_episode(scn, kind, 0.2, case, cfg)
-        rows = [self._with_and_without(monkeypatch, args) for args in steps]
-        assert sum(r for r, _ in rows) < sum(r for _, r in rows)
-        assert any(r == 0 for r, _ in rows) and any(r == full for r, full in rows)
+        for fn in (analyze_step, mean_violations):
+            rows = [self._with_and_without(monkeypatch, *call) for call in calls
+                    if call[0] is fn]
+            assert sum(r for r, _ in rows) < sum(r for _, r in rows)
+            assert any(r == 0 < full for r, full in rows)
+            assert any(r > 0 for r, _ in rows)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_query_inputs_unchanged(self, rss_params, monkeypatch, seed):
@@ -624,7 +654,7 @@ class TestBroadPhase:
                                  float(rng.normal(0.0, 0.05)), float(rng.uniform(5.0, 30.0)))
                       for _ in range(int(rng.integers(1, 9)))]
             got_rows, all_rows = self._with_and_without(
-                monkeypatch, (ego, agents, spec.samples, agents, rss_params, TAU))
+                monkeypatch, analyze_step, ego, agents, spec.samples, agents, rss_params, TAU)
             skipped += all_rows - got_rows
         assert skipped > 0
 
@@ -639,16 +669,29 @@ class TestBroadPhase:
         monkeypatch.setattr(prob_envelope, "pair_analysis_batch", recorded)
         ego = AgentState(0.0, 0.0, 0.0, 17.0)
         samples = UncertaintySpec.from_diagonal([0.04, 0.04, 0.04, 1e-4], LEVELS, 8).samples
-        near, behind, far = (AgentState(x, 3.5, 0.0, 15.0) for x in (20.0, -120.0, 120.0))
-        analyze_step(ego, [near, far, behind], samples, [far, near], rss_params, TAU)
+        # Near and behind half a lane across need the kernel; far ahead, and
+        # a lane across, do not.
+        near, behind, far, beside = (AgentState(x, y, 0.0, 15.0) for x, y in (
+            (20.0, 1.0), (-120.0, 1.0), (120.0, 1.0), (5.0, 3.5)))
+        analyze_step(ego, [near, far, beside, behind], samples, [far, beside, near],
+                     rss_params, TAU)
         assert rows == [2 * samples[1].shape[0] + 1]
         rows.clear()
-        dists, expectations, exact_env = analyze_step(ego, [far], samples, [far],
-                                                      rss_params, TAU)
+        dists, expectations, exact_env = analyze_step(ego, [far, beside], samples,
+                                                      [far, beside], rss_params, TAU)
         assert rows == []
         free = unrestricted_envelope(rss_params)
-        assert dists[0].envelopes == (free,) * len(LEVELS) and exact_env == free
-        assert expectations == [1.0 - LEVELS[-1]]
+        assert all(d.envelopes == (free,) * len(LEVELS) for d in dists)
+        assert exact_env == free
+        assert expectations == [1.0 - LEVELS[-1]] * 2
+
+    def test_samples_carry_their_box(self):
+        spec = UncertaintySpec.from_diagonal([0.04, 0.09, 0.16, 1e-4], LEVELS, 6)
+        _, deviations, _ = spec.samples
+        assert spec.samples.box is spec.samples.box
+        assert spec.samples.box == (deviations.min(axis=0).tolist(),
+                                    deviations.max(axis=0).tolist())
+        assert EXACT_SAMPLES.box == ([0.0] * 4, [0.0] * 4)
 
 
 class TestStackedStates:

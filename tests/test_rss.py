@@ -1,11 +1,12 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from riskenv import rss
@@ -17,18 +18,20 @@ from riskenv.rss import (
     MIN_ACCEL,
     TWO_PI,
     AgentState,
+    BroadPhase,
     Envelope,
     RssParams,
     advance_speed_clamped,
-    clear_ahead,
     pair_analysis_batch,
     pairwise_envelope_batch,
     safe_distance_lat,
     safe_distance_lon,
     safety_envelope,
     unrestricted_envelope,
+    violation_batch,
     wrap_angle,
 )
+from riskenv.prob_envelope import stacked_states
 
 from conftest import (
     bisect_largest,
@@ -520,9 +523,52 @@ class TestBoundSolver:
         # Every branch of both roots is exercised.
         assert interior > 10_000 and stopping > 100 and opening > 100
 
-    def test_wrong_root_gets_most_restrictive_bound(self):
-        # Rows whose root is wrong get lo, the most restrictive bound; the
-        # others still get the bisection value.
+    @staticmethod
+    def _with_bisection(*args):
+        """pair_analysis_batch(*args) with the bound solver, and with the
+        bisection oracle in its place."""
+        def bisection_only(cond, root, lo, hi, ok_hi):
+            return np.where(ok_hi, hi, bisect_largest(cond, lo, hi, ok_hi.size))
+
+        fast = pair_analysis_batch(*args)
+        with pytest.MonkeyPatch.context() as m, np.errstate(all="ignore"):
+            m.setattr(rss, "_solve_largest", bisection_only)
+            return fast, pair_analysis_batch(*args)
+
+    # Any accepted parameters but the limits: the bisection's midpoints are
+    # the grid lo + k * h bit for bit only where the limits span a power of
+    # two (8 and 4, as by default).
+    @given(params=st.sampled_from([RssParams(), RssParams(rho=1.0, a_max_accel_lon=3.5),
+                                   RssParams(a_max_accel_lon=0.0, rho=2.0)])
+           | ACCEPTED_PARAMS.map(lambda p: replace(p, a_lon_limit=8.0, a_lat_limit=4.0)),
+           tau=ACCEPTED_TAU, seed=st.integers(0, 2**32 - 1),
+           ego_v=st.sampled_from([0.0, 0.2, 17.0]) | st.floats(0.0, MAX_SPEED),
+           theta=st.floats(-0.3, 0.3) | st.just(0.0))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_bisection_at_any_tau(self, params, tau, seed, ego_v, theta):
+        rng = np.random.default_rng(seed)
+        ego = AgentState(0.0, float(rng.choice([0.0, 3.5])), theta, ego_v)
+        rows = _kernel_rows(rng, ego, params, 200)
+        fast, ref = self._with_bisection(ego, *rows, params, tau)
+        for got, want in zip(fast, ref):
+            assert np.array_equal(got, want)
+
+    # A stopped agent at gap exactly 0 before an ego at rest that may not
+    # accelerate while it responds: the bound is 0, until a subnormal tau
+    # rounds a * tau to 0 for small a.  tau**2 underflows below 1.5e-162.
+    @pytest.mark.parametrize("tau,bound", [(0.2, 0.0), (1e-150, 0.0), (1e-170, 0.0),
+                                           (1e-300, 0.0), (1e-310, 0.0), (5e-324, 0.5)])
+    def test_zero_slack_row_at_tiny_tau(self, tau, bound):
+        args = (AgentState(0.0, 0.0, 0.0, 0.0), [4.7], [0.0], [0.0], [0.0],
+                RssParams(a_max_accel_lon=0.0, rho=2.0), tau)
+        with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+            warnings.simplefilter("error")
+            fast, ref = self._with_bisection(*args)
+        assert fast[0].tolist() == ref[0].tolist() == [bound]
+
+    def test_wrong_root_gets_the_bisection_value(self):
+        # Rows whose root misses by more than a grid step, or is no number,
+        # run the bisection; every row gets the bisection value.
         rng = np.random.default_rng(5)
         thresholds = rng.uniform(-8.0, 8.0, 1000)
         wrong = rng.random(thresholds.size) < 0.5
@@ -531,13 +577,12 @@ class TestBoundSolver:
             return values <= (thresholds if rows is None else thresholds[rows])
 
         ref = bisect_largest(cond, -8.0, 8.0, thresholds.size)
-        for bad in (0.5, np.nan, -np.inf):
+        for bad in (0.5, 4e-11, np.nan, -np.inf, np.inf):
             def root(rows, bad=bad):
                 return np.where(wrong[rows], thresholds[rows] + bad, thresholds[rows])
 
             got = rss._solve_largest(cond, root, -8.0, 8.0, cond(8.0))
-            assert np.array_equal(got[~wrong], ref[~wrong])
-            assert np.all(got[wrong] == -8.0)
+            assert np.array_equal(got, ref)
 
     def test_golden_rows(self):
         golden = json.loads((Path(__file__).parent / "kernel_golden.json").read_text())
@@ -637,53 +682,132 @@ class TestBoundedStates:
             warnings.simplefilter("error")
             out = pair_analysis_batch(ego, ox, oy, ov, ot, params, tau)
             assert all(np.isfinite(a).all() for a in out[:3])
-            clear_ahead(ego, float((ox - ego.x).min()), min(float(np.abs(ot).max()), 1.0),
-                        params, tau)
+            broad = BroadPhase(ego, params, tau)
+            for x, y, theta, v in zip(ox, oy, ot, ov):
+                state = AgentState(float(x), float(y), theta, v)
+                broad.free(state, [-1.0, -1.0, -1.0, -0.1], [1.0, 1.0, 1.0, 0.1])
+                broad.unviolated(state, [0.0] * 4, [0.0] * 4)
 
 
-class TestClearAhead:
-    """``clear_ahead`` is sufficient: every row it admits gets exactly the
-    unrestricted row, unviolated, from the kernel."""
+def smallest_offset(holds, far: float):
+    """The smallest float d in [0, far] with holds(d), by bisection on the
+    bits of the non-negative floats, or None where holds(far) fails."""
+    if not holds(far):
+        return None
+    lo, hi = -1, int(np.float64(far).view(np.int64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(float(np.int64(mid).view(np.float64))):
+            hi = mid
+        else:
+            lo = mid
+    return float(np.int64(hi).view(np.float64))
 
-    # Horizons up to MAX_TAU, and as many of the size the simulator uses:
-    # over long ones most rows leave the road's bounds before they clear.
-    @given(params=ACCEPTED_PARAMS, tau=ACCEPTED_TAU | st.floats(0.05, 2.0),
-           ego=st.tuples(TestBoundedStates.coord, TestBoundedStates.coord,
-                         TestBoundedStates.heading, TestBoundedStates.speed),
-           theta_max=st.floats(0.0, 1.0) | st.just(1.0),
-           ulps=st.integers(-2, 3), extra=st.floats(0.0, 1e3) | st.just(0.0),
-           rows=st.lists(st.tuples(st.floats(0.0, 50.0) | st.just(0.0),
-                                   TestBoundedStates.coord, st.floats(-1.0, 1.0),
-                                   TestBoundedStates.speed), min_size=1, max_size=8))
-    @settings(max_examples=300, deadline=None, phases=set(Phase) - {Phase.shrink})
-    def test_admitted_rows_get_the_unrestricted_row(self, params, tau, ego, theta_max, ulps,
-                                                     extra, rows):
-        x, y, theta, v = ego
-        # The smallest dx that passes, a few ulps off, or farther out; the
-        # ego moves back where the nearest row would leave the road's bounds.
-        u = v * math.cos(theta)
-        de, ue2 = advance_speed_clamped(u, params.a_lon_limit, tau)
-        dx = params.length + max(rss._rear_lon(max(u, 0.0), params),
-                                 rss._rear_lon(max(ue2, 0.0), params) + de)
-        for _ in range(abs(ulps)):
-            dx = math.nextafter(dx, math.copysign(math.inf, ulps))
-        ego = AgentState(max(min(x, MAX_POSITION - (dx + extra)), -MAX_POSITION), y, theta, v)
-        x_min = ego.x + dx + extra
-        dx_min = x_min - ego.x  # as a caller finds it: its smallest row's dx
-        assume(x_min <= MAX_POSITION and clear_ahead(ego, dx_min, theta_max, params, tau))
-        ox = np.array([min(x_min + d, MAX_POSITION) for d, _, _, _ in rows])
-        oy, turn, ov = (np.array(col) for col in list(zip(*rows))[1:])
-        lon_max, lat_min, lat_max, violated = pair_analysis_batch(
-            ego, ox, oy, ov, turn * theta_max, params, tau)
-        assert (lon_max == params.a_lon_limit).all()
-        assert (lat_min == -params.a_lat_limit).all()
-        assert (lat_max == params.a_lat_limit).all()
-        assert not violated.any()
 
-    @pytest.mark.parametrize("dx_min,theta_max,tau", [
-        (-1e-9, 0.0, TAU), (math.nan, 0.0, TAU), (1e3, 1.0 + 1e-9, TAU), (1e3, math.nan, TAU),
-        (1e3, 0.0, 0.0), (1e3, 0.0, -1.0), (1e3, 0.0, math.nan)])
-    def test_out_of_scope_arguments_are_not_clear(self, dx_min, theta_max, tau):
-        assert clear_ahead(AgentState(0.0, 0.0, 0.0, 10.0), dx_min, theta_max, RssParams(),
-                           tau) is False
-        assert clear_ahead(AgentState(0.0, 0.0, 0.0, 10.0), 1e3, 0.0, RssParams(), TAU)
+class TestBroadPhase:
+    """``BroadPhase`` is sufficient: every row of a box it certifies gets
+    exactly the certified kernel output, free or unviolated."""
+
+    deviation = st.tuples(st.floats(-5.0, 0.0), st.floats(0.0, 5.0)) | st.just((0.0, 0.0))
+
+    # The agent sits at the smallest offset from the ego, along one axis,
+    # where the test certifies the box, or a few ulps off it; the rows are
+    # the box's corners and interior points.  Long horizons take most boxes
+    # off the road's bounds before they certify, so short ones are drawn too.
+    @given(params=st.just(RssParams()) | ACCEPTED_PARAMS,
+           tau=ACCEPTED_TAU | st.floats(0.05, 2.0),
+           ego=st.tuples(*[st.floats(-1e3, 1e3) | TestBoundedStates.coord] * 2,
+                         st.floats(-0.3, 0.3) | TestBoundedStates.heading,
+                         TestBoundedStates.speed),
+           agent=st.tuples(st.floats(-0.3, 0.3) | st.floats(-1.6, 1.6),
+                           st.floats(0.0, 40.0) | TestBoundedStates.speed),
+           box=st.tuples(deviation, deviation, st.tuples(st.floats(-20.0, 0.0),
+                                                         st.floats(0.0, 20.0)),
+                         st.tuples(st.floats(-0.3, 0.0), st.floats(0.0, 0.3))),
+           axis=st.sampled_from(["ahead", "behind", "left", "right"]),
+           across=st.floats(-20.0, 20.0) | st.just(0.0), ulps=st.integers(-2, 3),
+           inner=st.lists(st.tuples(*[st.floats(0.0, 1.0)] * 4), max_size=6))
+    @settings(max_examples=400, deadline=None, phases=set(Phase) - {Phase.shrink})
+    def test_certified_rows_get_the_certified_output(self, params, tau, ego, agent, box,
+                                                     axis, across, ulps, inner):
+        ego, (theta, v) = AgentState(*ego), agent
+        lo, hi = np.array(box).T
+        corners = np.array(np.meshgrid(*box, indexing="ij")).reshape(4, -1).T
+        devs = np.concatenate([corners, lo + np.array(inner).reshape(-1, 4) * (hi - lo)])
+        box = devs.min(axis=0).tolist(), devs.max(axis=0).tolist()
+        sign = 1.0 if axis in ("ahead", "left") else -1.0
+
+        def place(d):
+            along, side = (ego.x, ego.y) if axis in ("ahead", "behind") else (ego.y, ego.x)
+            xy = (min(max(along + sign * d, -MAX_POSITION), MAX_POSITION),
+                  min(max(side + across, -MAX_POSITION), MAX_POSITION))
+            x, y = xy if axis in ("ahead", "behind") else xy[::-1]
+            return AgentState(x, y, theta, v)
+
+        broad = BroadPhase(ego, params, tau)
+        for test in (broad.free, broad.unviolated):
+            d = smallest_offset(lambda d: test(place(d), *box), 2.0 * MAX_POSITION)
+            if d is None:
+                continue
+            for _ in range(abs(ulps)):
+                d = math.nextafter(d, math.copysign(math.inf, ulps))
+            state = place(max(d, 0.0))
+            if not test(state, *box):
+                continue
+            rows = stacked_states([(state, devs)])
+            if test == broad.free:
+                lon_max, lat_min, lat_max, violated = pair_analysis_batch(
+                    ego, *rows, params, tau)
+                assert (lon_max == params.a_lon_limit).all()
+                assert (lat_min == -params.a_lat_limit).all()
+                assert (lat_max == params.a_lat_limit).all()
+            else:
+                violated = violation_batch(ego, *rows, params)
+            assert not violated.any()
+
+    def test_heading_round_trip_is_covered(self, rss_params):
+        # wrap_angle moves some headings outward by an ulp of pi, which
+        # speeds up the agent's closing; at the smallest certified lateral
+        # offset the kernel still gives the certified row.
+        ego, zero = AgentState(0.0, 0.0, 0.0, 0.0), ([0.0] * 4, [0.0] * 4)
+        broad = BroadPhase(ego, rss_params, TAU)
+        headings = [t for t in np.linspace(-1.4, -0.1, 200).tolist()
+                    if wrap_angle(np.array([t]))[0] < t]
+        assert len(headings) > 20
+        for theta in headings:
+            for test in (broad.free, broad.unviolated):
+                d = smallest_offset(lambda d: test(AgentState(0.0, d, theta, 30.0), *zero),
+                                    1e3)
+                rows = stacked_states([(AgentState(0.0, d, theta, 30.0), np.zeros((1, 4)))])
+                _, lat_min, lat_max, violated = pair_analysis_batch(ego, *rows, rss_params,
+                                                                    TAU)
+                assert not violated.any()
+                if test == broad.free:
+                    assert lat_min[0] == -lat_max[0] == -rss_params.a_lat_limit
+
+    def test_certifies_each_axis(self, rss_params):
+        # Around a 17 m/s ego: ahead beyond the safe distance, behind beyond
+        # the rear's, a lane to either side; each free or unviolated only.
+        ego = AgentState(0.0, 0.0, 0.0, 17.0)
+        broad, zero = BroadPhase(ego, rss_params, TAU), ([0.0] * 4, [0.0] * 4)
+        box = [-0.5, -0.5, -1.0, -0.05], [0.5, 0.5, 1.0, 0.05]
+        for x, y, free, unviolated in ((60.0, 0.0, True, True), (30.0, 0.0, False, True),
+                                       (10.0, 0.0, False, False), (-60.0, 0.0, False, True),
+                                       (-10.0, 0.0, False, False), (0.0, 3.5, True, True),
+                                       (0.0, -3.5, True, True), (0.0, 2.0, False, True),
+                                       (0.0, 1.0, False, False)):
+            state = AgentState(x, y, 0.0, 15.0)
+            assert broad.free(state, *zero) is free, (x, y)
+            assert broad.unviolated(state, *zero) is unviolated, (x, y)
+        # A box that crosses the ego's lane or the heading bound certifies nothing.
+        assert not broad.unviolated(AgentState(0.0, 3.5, 0.0, 15.0), [0.0, -4.0, 0.0, 0.0],
+                                    [0.0, 0.0, 0.0, 0.0])
+        assert not broad.free(AgentState(80.0, 0.0, 1.46, 15.0), *box)
+        assert broad.free(AgentState(80.0, 0.0, 1.4, 15.0), *box)
+
+    @pytest.mark.parametrize("tau", [None, 0.0, -1.0, math.nan, math.nextafter(MAX_TAU, math.inf)])
+    def test_out_of_range_tau_is_never_free(self, rss_params, tau):
+        ego, state = AgentState(0.0, 0.0, 0.0, 10.0), AgentState(1e3, 0.0, 0.0, 10.0)
+        assert BroadPhase(ego, rss_params, tau).free(state, [0.0] * 4, [0.0] * 4) is False
+        assert BroadPhase(ego, rss_params, tau).unviolated(state, [0.0] * 4, [0.0] * 4)
+        assert BroadPhase(ego, rss_params, TAU).free(state, [0.0] * 4, [0.0] * 4)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riskenv.config import COVARIANCE_CASES, RunConfig
 from riskenv.uncertainty import (
     EXACT_SAMPLES,
     MAX_GRID_SAMPLES,
@@ -198,6 +199,30 @@ class TestEigendecompose:
         assert np.abs(recon - sigma).max() / scale < 1e-9
         assert np.abs(b.eigenvectors.T @ b.eigenvectors - np.eye(4)).max() < 1e-9
         assert np.all(np.diff(b.eigenvalues) <= 1e-12)
+
+
+class TestDiagonalDeterminism:
+    """A diagonal covariance, as every default case is, is bit-stable across
+    LAPACK builds: its contour samples and its noise are those of the
+    closed-form basis (the sorted diagonal and the axis unit vectors), which
+    no LAPACK call computes."""
+
+    def test_default_cases_are_diagonal(self):
+        for spec in RunConfig().uncertainty.values():
+            assert np.array_equal(spec.sigma, np.diag(np.diag(spec.sigma)))
+
+    @pytest.mark.parametrize("case", COVARIANCE_CASES)
+    def test_samples_and_noise_rest_on_the_closed_form_basis(self, case):
+        spec = RunConfig().uncertainty[case]
+        diag = np.diag(spec.sigma)
+        order = np.lexsort((np.arange(4), -diag))
+        closed = EigenBasis(diag[order], np.eye(4)[:, order])
+        got, want = spec.samples, contour_samples(closed, spec)
+        assert got[0] == want[0] and got[2] == want[2]
+        assert got[1].tobytes() == want[1].tobytes()
+        noise = [draw_noise(basis, np.random.default_rng(3), 50).tobytes()
+                 for basis in (spec.basis, closed)]
+        assert noise[0] == noise[1]
 
 
 class TestContours:
