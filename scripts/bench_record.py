@@ -10,7 +10,7 @@ median and quartiles of the end-to-end metrics, the change's wins and the
 gap against the parent's spread; traced runs (``--trace 1``) of one seed on
 both sides go to the "trace" section, with the run totals also per
 simulated step.  It then runs ``scripts/run_benchmark.py --quick`` in each
-checkout, alternating, ``--sweep-pairs`` times, and records each side's
+checkout, alternating, ``SWEEP_PAIRS`` times, and records each side's
 wall times and the sha256 of its rates.csv (they must agree across runs).
 The parent commit is read with ``git rev-parse``; where the parent is no
 git checkout (a ``git archive`` copy), pass it as ``--parent-commit``.
@@ -30,6 +30,7 @@ import time
 from pathlib import Path
 
 END_TO_END = {"ops_per_s": "higher", "setup_s": "lower", "peak_rss_mb": "lower"}
+SWEEP_PAIRS = 3  # alternating quick-sweep runs per side
 # Run totals of a traced run, reported per simulated step (or per call).
 PER_STEP = (("rss.kernel.calls", "sim.steps"), ("rss.kernel.rows", "rss.kernel.calls"),
             ("rss.advance_speed_clamped.calls", "sim.steps"))
@@ -107,10 +108,10 @@ def quick_sweep(checkout: Path) -> tuple[float, str]:
     return wall, re.search(r"^sha256 ([0-9a-f]{64}) ", run.stdout, re.M).group(1)
 
 
-def quick_sweeps(parent_dir: Path, change_dir: Path, pairs: int) -> dict:
-    """``pairs`` alternating quick sweeps per side: wall times and digest."""
+def quick_sweeps(parent_dir: Path, change_dir: Path) -> dict:
+    """``SWEEP_PAIRS`` alternating quick sweeps per side: wall times and digest."""
     runs = {"parent": [], "change": []}
-    for i in range(pairs):
+    for i in range(SWEEP_PAIRS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for name in order:
             runs[name].append(quick_sweep(parent_dir if name == "parent" else change_dir))
@@ -125,7 +126,7 @@ def quick_sweeps(parent_dir: Path, change_dir: Path, pairs: int) -> dict:
 
 
 def record(parent_dir: Path, change_dir: Path, title: str, seconds: float,
-           parent_commit: str | None = None, sweep_pairs: int = 1) -> dict:
+           parent_commit: str | None = None) -> dict:
     parent_commit = git_head(parent_dir) or parent_commit
     if not parent_commit:
         raise SystemExit(f"{parent_dir} is no git checkout: pass --parent-commit")
@@ -162,7 +163,7 @@ def record(parent_dir: Path, change_dir: Path, title: str, seconds: float,
         "src_sha256": {k: sorted(v)[0] if len(v) == 1 else sorted(v) for k, v in sha.items()},
         "workloads": workloads,
         "trace": trace,
-        **quick_sweeps(parent_dir, change_dir, sweep_pairs),
+        **quick_sweeps(parent_dir, change_dir),
     }
 
 
@@ -178,13 +179,8 @@ def main() -> int:
     parser.add_argument("--out-dir", type=Path, default=Path("."))
     parser.add_argument("--parent-commit", default=None,
                         help="the parent's commit, where --parent is no git checkout")
-    parser.add_argument("--sweep-pairs", type=int, default=1,
-                        help="alternating quick-sweep runs per side (at least 1)")
     args = parser.parse_args()
-    if args.sweep_pairs < 1:
-        parser.error("--sweep-pairs must be at least 1")
-    rec = record(args.parent, args.change, args.title, args.seconds, args.parent_commit,
-                 args.sweep_pairs)
+    rec = record(args.parent, args.change, args.title, args.seconds, args.parent_commit)
     path = args.out_dir / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(rec, indent=1) + "\n")
     for workload, entry in rec["workloads"].items():

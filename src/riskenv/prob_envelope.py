@@ -35,7 +35,13 @@ from .rss import (
     unrestricted_envelope,
     wrap_angle,
 )
-from .uncertainty import EXACT_SAMPLES, EigenBasis, UncertaintySpec, contour_samples
+from .uncertainty import (
+    EXACT_SAMPLES,
+    EigenBasis,
+    SampleSet,
+    UncertaintySpec,
+    contour_samples,
+)
 
 MASS_TOL = 1e-12
 
@@ -92,10 +98,10 @@ def analyze_step(ego: AgentState, observed, samples, exact, params: RssParams,
                  tau: float):
     """Everything one decision needs, from one stacked analysis of all the
     agents: the distribution (agent_id = its index) and violation expectation
-    of each ``observed`` agent under ``samples``, a ``SampleSet`` as
-    ``contour_samples`` returns it, and the worst-case envelope of the
-    ``exact`` agents at zero covariance (the unrestricted envelope when there
-    are none).
+    of each ``observed`` agent under ``samples``, the ``(levels, deviations,
+    counts)`` of ``contour_samples`` (a plain tuple is wrapped in a
+    ``SampleSet``), and the worst-case envelope of the ``exact`` agents at
+    zero covariance (the unrestricted envelope when there are none).
 
     The perturbed states of consecutive agents share one kernel pass of at
     most ``ROW_BUDGET`` rows (an agent with more rows runs alone).  A contour
@@ -104,6 +110,8 @@ def analyze_step(ego: AgentState, observed, samples, exact, params: RssParams,
     """
     if min(samples[2]) < 1:
         raise ValueError("every contour needs at least one sample")
+    if not isinstance(samples, SampleSet):
+        samples = SampleSet(samples)
     agents = [(s, samples) for s in observed] + [(s, EXACT_SAMPLES) for s in exact]
     contours = _contours(ego, agents, params, tau)
     levels = samples[0]

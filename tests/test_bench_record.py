@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 from pathlib import Path
 
 import pytest
@@ -25,12 +26,13 @@ def test_quick_sweeps_alternate_and_agree(tmp_path, monkeypatch):
         return float(len(runs)), f"{checkout.name}-digest"
 
     monkeypatch.setattr(bench_record, "quick_sweep", quick_sweep)
-    rec = bench_record.quick_sweeps(parent, change, 3)
+    assert bench_record.SWEEP_PAIRS == 3
+    rec = bench_record.quick_sweeps(parent, change)
     assert runs == ["parent", "change", "change", "parent", "parent", "change"]
     assert rec["quick_sweep_sha256"] == {"parent": "parent-digest", "change": "change-digest"}
     assert rec["quick_sweep_wall_s"]["parent"] == [1.0, 4.0, 5.0]
     assert rec["quick_sweep_wall_s"]["change"] == [2.0, 3.0, 6.0]
-    digests = iter("abcd")  # each run of a side gives another digest
-    monkeypatch.setattr(bench_record, "quick_sweep", lambda checkout: (1.0, next(digests)))
+    digests = itertools.count()  # each run of a side gives another digest
+    monkeypatch.setattr(bench_record, "quick_sweep", lambda checkout: (1.0, str(next(digests))))
     with pytest.raises(SystemExit, match="vary"):
-        bench_record.quick_sweeps(parent, change, 2)
+        bench_record.quick_sweeps(parent, change)

@@ -33,13 +33,7 @@ from riskenv.rss import (
     unrestricted_envelope,
     violation_batch,
 )
-from riskenv.uncertainty import (
-    MAX_SIGMA,
-    SampleSet,
-    UncertaintySpec,
-    chi2_quantile_4,
-    eigendecompose,
-)
+from riskenv.uncertainty import MAX_SIGMA, UncertaintySpec, chi2_quantile_4, eigendecompose
 
 from conftest import (
     contour_loop_analysis,
@@ -74,7 +68,7 @@ def analyze_one(ego, obs, samples, params, tau):
 
 def worst_case_of(ego, obs, deviations, params):
     """Envelope of a single explicit contour holding ``deviations``."""
-    samples = SampleSet(((0.5,), deviations, (deviations.shape[0],)))
+    samples = ((0.5,), deviations, (deviations.shape[0],))
     dist, _ = analyze_one(ego, obs, samples, params, TAU)
     return dist.envelopes[0]
 
@@ -119,7 +113,7 @@ class TestWorstCaseContourEnvelope:
         ego = AgentState(0, 0, 0, 17)
         obs = AgentState(24, 0, 0, 15)
         near, far = np.array([[-3.0, 0, 0, 0]]), np.array([[3.0, 0, 0, 0], [4.0, 0, 0, 0]])
-        samples = SampleSet(((0.5, 0.9), np.concatenate([far, near]), (2, 1)))
+        samples = ((0.5, 0.9), np.concatenate([far, near]), (2, 1))
         dist, _ = analyze_one(ego, obs, samples, rss_params, TAU)
         assert dist.agent_id == 0
         assert dist.envelopes == (worst_case_of(ego, obs, far, rss_params),
@@ -312,8 +306,7 @@ class TestViolationExpectation:
         # and safe laterally, the outer one reaches into the ego's lane box.
         ego = AgentState(0, 0, 0, 15)
         obs = AgentState(10, 3.5, 0, 15)
-        samples = SampleSet(((0.5, 0.9), np.array([[0.0, 0, 0, 0], [0.0, -3.5, 0, 0]]),
-                             (1, 1)))
+        samples = ((0.5, 0.9), np.array([[0.0, 0, 0, 0], [0.0, -3.5, 0, 0]]), (1, 1))
         _, e = analyze_one(ego, obs, samples, rss_params, TAU)
         assert not safety_violated(ego, [obs], rss_params)
         assert safety_violated(ego, [AgentState(10, 0, 0, 15)], rss_params)
@@ -380,9 +373,9 @@ class TestContourSamples:
                 spec = UncertaintySpec(sigma, LEVELS, n_phi)
                 basis = eigendecompose(spec.sigma)
                 dedup = contour_samples(basis, spec)
-                full = SampleSet((
-                    LEVELS, np.concatenate([full_grid_contour(basis, p, n_phi) for p in LEVELS]),
-                    (n_phi ** 3,) * len(LEVELS)))
+                full = (LEVELS,
+                        np.concatenate([full_grid_contour(basis, p, n_phi) for p in LEVELS]),
+                        (n_phi ** 3,) * len(LEVELS))
                 for _ in range(45):
                     ego = AgentState(0.0, 3.5 * rng.integers(2), rng.normal(0.0, 0.03),
                                      rng.uniform(10.0, 25.0))
@@ -516,7 +509,7 @@ class TestAnalyzeAgents:
         assert rows == [2 * per_agent, per_agent + 3]
         # An agent over the budget runs alone.
         rows.clear()
-        big = SampleSet(((0.5,), np.zeros((ROW_BUDGET + 1, 4)), (ROW_BUDGET + 1,)))
+        big = ((0.5,), np.zeros((ROW_BUDGET + 1, 4)), (ROW_BUDGET + 1,))
         analyze_step(ego, others[:2], big, others[2:], rss_params, TAU)
         assert rows == [ROW_BUDGET + 1, ROW_BUDGET + 1, 1]
         rows.clear()
@@ -620,7 +613,7 @@ class TestBroadPhase:
         with monkeypatch.context() as m:
             m.setattr(bench, "analyze_step", analysis)
             m.setattr(bench.Policy, "_mean_violations", draws)
-            for scn in bench.generate_scenarios(3, 7, cfg):
+            for scn in bench.generate_scenarios(4, 7, cfg):
                 for kind, case in (("ProbabilisticEnvelopeRestriction", "small"),
                                    ("ProbabilisticEnvelopeRestriction", "large"),
                                    ("EnvelopeRestriction", "small"), ("Simplex", "small"),
