@@ -16,20 +16,28 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from riskenv import bench
 from riskenv.config import COVARIANCE_CASES, RunConfig, load_config
 
+QUICK_SCENARIOS = 20
+
+
+def rates(cfg: RunConfig, n: int = QUICK_SCENARIOS) -> list[bench.RateRow]:
+    """The benchmark's rate rows: n scenarios (the quick sweep's 20 by
+    default) x cfg.policies x every covariance case x cfg.betas."""
+    scenarios = bench.generate_scenarios(n, cfg.seed, cfg)
+    return bench.sweep(scenarios, list(cfg.policies), list(COVARIANCE_CASES),
+                       list(cfg.betas), cfg)
+
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--config", default=None)
     parser.add_argument("--out", default="results")
     parser.add_argument("--quick", action="store_true",
-                        help="20 scenarios instead of the configured count")
+                        help=f"{QUICK_SCENARIOS} scenarios instead of the configured count")
     args = parser.parse_args()
 
     cfg = load_config(args.config)
-    n = 20 if args.quick else cfg.scenario.n_scenarios
-    scenarios = bench.generate_scenarios(n, cfg.seed, cfg)
-    rows = bench.sweep(scenarios, list(cfg.policies), list(COVARIANCE_CASES),
-                       list(cfg.betas), cfg)
+    n = QUICK_SCENARIOS if args.quick else cfg.scenario.n_scenarios
+    rows = rates(cfg, n)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

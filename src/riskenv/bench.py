@@ -1,7 +1,7 @@
 """Benchmark harness: scenario generation, the episode loop, rate sweeps.
 
-``run_episode`` is the closed loop: perception, the policy's switch
-decision (latched once it switches), the command, the simulator step.
+``run_episode`` is the closed loop: perception, the policy's analysis, the
+switch decision at the risk level (latched), the command, the simulator step.
 Four ego policies share one scenario set with paired seeds:
 
 * ProbabilisticEnvelopeRestriction: risk-bounded envelope clamps the nominal
@@ -31,7 +31,6 @@ from .prob_envelope import (
 from .rss import (
     AgentState,
     BroadPhase,
-    Envelope,
     less_restrictive_any,
     unrestricted_envelope,
     violation_batch,
@@ -52,11 +51,6 @@ from .uncertainty import EXACT_SAMPLES, UncertaintySpec, draw_noise
 
 BETA_FREE_POLICIES = ("EnvelopeRestriction", "Simplex")
 RESTRICTING_POLICIES = ("ProbabilisticEnvelopeRestriction", "EnvelopeRestriction")
-# Each probabilistic policy's deterministic twin: at zero covariance every
-# expectation is 0 or 1 and every envelope support one point, so below
-# beta = 1 the two run the same episodes.
-TWINS = {"ProbabilisticEnvelopeRestriction": "EnvelopeRestriction",
-         "ProbabilisticSimplex": "Simplex"}
 
 
 @dataclass(frozen=True)
@@ -107,45 +101,52 @@ def initial_world(scn: ScenarioConfig, cfg: RunConfig) -> WorldState:
     return WorldState(time=0.0, ego=ego, others=others, other_lanes=lanes, road=road)
 
 
-class Policy:
-    """One policy's switch decision on one covariance case; a beta-free
-    policy runs as its probabilistic twin at zero covariance and beta 0.
-    The latch and the commands belong to run_episode.
-    """
+def analysis(kind: str, spec: UncertaintySpec) -> tuple[bool, bool]:
+    """(restricting, exact): whether ``kind``'s analysis of ``spec`` yields
+    envelopes, and whether it runs at zero covariance; reads ``spec.basis``."""
+    return (kind in RESTRICTING_POLICIES,
+            kind in BETA_FREE_POLICIES or spec.basis.eigenvalues[0] <= 0.0)
 
-    def __init__(self, kind: str, beta: float, cfg: RunConfig, spec: UncertaintySpec,
+
+def acting_beta(kind: str, beta: float, spec: UncertaintySpec) -> float:
+    """The risk level ``kind``'s analysis of ``spec`` acts on: 0.0 for the
+    beta-free kinds, and for any beta in [0, 1) on an exact analysis (each
+    expectation is 0 or 1, each envelope support one point); beta otherwise."""
+    if kind in BETA_FREE_POLICIES or (analysis(kind, spec)[1] and 0.0 <= beta < 1.0):
+        return 0.0
+    return beta
+
+
+class Policy:
+    """One policy's analysis of one covariance case, with no risk level;
+    run_episode applies beta, the latch and the commands."""
+
+    def __init__(self, kind: str, cfg: RunConfig, spec: UncertaintySpec,
                  policy_rng: np.random.Generator | None):
         if kind not in POLICY_NAMES:
             raise ValueError(f"unknown policy {kind!r}")
-        exact = kind in BETA_FREE_POLICIES
-        self.beta = 0.0 if exact else beta
+        restricting, exact = analysis(kind, spec)
         self.cfg = cfg
         self.rng = policy_rng
-        # The analysis: the case's contour samples, or deviations drawn in its
-        # eigenbasis (None at zero covariance: one zero deviation per agent).
+        # The case's contour samples, or deviations drawn in its eigenbasis
+        # (None when exact: one zero deviation per agent).
         self.samples = self.basis = None
-        if kind in RESTRICTING_POLICIES:
+        if restricting:
             self.samples = EXACT_SAMPLES if exact else spec.samples
-        elif not (exact or spec.basis.eigenvalues[0] <= 0.0):
+        elif not exact:
             self.basis = spec.basis
 
-    def __call__(self, obs: ObservedWorld, world: WorldState
-                 ) -> tuple[bool, Envelope | None, Envelope | None]:
-        """Switch decision (some agent's expectation exceeds beta), the
-        envelope of a restricting policy (None when it switches), and the
-        envelope at the true states of ``world`` for the audit.
-
-        A restricting policy analyses the observed and the true agents in one
-        ``analyze_step`` call; ``observe`` copies the ego exactly.
-        """
+    def __call__(self, obs: ObservedWorld, world: WorldState):
+        """Each observed agent's violation expectation; for a restricting
+        policy also their envelope distributions and the envelope at the true
+        states of ``world`` for the audit, from one ``analyze_step`` call
+        (``observe`` copies the ego exactly), and None, None otherwise."""
         cfg = self.cfg
         if self.samples is None:
-            return should_switch(self._mean_violations(obs), self.beta), None, None
+            return self._mean_violations(obs), None, None
         dists, expectations, true_env = analyze_step(
             obs.ego, obs.others, self.samples, world.others, cfg.rss, cfg.tau)
-        if should_switch(expectations, self.beta):
-            return True, None, true_env
-        return False, risk_bounded_envelope(dists, self.beta, cfg.rss), true_env
+        return expectations, dists, true_env
 
     def _mean_violations(self, obs: ObservedWorld):
         """Each observed agent's mean violation over ``simplex_samples``
@@ -180,7 +181,8 @@ def run_episode(scn: ScenarioConfig, kind: str, beta: float, case: str,
     Each step observes the world through one ``draw_noise`` call and, until
     the policy switches, clamps the nominal controller into its envelope
     and audits that envelope against the true states; once it switches, the
-    safety maneuver is latched.
+    safety maneuver is latched.  The policy's analysis meets the risk level
+    here, at ``acting_beta``: ``should_switch``, then ``risk_bounded_envelope``.
 
     Observation noise and policy sampling use independent child streams of
     the scenario seed, so the observed world is identical across policies
@@ -189,7 +191,8 @@ def run_episode(scn: ScenarioConfig, kind: str, beta: float, case: str,
     spec = cfg.uncertainty[case]
     obs_ss, policy_ss = np.random.SeedSequence(entropy=scn.seed, spawn_key=(0,)).spawn(2)
     obs_rng = np.random.default_rng(obs_ss)
-    policy = Policy(kind, beta, cfg, spec, np.random.default_rng(policy_ss))
+    policy = Policy(kind, cfg, spec, np.random.default_rng(policy_ss))
+    beta = acting_beta(kind, beta, spec)
     rss, road, dt = cfg.rss, cfg.road, cfg.scenario.dt
     ego_v0 = cfg.idm.v0 if cfg.idm.v0 is not None else scn.ego_speed
     others_v0 = tuple(cfg.idm.v0 if cfg.idm.v0 is not None else v
@@ -202,7 +205,10 @@ def run_episode(scn: ScenarioConfig, kind: str, beta: float, case: str,
         obs = observe(world, draw_noise(spec.basis, obs_rng, len(world.others)))
         envelope = env_violated = None
         if not latched:
-            latched, envelope, true_env = policy(obs, world)
+            expectations, dists, true_env = policy(obs, world)
+            latched = should_switch(expectations, beta)
+            if not latched and dists is not None:
+                envelope = risk_bounded_envelope(dists, beta, rss)
         if latched:
             a_lon, a_lat = safety_maneuver(obs, road, rss, cfg.lateral)
         else:
@@ -275,29 +281,25 @@ def sweep(scenarios, policies, cases, betas, cfg: RunConfig,
           pool=None) -> list[RateRow]:
     """Rate table over every (policy, covariance case, beta) cell.
 
-    Each distinct (policy, case, beta) runs once; policies that ignore the
-    risk level run once per case and replicate across the beta grid, and a
-    probabilistic policy on a zero covariance below beta = 1 takes its
-    twin's row.  All cells share the per-scenario seeds.
+    Cells with the same case, ``analysis`` and ``acting_beta`` run the same
+    episodes: the first cell of each such group runs and the rest take its
+    row.  All cells share the per-scenario seeds.
     """
     if not (scenarios and policies and cases and betas):
         raise ValueError("scenarios, policies, cases and betas must be non-empty")
 
-    def job(policy, case, beta):
-        if policy in TWINS and beta < 1.0 \
-                and cfg.uncertainty[case].basis.eigenvalues[0] <= 0.0:
-            policy = TWINS[policy]
-        return policy, case, betas[0] if policy in BETA_FREE_POLICIES else beta
+    def group(policy, case, beta):
+        spec = cfg.uncertainty[case]
+        return case, *analysis(policy, spec), acting_beta(policy, beta, spec)
 
-    cells = [(policy, case, beta, job(policy, case, beta))
-             for policy in policies for case in cases for beta in betas]
-    jobs = list(dict.fromkeys(j for *_, j in cells))
-    if pool is None:
-        rows = [run_cell(scenarios, p, c, b, cfg) for p, c, b in jobs]
-    else:
-        rows = pool.starmap(run_cell, [(scenarios, p, c, b, cfg) for p, c, b in jobs])
-    by_job = dict(zip(jobs, rows))
-    return [replace(by_job[j], policy=policy, beta=beta) for policy, case, beta, j in cells]
+    cells = [(policy, case, beta) for policy in policies for case in cases for beta in betas]
+    runs = {}  # each group's first cell
+    for cell in cells:
+        runs.setdefault(group(*cell), cell)
+    args = [(scenarios, p, c, b, cfg) for p, c, b in runs.values()]
+    rows = [run_cell(*a) for a in args] if pool is None else pool.starmap(run_cell, args)
+    by_group = dict(zip(runs, rows))
+    return [replace(by_group[group(p, c, b)], policy=p, beta=b) for p, c, b in cells]
 
 
 CSV_HEADER = ("policy,covariance_case,beta,success_rate,collision_rate,"

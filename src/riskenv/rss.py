@@ -13,12 +13,12 @@ kernel, so there is a single source of truth.
 Each envelope bound is the largest acceleration for which a monotone
 condition still holds.  Both conditions are piecewise quadratic in the post-
 tau speed, so the kernel solves them in closed form, snaps the root down onto
-the grid of a 40-step bisection over the physical limits (spacing 2**-36 for
-a_lon, 2**-37 for a_lat) and accepts it only where the condition holds at the
-grid point and fails one grid step above.  That is exactly the point the
-bisection converges to, so the bounds are bit-identical to it (the tests
-keep the bisection as the oracle).  A row where neither the snapped point
-nor its grid neighbours pass the check runs the bisection itself.
+the grid lo + k * h of a 40-step bisection of the index k over the physical
+limits [lo, hi] (h = (hi - lo) / 2**40, every point computed as lo + k * h at
+any accepted limits) and accepts point k only where the condition holds there
+and fails at point k + 1.  That is exactly the point the bisection converges
+to, so the bounds are bit-identical to it (the tests keep the bisection as the
+oracle).  A row where neither k nor its neighbours pass runs the bisection.
 One kernel call builds each condition once, over the rows that need its
 robustness check or its bound solve, and evaluates it once at its physical
 limit for both.  Terms that do not depend on the ego's acceleration are
@@ -309,7 +309,7 @@ BISECTION_STEPS = 40
 
 
 def _solve_largest(cond, root, lo: float, hi: float, ok_hi) -> np.ndarray:
-    """Largest point g of the grid lo + k * (hi - lo) / 2**BISECTION_STEPS in
+    """Largest grid point lo + k * h, h = (hi - lo) / 2**BISECTION_STEPS, in
     [lo, hi] where the monotone-decreasing boolean condition holds; lo where
     even cond(lo) fails.
 
@@ -318,38 +318,36 @@ def _solve_largest(cond, root, lo: float, hi: float, ok_hi) -> np.ndarray:
     True and keeps hi.  ``cond(values, rows)`` evaluates the condition at
     ``values``, a float or one value per row, for the given row subset;
     ``root(rows)`` approximates its boundary.  The root is snapped down onto
-    the grid (spacing h) and accepted where cond(g) holds and cond(g + h)
-    fails, both checked in one evaluation; that is exactly the point the
-    bisection converges to.  Rows where no snapped point or grid neighbour
-    passes (rounding can move the root by many grid steps when tau is small)
-    run the bisection itself."""
+    the grid index k and accepted where cond holds at lo + k * h and fails at
+    lo + (k + 1) * h, both checked in one evaluation; that is exactly the
+    point the bisection of k converges to.  Rows where no snapped point or
+    grid neighbour passes (rounding can move the root by many grid steps when
+    tau is small) run that bisection."""
     out = np.where(ok_hi, hi, lo)
     rows = (~ok_hi).nonzero()[0]
     if rows.size:  # the bound lies inside where cond(lo) holds
         rows = rows[cond(lo, rows)]
     if rows.size == 0:
         return out
-    h = (hi - lo) / 2.0 ** BISECTION_STEPS
+    n, h = 2.0 ** BISECTION_STEPS, (hi - lo) / 2.0 ** BISECTION_STEPS
     with np.errstate(all="ignore"):  # the root is a guess that the check confirms
         k = np.floor((root(rows) - lo) / h)
     k = np.where(np.isfinite(k), k, 0.0)  # no real root: start from lo
-    for off in (0, -1, 1):  # the snapped point, then its grid neighbours
-        g = lo + np.minimum(np.maximum(k + off, 0.0), 2.0 ** BISECTION_STEPS - 1.0) * h
-        ok = cond(np.concatenate((g, g + h)), np.concatenate((rows, rows)))
+    for off in (0, -1, 1):  # the snapped index, then its grid neighbours
+        j = np.minimum(np.maximum(k + off, 0.0), n - 1.0)
+        g = lo + np.concatenate((j, j + 1.0)) * h  # each point and the one above
+        ok = cond(g, np.concatenate((rows, rows)))
         hit = ok[:rows.size] & ~ok[rows.size:]
-        if hit.all():
-            out[rows] = g
-            return out
-        out[rows[hit]] = g[hit]
+        out[rows[hit]] = g[:rows.size][hit]
         rows, k = rows[~hit], k[~hit]
         if rows.size == 0:
             return out
-    a, b = np.full(rows.size, lo), np.full(rows.size, hi)
-    for _ in range(BISECTION_STEPS):  # the guess missed: bisect as the oracle does
-        mid = 0.5 * (a + b)
-        ok = cond(mid, rows)
+    a, b = np.zeros(rows.size), np.full(rows.size, n)
+    for _ in range(BISECTION_STEPS):  # the guess missed: bisect the grid index
+        mid = 0.5 * (a + b)  # an integer: b - a is a power of two, at least 2
+        ok = cond(lo + mid * h, rows)
         a, b = np.where(ok, mid, a), np.where(ok, b, mid)
-    out[rows] = a
+    out[rows] = lo + a * h
     return out
 
 

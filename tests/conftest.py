@@ -4,8 +4,9 @@ The oracles deliberately avoid the library's fast paths: explicit braking
 profile simulation, discretized acceleration search, the 40-step bisection
 the closed-form bound solver reproduces, exhaustive joint enumeration of
 envelope distributions, one contour point at a time, one contour level at a
-time, one agent's perturbed states at a time, and the full n_phi^3 contour
-grid with its repeated points.
+time, one agent's perturbed states at a time, the full n_phi^3 contour grid
+with its repeated points, and the episode loop with a policy that applies
+the risk level itself, one cell at a time.
 """
 
 from __future__ import annotations
@@ -18,25 +19,58 @@ import numpy as np
 import pytest
 
 from riskenv import uncertainty
+from riskenv.bench import (
+    BETA_FREE_POLICIES,
+    RESTRICTING_POLICIES,
+    RateRow,
+    ScenarioConfig,
+    _aggregate,
+    initial_world,
+)
+from riskenv.config import POLICY_NAMES, RunConfig
 from riskenv.prob_envelope import (
     EXACT_SAMPLES,
     EnvelopeDistribution,
     analyze_step,
+    risk_bounded_envelope,
     should_switch,
+    stacked_states,
 )
 from riskenv.rss import (
     AgentState,
+    BroadPhase,
     COMPONENTS,
     Envelope,
     RssParams,
+    less_restrictive_any,
     pair_analysis_batch,
     pairwise_envelope_batch,
     restrictive_sentinel,
     safe_distance_lat,
     safe_distance_lon,
+    unrestricted_envelope,
+    violation_batch,
     wrap_angle,
 )
-from riskenv.uncertainty import EigenBasis, _distinct_grid, chi2_quantile_4
+from riskenv.sim import (
+    EpisodeResult,
+    ObservedWorld,
+    StepRecord,
+    WorldState,
+    classify_outcome,
+    idm_step_others,
+    integrate_ego,
+    nominal_lane_change,
+    observe,
+    safety_maneuver,
+)
+from riskenv.uncertainty import (
+    EigenBasis,
+    UncertaintySpec,
+    _distinct_grid,
+    chi2_quantile_4,
+    draw_noise,
+)
 
 
 def simulate_lon_profile(v_rear: float, v_front: float, gap0: float,
@@ -116,21 +150,24 @@ def oracle_max_lon_accel(ego: AgentState, other: AgentState, params: RssParams,
 
 
 def bisect_largest(cond, lo: float, hi: float, n: int, iters: int = 40) -> np.ndarray:
-    """Bisection oracle of the bound solver: the largest point of the grid
-    lo + k * (hi - lo) / 2**iters where the monotone-decreasing condition
-    holds; hi where cond(hi) holds and lo where even cond(lo) fails.
+    """Bisection oracle of the bound solver: the largest grid point
+    lo + k * h, h = (hi - lo) / 2**iters, where the monotone-decreasing
+    condition holds; hi where cond(hi) holds and lo where even cond(lo)
+    fails.  It bisects the index k, so each midpoint is an integer and each
+    point is computed as lo + k * h, whatever the limits.
     ``cond(values, rows)`` evaluates the condition for the given rows."""
     rows = np.arange(n)
-    a = np.full(n, lo)
-    b = np.full(n, hi)
+    h = (hi - lo) / 2.0 ** iters
+    a = np.zeros(n)
+    b = np.full(n, 2.0 ** iters)
     for _ in range(iters):
         mid = 0.5 * (a + b)
-        ok = cond(mid, rows)
+        ok = cond(lo + mid * h, rows)
         a = np.where(ok, mid, a)
         b = np.where(ok, b, mid)
     ok_hi = cond(np.full(n, hi), rows)
     ok_lo = cond(np.full(n, lo), rows)
-    return np.where(ok_hi, hi, np.where(ok_lo, a, lo))
+    return np.where(ok_hi, hi, np.where(ok_lo, lo + a * h, lo))
 
 
 def pairwise_envelope(ego: AgentState, other: AgentState,
@@ -326,6 +363,138 @@ def first_grid_indices(n_phi: int) -> np.ndarray:
     """Flat full-grid index of the first occurrence of each distinct point of
     the unit angle grid, ascending."""
     return np.unique(grid_representatives(n_phi))
+
+
+# The episode loop as it ran before the risk level moved out of the policy:
+# a Policy that applies beta itself, and every cell run on its own.  The
+# sweep oracle runs each requested cell through ``oracle_cell``.
+
+
+class OraclePolicy:
+    """One policy's switch decision on one covariance case; a beta-free
+    policy runs as its probabilistic twin at zero covariance and beta 0.
+    The latch and the commands belong to run_episode.
+    """
+
+    def __init__(self, kind: str, beta: float, cfg: RunConfig, spec: UncertaintySpec,
+                 policy_rng: np.random.Generator | None):
+        if kind not in POLICY_NAMES:
+            raise ValueError(f"unknown policy {kind!r}")
+        exact = kind in BETA_FREE_POLICIES
+        self.beta = 0.0 if exact else beta
+        self.cfg = cfg
+        self.rng = policy_rng
+        # The analysis: the case's contour samples, or deviations drawn in its
+        # eigenbasis (None at zero covariance: one zero deviation per agent).
+        self.samples = self.basis = None
+        if kind in RESTRICTING_POLICIES:
+            self.samples = EXACT_SAMPLES if exact else spec.samples
+        elif not (exact or spec.basis.eigenvalues[0] <= 0.0):
+            self.basis = spec.basis
+
+    def __call__(self, obs: ObservedWorld, world: WorldState
+                 ) -> tuple[bool, Envelope | None, Envelope | None]:
+        """Switch decision (some agent's expectation exceeds beta), the
+        envelope of a restricting policy (None when it switches), and the
+        envelope at the true states of ``world`` for the audit.
+
+        A restricting policy analyses the observed and the true agents in one
+        ``analyze_step`` call; ``observe`` copies the ego exactly.
+        """
+        cfg = self.cfg
+        if self.samples is None:
+            return should_switch(self._mean_violations(obs), self.beta), None, None
+        dists, expectations, true_env = analyze_step(
+            obs.ego, obs.others, self.samples, world.others, cfg.rss, cfg.tau)
+        if should_switch(expectations, self.beta):
+            return True, None, true_env
+        return False, risk_bounded_envelope(dists, self.beta, cfg.rss), true_env
+
+    def _mean_violations(self, obs: ObservedWorld):
+        """Each observed agent's mean violation over ``simplex_samples``
+        drawn deviations, or over one zero deviation at zero covariance.
+        One draw of k * m rows takes the same numbers as k draws of m rows.
+        An agent whose rows ``BroadPhase`` finds unviolated has mean 0.0; the
+        other agents' rows go to one violation_batch call."""
+        k = len(obs.others)
+        if k == 0:
+            return ()
+        if self.basis is None:
+            m, devs, boxes = 1, np.zeros((k, 1, 4)), [EXACT_SAMPLES.box] * k
+        else:
+            m = self.cfg.simplex_samples
+            devs = draw_noise(self.basis, self.rng, k * m).reshape(k, m, 4)
+            boxes = zip(devs.min(axis=1).tolist(), devs.max(axis=1).tolist())
+        broad = BroadPhase(obs.ego, self.cfg.rss)
+        rest = [j for j, (o, box) in enumerate(zip(obs.others, boxes))
+                if not broad.unviolated(o, *box)]
+        means = np.zeros(k)
+        if rest:
+            ox, oy, ov, ot = stacked_states((obs.others[j], devs[j]) for j in rest)
+            violated = violation_batch(obs.ego, ox, oy, ov, ot, self.cfg.rss)
+            means[rest] = violated.reshape(len(rest), m).mean(axis=1)
+        return means
+
+
+def oracle_episode(scn: ScenarioConfig, kind: str, beta: float, case: str,
+                   cfg: RunConfig, collect_trace: bool = False) -> EpisodeResult:
+    """One deterministic episode of one policy on one covariance case.
+
+    Each step observes the world through one ``draw_noise`` call and, until
+    the policy switches, clamps the nominal controller into its envelope
+    and audits that envelope against the true states; once it switches, the
+    safety maneuver is latched.
+
+    Observation noise and policy sampling use independent child streams of
+    the scenario seed, so the observed world is identical across policies
+    until commands diverge.
+    """
+    spec = cfg.uncertainty[case]
+    obs_ss, policy_ss = np.random.SeedSequence(entropy=scn.seed, spawn_key=(0,)).spawn(2)
+    obs_rng = np.random.default_rng(obs_ss)
+    policy = OraclePolicy(kind, beta, cfg, spec, np.random.default_rng(policy_ss))
+    rss, road, dt = cfg.rss, cfg.road, cfg.scenario.dt
+    ego_v0 = cfg.idm.v0 if cfg.idm.v0 is not None else scn.ego_speed
+    others_v0 = tuple(cfg.idm.v0 if cfg.idm.v0 is not None else v
+                      for _, _, v in scn.others)
+    unrestricted = unrestricted_envelope(rss)
+    world = initial_world(scn, cfg)
+    result = EpisodeResult(outcome="Timeout", steps=0)
+    latched = False
+    while True:
+        obs = observe(world, draw_noise(spec.basis, obs_rng, len(world.others)))
+        envelope = env_violated = None
+        if not latched:
+            latched, envelope, true_env = policy(obs, world)
+        if latched:
+            a_lon, a_lat = safety_maneuver(obs, road, rss, cfg.lateral)
+        else:
+            a_lon, a_lat = nominal_lane_change(obs, 1, envelope or unrestricted, road,
+                                               cfg.idm, ego_v0, rss, cfg.lateral)
+            if true_env is not None:
+                env_violated = less_restrictive_any(envelope, true_env)
+                result.envelope_steps += 1
+                result.envelope_violations += int(env_violated)
+        result.steps += 1
+        world = WorldState(time=result.steps * dt,
+                           ego=integrate_ego(world.ego, a_lon, a_lat, dt),
+                           others=idm_step_others(world, cfg.idm, others_v0, rss, dt),
+                           other_lanes=world.other_lanes, road=road)
+        outcome = classify_outcome(world, world.time, cfg.scenario.horizon, rss)
+        if collect_trace:
+            result.records.append(StepRecord(
+                t=world.time, ego=world.ego, observations=obs.others, envelope=envelope,
+                a_lon=a_lon, a_lat=a_lat, mode="safety" if latched else "nominal",
+                collision=outcome == "Collision", success=outcome == "Success",
+                env_violated=env_violated))
+        if outcome is not None:
+            result.outcome = outcome
+            return result
+
+
+def oracle_cell(scenarios, policy: str, case: str, beta: float, cfg: RunConfig) -> RateRow:
+    results = [oracle_episode(s, policy, beta, case, cfg) for s in scenarios]
+    return _aggregate(policy, case, beta, results, scenarios)
 
 
 def mahalanobis_sq(delta: np.ndarray, sigma: np.ndarray) -> float:

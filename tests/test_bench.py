@@ -1,15 +1,35 @@
 import hashlib
+import importlib.util
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import oracle_cell
+from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import strategies as st
 
 from riskenv import bench, prob_envelope, rss, uncertainty
-from riskenv.config import COVARIANCE_CASES, RunConfig, ScenarioParams, load_config
-from riskenv.prob_envelope import perturbed_state_arrays
+from riskenv.config import (
+    COVARIANCE_CASES,
+    DEFAULT_CONTOUR_LEVELS,
+    DEFAULT_LARGE_VARIANCES,
+    DEFAULT_SMALL_VARIANCES,
+    POLICY_NAMES,
+    RunConfig,
+    ScenarioParams,
+    load_config,
+)
+from riskenv.prob_envelope import perturbed_state_arrays, risk_bounded_envelope, should_switch
 from riskenv.rss import AgentState, safety_envelope, violation_batch
 from riskenv.sim import ObservedWorld, WorldState, observe
 from riskenv.uncertainty import UncertaintySpec, draw_noise, eigendecompose
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_benchmark.py"
+script_spec = importlib.util.spec_from_file_location("run_benchmark", SCRIPT)
+run_benchmark = importlib.util.module_from_spec(script_spec)
+script_spec.loader.exec_module(run_benchmark)
 
 
 @pytest.fixture(scope="module")
@@ -51,18 +71,30 @@ class TestScenarioGeneration:
         assert a != c
 
 
+def episode_decision(analysis, beta, cfg):
+    """The switch and the envelope that run_episode takes from one policy
+    call's ``analysis`` at the risk level ``beta`` (no envelope when it
+    switches)."""
+    expectations, dists, _ = analysis
+    if should_switch(expectations, beta):
+        return True, None
+    return False, None if dists is None else risk_bounded_envelope(dists, beta, cfg.rss)
+
+
 class TestPolicyEquivalences:
-    def zero_noise_policy(self, cfg, kind, beta, ego, others):
+    # Why acting_beta may act on 0.0: at zero covariance each probabilistic
+    # policy decides at its own beta below 1 as its deterministic twin does.
+    def zero_noise_policy(self, cfg, kind, ego, others):
         spec = UncertaintySpec.from_diagonal([0, 0, 0, 0],
                                              cfg.uncertainty["small"].contour_levels,
                                              cfg.uncertainty["small"].n_phi)
         rng = np.random.default_rng(0)
-        policy = bench.Policy(kind, beta, cfg, spec, rng)
+        policy = bench.Policy(kind, cfg, spec, rng)
         obs = ObservedWorld(ego=ego, others=tuple(others))
         # At zero noise the true world is the observed one.
         world = WorldState(0.0, ego, tuple(others),
                            tuple(cfg.road.lane_of(o.y) for o in others), cfg.road)
-        return policy, obs, world
+        return policy, obs, world, spec
 
     @pytest.mark.parametrize("geometry", [
         (AgentState(0, 0, 0, 17), [AgentState(28, 0, 0, 15)]),
@@ -71,26 +103,28 @@ class TestPolicyEquivalences:
     ])
     def test_zero_noise_prob_env_equals_env_restriction(self, cfg, geometry):
         ego, others = geometry
+        pa, obs, world, spec = self.zero_noise_policy(
+            cfg, "ProbabilisticEnvelopeRestriction", ego, others)
+        pb, _, _, _ = self.zero_noise_policy(cfg, "EnvelopeRestriction", ego, others)
         for beta in (0.05, 0.5):
-            pa, obs, world = self.zero_noise_policy(
-                cfg, "ProbabilisticEnvelopeRestriction", beta, ego, others)
-            pb, _, _ = self.zero_noise_policy(cfg, "EnvelopeRestriction", beta, ego, others)
             # run_episode commands from the switch and the envelope alone, so
-            # equal decisions give equal commands.
-            switch_a, env_a, _ = pa(obs, world)
-            switch_b, env_b, _ = pb(obs, world)
-            assert switch_a == switch_b
-            if not switch_a:
-                assert env_a == env_b
+            # equal decisions give equal commands: PER at its own beta, ER at
+            # the 0.0 it acts on.
+            assert bench.acting_beta("EnvelopeRestriction", beta, spec) == 0.0
+            assert (episode_decision(pa(obs, world), beta, cfg)
+                    == episode_decision(pb(obs, world), 0.0, cfg))
 
     def test_zero_noise_simplex_flavors_switch_identically(self, cfg):
         ego = AgentState(0, 1.4, 0.1, 17)
         others = [AgentState(6, 3.5, 0, 19)]
+        pa, obs, world, spec = self.zero_noise_policy(cfg, "Simplex", ego, others)
+        pb, _, _, _ = self.zero_noise_policy(cfg, "ProbabilisticSimplex", ego, others)
+        assert episode_decision(pa(obs, world), 0.0, cfg) == (True, None)
         for beta in (0.0, 0.1, 0.9):
-            pa, obs, world = self.zero_noise_policy(cfg, "Simplex", beta, ego, others)
-            pb, _, _ = self.zero_noise_policy(cfg, "ProbabilisticSimplex", beta, ego, others)
+            assert bench.acting_beta("Simplex", beta, spec) == 0.0
             state = pb.rng.bit_generator.state
-            assert pa(obs, world)[0] == pb(obs, world)[0]
+            assert (episode_decision(pb(obs, world), beta, cfg)
+                    == episode_decision(pa(obs, world), 0.0, cfg))
             # At zero covariance nothing is drawn: one zero deviation per agent.
             assert pb.rng.bit_generator.state == state
 
@@ -98,8 +132,9 @@ class TestPolicyEquivalences:
         ego = AgentState(0, 0, 0, 17)
         others = [AgentState(400, 3.5, 0, 17)]
         for kind in bench.POLICY_NAMES:
-            policy, obs, world = self.zero_noise_policy(cfg, kind, 0.1, ego, others)
-            switch, envelope, _ = policy(obs, world)
+            policy, obs, world, spec = self.zero_noise_policy(cfg, kind, ego, others)
+            switch, envelope = episode_decision(policy(obs, world),
+                                                bench.acting_beta(kind, 0.1, spec), cfg)
             assert not switch
             assert envelope in (None, rss.unrestricted_envelope(cfg.rss))
         # Whole episodes: no policy restricts or switches, so every policy
@@ -168,10 +203,14 @@ class TestSweep:
 
     @staticmethod
     def _with_and_without_twins(monkeypatch, *args):
-        """sweep(*args) as it runs, and with no cell mapped to its twin."""
+        """sweep(*args) as it runs, and with acting_beta patched to return a
+        probabilistic policy's beta unchanged, so that each of its cells runs
+        at its own beta and no zero-covariance cell joins its twin's group."""
         got = bench.sweep(*args)
+        rule = bench.acting_beta
         with monkeypatch.context() as m:
-            m.setattr(bench, "TWINS", {})
+            m.setattr(bench, "acting_beta", lambda kind, beta, spec: (
+                rule(kind, beta, spec) if kind in bench.BETA_FREE_POLICIES else beta))
             want = bench.sweep(*args)
         assert got == want
         assert bench.rows_to_csv(got) == bench.rows_to_csv(want)
@@ -179,8 +218,9 @@ class TestSweep:
         return got
 
     def test_zero_covariance_cells_take_their_twins_rows(self, cfg, monkeypatch):
-        # The quick sweep's cells that the mapping touches: the probabilistic
-        # policies on "none" over the default beta grid.
+        # The quick sweep's cells that the grouping joins: the probabilistic
+        # policies on "none" over the default beta grid.  Each group runs its
+        # first cell.
         scenarios = bench.generate_scenarios(20, cfg.seed, cfg)
         calls = []
         run_cell = bench.run_cell
@@ -194,10 +234,11 @@ class TestSweep:
             monkeypatch, scenarios, ["ProbabilisticEnvelopeRestriction",
                                      "ProbabilisticSimplex"], ["none"], list(cfg.betas), cfg)
         unmapped = 2 * len(cfg.betas)  # the sweep without twins runs every cell
-        assert calls[:-unmapped] == [("EnvelopeRestriction", "none", cfg.betas[0]),
-                                     ("ProbabilisticEnvelopeRestriction", "none", 1.0),
-                                     ("Simplex", "none", cfg.betas[0]),
-                                     ("ProbabilisticSimplex", "none", 1.0)]
+        assert calls[:-unmapped] == [
+            ("ProbabilisticEnvelopeRestriction", "none", cfg.betas[0]),
+            ("ProbabilisticEnvelopeRestriction", "none", 1.0),
+            ("ProbabilisticSimplex", "none", cfg.betas[0]),
+            ("ProbabilisticSimplex", "none", 1.0)]
 
     def test_twins_keyed_on_the_covariance(self, cfg, small_set, monkeypatch):
         # A zero covariance under another name, and a beta grid with 1.0 and
@@ -220,6 +261,69 @@ class TestSweep:
             bench.sweep(small_set, [], ["none"], [0.0], cfg)
 
 
+SIGMAS = ("zero", "diagonal", "correlated")
+
+
+@st.composite
+def sweep_inputs(draw):
+    """A small sweep: 2-4 scenarios of a few steps, each with 1-4 other
+    vehicles in either lane near the ego (so that policies switch early),
+    each covariance case zero, diagonal or correlated, policy lists with
+    repeats, and beta grids that hold 0, 1 and repeats."""
+    dt = draw(st.sampled_from([0.2, 0.5]))
+    k = draw(st.integers(1, 4))
+    rotation = np.linalg.qr(np.random.default_rng(draw(st.integers(0, 99))).normal(
+        size=(4, 4)))[0]
+    uncertainty = {}
+    for case in COVARIANCE_CASES:
+        sigma = np.diag(draw(st.sampled_from([DEFAULT_SMALL_VARIANCES,
+                                              DEFAULT_LARGE_VARIANCES])))
+        kind = draw(st.sampled_from(SIGMAS))
+        if kind == "zero":
+            sigma = np.zeros((4, 4))
+        elif kind == "correlated":
+            sigma = rotation @ sigma @ rotation.T
+            sigma = 0.5 * (sigma + sigma.T)
+        uncertainty[case] = UncertaintySpec(sigma, DEFAULT_CONTOUR_LEVELS,
+                                            draw(st.sampled_from([4, 8])))
+    cfg = RunConfig(scenario=ScenarioParams(n_others=k, dt=dt,
+                                            horizon=dt * draw(st.integers(2, 8))),
+                    uncertainty=uncertainty, simplex_samples=draw(st.sampled_from([1, 10, 100])))
+    speed = st.floats(10.0, 25.0)
+    other = st.tuples(st.integers(6, 40).flatmap(lambda x: st.sampled_from([-x, x])),
+                      st.integers(0, 1), speed)
+    scenarios = [bench.ScenarioConfig(index=i, seed=draw(st.integers(0, 2**31 - 1)),
+                                      ego_speed=draw(speed),
+                                      others=tuple((float(x), lane, v) for x, lane, v in
+                                                   draw(st.lists(other, min_size=k,
+                                                                 max_size=k))))
+                 for i in range(draw(st.integers(2, 4)))]
+    policies = draw(st.lists(st.sampled_from(POLICY_NAMES), min_size=1, max_size=4))
+    cases = draw(st.lists(st.sampled_from(COVARIANCE_CASES), min_size=1, max_size=3))
+    betas = draw(st.permutations([0.0, 1.0, *draw(st.lists(
+        st.sampled_from([0.0, 0.05, 0.3, 0.9, 1.0]), max_size=3))]))
+    return scenarios, policies, cases, betas, cfg
+
+
+class TestSweepOracle:
+    """``sweep`` against every requested cell run on its own through the
+    episode loop in which the policy applied beta itself (``oracle_cell``)."""
+
+    @given(inputs=sweep_inputs())
+    @settings(max_examples=100, deadline=None, phases=set(Phase) - {Phase.shrink},
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_sweep_equals_oracle_cells(self, inputs):
+        scenarios, policies, cases, betas, cfg = inputs
+        got = bench.sweep(scenarios, policies, cases, betas, cfg)
+        cells = {}
+        for cell in ((p, c, b) for p in policies for c in cases for b in betas):
+            if cell not in cells:
+                cells[cell] = oracle_cell(scenarios, *cell, cfg)
+        want = [cells[(p, c, b)] for p in policies for c in cases for b in betas]
+        assert bench.rows_to_csv(got) == bench.rows_to_csv(want)
+        assert json.dumps(bench.rows_to_json(got)) == json.dumps(bench.rows_to_json(want))
+
+
 class TestEpisodeLoop:
     @pytest.fixture(scope="class")
     def scenarios(self, cfg):
@@ -230,6 +334,7 @@ class TestEpisodeLoop:
     @pytest.mark.parametrize("case", ["small", "large"])
     def test_latch_holds_and_stops_the_decisions(self, cfg, scenarios, kind, case,
                                                  monkeypatch):
+        # The switching step takes no envelope and is not audited.
         calls = []
         decide = bench.Policy.__call__
 
@@ -249,6 +354,7 @@ class TestEpisodeLoop:
                 assert (r.mode, r.envelope, r.env_violated) == ("safety", None, None)
             # One decision per step up to and including the switching step.
             assert len(calls) == min(first + 1, res.steps)
+            assert res.envelope_steps == (first if kind in bench.RESTRICTING_POLICIES else 0)
             switched += first < len(modes)
         assert switched > 0
 
@@ -257,14 +363,18 @@ class TestEpisodeLoop:
         ("ProbabilisticSimplex", (0.0, 0.5), "Simplex"),
     ])
     def test_zero_noise_replays_the_deterministic_policy(self, cfg, scenarios, kind,
-                                                         betas, baseline):
+                                                         betas, baseline, monkeypatch):
         # At zero covariance every support is one point and every expectation
         # is 0 or 1, so below beta = 1 the probabilistic policy is its
-        # deterministic counterpart step for step.
+        # deterministic counterpart step for step, even when it acts on its
+        # own beta rather than the 0.0 that acting_beta gives it.
         for scn in scenarios:
             want = bench.run_episode(scn, baseline, 0.0, "none", cfg, collect_trace=True)
             for beta in betas:
-                got = bench.run_episode(scn, kind, beta, "none", cfg, collect_trace=True)
+                with monkeypatch.context() as m:
+                    m.setattr(bench, "acting_beta", lambda _kind, b, _spec: b)
+                    got = bench.run_episode(scn, kind, beta, "none", cfg,
+                                            collect_trace=True)
                 assert got.records == want.records
                 assert (got.outcome, got.envelope_steps, got.envelope_violations) == (
                     want.outcome, want.envelope_steps, want.envelope_violations)
@@ -296,10 +406,7 @@ class TestQuickSweepDigest:
 
     def test_quick_sweep_rates_unchanged(self):
         # The sweep of ``scripts/run_benchmark.py --quick``.
-        cfg = load_config(None)
-        scenarios = bench.generate_scenarios(20, cfg.seed, cfg)
-        rows = bench.sweep(scenarios, list(cfg.policies), list(COVARIANCE_CASES),
-                           list(cfg.betas), cfg)
+        rows = run_benchmark.rates(load_config(None))
         digest = hashlib.sha256(bench.rows_to_csv(rows).encode()).hexdigest()
         assert digest == self.RATES_SHA256
 
@@ -360,16 +467,15 @@ class TestOneAnalysisPerStep:
         spec = cfg.uncertainty["large"]
         rng = np.random.default_rng(4)
         restricted = switched = clamped = 0
+        # beta = 1: EnvelopeRestriction acts on 0.0 and still switches.
+        beta = bench.acting_beta(kind, 1.0, spec)
         for world in self._worlds(cfg):
             obs = observe(world, draw_noise(spec.basis, rng, len(world.others)))
-            # beta = 1: EnvelopeRestriction ignores it and still switches.
-            policy = bench.Policy(kind, 1.0, cfg, spec, None)
-            switch, envelope, true_env = policy(obs, world)
+            analysis = bench.Policy(kind, cfg, spec, None)(obs, world)
+            switch, envelope = episode_decision(analysis, beta, cfg)
             want = safety_envelope(world.ego, world.others, cfg.rss, cfg.tau)
-            assert true_env == want
+            assert analysis[2] == want
             restricted += want != rss.unrestricted_envelope(cfg.rss)
-            # No policy returns an envelope on its switching step.
-            assert (envelope is None) is switch
             if kind == "EnvelopeRestriction":
                 if not switch:
                     assert envelope == safety_envelope(obs.ego, obs.others, cfg.rss,
@@ -390,7 +496,7 @@ class TestOneAnalysisPerStep:
         basis = eigendecompose(spec.sigma)
         switch_steps = set()
         for seed in range(12):
-            policy = bench.Policy("ProbabilisticSimplex", beta, cfg, spec,
+            policy = bench.Policy("ProbabilisticSimplex", cfg, spec,
                                   np.random.default_rng(seed))
             oracle_rng = np.random.default_rng(seed)
             # The ego drifts toward a three-car platoon in the left lane; an
@@ -401,7 +507,7 @@ class TestOneAnalysisPerStep:
                 obs = ObservedWorld(ego=ego, others=others)
                 want = per_agent_draw_switch(obs, oracle_rng, cfg.simplex_samples, basis,
                                              beta, cfg.rss)
-                assert policy(obs, None)[0] is want
+                assert should_switch(policy(obs, None)[0], beta) is want
                 if want:
                     switch_steps.add(step)
                     break

@@ -1,3 +1,5 @@
+import inspect
+
 import riskenv
 import riskenv.bench
 
@@ -44,9 +46,18 @@ def test_one_decomposition_one_noise_transform_one_analysis_entry():
 
 def test_one_episode_loop():
     # bench.run_episode holds the step loop and the latch; sim is the world
-    # model, and a Policy is only the switch decision.
+    # model, and a Policy is only the analysis.
     assert not hasattr(riskenv.sim, "simulate")
     assert not hasattr(riskenv.bench.Policy, "_decide")
+
+
+def test_one_place_applies_beta():
+    # A Policy is the analysis alone; run_episode applies the risk level that
+    # acting_beta gives, and sweep groups cells by it, with no twin table.
+    assert not hasattr(riskenv.bench, "TWINS")
+    params = inspect.signature(riskenv.bench.Policy).parameters
+    assert list(params) == ["kind", "cfg", "spec", "policy_rng"]
+    assert "beta" in inspect.signature(riskenv.bench.run_episode).parameters
 
 
 def test_one_decision_rule():

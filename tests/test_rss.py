@@ -1,7 +1,6 @@
 import json
 import math
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -535,13 +534,11 @@ class TestBoundSolver:
             m.setattr(rss, "_solve_largest", bisection_only)
             return fast, pair_analysis_batch(*args)
 
-    # Any accepted parameters but the limits: the bisection's midpoints are
-    # the grid lo + k * h bit for bit only where the limits span a power of
-    # two (8 and 4, as by default).
+    # Any accepted parameters, the limits included: the solver and the
+    # bisection both compute each grid point as lo + k * h.
     @given(params=st.sampled_from([RssParams(), RssParams(rho=1.0, a_max_accel_lon=3.5),
                                    RssParams(a_max_accel_lon=0.0, rho=2.0)])
-           | ACCEPTED_PARAMS.map(lambda p: replace(p, a_lon_limit=8.0, a_lat_limit=4.0)),
-           tau=ACCEPTED_TAU, seed=st.integers(0, 2**32 - 1),
+           | ACCEPTED_PARAMS, tau=ACCEPTED_TAU, seed=st.integers(0, 2**32 - 1),
            ego_v=st.sampled_from([0.0, 0.2, 17.0]) | st.floats(0.0, MAX_SPEED),
            theta=st.floats(-0.3, 0.3) | st.just(0.0))
     @settings(max_examples=200, deadline=None)
@@ -565,6 +562,27 @@ class TestBoundSolver:
             warnings.simplefilter("error")
             fast, ref = self._with_bisection(*args)
         assert fast[0].tolist() == ref[0].tolist() == [bound]
+
+    @pytest.mark.parametrize("limit", [RssParams().a_lon_limit, RssParams().a_lat_limit])
+    def test_index_bisection_is_the_midpoint_bisection_at_exact_limits(self, limit):
+        # Where every grid point lo + k * h is a float, as at the default
+        # limits, halving the interval [a, b] and halving the index give the
+        # same bits.
+        rng = np.random.default_rng(11)
+        thresholds = np.concatenate((rng.uniform(-limit, limit, 2000),
+                                     [-limit, limit, 0.0, -2.0 * limit, 2.0 * limit]))
+
+        def cond(values, rows):
+            return values <= thresholds[rows]
+
+        a, b = np.full(thresholds.size, -limit), np.full(thresholds.size, limit)
+        for _ in range(rss.BISECTION_STEPS):
+            mid = 0.5 * (a + b)
+            ok = cond(mid, np.arange(thresholds.size))
+            a, b = np.where(ok, mid, a), np.where(ok, b, mid)
+        want = np.where(thresholds >= limit, limit, np.where(thresholds >= -limit, a, -limit))
+        got = bisect_largest(cond, -limit, limit, thresholds.size)
+        assert np.array_equal(got, want)
 
     def test_wrong_root_gets_the_bisection_value(self):
         # Rows whose root misses by more than a grid step, or is no number,
