@@ -9,9 +9,12 @@ every pair (which side ran first is read from the file times), each side's
 median and quartiles of the end-to-end metrics, the change's wins and the
 gap against the parent's spread; traced runs (``--trace 1``) of one seed on
 both sides go to the "trace" section, with the run totals also per
-simulated step.  It then runs ``scripts/run_benchmark.py --quick`` in each
-checkout, alternating, ``SWEEP_PAIRS`` times, and records each side's
-wall times and the sha256 of its rates.csv (they must agree across runs).
+simulated step, and with the calls of ``SPAN_CALLS`` counted from the
+run's span dump (``.perfbench/spans-<workload>-seed<seed>.csv``).  It
+then runs ``scripts/run_benchmark.py --quick`` in each checkout,
+alternating, ``SWEEP_PAIRS`` times, and records each side's
+wall times and the sha256 of its rates.csv (they must agree across runs),
+and whether the two sides' digests are identical.
 The parent commit is read with ``git rev-parse``; where the parent is no
 git checkout (a ``git archive`` copy), pass it as ``--parent-commit``.
 
@@ -31,9 +34,12 @@ from pathlib import Path
 
 END_TO_END = {"ops_per_s": "higher", "setup_s": "lower", "peak_rss_mb": "lower"}
 SWEEP_PAIRS = 3  # alternating quick-sweep runs per side
+# Functions whose calls in a traced run are counted from its span dump.
+SPAN_CALLS = ("uncertainty.draw_noise", "sim.observe")
 # Run totals of a traced run, reported per simulated step (or per call).
 PER_STEP = (("rss.kernel.calls", "sim.steps"), ("rss.kernel.rows", "rss.kernel.calls"),
-            ("rss.advance_speed_clamped.calls", "sim.steps"))
+            ("rss.advance_speed_clamped.calls", "sim.steps"),
+            *((f"{name}.calls", "sim.steps") for name in SPAN_CALLS))
 METHOD = ("alternating pairs, each in its own checkout of the parent and of the change; "
           "'first' is the side whose result was written first; 'wins' counts pairs "
           "where the change is better, ties counting for neither")
@@ -80,10 +86,27 @@ def summary(pairs) -> dict:
     return out
 
 
-def traced(data: dict) -> dict:
+def span_calls(checkout: Path, workload: str, seed) -> dict:
+    """{"<name>.calls": count} for each of ``SPAN_CALLS`` in the span dump
+    of ``checkout``'s traced run, or {} where there is none."""
+    path = checkout / ".perfbench" / f"spans-{workload}-seed{seed}.csv"
+    if not path.exists():
+        return {}
+    counts = dict.fromkeys(SPAN_CALLS, 0)
+    with path.open(encoding="utf-8") as fh:
+        next(fh)  # header: index,name,start,end,parent
+        for line in fh:
+            name = line.split(",", 2)[1]
+            if name in counts:
+                counts[name] += 1
+    return {f"{name}.calls": n for name, n in counts.items()}
+
+
+def traced(data: dict, calls: dict) -> dict:
     metrics = {k: m["value"] for k, m in data["metrics"].items() if k not in data["absent"]}
+    metrics.update(calls)
     for total, per in PER_STEP:
-        if metrics.get(per):
+        if total in metrics and metrics.get(per):
             metrics[f"{total}_per_{per.rsplit('.', 1)[1]}"] = metrics[total] / metrics[per]
     return metrics
 
@@ -119,6 +142,7 @@ def quick_sweeps(parent_dir: Path, change_dir: Path) -> dict:
     if any(len(d) != 1 for d in digests.values()):
         raise SystemExit(f"quick sweep digests vary between runs: {digests}")
     return {"quick_sweep_sha256": {name: d[0] for name, d in digests.items()},
+            "quick_sweep_identical": digests["parent"] == digests["change"],
             "quick_sweep_wall_s": {"command": "python3 scripts/run_benchmark.py --quick",
                                    "order": "alternating, parent first",
                                    **{name: [round(w, 3) for w, _ in r]
@@ -143,7 +167,8 @@ def record(parent_dir: Path, change_dir: Path, title: str, seconds: float,
             trace[f"{workload} seed {seed}"] = {
                 "command": f"python3 perfbench/run.py --workload {workload} --seed {seed} "
                            f"--seconds {seconds:g} --trace 1",
-                "parent": traced(p), "change": traced(c)}
+                "parent": traced(p, span_calls(parent_dir, workload, seed)),
+                "change": traced(c, span_calls(change_dir, workload, seed))}
             continue
         workloads.setdefault(workload, {"pairs": []})["pairs"].append({
             "seed": seed, "first": "parent" if p_time <= c_time else "change",
@@ -190,7 +215,8 @@ def main() -> int:
               f"wins {s['change_wins']}, gap {s['median_gap']:.1f} vs parent IQR "
               f"{s['parent_iqr']:.1f})")
     digests = rec["quick_sweep_sha256"]
-    print(f"quick sweep sha256: parent {digests['parent']}, change {digests['change']}")
+    print(f"quick sweep sha256: parent {digests['parent']}, change {digests['change']}, "
+          f"identical {str(rec['quick_sweep_identical']).lower()}")
     print(f"wrote {path}")
     return 0
 

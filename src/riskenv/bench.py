@@ -12,6 +12,10 @@ Four ego policies share one scenario set with paired seeds:
 * EnvelopeRestriction and Simplex: the two above at zero covariance and
   beta 0, so the envelope is the one at the observed states and either
   switches on an observed violation.
+
+A step draws perception noise only if it begins unlatched, or records a trace,
+at nonzero covariance.  Exact: nothing else reads the noise, a latched step
+reads only the ego, and a zero-covariance draw (+-0.0) moves no observed value.
 """
 
 from __future__ import annotations
@@ -178,11 +182,13 @@ def run_episode(scn: ScenarioConfig, kind: str, beta: float, case: str,
                 cfg: RunConfig, collect_trace: bool = False) -> EpisodeResult:
     """One deterministic episode of one policy on one covariance case.
 
-    Each step observes the world through one ``draw_noise`` call and, until
-    the policy switches, clamps the nominal controller into its envelope
-    and audits that envelope against the true states; once it switches, the
-    safety maneuver is latched.  The policy's analysis meets the risk level
-    here, at ``acting_beta``: ``should_switch``, then ``risk_bounded_envelope``.
+    Each step that begins unlatched, or records a trace, at nonzero
+    covariance observes one ``draw_noise`` call, and any other the true
+    states (exact, see above).  Until the policy switches, a step clamps the
+    nominal controller into its envelope and audits it against the true
+    states; once it switches, the safety maneuver is latched.  The policy's
+    analysis meets the risk level here, at ``acting_beta``: ``should_switch``,
+    then ``risk_bounded_envelope``.
 
     Observation noise and policy sampling use independent child streams of
     the scenario seed, so the observed world is identical across policies
@@ -201,8 +207,12 @@ def run_episode(scn: ScenarioConfig, kind: str, beta: float, case: str,
     world = initial_world(scn, cfg)
     result = EpisodeResult(outcome="Timeout", steps=0)
     latched = False
+    noisy = spec.basis.eigenvalues[0] > 0.0
     while True:
-        obs = observe(world, draw_noise(spec.basis, obs_rng, len(world.others)))
+        if noisy and (not latched or collect_trace):
+            obs = observe(world, draw_noise(spec.basis, obs_rng, len(world.others)))
+        else:  # latched: only obs.ego is read; zero covariance: the draw is +-0.0
+            obs = ObservedWorld(world.ego, world.others)
         envelope = env_violated = None
         if not latched:
             expectations, dists, true_env = policy(obs, world)

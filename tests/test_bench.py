@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import oracle_cell
+from conftest import oracle_cell, oracle_episode
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
@@ -396,6 +396,76 @@ class TestEpisodeLoop:
                 else:
                     assert a.records == b.records
         assert split > 0
+
+    @pytest.fixture(scope="class")
+    def draws(self, cfg, scenarios):
+        """{(kind, case, beta, scenario index, collect_trace): (episode, the
+        observation stream's ``draw_noise`` calls)} over all four policies."""
+        out = {}
+        with pytest.MonkeyPatch.context() as m:
+            calls, policy_rngs = [], []
+            draw, init = bench.draw_noise, bench.Policy.__init__
+
+            def counted(basis, rng, n):
+                calls.append(rng)
+                return draw(basis, rng, n)
+
+            def policy_init(policy, kind, cfg, spec, policy_rng):
+                policy_rngs.append(policy_rng)
+                init(policy, kind, cfg, spec, policy_rng)
+
+            m.setattr(bench, "draw_noise", counted)
+            m.setattr(bench.Policy, "__init__", policy_init)
+            for kind in POLICY_NAMES:
+                for case in COVARIANCE_CASES:
+                    for beta in (0.0, 0.1, 1.0):
+                        for scn in scenarios[:6]:
+                            for trace in (False, True):
+                                calls.clear()
+                                res = bench.run_episode(scn, kind, beta, case, cfg,
+                                                        collect_trace=trace)
+                                n = sum(rng is not policy_rngs[-1] for rng in calls)
+                                out[(kind, case, beta, scn.index, trace)] = res, n
+        return out
+
+    def test_noise_is_drawn_only_while_a_decision_reads_it(self, cfg, draws):
+        # One observation draw per step that begins unlatched at nonzero
+        # covariance, whatever the policy; one per step when traced; none at
+        # zero covariance.
+        latched = 0
+        for (kind, case, beta, index, trace), (res, n) in draws.items():
+            traced, _ = draws[(kind, case, beta, index, True)]
+            modes = [r.mode for r in traced.records]
+            unlatched = modes.index("safety") + 1 if "safety" in modes else len(modes)
+            noisy = cfg.uncertainty[case].basis.eigenvalues[0] > 0.0
+            assert noisy == (case != "none")
+            if not noisy:
+                assert n == 0
+            else:
+                assert n == (res.steps if trace else unlatched)
+            assert (res.outcome, res.steps) == (traced.outcome, traced.steps)
+            latched += noisy and unlatched < res.steps
+        assert latched > 0
+
+    def test_trace_equals_the_always_drawing_oracle(self, cfg, scenarios):
+        # The oracle draws on every step; the trace, observations included,
+        # is the same record for record.
+        latched = 0
+        for kind in POLICY_NAMES:
+            for case in COVARIANCE_CASES:
+                for beta in (0.0, 0.1, 1.0):
+                    for scn in scenarios[:6]:
+                        got = bench.run_episode(scn, kind, beta, case, cfg,
+                                                collect_trace=True)
+                        want = oracle_episode(scn, kind, beta, case, cfg,
+                                              collect_trace=True)
+                        assert got.records == want.records
+                        assert (got.outcome, got.steps, got.envelope_steps,
+                                got.envelope_violations) == (
+                            want.outcome, want.steps, want.envelope_steps,
+                            want.envelope_violations)
+                        latched += any(r.mode == "safety" for r in got.records)
+        assert latched > 0
 
 
 class TestQuickSweepDigest:

@@ -30,9 +30,38 @@ def test_quick_sweeps_alternate_and_agree(tmp_path, monkeypatch):
     rec = bench_record.quick_sweeps(parent, change)
     assert runs == ["parent", "change", "change", "parent", "parent", "change"]
     assert rec["quick_sweep_sha256"] == {"parent": "parent-digest", "change": "change-digest"}
+    assert rec["quick_sweep_identical"] is False
     assert rec["quick_sweep_wall_s"]["parent"] == [1.0, 4.0, 5.0]
     assert rec["quick_sweep_wall_s"]["change"] == [2.0, 3.0, 6.0]
     digests = itertools.count()  # each run of a side gives another digest
     monkeypatch.setattr(bench_record, "quick_sweep", lambda checkout: (1.0, str(next(digests))))
     with pytest.raises(SystemExit, match="vary"):
         bench_record.quick_sweeps(parent, change)
+
+
+def test_quick_sweeps_identical_digests(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_record, "quick_sweep", lambda checkout: (1.0, "digest"))
+    rec = bench_record.quick_sweeps(tmp_path / "parent", tmp_path / "change")
+    assert rec["quick_sweep_sha256"] == {"parent": "digest", "change": "digest"}
+    assert rec["quick_sweep_identical"] is True
+
+
+def test_traced_counts_span_calls_per_step(tmp_path):
+    dump = tmp_path / ".perfbench" / "spans-sweep-baselines-seed7.csv"
+    dump.parent.mkdir()
+    dump.write_text("index,name,start,end,parent\n"
+                    "0,bench.run_episode,0.0,1.0,-1\n"
+                    "1,uncertainty.draw_noise,0.1,0.2,0\n"
+                    "2,sim.observe,0.2,0.3,0\n"
+                    "3,uncertainty.draw_noise,0.4,0.5,0\n")
+    calls = bench_record.span_calls(tmp_path, "sweep-baselines", 7)
+    assert calls == {"uncertainty.draw_noise.calls": 2, "sim.observe.calls": 1}
+    assert bench_record.span_calls(tmp_path, "sweep-baselines", 8) == {}
+    data = {"metrics": {"sim.steps": {"value": 4}, "rss.kernel.calls": {"value": 8}},
+            "absent": []}
+    metrics = bench_record.traced(data, calls)
+    assert metrics["uncertainty.draw_noise.calls_per_steps"] == 0.5
+    assert metrics["sim.observe.calls_per_steps"] == 0.25
+    assert metrics["rss.kernel.calls_per_steps"] == 2.0
+    # Without a span dump the counts are left out, not failed on.
+    assert "sim.observe.calls_per_steps" not in bench_record.traced(data, {})
