@@ -1,7 +1,9 @@
 """Benchmark harness: scenario generation, the episode loop, rate sweeps.
 
-``run_episode`` is the closed loop: perception, the policy's analysis, the
-switch decision at the risk level (latched), the command, the simulator step.
+``run_episode`` is the closed loop: perception, the policy's analysis (a
+``Policy`` pairs each agent with its samples; ``prob_envelope`` turns the
+pairs into kernel rows), the switch decision at the risk level (latched), the
+command, the simulator step.
 Four ego policies share one scenario set with paired seeds:
 
 * ProbabilisticEnvelopeRestriction: risk-bounded envelope clamps the nominal
@@ -28,17 +30,11 @@ import numpy as np
 from .config import POLICY_NAMES, RunConfig
 from .prob_envelope import (
     analyze_step,
+    mean_violations,
     risk_bounded_envelope,
     should_switch,
-    stacked_states,
 )
-from .rss import (
-    AgentState,
-    BroadPhase,
-    less_restrictive_any,
-    unrestricted_envelope,
-    violation_batch,
-)
+from .rss import AgentState, less_restrictive_any, unrestricted_envelope
 from .sim import (
     EpisodeResult,
     ObservedWorld,
@@ -51,7 +47,7 @@ from .sim import (
     observe,
     safety_maneuver,
 )
-from .uncertainty import EXACT_SAMPLES, UncertaintySpec, draw_noise
+from .uncertainty import EXACT_SAMPLES, SampleSet, UncertaintySpec, draw_noise
 
 BETA_FREE_POLICIES = ("EnvelopeRestriction", "Simplex")
 RESTRICTING_POLICIES = ("ProbabilisticEnvelopeRestriction", "EnvelopeRestriction")
@@ -129,53 +125,30 @@ class Policy:
                  policy_rng: np.random.Generator | None):
         if kind not in POLICY_NAMES:
             raise ValueError(f"unknown policy {kind!r}")
-        restricting, exact = analysis(kind, spec)
-        self.cfg = cfg
-        self.rng = policy_rng
-        # The case's contour samples, or deviations drawn in its eigenbasis
-        # (None when exact: one zero deviation per agent).
-        self.samples = self.basis = None
-        if restricting:
-            self.samples = EXACT_SAMPLES if exact else spec.samples
-        elif not exact:
-            self.basis = spec.basis
+        self.restricting, exact = analysis(kind, spec)
+        self.cfg, self.rng, self.basis = cfg, policy_rng, spec.basis
+        # What every agent is analysed under: the case's contour samples, or
+        # EXACT_SAMPLES when exact, or None when drawn in the case's eigenbasis.
+        self.samples = EXACT_SAMPLES if exact else spec.samples if self.restricting else None
 
     def __call__(self, obs: ObservedWorld, world: WorldState):
         """Each observed agent's violation expectation; for a restricting
         policy also their envelope distributions and the envelope at the true
         states of ``world`` for the audit, from one ``analyze_step`` call
         (``observe`` copies the ego exactly), and None, None otherwise."""
-        cfg = self.cfg
-        if self.samples is None:
-            return self._mean_violations(obs), None, None
-        dists, expectations, true_env = analyze_step(
-            obs.ego, obs.others, self.samples, world.others, cfg.rss, cfg.tau)
-        return expectations, dists, true_env
-
-    def _mean_violations(self, obs: ObservedWorld):
-        """Each observed agent's mean violation over ``simplex_samples``
-        drawn deviations, or over one zero deviation at zero covariance.
-        One draw of k * m rows takes the same numbers as k draws of m rows.
-        An agent whose rows ``BroadPhase`` finds unviolated has mean 0.0; the
-        other agents' rows go to one violation_batch call."""
-        k = len(obs.others)
-        if k == 0:
-            return ()
-        if self.basis is None:
-            m, devs, boxes = 1, np.zeros((k, 1, 4)), [EXACT_SAMPLES.box] * k
-        else:
-            m = self.cfg.simplex_samples
+        cfg, others = self.cfg, obs.others
+        if self.restricting:
+            dists, expectations, true_env = analyze_step(
+                obs.ego, others, self.samples, world.others, cfg.rss, cfg.tau)
+            return expectations, dists, true_env
+        sets = [self.samples] * len(others)
+        if self.samples is None:  # one draw of k * m rows: the numbers of k draws of m rows
+            k, m = len(others), cfg.simplex_samples
             devs = draw_noise(self.basis, self.rng, k * m).reshape(k, m, 4)
-            boxes = zip(devs.min(axis=1).tolist(), devs.max(axis=1).tolist())
-        broad = BroadPhase(obs.ego, self.cfg.rss)
-        rest = [j for j, (o, box) in enumerate(zip(obs.others, boxes))
-                if not broad.unviolated(o, *box)]
-        means = np.zeros(k)
-        if rest:
-            ox, oy, ov, ot = stacked_states((obs.others[j], devs[j]) for j in rest)
-            violated = violation_batch(obs.ego, ox, oy, ov, ot, self.cfg.rss)
-            means[rest] = violated.reshape(len(rest), m).mean(axis=1)
-        return means
+            sets = [SampleSet(((1.0,), d, (m,))) for d in devs]
+            for s, box in zip(sets, zip(devs.min(axis=1).tolist(), devs.max(axis=1).tolist())):
+                s.box = box  # one min and one max over the whole draw
+        return mean_violations(obs.ego, list(zip(others, sets)), cfg.rss), None, None
 
 
 def run_episode(scn: ScenarioConfig, kind: str, beta: float, case: str,

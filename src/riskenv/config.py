@@ -36,10 +36,10 @@ class ConfigError(ValueError):
     """Configuration rejected; the message names the offending field."""
 
 
-def check_beta(beta: float) -> float:
-    """``beta`` if it is a risk level in [0, 1]; NaN is not one."""
+def check_beta(beta: float, where: str = "beta") -> float:
+    """``beta`` if it is a risk level in [0, 1] (NaN is not one); errors name ``where``."""
     if not (0.0 <= beta <= 1.0):
-        raise ConfigError(f"beta {beta} outside [0, 1]")
+        raise ConfigError(f"{where} {beta} outside [0, 1]")
     return beta
 
 
@@ -115,11 +115,11 @@ class RunConfig:
         for key in ("policies", "betas"):
             if not getattr(self, key):
                 raise ConfigError(f"{key} must be non-empty")
-        for name in self.policies:
+        for i, name in enumerate(self.policies):
             if name not in POLICY_NAMES:
-                raise ConfigError(f"unknown policy {name!r}")
-        for b in self.betas:
-            check_beta(b)
+                raise ConfigError(f"policies[{i}]: unknown policy {name!r}")
+        for i, b in enumerate(self.betas):
+            check_beta(b, f"betas[{i}]")
         for case in self.uncertainty:
             if case not in COVARIANCE_CASES:
                 raise ConfigError(f"unknown covariance case {case!r}")

@@ -9,8 +9,10 @@ envelopes, one per contour, and its violation expectation; the mass outside
 the outermost contour goes to a most-restrictive sentinel and counts as
 violated, so risk is never understated.  At zero covariance
 (``EXACT_SAMPLES``) the same pass gives each agent's deterministic envelope
-and violation flag.  The combined envelope is solved component-wise so that
-the probability of the true envelope being strictly more restrictive stays
+and violation flag.  The Simplex family's ``mean_violations`` take the same
+(state, SampleSet) pairs: all the stacking of agents into kernel rows is
+here.  The combined envelope is solved component-wise so that the
+probability of the true envelope being strictly more restrictive stays
 below the requested risk level.
 """
 
@@ -33,6 +35,7 @@ from .rss import (
     pair_analysis_batch,
     restrictive_sentinel,
     unrestricted_envelope,
+    violation_batch,
     wrap_angle,
 )
 from .uncertainty import (
@@ -101,7 +104,8 @@ def analyze_step(ego: AgentState, observed, samples, exact, params: RssParams,
     of each ``observed`` agent under ``samples``, the ``(levels, deviations,
     counts)`` of ``contour_samples`` (a plain tuple is wrapped in a
     ``SampleSet``), and the worst-case envelope of the ``exact`` agents at
-    zero covariance (the unrestricted envelope when there are none).
+    zero covariance (the unrestricted envelope when there are none), from
+    the same contours if ``exact is observed`` and samples is EXACT_SAMPLES.
 
     The perturbed states of consecutive agents share one kernel pass of at
     most ``ROW_BUDGET`` rows (an agent with more rows runs alone).  A contour
@@ -110,9 +114,11 @@ def analyze_step(ego: AgentState, observed, samples, exact, params: RssParams,
     """
     if min(samples[2]) < 1:
         raise ValueError("every contour needs at least one sample")
+    once = exact is observed and samples is EXACT_SAMPLES
     if not isinstance(samples, SampleSet):
         samples = SampleSet(samples)
-    agents = [(s, samples) for s in observed] + [(s, EXACT_SAMPLES) for s in exact]
+    agents = [(s, samples) for s in observed]
+    agents += [] if once else [(s, EXACT_SAMPLES) for s in exact]
     contours = _contours(ego, agents, params, tau)
     levels = samples[0]
     masses = tuple(p_k - prev for p_k, prev in zip(levels, (0.0, *levels)))
@@ -127,9 +133,9 @@ def analyze_step(ego: AgentState, observed, samples, exact, params: RssParams,
             j, masses, tuple(Envelope(-params.a_lon_limit, *c[:3]) for c in own),
             1.0 - levels[-1]))
         expectations.append(expectation)
-    # Each exact agent has one contour, after those of the observed agents;
-    # their worst case is the component-wise most restrictive one.
-    tail = contours[len(observed) * len(levels):]
+    # Each exact agent has one contour, after those of the observed agents or,
+    # once, its own; the worst case is the component-wise most restrictive one.
+    tail = contours if once else contours[len(observed) * len(levels):]
     exact_env = unrestricted_envelope(params) if not tail else Envelope(
         -params.a_lon_limit, min(c[0] for c in tail), max(c[1] for c in tail),
         min(c[2] for c in tail))
@@ -170,6 +176,24 @@ def _analyze_pass(ego, agents, params, tau):
                     np.maximum.reduceat(lat_min, starts).tolist(),
                     np.minimum.reduceat(lat_max, starts).tolist(),
                     np.logical_or.reduceat(violated, starts).tolist()))
+
+
+def mean_violations(ego: AgentState, agents, params: RssParams) -> np.ndarray:
+    """Each agent's mean violation over its samples' rows, for (state,
+    samples) pairs as ``_contours`` takes them.  Agents that ``BroadPhase``
+    finds unviolated get 0.0 without rows; the others share one
+    ``violation_batch`` call."""
+    broad = BroadPhase(ego, params)
+    rest = [j for j, (state, samples) in enumerate(agents)
+            if not broad.unviolated(state, *samples.box)]
+    means = np.zeros(len(agents))
+    if rest:
+        pairs = [(agents[j][0], agents[j][1][1]) for j in rest]
+        sizes = [len(deviations) for _, deviations in pairs]
+        starts = [0, *accumulate(sizes[:-1])]  # each agent's first row
+        violated = violation_batch(ego, *stacked_states(pairs), params)
+        means[rest] = np.add.reduceat(violated, starts, dtype=float) / sizes
+    return means
 
 
 def envelope_distribution(ego: AgentState, obs: AgentState, spec: UncertaintySpec,

@@ -613,7 +613,7 @@ class TestOneAnalysisPerStep:
             before = dict(counts)
             certified.clear()
             out = decide(policy, obs, world)
-            agents = len(obs.others) + (len(world.others) if policy.samples else 0)
+            agents = len(obs.others) + (len(world.others) if policy.restricting else 0)
             assert len(certified) == agents
             decisions.append(({k: counts[k] - before[k] for k in counts}, all(certified)))
             return out
@@ -621,8 +621,8 @@ class TestOneAnalysisPerStep:
         monkeypatch.setattr(rss, "_PairGeometry", CountedGeometry)
         monkeypatch.setattr(prob_envelope, "pair_analysis_batch",
                             counted("pair_analysis_batch", prob_envelope.pair_analysis_batch))
-        monkeypatch.setattr(bench, "violation_batch",
-                            counted("violation_batch", bench.violation_batch))
+        monkeypatch.setattr(prob_envelope, "violation_batch",
+                            counted("violation_batch", prob_envelope.violation_batch))
         for name in ("free", "unviolated"):
             monkeypatch.setattr(rss.BroadPhase, name, recorded(getattr(rss.BroadPhase, name)))
         monkeypatch.setattr(bench.Policy, "__call__", decision)

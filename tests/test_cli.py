@@ -744,6 +744,8 @@ class TestValidateCommand:
                                     "contour_levels": 5}}},
          "uncertainty.small.contour_levels"),
         ({"policies": "Simplex"}, "policies"),
+        ({"policies": ["Simplex", "X"]}, "policies[1]"),
+        ({"betas": [0.1, 2.0]}, "betas[1]"),
         ({"simplex_samples": 1000000000}, "simplex_samples"),
         ({"simplex_samples": 50001}, "simplex_samples"),
     ])

@@ -17,6 +17,7 @@ from riskenv.prob_envelope import (
     analyze_step,
     contour_samples,
     envelope_distribution,
+    mean_violations,
     perturbed_state_arrays,
     risk_bounded_envelope,
     should_switch,
@@ -33,7 +34,14 @@ from riskenv.rss import (
     unrestricted_envelope,
     violation_batch,
 )
-from riskenv.uncertainty import MAX_SIGMA, UncertaintySpec, chi2_quantile_4, eigendecompose
+from riskenv.uncertainty import (
+    MAX_SIGMA,
+    SampleSet,
+    UncertaintySpec,
+    chi2_quantile_4,
+    draw_noise,
+    eigendecompose,
+)
 
 from conftest import (
     contour_loop_analysis,
@@ -517,7 +525,22 @@ class TestAnalyzeAgents:
             [], [], unrestricted_envelope(rss_params))
         assert rows == []
 
-    def test_exact_analysis_is_the_deterministic_envelope(self, rss_params):
+    def test_exact_analysis_is_the_deterministic_envelope(self, rss_params, monkeypatch):
+        # With the exact agents the observed ones at zero covariance, each
+        # agent gets one broad-phase test, and one kernel row unless certified.
+        certified, rows = [], []
+        free, kernel = rss.BroadPhase.free, prob_envelope.pair_analysis_batch
+
+        def recorded_free(*args):
+            certified.append(free(*args))
+            return certified[-1]
+
+        def recorded_kernel(ego, ox, *args):
+            rows.append(len(ox))
+            return kernel(ego, ox, *args)
+
+        monkeypatch.setattr(rss.BroadPhase, "free", recorded_free)
+        monkeypatch.setattr(prob_envelope, "pair_analysis_batch", recorded_kernel)
         rng = np.random.default_rng(31)
         spec = UncertaintySpec.from_diagonal([0.04, 0.04, 0.04, 1e-4], LEVELS, 8)
         samples = contour_samples(eigendecompose(spec.sigma), spec)
@@ -525,10 +548,16 @@ class TestAnalyzeAgents:
             ego = AgentState(0.0, float(rng.uniform(0.0, 3.5)), 0.0, float(rng.uniform(10, 25)))
             others = [AgentState(float(rng.uniform(-15.0, 30.0)), float(3.5 * rng.integers(2)),
                                  0.0, float(rng.uniform(10.0, 25.0))) for _ in range(3)]
+            certified.clear()
+            rows.clear()
             dists, expectations, exact_env = analyze_step(ego, others, EXACT_SAMPLES, others,
                                                           rss_params, TAU)
+            assert len(certified) == len(others)
+            assert sum(rows) == certified.count(False)
             want = safety_envelope(ego, others, rss_params, TAU)
             assert exact_env == want
+            assert analyze_step(ego, others, EXACT_SAMPLES, list(others), rss_params,
+                                TAU) == (dists, expectations, exact_env)
             for beta in (0.0, 0.05, 0.5, 1.0):
                 assert risk_bounded_envelope(dists, beta, rss_params) == want
             violated = violation_batch(ego, [o.x for o in others], [o.y for o in others],
@@ -573,7 +602,8 @@ class TestBroadPhase:
         the kernel rows each one ran."""
         rows = []
         kernels = {name: getattr(module, name) for module, name in
-                   ((prob_envelope, "pair_analysis_batch"), (bench, "violation_batch"))}
+                   ((prob_envelope, "pair_analysis_batch"),
+                    (prob_envelope, "violation_batch"))}
 
         def recorded(name):
             def kernel(ego, ox, *rest):
@@ -583,7 +613,7 @@ class TestBroadPhase:
 
         with monkeypatch.context() as m:
             m.setattr(prob_envelope, "pair_analysis_batch", recorded("pair_analysis_batch"))
-            m.setattr(bench, "violation_batch", recorded("violation_batch"))
+            m.setattr(prob_envelope, "violation_batch", recorded("violation_batch"))
             got = fn(*copy.deepcopy(args))
             got_rows = sum(rows)
             m.setattr(rss.BroadPhase, "free", lambda *_: False)
@@ -595,24 +625,20 @@ class TestBroadPhase:
 
     def test_sweep_steps_unchanged(self, monkeypatch):
         # Every policy's decisions over seeded episodes: the analyses of the
-        # restricting policies, the draws of the Simplex family (replayed
-        # from the generator's state before each draw).
+        # restricting policies and the mean violations of the Simplex family,
+        # each replayed on the inputs it received.
         cfg = RunConfig()
         calls = []
-        analyze, mean_violations = bench.analyze_step, bench.Policy._mean_violations
 
-        def analysis(*args):
-            calls.append((analyze_step, *args))
-            return analyze(*args)
-
-        def draws(policy, obs):
-            calls.append((mean_violations, copy.copy(policy), obs))
-            calls[-1][1].rng = copy.deepcopy(policy.rng)
-            return mean_violations(policy, obs)
+        def recorder(fn):
+            def recorded(*args):
+                calls.append((fn, *args))
+                return fn(*args)
+            return recorded
 
         with monkeypatch.context() as m:
-            m.setattr(bench, "analyze_step", analysis)
-            m.setattr(bench.Policy, "_mean_violations", draws)
+            m.setattr(bench, "analyze_step", recorder(analyze_step))
+            m.setattr(bench, "mean_violations", recorder(mean_violations))
             for scn in bench.generate_scenarios(4, 7, cfg):
                 for kind, case in (("ProbabilisticEnvelopeRestriction", "small"),
                                    ("ProbabilisticEnvelopeRestriction", "large"),
@@ -685,6 +711,30 @@ class TestBroadPhase:
         assert spec.samples.box == (deviations.min(axis=0).tolist(),
                                     deviations.max(axis=0).tolist())
         assert EXACT_SAMPLES.box == ([0.0] * 4, [0.0] * 4)
+
+
+class TestMeanViolations:
+    """``mean_violations`` against each agent's own ``violation_batch`` mean,
+    bit for bit, for sample sets of any sizes."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n_agents=st.integers(0, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_per_agent_means(self, seed, n_agents):
+        rng = np.random.default_rng(seed)
+        params = RssParams()
+        basis = eigendecompose(np.diag([0.16, 0.16, 0.16, 4e-4]))
+        ego = AgentState(0.0, float(rng.uniform(0.0, 3.5)), 0.0, float(rng.uniform(5.0, 30.0)))
+        agents = []
+        for _ in range(n_agents):
+            state = AgentState(float(rng.uniform(-20.0, 40.0)), float(rng.uniform(0.0, 3.5)),
+                               float(rng.normal(0.0, 0.05)), float(rng.uniform(0.0, 30.0)))
+            m = int(rng.integers(0, 40))
+            samples = EXACT_SAMPLES if m == 0 else SampleSet(
+                ((1.0,), draw_noise(basis, rng, m), (m,)))
+            agents.append((state, samples))
+        want = [float(violation_batch(ego, *stacked_states([(state, samples[1])]),
+                                      params).mean()) for state, samples in agents]
+        assert mean_violations(ego, agents, params).tolist() == want
 
 
 class TestStackedStates:

@@ -66,3 +66,13 @@ def test_one_decision_rule():
     # should_switch and restricts through risk_bounded_envelope.
     assert not hasattr(riskenv.prob_envelope, "worst_case")
     assert "worst_case" not in riskenv.__all__
+
+
+def test_one_module_turns_agents_into_kernel_rows():
+    # prob_envelope stacks the rows of every policy's analysis: bench passes
+    # (state, samples) pairs to analyze_step or mean_violations and holds no
+    # row-level code.
+    for name in ("BroadPhase", "violation_batch", "pair_analysis_batch", "stacked_states"):
+        assert not hasattr(riskenv.bench, name)
+    assert not hasattr(riskenv.bench.Policy, "_mean_violations")
+    assert riskenv.bench.mean_violations is riskenv.prob_envelope.mean_violations
