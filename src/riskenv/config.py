@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .rss import MAX_SPEED, MAX_TAU, AgentState, RssParams
-from .sim import IdmParams, LateralControl, RoadParams
+from .rss import MAX_POSITION, MAX_SPEED, MAX_TAU, AgentState, RssParams, bounded, check_bounds
+from .sim import MAX_DT, MIN_SPEED, IdmParams, LateralControl, RoadParams
 from .uncertainty import MAX_SIMPLEX_ROWS, STATE_DIM, UncertaintySpec, integral
 
 DEFAULT_CONTOUR_LEVELS = (0.25, 0.5, 0.75, 0.93, 0.97, 0.999)
@@ -60,6 +60,10 @@ MAX_EPISODE_STEPS = 10_000
 # Each other agent adds its contour rows to every PER step: 100 agents, 50x
 # the default platoon, is 48,000 kernel rows per step on the default grid.
 MAX_OTHERS = 100
+# A step of at least MIN_DT keeps classify_outcome's 1e-9 s tolerance far below a step.
+# Positions stay inside MAX_POSITION: the platoon starts within MAX_POSITION / 2 (merge
+# point and MAX_OTHERS gaps a quarter each) and no one travels past MAX_SPEED * (horizon + dt).
+MIN_DT, MAX_LOOKAHEAD = 1e-3, MAX_POSITION / 4  # s, m
 
 
 @dataclass(frozen=True)
@@ -67,32 +71,23 @@ class ScenarioParams:
     """Scenario generation: a two-vehicle platoon on the left lane straddling
     the point the ego is expected to reach when it merges."""
 
-    n_scenarios: int = 100
-    speed_min: float = 15.3
-    speed_max: float = 19.9
-    gap_min: float = 40.0
-    gap_max: float = 50.0
-    n_others: int = 2
-    merge_lookahead: float = 26.5  # merge point ahead of the ego start (m)
-    dt: float = 0.2
-    horizon: float = 8.0
+    n_scenarios: int = bounded(100, 1, MAX_SCENARIOS)
+    speed_min: float = bounded(15.3, MIN_SPEED, MAX_SPEED)
+    speed_max: float = bounded(19.9, MIN_SPEED, MAX_SPEED)
+    gap_min: float = bounded(40.0, 0.0, MAX_LOOKAHEAD / MAX_OTHERS, low_open=True)
+    gap_max: float = bounded(50.0, 0.0, MAX_LOOKAHEAD / MAX_OTHERS, low_open=True)
+    n_others: int = bounded(2, 1, MAX_OTHERS)
+    merge_lookahead: float = bounded(26.5, -MAX_LOOKAHEAD, MAX_LOOKAHEAD)  # merge point (m)
+    dt: float = bounded(0.2, MIN_DT, MAX_DT)
+    horizon: float = bounded(8.0, 0.0, MAX_EPISODE_STEPS * MAX_DT, low_open=True)
 
     def __post_init__(self):
-        if not 1 <= self.n_scenarios <= MAX_SCENARIOS:
-            raise ConfigError(f"scenario.n_scenarios must be in [1, {MAX_SCENARIOS}]")
-        if not (0.0 < self.speed_min <= self.speed_max):
-            raise ConfigError("scenario speed range is invalid")
-        if self.speed_max > MAX_SPEED:
-            raise ConfigError(f"scenario.speed_max must be <= {MAX_SPEED:g} m/s, "
-                              f"got {self.speed_max}")
-        if not (0.0 < self.gap_min <= self.gap_max):
-            raise ConfigError("scenario gap range is invalid")
-        if not 1 <= self.n_others <= MAX_OTHERS:
-            raise ConfigError(f"scenario.n_others must be in [1, {MAX_OTHERS}]")
-        if self.dt <= 0.0 or self.horizon <= 0.0:
-            raise ConfigError("scenario dt and horizon must be > 0")
+        check_bounds(self)
+        for lo, hi in (("speed_min", "speed_max"), ("gap_min", "gap_max")):
+            if getattr(self, lo) > getattr(self, hi):
+                raise ValueError(f"{lo} must not exceed {hi}")
         if self.horizon / self.dt > MAX_EPISODE_STEPS:
-            raise ConfigError(f"scenario.horizon / scenario.dt must be <= {MAX_EPISODE_STEPS}")
+            raise ValueError(f"horizon / dt must be <= {MAX_EPISODE_STEPS}")
 
 
 @dataclass(frozen=True)

@@ -53,8 +53,9 @@ plus any other row's hundreds of times over.  A box with a heading beyond
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -100,6 +101,24 @@ def wrap_angle(theta):
     return w
 
 
+def bounded(default, lo, hi, low_open=False):
+    """A dataclass field that ``check_bounds`` keeps in [lo, hi] ((lo, hi] if ``low_open``)."""
+    return field(default=default, metadata={"bounds": (lo, hi, low_open)})
+
+
+@functools.cache
+def _bounds(cls) -> tuple:  # (name, lo, hi, low_open) of each bounded field
+    return tuple((f.name, *f.metadata["bounds"]) for f in fields(cls) if "bounds" in f.metadata)
+
+
+def check_bounds(params) -> None:
+    """Raise ValueError naming the first field outside its range: NaN never fits, None does."""
+    for name, lo, hi, low_open in _bounds(type(params)):
+        v = getattr(params, name)
+        if v is not None and not (lo < v <= hi if low_open else lo <= v <= hi):
+            raise ValueError(f"{name} must be in {'[('[low_open]}{lo:g}, {hi:g}], got {v}")
+
+
 @dataclass(frozen=True)
 class AgentState:
     """Kinematic state of one vehicle in the road-aligned frame."""
@@ -137,30 +156,20 @@ class RssParams:
     edge-to-edge gap measurement.
     """
 
-    rho: float = 0.05               # response time (s)
-    a_max_accel_lon: float = 1.0    # accel of the rear vehicle during response (m/s^2)
-    b_min_brake_lon: float = 4.0    # guaranteed braking of the rear vehicle (m/s^2)
-    b_max_brake_lon: float = 8.0    # strongest braking of the front vehicle (m/s^2)
-    a_max_accel_lat: float = 0.2    # lateral accel toward the other during response (m/s^2)
-    b_min_brake_lat: float = 4.0    # guaranteed lateral braking (m/s^2)
-    mu_lat: float = 0.1             # lateral fluctuation margin (m)
-    a_lon_limit: float = 8.0        # physical |a_lon| bound (m/s^2)
-    a_lat_limit: float = 4.0        # physical |a_lat| bound (m/s^2)
-    length: float = 4.7             # vehicle box length (m)
-    width: float = 1.8              # vehicle box width (m)
+    rho: float = bounded(0.05, 0.0, MAX_TAU, low_open=True)  # response time (s)
+    a_max_accel_lon: float = bounded(1.0, 0.0, MAX_ACCEL)  # rear accel during response (m/s^2)
+    b_min_brake_lon: float = bounded(4.0, MIN_ACCEL, MAX_ACCEL)  # rear's sure braking (m/s^2)
+    b_max_brake_lon: float = bounded(8.0, MIN_ACCEL, MAX_ACCEL)  # front's hardest braking (m/s^2)
+    a_max_accel_lat: float = bounded(0.2, 0.0, MAX_ACCEL)  # lateral accel in response (m/s^2)
+    b_min_brake_lat: float = bounded(4.0, MIN_ACCEL, MAX_ACCEL)  # sure lateral braking (m/s^2)
+    mu_lat: float = bounded(0.1, 0.0, MAX_POSITION)  # lateral fluctuation margin (m)
+    a_lon_limit: float = bounded(8.0, MIN_ACCEL, MAX_ACCEL)  # physical |a_lon| bound (m/s^2)
+    a_lat_limit: float = bounded(4.0, MIN_ACCEL, MAX_ACCEL)  # physical |a_lat| bound (m/s^2)
+    length: float = bounded(4.7, 0.0, MAX_POSITION, low_open=True)  # vehicle box length (m)
+    width: float = bounded(1.8, 0.0, MAX_POSITION, low_open=True)  # vehicle box width (m)
 
     def __post_init__(self):
-        accel, divisor, size = (0.0, MAX_ACCEL), (MIN_ACCEL, MAX_ACCEL), (0.0, MAX_POSITION)
-        for key, (lo, hi) in (("rho", (0.0, MAX_TAU)), ("a_max_accel_lon", accel),
-                              ("b_min_brake_lon", divisor), ("b_max_brake_lon", divisor),
-                              ("a_max_accel_lat", accel), ("b_min_brake_lat", divisor),
-                              ("mu_lat", size), ("a_lon_limit", divisor),
-                              ("a_lat_limit", divisor), ("length", size), ("width", size)):
-            if not lo <= getattr(self, key) <= hi:  # NaN fails too
-                raise ValueError(f"{key} must be in [{lo:g}, {hi:g}], got {getattr(self, key)}")
-        for name in ("rho", "length", "width"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0")
+        check_bounds(self)
         if self.b_min_brake_lon > self.b_max_brake_lon:
             raise ValueError("b_min_brake_lon must not exceed b_max_brake_lon")
 
@@ -497,8 +506,8 @@ def pair_analysis_batch(ego: AgentState, ox, oy, ov, otheta,
     Returns (a_lon_max, a_lat_min, a_lat_max, violated) arrays; a_lon_min is
     never restricted (braking responsibility lies with the rear vehicle).
     """
-    if tau <= 0.0:
-        raise ValueError("tau must be > 0")
+    if not 0.0 < tau <= MAX_TAU:  # NaN fails too
+        raise ValueError(f"tau must be in (0, {MAX_TAU:g}], got {tau}")
     p = params
     g = _PairGeometry(ego, ox, oy, ov, otheta, params)
     n = g.n

@@ -16,44 +16,43 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rss import (MAX_POSITION, MAX_SPEED, AgentState, Envelope, RssParams,
-                  advance_speed_clamped, wrap_angle)
+from .rss import (MAX_ACCEL, MAX_POSITION, MAX_SPEED, MAX_TAU, MIN_ACCEL, AgentState,
+                  Envelope, RssParams, advance_speed_clamped, bounded, check_bounds, wrap_angle)
 from .uncertainty import draw_noise  # noqa: F401 - perfbench's tests look it up here
+
+# IdmParams bounds that keep idm_accel finite and below MAX_SPEED: with v0 >=
+# MIN_SPEED, (v / v0) ** delta < (MAX_SPEED / MIN_SPEED) ** MAX_DELTA = 1e50, and
+# with a <= MAX_SPEED / (MAX_DELTA * MAX_DT) no step of at most MAX_DT passes MAX_SPEED.
+MIN_SPEED, MAX_DELTA, MAX_DT = 1e-3, 10.0, 1.0  # m/s, 1, s
 
 
 @dataclass(frozen=True)
 class IdmParams:
-    """Intelligent-driver car-following parameters.
+    """Intelligent-driver car-following parameters.  ``v0`` is the desired
+    speed; None means each agent desires its initial speed."""
 
-    ``v0`` is the desired speed; None means each agent desires its initial
-    speed.
-    """
+    v0: float | None = bounded(None, MIN_SPEED, MAX_SPEED)
+    T: float = bounded(1.5, 0.0, MAX_TAU, low_open=True)  # desired time headway (s)
+    a: float = bounded(1.5, MIN_ACCEL, MAX_SPEED / (MAX_DELTA * MAX_DT))  # max accel (m/s^2)
+    b: float = bounded(2.0, MIN_ACCEL, MAX_ACCEL)  # comfortable deceleration (m/s^2)
+    s0: float = bounded(2.0, 0.0, MAX_POSITION, low_open=True)  # minimum gap (m)
+    delta: float = bounded(4.0, 0.0, MAX_DELTA, low_open=True)  # velocity exponent
 
-    v0: float | None = None
-    T: float = 1.5       # desired time headway (s)
-    a: float = 1.5       # maximum acceleration (m/s^2)
-    b: float = 2.0       # comfortable deceleration (m/s^2)
-    s0: float = 2.0      # minimum gap (m)
-    delta: float = 4.0   # velocity exponent
-
-    def __post_init__(self):
-        for name in ("T", "a", "b", "s0", "delta"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0")
-        if self.v0 is not None and not 0.0 < self.v0 <= MAX_SPEED:
-            raise ValueError(f"v0 must be in (0, {MAX_SPEED:g}] m/s when given")
+    __post_init__ = check_bounds
 
 
 @dataclass(frozen=True)
 class RoadParams:
     """Two-lane road geometry and the goal region on the left lane."""
 
-    lane_width: float = 3.5
-    goal_x_min: float = 60.0
-    goal_x_max: float = 150.0
-    goal_speed_min: float = 10.0
-    goal_speed_max: float = 25.0
-    goal_heading_max: float = 0.15  # |theta| bound (rad)
+    lane_width: float = bounded(3.5, 0.0, MAX_POSITION, low_open=True)
+    goal_x_min: float = bounded(60.0, -MAX_POSITION, MAX_POSITION)
+    goal_x_max: float = bounded(150.0, -MAX_POSITION, MAX_POSITION)
+    goal_speed_min: float = bounded(10.0, 0.0, MAX_SPEED)
+    goal_speed_max: float = bounded(25.0, 0.0, MAX_SPEED)
+    goal_heading_max: float = bounded(0.15, 0.0, math.pi)  # |theta| bound (rad)
+
+    __post_init__ = check_bounds
 
     def lane_center(self, lane: int) -> float:
         return lane * self.lane_width
@@ -134,8 +133,10 @@ def observe(world: WorldState, deviations: np.ndarray) -> ObservedWorld:
 
 @dataclass(frozen=True)
 class LateralControl:
-    kp: float = 3.5
-    kd: float = 3.742  # critical damping for kp = 3.5
+    kp: float = bounded(3.5, 0.0, MAX_ACCEL)
+    kd: float = bounded(3.742, 0.0, MAX_ACCEL)  # critical damping for kp = 3.5
+
+    __post_init__ = check_bounds
 
     def accel(self, y: float, v_lat: float, y_target: float, limit: float) -> float:
         a = self.kp * (y_target - y) - self.kd * v_lat

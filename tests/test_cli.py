@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from riskenv import cli
+from riskenv import bench, cli
 from riskenv.cli import build_parser, main
 from riskenv.config import (
     MAX_EPISODE_STEPS,
@@ -22,10 +23,12 @@ from riskenv.config import (
     MAX_SCENARIOS,
     ConfigError,
     RunConfig,
+    ScenarioParams,
     config_from_dict,
     load_config,
 )
 from riskenv.rss import MAX_POSITION, MAX_SPEED, MAX_TAU, RssParams, restrictive_sentinel
+from riskenv.sim import IdmParams, LateralControl, RoadParams
 from riskenv.uncertainty import MAX_SIGMA
 
 # Symmetric covariances with a negative eigenvalue: a 4-entry diagonal and a
@@ -593,22 +596,36 @@ class TestPositiveSemiDefiniteSigma:
 
 
 class TestScenarioBounds:
-    @pytest.mark.parametrize("scenario,key", [
-        ({"n_scenarios": 1000000000}, "scenario.n_scenarios"),
-        ({"n_scenarios": MAX_SCENARIOS + 1}, "scenario.n_scenarios"),
-        ({"horizon": 1e12}, "scenario.horizon"),
-        ({"dt": 1e-12}, "scenario.dt"),
-        ({"n_others": MAX_OTHERS + 1}, "scenario.n_others"),
-        ({"speed_max": MAX_SPEED + 0.5}, "scenario.speed_max"),
-        ({"speed_min": 1e200, "speed_max": 1e200}, "scenario.speed_max"),
+    @pytest.mark.parametrize("config,key", [
+        ({"scenario": {"n_scenarios": 1000000000}}, "scenario: n_scenarios"),
+        ({"scenario": {"n_scenarios": MAX_SCENARIOS + 1}}, "scenario: n_scenarios"),
+        ({"scenario": {"horizon": 1e12}}, "scenario: horizon"),
+        ({"scenario": {"dt": 1e-12}}, "scenario: dt"),
+        ({"scenario": {"n_others": MAX_OTHERS + 1}}, "scenario: n_others"),
+        ({"scenario": {"speed_max": MAX_SPEED + 0.5}}, "scenario: speed_max"),
+        ({"scenario": {"speed_min": 1e200, "speed_max": 1e200}}, "scenario: speed_min"),
+        # Each of these used to pass validate and then crash simulate with
+        # exit 1 and a message that named no key.
+        ({"road": {"lane_width": 1e300}}, "road: lane_width"),
+        ({"idm": {"a": 1e300}}, "idm: a"),
+        ({"idm": {"T": 1e300}}, "idm: T"),
+        ({"idm": {"v0": 1e-300}}, "idm: v0"),
+        ({"scenario": {"merge_lookahead": 1e300}}, "scenario: merge_lookahead"),
+        ({"scenario": {"merge_lookahead": 1e7}}, "scenario: merge_lookahead"),
+        ({"scenario": {"gap_max": 1e300}}, "scenario: gap_max"),
+        ({"scenario": {"speed_min": 1e-300, "speed_max": 1e-300}}, "scenario: speed_min"),
+        ({"scenario": {"dt": 1e5, "horizon": 1e5}}, "scenario: dt"),
     ])
-    def test_too_large_rejected(self, tmp_path, capsys, scenario, key):
+    @pytest.mark.parametrize("argv", [
+        ["validate"],
+        ["simulate", "--scenario", "0", "--policy", "Simplex", "--covariance", "small"],
+    ], ids=["validate", "simulate"])
+    def test_too_large_rejected(self, tmp_path, capsys, config, key, argv):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"scenario": scenario}))
-        code, out, err = run_cli(["validate", "--config", str(path)], capsys)
-        assert code == 2
-        assert "config ok" not in out
-        assert key in err
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(argv + ["--config", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert f"invalid {key} must be in" in err
 
     def test_desired_speed_above_the_bound_rejected(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -681,6 +698,65 @@ class TestRssParamBounds:
                                  capsys)
         assert (code, out) == (2, "")
         assert "invalid rss: a_max_accel_lat must be in" in err and "Warning" not in err
+
+
+# The parameter classes by their RunConfig field, and the declared range of
+# each numeric field by its dotted key (None if it declares none).
+PARAM_SECTIONS = {"rss": RssParams, "idm": IdmParams, "road": RoadParams,
+                  "lateral": LateralControl, "scenario": ScenarioParams}
+FIELD_BOUNDS = {f"{section}.{f.name}": f.metadata.get("bounds")
+                for section, cls in PARAM_SECTIONS.items() for f in dataclasses.fields(cls)
+                if f.type in ("float", "int", "float | None")}
+
+
+def _within(lo, hi, low_open):
+    """Values in [lo, hi] ((lo, hi] if ``low_open``), both ends among them."""
+    if isinstance(lo, int):
+        return st.integers(lo, hi)
+    ends = [math.nextafter(lo, math.inf) if low_open else lo, hi]
+    return st.floats(lo, hi, exclude_min=low_open) | st.sampled_from(ends)
+
+
+def _params(key: str, value):
+    section, name = key.split(".")
+    return section, PARAM_SECTIONS[section](**{name: value})
+
+
+class TestDeclaredBounds:
+    """Every numeric parameter declares its range beside its default, and
+    every value inside the ranges runs."""
+
+    def test_every_numeric_field_declares_a_range(self):
+        assert len(FIELD_BOUNDS) == sum(len(dataclasses.fields(cls))
+                                        for cls in PARAM_SECTIONS.values())  # all numeric
+        assert [key for key, bounds in FIELD_BOUNDS.items() if bounds is None] == []
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", FIELD_BOUNDS)
+    def test_non_finite_rejected(self, key, value):
+        # 17 of these fields accepted a non-finite value before the ranges.  On
+        # a NaN scenario.horizon run_episode never returned: classify_outcome's
+        # `elapsed > horizon - 1e-9` never holds.
+        with pytest.raises(ValueError, match=f"^{key.split('.')[1]} must be in "):
+            _params(key, value)
+
+    # Examples are whole episodes: a fixed budget keeps the property to ~2 s.
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_accepted_value_runs(self, data):
+        key = data.draw(st.sampled_from([k for k in FIELD_BOUNDS if not k.startswith("rss.")]),
+                        label="key")
+        value = data.draw(_within(*FIELD_BOUNDS[key]), label=key)
+        try:
+            section, params = _params(key, value)
+        except ValueError:  # a cross-field rule, with the other fields at their defaults
+            return
+        cfg = dataclasses.replace(RunConfig(), **{section: params})
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        result = bench.run_episode(bench.generate_scenarios(1, seed, cfg)[0], "Simplex", 0.0,
+                                   "none", cfg)
+        assert result.outcome in ("Success", "Collision", "Timeout")
+        assert result.steps <= cfg.scenario.horizon / cfg.scenario.dt + 1
 
 
 class TestValidateCommand:

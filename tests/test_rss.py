@@ -706,6 +706,17 @@ class TestBoundedStates:
                 broad.free(state, [-1.0, -1.0, -1.0, -0.1], [1.0, 1.0, 1.0, 0.1])
                 broad.unviolated(state, [0.0] * 4, [0.0] * 4)
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf,
+                                     math.nextafter(MAX_TAU, math.inf)])
+    def test_out_of_range_tau_rejected(self, tau):
+        # A NaN tau used to give Envelope(-8, 8, -4, -4) with no error, and an
+        # infinite one numbers after overflow warnings.
+        ego, agent = AgentState(0.0, 0.0, 0.0, 15.0), AgentState(20.0, 3.5, 0.0, 14.0)
+        with pytest.raises(ValueError, match="^tau must be in "):
+            safety_envelope(ego, [agent], RssParams(), tau)
+        with pytest.raises(ValueError, match="^tau must be in "):
+            pair_analysis_batch(ego, *np.array([[20.0], [3.5], [14.0], [0.0]]), RssParams(), tau)
+
 
 def smallest_offset(holds, far: float):
     """The smallest float d in [0, far] with holds(d), by bisection on the
