@@ -62,8 +62,7 @@ def cmd_envelope(args) -> int:
         "per_agent_violation_expectation": expectations,
         "switch_decision": should_switch(expectations, beta),
     }
-    json.dump(out, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")  # one write
     return 0
 
 

@@ -145,22 +145,29 @@ def analyze_step(ego: AgentState, observed, samples, exact, params: RssParams,
 def _contours(ego, agents, params, tau):
     """(a_lon_max, a_lat_min, a_lat_max, violated) of every contour of
     ``agents``, (state, samples) pairs, in stacking order, each the worst case
-    over the contour's perturbed states.  Agents that ``BroadPhase`` finds
-    free get the kernel's unrestricted contours without rows; the others
-    share passes of at most ``ROW_BUDGET`` rows."""
+    over the contour's perturbed states.  Contours that ``BroadPhase`` finds
+    free get the kernel's unrestricted contours without rows: all of an
+    agent's if its whole box is, else its leading ones, each tried with the
+    box of it and the inner contours, from the innermost up to the first
+    that is not free (the outermost's box is the whole box).  The remaining
+    rows share passes of at most ``ROW_BUDGET`` rows."""
     lon, lat = float(params.a_lon_limit), float(params.a_lat_limit)
     broad = BroadPhase(ego, params, tau)
     out, analysed, chunk, rows = [], [], [], 0
     for state, samples in agents:
-        _, deviations, counts = samples
-        if broad.free(state, *samples.box):
-            out += [(lon, -lat, lat, False)] * len(counts)
+        levels, deviations, counts = samples
+        k = len(counts)
+        free = k if broad.free(state, *samples.box) else 0
+        while free < k - 1 and broad.free(state, *samples.boxes[free]):
+            free += 1
+        out += [(lon, -lat, lat, False)] * free + [None] * (k - free)
+        if free == k:
             continue
-        out += [None] * len(counts)
+        deviations = deviations[sum(counts[:free]):]
         if chunk and rows + deviations.shape[0] > ROW_BUDGET:
             analysed += _analyze_pass(ego, chunk, params, tau)
             chunk, rows = [], 0
-        chunk.append((state, samples))
+        chunk.append((state, (levels[free:], deviations, counts[free:])))
         rows += deviations.shape[0]
     analysed = iter(analysed + (_analyze_pass(ego, chunk, params, tau) if chunk else []))
     return [c or next(analysed) for c in out]

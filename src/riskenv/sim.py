@@ -180,7 +180,10 @@ def integrate_ego(state: AgentState, a_lon: float, a_lat: float, dt: float) -> A
     """Point-mass update with piecewise-constant accelerations over dt.
 
     The longitudinal velocity component is clamped at 0 (no reversing); the
-    heading follows the velocity components.
+    heading follows the velocity components, and the speed saturates at
+    MAX_SPEED, as ``observe`` saturates observed states (two accepted
+    fields, such as a large a_lat_limit with a stiff lateral gain, can
+    command more).
     """
     vl = state.v * math.cos(state.theta)
     vt = state.v * math.sin(state.theta)
@@ -190,7 +193,7 @@ def integrate_ego(state: AgentState, a_lon: float, a_lat: float, dt: float) -> A
     v2 = math.hypot(float(vl2), vt2)
     theta2 = math.atan2(vt2, float(vl2)) if v2 > 0.0 else 0.0
     return AgentState(x=state.x + float(dx), y=state.y + dy,
-                      theta=wrap_angle(theta2), v=v2)
+                      theta=wrap_angle(theta2), v=min(v2, MAX_SPEED))
 
 
 def idm_step_others(world: WorldState, idm: IdmParams, others_v0: tuple[float, ...],

@@ -9,6 +9,7 @@ of the covariance and rotated back to state coordinates.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -40,7 +41,13 @@ def chi2_cdf_4(x: float) -> float:
 
 
 def chi2_quantile_4(p: float) -> float:
-    """Inverse of chi2_cdf_4 on [0, 1), via bracketed bisection."""
+    """Inverse of chi2_cdf_4 on [0, 1), via bracketed bisection.
+
+    The bisection from [0, 2**j] visits dyadic points only, so after d steps
+    its bracket is some [m w, (m + 1) w], w = 2**(j - d).  ``_dyadic_bracket``
+    jumps there from a Newton estimate when that provably gives the same
+    bracket; the loop then finishes as it would have (it cannot stop before
+    d = 47, and the jump goes at most to d = 46)."""
     if not (0.0 <= p < 1.0):
         raise ValueError(f"quantile level must lie in [0, 1), got {p}")
     if p == 0.0:
@@ -48,7 +55,7 @@ def chi2_quantile_4(p: float) -> float:
     hi = 1.0
     while chi2_cdf_4(hi) < p:
         hi *= 2.0
-    lo = 0.0
+    lo, hi = _dyadic_bracket(p, hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if chi2_cdf_4(mid) < p:
@@ -58,6 +65,55 @@ def chi2_quantile_4(p: float) -> float:
         if hi - lo <= 1e-14 * max(1.0, hi):
             break
     return 0.5 * (lo + hi)
+
+
+# chi2_cdf_4 rounds within a few ulp of 1.0 (2**-50) of the exact CDF; the
+# exact CDF must rise by CDF_STEP, 32 times that, over each grid step next to
+# a jump's bracket.
+CDF_STEP = 2.0 ** -44
+DEEPEST_JUMP = 46  # the deepest bracket a jump lands on (steps from [0, 2**j])
+
+
+def _chi2_density_4(x: float) -> float:
+    return 0.25 * x * math.exp(-0.5 * x)
+
+
+def _dyadic_bracket(p: float, top: float) -> tuple[float, float]:
+    """The bracket of chi2_quantile_4's bisection from [0, top] at some
+    depth of at most DEEPEST_JUMP steps, or (0.0, top) where it is unsure.
+
+    The bracket is the grid cell [a, b] of width w that holds a Newton
+    estimate x, with w the power of two just above 2 CDF_STEP / density(x).
+    Each midpoint visited before that depth is a multiple of 2 w, so one
+    outside [a, b] lies at least w beyond it, where the exact CDF differs
+    from its value at a (or b) by at least w times the density's minimum on
+    [a - w, b + w], reached at an end (the density is unimodal).  Where that
+    is at least CDF_STEP, and chi2_cdf_4(a) < p <= chi2_cdf_4(b), every such
+    midpoint's computed CDF lies on the side of p that sends the bisection
+    toward [a, b]; a = 0 and b = top are known ends."""
+    x = math.sqrt(8.0 * p) if p < 0.5 else 2.0 - 2.0 * math.log1p(-p)
+    for _ in range(20):  # Newton's method on the CDF, to well within w
+        e = math.exp(-0.5 * x)
+        density = 0.25 * x * e
+        if not density > 0.0:
+            break
+        step = (1.0 - e * (1.0 + 0.5 * x) - p) / density
+        x -= step
+        if abs(step) <= 1e-9 * x:
+            break
+    if not 0.0 < x < top:  # NaN fails too
+        return 0.0, top
+    need = 2.0 * CDF_STEP / _chi2_density_4(x)
+    if not need < top:
+        return 0.0, top
+    w = max(math.ldexp(top, -DEEPEST_JUMP), math.ldexp(1.0, math.frexp(need)[1]))
+    m = math.floor(x / w)
+    a, b = m * w, (m + 1) * w
+    ends = (a - w if a > 0.0 else b, b + w if b < top else a)
+    if (w * min(map(_chi2_density_4, ends)) >= CDF_STEP
+            and (a == 0.0 or chi2_cdf_4(a) < p) and (b == top or chi2_cdf_4(b) >= p)):
+        return a, b
+    return 0.0, top
 
 
 @dataclass(frozen=True)
@@ -72,10 +128,11 @@ class UncertaintySpec:
         sigma = np.array(self.sigma, dtype=float)  # a private, read-only copy
         if sigma.shape != (STATE_DIM, STATE_DIM):
             raise ValueError(f"sigma must be 4x4, got shape {sigma.shape}")
-        if not (np.abs(sigma) <= MAX_SIGMA).all():  # NaN fails too
+        rows = sigma.tolist()
+        if not all(abs(v) <= MAX_SIGMA for row in rows for v in row):  # NaN fails too
             raise ValueError(f"sigma entries must be finite and at most "
                              f"{MAX_SIGMA:g} in magnitude")
-        if np.abs(sigma - sigma.T).max() > 1e-9:  # eigendecompose's tolerance
+        if asymmetry(rows) > 1e-9:  # eigendecompose's tolerance
             raise ValueError("sigma must be symmetric")
         sigma.flags.writeable = False
         object.__setattr__(self, "sigma", sigma)
@@ -149,20 +206,26 @@ def eigendecompose(sigma) -> EigenBasis:
     a = np.array(sigma, dtype=float)
     if a.shape != (STATE_DIM, STATE_DIM):
         raise ValueError(f"expected a 4x4 matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    rows = a.tolist()  # the checks and the ordering run on floats
+    if not all(math.isfinite(v) for row in rows for v in row):
         raise ValueError("matrix entries must be finite")
-    if np.abs(a - a.T).max() > 1e-9:
+    if asymmetry(rows) > 1e-9:
         raise ValueError("matrix must be symmetric")
     lam, v = np.linalg.eigh(0.5 * (a + a.T))
-    scale = max(1.0, float(np.abs(lam).max()))
-    if lam.min() < -1e-9 * scale:
+    lam, vectors = lam.tolist(), v.T.tolist()
+    if min(lam) < -1e-9 * max(1.0, *map(abs, lam)):
         raise ValueError("matrix is not positive semi-definite")
-    lam = np.maximum(lam, 0.0)
-    axis = np.abs(v).argmax(axis=0)
-    order = np.lexsort((axis, -lam))
-    v = v[:, order]
-    v[:, v[axis[order], np.arange(STATE_DIM)] < 0.0] *= -1.0
-    return EigenBasis(eigenvalues=lam[order], eigenvectors=v)
+    lam = [x if x > 0.0 else 0.0 for x in lam]
+    axis = [m.index(max(m)) for m in ([abs(x) for x in u] for u in vectors)]
+    order = sorted(range(STATE_DIM), key=lambda j: (-lam[j], axis[j]))
+    vectors = [[-x for x in u] if u[k] < 0.0 else u for u, k in zip(vectors, axis)]
+    return EigenBasis(eigenvalues=np.array([lam[j] for j in order]),
+                      eigenvectors=np.array([vectors[j] for j in order]).T)  # by column, as eigh's
+
+
+def asymmetry(rows) -> float:
+    """Largest |a_ij - a_ji| of a square matrix given as lists of floats."""
+    return max(abs(rows[i][j] - rows[j][i]) for i in range(len(rows)) for j in range(i))
 
 
 def _distinct_grid(n_phi: int):
@@ -191,12 +254,21 @@ def _distinct_grid(n_phi: int):
 
 class SampleSet(tuple):
     """``(levels, deviations, counts)``, as ``contour_samples`` returns them,
-    with the per-column (min, max) of the deviations, as two lists of
-    floats, computed on first use (``box``)."""
+    with the per-column (min, max) of the deviations of contours 0..k, as
+    two lists of floats, for each k (``boxes``) and for all (``box``),
+    computed on first use."""
 
     @functools.cached_property
     def box(self):
-        return self[1].min(axis=0).tolist(), self[1].max(axis=0).tolist()
+        return self.boxes[-1]
+
+    @functools.cached_property
+    def boxes(self):
+        _, deviations, counts = self
+        starts = [0, *itertools.accumulate(counts[:-1])]  # reduceat is the fast column reduction
+        return list(zip(
+            np.minimum.accumulate(np.minimum.reduceat(deviations, starts), axis=0).tolist(),
+            np.maximum.accumulate(np.maximum.reduceat(deviations, starts), axis=0).tolist()))
 
 
 # Samples of a zero covariance: one zero deviation (a read-only row) carrying

@@ -2,7 +2,8 @@
 
 The oracles deliberately avoid the library's fast paths: explicit braking
 profile simulation, discretized acceleration search, the 40-step bisection
-the closed-form bound solver reproduces, exhaustive joint enumeration of
+the closed-form bound solver reproduces, the chi-square quantile's full
+bisection, exhaustive joint enumeration of
 envelope distributions, one contour point at a time, one contour level at a
 time, one agent's perturbed states at a time, the full n_phi^3 contour grid
 with its repeated points, and the episode loop with a policy that applies
@@ -68,6 +69,7 @@ from riskenv.uncertainty import (
     EigenBasis,
     UncertaintySpec,
     _distinct_grid,
+    chi2_cdf_4,
     chi2_quantile_4,
     draw_noise,
 )
@@ -168,6 +170,26 @@ def bisect_largest(cond, lo: float, hi: float, n: int, iters: int = 40) -> np.nd
     ok_hi = cond(np.full(n, hi), rows)
     ok_lo = cond(np.full(n, lo), rows)
     return np.where(ok_hi, hi, np.where(ok_lo, lo + a * h, lo))
+
+
+def chi2_quantile_bisection(p: float) -> float:
+    """Oracle of ``chi2_quantile_4``: its bisection from [0, 2**j], every step
+    taken, with the same stop rule."""
+    if p == 0.0:
+        return 0.0
+    hi = 1.0
+    while chi2_cdf_4(hi) < p:
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if chi2_cdf_4(mid) < p:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-14 * max(1.0, hi):
+            break
+    return 0.5 * (lo + hi)
 
 
 def pairwise_envelope(ego: AgentState, other: AgentState,

@@ -586,9 +586,13 @@ class TestOneAnalysisPerStep:
     @pytest.mark.parametrize("kind", bench.POLICY_NAMES)
     def test_one_kernel_call_per_step(self, cfg, small_set, kind, monkeypatch):
         """At most one kernel call and one geometry per decision, and none
-        when the broad phase certifies every agent."""
+        when the broad phase certifies every agent.  The broad phase tries
+        each agent's whole box once; where that is not free, it tries its
+        contours from the innermost outward (the box of contours 0..k), one
+        certification per contour tried, up to the first that is not free
+        and never the outermost, whose box is the whole box."""
         counts = {"geometry": 0, "pair_analysis_batch": 0, "violation_batch": 0}
-        certified, decisions = [], []
+        certified, decisions, partly_free = [], [], []
 
         class CountedGeometry(rss._PairGeometry):
             def __init__(self, *args):
@@ -613,8 +617,18 @@ class TestOneAnalysisPerStep:
             before = dict(counts)
             certified.clear()
             out = decide(policy, obs, world)
-            agents = len(obs.others) + (len(world.others) if policy.restricting else 0)
-            assert len(certified) == agents
+            contours = [1] * len(obs.others)  # per agent, in stacking order
+            if policy.restricting:
+                contours = [len(policy.samples[2])] * len(obs.others) + [1] * len(world.others)
+            tried = iter(certified)
+            for k in contours:
+                if next(tried):  # the whole box
+                    continue
+                for inner in range(k - 1):
+                    if not next(tried):
+                        break
+                    partly_free.append(inner)
+            assert next(tried, None) is None
             decisions.append(({k: counts[k] - before[k] for k in counts}, all(certified)))
             return out
 
@@ -634,6 +648,7 @@ class TestOneAnalysisPerStep:
         for calls, all_certified in decisions:
             assert calls["geometry"] == calls[kernel] == (0 if all_certified else 1)
         assert 0 < sum(all_certified for _, all_certified in decisions) < len(decisions)
+        assert bool(partly_free) is (kind == "ProbabilisticEnvelopeRestriction")
 
 
 class TestOneDecompositionPerCovariance:

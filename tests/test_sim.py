@@ -33,7 +33,7 @@ from riskenv.sim import (
     safety_maneuver,
 )
 from riskenv.uncertainty import UncertaintySpec, draw_noise, eigendecompose
-from riskenv import bench
+from riskenv import bench, cli
 
 RSS = RssParams()
 ROAD = RoadParams()
@@ -233,6 +233,34 @@ class TestIntegration:
             state = integrate_ego(state, a_lon, a_lat, 0.2)
         assert state.v >= 0.0
         assert -math.pi / 2 <= state.theta <= math.pi / 2
+
+    def test_speed_saturates_at_the_bound(self):
+        state = integrate_ego(AgentState(0.0, 0.0, 0.0, 90.0), 8.0, 1000.0, 0.2)
+        assert state.v == MAX_SPEED
+        assert state.theta == pytest.approx(math.atan2(200.0, 91.6))  # the heading holds
+        assert integrate_ego(AgentState(0.0, 0.0, 0.0, MAX_SPEED), 8.0, 0.0, 0.2).v == MAX_SPEED
+
+
+class TestCrossFieldConfigs:
+    """Configs whose fields each lie in their range, but whose combination
+    once drove the ego past MAX_SPEED and crashed ``simulate`` (exit 1)."""
+
+    @pytest.mark.parametrize("config, argv", [
+        # One saturated lateral step at kp = 1000 gives about 200 m/s sideways.
+        ({"rss": {"a_lat_limit": 1000}, "lateral": {"kp": 1000}},
+         ["--policy", "EnvelopeRestriction", "--covariance", "none"]),
+        # The ego steers toward a lane 1e6 m away until it passes MAX_SPEED.
+        ({"road": {"lane_width": 1e6}, "scenario": {"horizon": 100}},
+         ["--scenario", "0", "--policy", "Simplex", "--covariance", "small"]),
+    ], ids=["stiff-lateral-gain", "far-lane"])
+    def test_simulate_runs_with_the_speed_saturated(self, tmp_path, capsys, config, argv):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path), *argv])
+        assert code == 0, capsys.readouterr().err
+        [trace] = tmp_path.glob("trace_*.jsonl")
+        speeds = [json.loads(line)["ego"]["v"] for line in trace.read_text().splitlines()]
+        assert max(speeds) == MAX_SPEED
 
 
 class TestOutcomes:

@@ -21,6 +21,7 @@ from riskenv.uncertainty import (
 
 from conftest import (
     StateDeviation,
+    chi2_quantile_bisection,
     contour_deviation,
     first_grid_indices,
     full_grid_contour,
@@ -109,6 +110,41 @@ class TestChi2:
     @settings(max_examples=200)
     def test_round_trip_property(self, p):
         assert abs(chi2_cdf_4(chi2_quantile_4(p)) - p) < 1e-9
+
+
+class TestChi2QuantileJump:
+    """The jump to a verified dyadic bracket returns the bisection's bits."""
+
+    @pytest.mark.parametrize("p", [5e-324, 1e-300, 1e-17, 1e-9, 0.25, 0.5, 0.75, 0.93,
+                                   0.97, 0.999, 1.0 - 1e-9, 1.0 - 2.0 ** -52,
+                                   1.0 - 2.0 ** -53])
+    def test_edge_and_default_levels(self, p):
+        assert chi2_quantile_4(p) == chi2_quantile_bisection(p)
+
+    @given(p=st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                       st.floats(-16.0, -1.0).map(lambda e: 1.0 - 10.0 ** e),
+                       st.floats(-320.0, 0.0).map(lambda e: 10.0 ** e),
+                       st.integers(1, 40 * 2 ** 20).map(lambda k: chi2_cdf_4(k / 2.0 ** 20))))
+    @settings(max_examples=500)
+    def test_equals_the_bisection(self, p):
+        if 0.0 < p < 1.0:
+            assert chi2_quantile_4(p) == chi2_quantile_bisection(p)
+
+    def test_equals_the_bisection_on_a_seeded_sweep(self):
+        # Uniform levels, levels spread over every scale, levels within
+        # 1e-15.9 of 1, where the CDF's rounding is coarsest, and the CDF at
+        # points of every bracket grid (multiples of 2**-20) and its float
+        # neighbours, where the estimate can fall in the next grid cell.
+        rng = np.random.default_rng(21)
+        levels = np.concatenate([rng.uniform(0.0, 1.0, 1500),
+                                 10.0 ** rng.uniform(-320.0, 0.0, 1000),
+                                 1.0 - 10.0 ** rng.uniform(-15.95, -15.9, 500)]).tolist()
+        for x in (rng.integers(1, 40 * 2 ** 20, 300) / 2.0 ** 20).tolist():
+            p = chi2_cdf_4(x)
+            levels += [p, math.nextafter(p, 0.0), math.nextafter(p, 1.0)]
+        for p in levels:
+            if 0.0 < p < 1.0:
+                assert chi2_quantile_4(p) == chi2_quantile_bisection(p), p
 
 
 def random_rotation(rng):
