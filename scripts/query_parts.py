@@ -38,6 +38,9 @@ PARTS = (
     ("json output", "json", "dumps"),
 )
 
+# One thread per numeric library, as perfbench's workers run.
+THREAD_PINS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
 # Runs in a child process with the checkout's src/ and perfbench/ on the path.
 CHILD = r"""
 import contextlib, importlib, io, json, os, sys, tempfile, time
@@ -87,7 +90,8 @@ print(dumps({k: v / len(inputs) * 1e6 for k, v in totals.items()}))
 
 def measure(checkout: Path, seed: int) -> dict:
     """Mean µs per query of each part in one run over ``checkout``."""
-    env = {"PYTHONPATH": f"{checkout / 'src'}:{checkout / 'perfbench'}", "PATH": ""}
+    env = {"PYTHONPATH": f"{checkout / 'src'}:{checkout / 'perfbench'}", "PATH": "",
+           **THREAD_PINS}
     labels = [[label, module, attr] for label, module, attr in PARTS]
     run = subprocess.run([sys.executable, "-c", CHILD, json.dumps(labels), str(seed)],
                          capture_output=True, text=True, check=True, env=env)

@@ -149,6 +149,8 @@ def _key(where: str, key) -> str:
 def _number(where: str, value) -> float:
     """A finite JSON number; a bool, a string, NaN, an infinity or an integer
     literal beyond the float range is not one."""
+    if type(value) is float and math.isfinite(value):  # as JSON gives most numbers
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
     try:

@@ -156,19 +156,21 @@ def _contours(ego, agents, params, tau):
     out, analysed, chunk, rows = [], [], [], 0
     for state, samples in agents:
         levels, deviations, counts = samples
-        k = len(counts)
-        free = k if broad.free(state, *samples.box) else 0
-        while free < k - 1 and broad.free(state, *samples.boxes[free]):
-            free += 1
-        out += [(lon, -lat, lat, False)] * free + [None] * (k - free)
-        if free == k:
+        if broad.free(state, *samples.box):
+            out += [(lon, -lat, lat, False)] * len(counts)
             continue
-        deviations = deviations[sum(counts[:free]):]
-        if chunk and rows + deviations.shape[0] > ROW_BUDGET:
+        free = 0
+        while free < len(counts) - 1 and broad.free(state, *samples.boxes[free]):
+            free += 1
+        if free:  # the kernel analyses the contours left
+            out += [(lon, -lat, lat, False)] * free
+            samples = levels[free:], deviations[sum(counts[:free]):], counts[free:]
+        out += [None] * len(samples[2])
+        if chunk and rows + samples[1].shape[0] > ROW_BUDGET:
             analysed += _analyze_pass(ego, chunk, params, tau)
             chunk, rows = [], 0
-        chunk.append((state, (levels[free:], deviations, counts[free:])))
-        rows += deviations.shape[0]
+        chunk.append((state, samples))
+        rows += samples[1].shape[0]
     analysed = iter(analysed + (_analyze_pass(ego, chunk, params, tau) if chunk else []))
     return [c or next(analysed) for c in out]
 
