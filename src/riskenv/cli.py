@@ -62,7 +62,7 @@ def cmd_envelope(args) -> int:
         "per_agent_violation_expectation": expectations,
         "switch_decision": should_switch(expectations, beta),
     }
-    sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")  # one write
+    sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")  # not one per chunk
     return 0
 
 

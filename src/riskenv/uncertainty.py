@@ -132,7 +132,7 @@ class UncertaintySpec:
         if not all(abs(v) <= MAX_SIGMA for row in rows for v in row):  # NaN fails too
             raise ValueError(f"sigma entries must be finite and at most "
                              f"{MAX_SIGMA:g} in magnitude")
-        if asymmetry(rows) > 1e-9:  # eigendecompose's tolerance
+        if _asymmetry(rows) > 1e-9:  # eigendecompose's tolerance
             raise ValueError("sigma must be symmetric")
         sigma.flags.writeable = False
         object.__setattr__(self, "sigma", sigma)
@@ -209,7 +209,7 @@ def eigendecompose(sigma) -> EigenBasis:
     rows = a.tolist()  # the checks and the ordering run on floats
     if not all(math.isfinite(v) for row in rows for v in row):
         raise ValueError("matrix entries must be finite")
-    if asymmetry(rows) > 1e-9:
+    if _asymmetry(rows) > 1e-9:
         raise ValueError("matrix must be symmetric")
     lam, v = np.linalg.eigh(0.5 * (a + a.T))
     lam, vectors = lam.tolist(), v.T.tolist()
@@ -219,11 +219,12 @@ def eigendecompose(sigma) -> EigenBasis:
     axis = [m.index(max(m)) for m in ([abs(x) for x in u] for u in vectors)]
     order = sorted(range(STATE_DIM), key=lambda j: (-lam[j], axis[j]))
     vectors = [[-x for x in u] if u[k] < 0.0 else u for u, k in zip(vectors, axis)]
+    # The eigenvectors are laid out by column, as eigh gives them.
     return EigenBasis(eigenvalues=np.array([lam[j] for j in order]),
-                      eigenvectors=np.array([vectors[j] for j in order]).T)  # by column, as eigh's
+                      eigenvectors=np.array([vectors[j] for j in order]).T)
 
 
-def asymmetry(rows) -> float:
+def _asymmetry(rows) -> float:
     """Largest |a_ij - a_ji| of a square matrix given as lists of floats."""
     return max(abs(rows[i][j] - rows[j][i]) for i in range(len(rows)) for j in range(i))
 

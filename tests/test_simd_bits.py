@@ -41,7 +41,7 @@ LEVELS = {
 CHILD = r"""
 import json, sys
 from pathlib import Path
-from numpy._core._multiarray_umath import __cpu_features__
+from test_simd_bits import cpu_module
 from riskenv.rss import AgentState, RssParams, pair_analysis_batch
 from test_envelope_digest import envelope_digest
 from test_simd_bits import contour_rows_digest
@@ -54,7 +54,7 @@ for case in golden["cases"]:
                               o["theta"], RssParams(**case["params"]), case["tau"])
     for name, values in zip(("a_lon_max", "a_lat_min", "a_lat_max", "violated"), got):
         rows_ok &= values.tolist() == case[name]
-print(json.dumps({"features": __cpu_features__, "rows_ok": rows_ok,
+print(json.dumps({"features": cpu_module().__cpu_features__, "rows_ok": rows_ok,
                   "digest": envelope_digest(), "contour_rows": contour_rows_digest()}))
 """
 
@@ -70,10 +70,19 @@ def contour_rows_digest() -> str:
     return digest.hexdigest()
 
 
+def cpu_module():
+    """numpy's module that reports its CPU dispatch (numpy 2.x, else 1.x)."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:
+        from numpy.core import _multiarray_umath
+    return _multiarray_umath
+
+
 def dispatched_features() -> set:
     """The dispatch targets of this numpy that the host supports."""
-    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    return {name for name in __cpu_dispatch__ if __cpu_features__.get(name)}
+    umath = cpu_module()
+    return {name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)}
 
 
 @pytest.mark.parametrize("level", LEVELS)
