@@ -18,6 +18,7 @@ below the requested risk level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import accumulate
@@ -47,6 +48,7 @@ from .uncertainty import (
 )
 
 MASS_TOL = 1e-12
+_COMPONENTS_OF = attrgetter(*(name for name, _ in COMPONENTS))  # in COMPONENTS order
 
 
 @dataclass(frozen=True)
@@ -136,10 +138,11 @@ def analyze_step(ego: AgentState, observed, samples, exact, params: RssParams,
     # Each exact agent has one contour, after those of the observed agents or,
     # once, its own; the worst case is the component-wise most restrictive one.
     tail = contours if once else contours[len(observed) * len(levels):]
-    exact_env = unrestricted_envelope(params) if not tail else Envelope(
-        -params.a_lon_limit, min(c[0] for c in tail), max(c[1] for c in tail),
-        min(c[2] for c in tail))
-    return dists, expectations, exact_env
+    if not tail:
+        return dists, expectations, unrestricted_envelope(params)
+    lon_max, lat_min, lat_max, _ = zip(*tail)
+    return dists, expectations, Envelope(-params.a_lon_limit, min(lon_max), max(lat_min),
+                                         min(lat_max))
 
 
 def _contours(ego, agents, params, tau):
@@ -226,11 +229,10 @@ def risk_bounded_envelope(distributions, beta: float, params: RssParams) -> Enve
     distributions = list(distributions)
     if not distributions:
         return unrestricted_envelope(params)
-    read = attrgetter(*(name for name, _ in COMPONENTS))
-    sentinel = read(restrictive_sentinel(params))
+    sentinel = _COMPONENTS_OF(restrictive_sentinel(params))
     supports = ([], [], [], [])  # per component, each agent's value -> mass
     for dist in distributions:
-        columns = tuple(zip(*map(read, dist.envelopes))) or ((),) * len(supports)
+        columns = tuple(zip(*map(_COMPONENTS_OF, dist.envelopes))) or ((),) * len(supports)
         total = reduce(add, dist.masses, 0.0)  # a value on every contour, summed as below
         for k, column in enumerate(columns):
             support = {sentinel[k]: dist.residual_mass} if dist.residual_mass > 0.0 else {}
@@ -240,23 +242,20 @@ def risk_bounded_envelope(distributions, beta: float, params: RssParams) -> Enve
                 for mass, v in zip(dist.masses, column):
                     support[v] = support.get(v, 0.0) + mass
             supports[k].append(support)
-    values = {}
-    for (name, orientation), component in zip(COMPONENTS, supports):
+    values = []
+    for (_, orientation), component in zip(COMPONENTS, supports):
         candidates = sorted({v for s in component for v in s}, reverse=orientation < 0.0)
         best, cum = candidates[0], [0.0] * len(component)
         for prev, v in zip(candidates, candidates[1:]):  # nothing to discard before the first
-            for j, s in enumerate(component):
-                cum[j] += s.get(prev, 0.0)
-            survive = 1.0
-            for c in cum:
-                survive *= 1.0 - c
+            cum = [c + s.get(prev, 0.0) for c, s in zip(cum, component)]
+            survive = math.prod([1.0 - c for c in cum])  # multiplied in agent order
             # Mass that is certain to be more restrictive is never discarded,
             # so beta = 1 still respects any agent's full support.
             if not (1.0 - survive <= beta and survive > 0.0):
                 break
             best = v
-        values[name] = best
-    return Envelope(**values)
+        values.append(best)
+    return Envelope(*values)
 
 
 def should_switch(expectations, beta: float) -> bool:

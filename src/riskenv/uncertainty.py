@@ -306,11 +306,12 @@ def contour_samples(basis: EigenBasis, spec: UncertaintySpec):
     g1, g2, g3 = _distinct_grid(spec.n_phi)
     # The radius is the first factor of each product, so every level rounds
     # as it would on its own.
+    s1, s2 = s[g1], s[g2]
     d_eigen = np.stack([
         r[..., 0] * c[g1],
-        r[..., 1] * s[g1] * c[g2],
-        r[..., 2] * s[g1] * s[g2] * c[g3],
-        r[..., 3] * s[g1] * s[g2] * s[g3],
+        r[..., 1] * s1 * c[g2],
+        r[..., 2] * s1 * s2 * c[g3],
+        r[..., 3] * s1 * s2 * s[g3],
     ], axis=-1)
     return SampleSet((levels, d_eigen.reshape(-1, STATE_DIM) @ basis.eigenvectors.T,
                       (g1.size,) * len(levels)))
