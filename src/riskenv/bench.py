@@ -23,7 +23,9 @@ reads only the ego, and a zero-covariance draw (+-0.0) moves no observed value.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -105,7 +107,7 @@ def analysis(kind: str, spec: UncertaintySpec) -> tuple[bool, bool]:
     """(restricting, exact): whether ``kind``'s analysis of ``spec`` yields
     envelopes, and whether it runs at zero covariance; reads ``spec.basis``."""
     return (kind in RESTRICTING_POLICIES,
-            kind in BETA_FREE_POLICIES or spec.basis.eigenvalues[0] <= 0.0)
+            kind in BETA_FREE_POLICIES or spec.basis.is_zero)
 
 
 def acting_beta(kind: str, beta: float, spec: UncertaintySpec) -> float:
@@ -180,7 +182,7 @@ def run_episode(scn: ScenarioConfig, kind: str, beta: float, case: str,
     world = initial_world(scn, cfg)
     result = EpisodeResult(outcome="Timeout", steps=0)
     latched = False
-    noisy = spec.basis.eigenvalues[0] > 0.0
+    noisy = not spec.basis.is_zero
     while True:
         if noisy and (not latched or collect_trace):
             obs = observe(world, draw_noise(spec.basis, obs_rng, len(world.others)))
@@ -285,50 +287,32 @@ def sweep(scenarios, policies, cases, betas, cfg: RunConfig,
     return [replace(by_group[group(p, c, b)], policy=p, beta=b) for p, c, b in cells]
 
 
-CSV_HEADER = ("policy,covariance_case,beta,success_rate,collision_rate,"
-              "timeout_rate,n,mean_steps,mean_violation_freq")
+# The fields of a RateRow that the rate table shows, in column order: the CSV
+# header and rows and the keys of each results.json record.
+COLUMNS = ("policy", "covariance_case", "beta", "success_rate", "collision_rate",
+           "timeout_rate", "n", "mean_steps", "mean_violation_freq")
+_columns_of = attrgetter(*COLUMNS)
+
+
+def _csv_cell(value) -> str:
+    """A name as it is, None as an empty cell, a number by repr (round-trips)."""
+    return value if isinstance(value, str) else "" if value is None else repr(value)
 
 
 def rows_to_csv(rows) -> str:
-    lines = [CSV_HEADER]
-    for r in rows:
-        freq = "" if r.mean_violation_freq is None else repr(r.mean_violation_freq)
-        lines.append(f"{r.policy},{r.covariance_case},{r.beta!r},{r.success_rate!r},"
-                     f"{r.collision_rate!r},{r.timeout_rate!r},{r.n},"
-                     f"{r.mean_steps!r},{freq}")
+    lines = [",".join(COLUMNS), *(",".join(map(_csv_cell, _columns_of(r))) for r in rows)]
     return "\n".join(lines) + "\n"
 
 
 def rows_to_json(rows) -> list[dict]:
-    return [{
-        "policy": r.policy,
-        "covariance_case": r.covariance_case,
-        "beta": r.beta,
-        "success_rate": r.success_rate,
-        "collision_rate": r.collision_rate,
-        "timeout_rate": r.timeout_rate,
-        "n": r.n,
-        "mean_steps": r.mean_steps,
-        "mean_violation_freq": r.mean_violation_freq,
-        "scenarios": r.outcomes,
-    } for r in rows]
+    return [dict(zip(COLUMNS, _columns_of(r)), scenarios=r.outcomes) for r in rows]
 
 
 def spearman(xs, ys) -> float:
     """Spearman rank correlation (average ranks for ties)."""
-    def ranks(vals):
-        order = sorted(range(len(vals)), key=lambda i: vals[i])
-        r = [0.0] * len(vals)
-        i = 0
-        while i < len(order):
-            j = i
-            while j + 1 < len(order) and vals[order[j + 1]] == vals[order[i]]:
-                j += 1
-            avg = 0.5 * (i + j) + 1.0
-            for k in range(i, j + 1):
-                r[order[k]] = avg
-            i = j + 1
-        return r
+    def ranks(vals):  # (smaller values) + (equal values + 1) / 2
+        s = sorted(vals)
+        return [(bisect_left(s, v) + bisect_right(s, v) + 1) / 2 for v in vals]
 
     rx = ranks(list(xs))
     ry = ranks(list(ys))

@@ -31,6 +31,7 @@ from .config import (
     read_json,
 )
 from .prob_envelope import analyze_step, risk_bounded_envelope, should_switch
+from .rss import COMPONENTS
 
 log = logging.getLogger("riskenv")
 
@@ -46,8 +47,7 @@ def _setup_logging() -> None:
 
 
 def _envelope_dict(env) -> dict:
-    return {"a_lon_min": env.a_lon_min, "a_lon_max": env.a_lon_max,
-            "a_lat_min": env.a_lat_min, "a_lat_max": env.a_lat_max}
+    return {name: getattr(env, name) for name, _ in COMPONENTS}
 
 
 def cmd_envelope(args) -> int:
@@ -62,7 +62,7 @@ def cmd_envelope(args) -> int:
         "per_agent_violation_expectation": expectations,
         "switch_decision": should_switch(expectations, beta),
     }
-    sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")  # not one per chunk
+    sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")
     return 0
 
 

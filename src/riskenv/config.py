@@ -2,8 +2,8 @@
 
 Every physical parameter of the library lives here.  The run config and the
 envelope input share one set of readers: an unknown key or a value of the
-wrong JSON type raises ConfigError naming its dotted key.  Covariances
-accept either a 4-entry diagonal shorthand or a 16-entry row-major matrix.
+wrong JSON type raises ConfigError naming its dotted key.  A covariance
+is 4 diagonal entries, 16 row-major entries or 4 rows of 4.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -41,13 +41,6 @@ def check_beta(beta: float, where: str = "beta") -> float:
     if not (0.0 <= beta <= 1.0):
         raise ConfigError(f"{where} {beta} outside [0, 1]")
     return beta
-
-
-def check_tau(tau: float) -> float:
-    """``tau`` if it is an envelope horizon in (0, MAX_TAU]; NaN is not one."""
-    if not (0.0 < tau <= MAX_TAU):
-        raise ConfigError(f"tau must be finite, > 0 and <= {MAX_TAU:g} s, got {tau}")
-    return tau
 
 
 # Bounds on the scenario sizes, so that every accepted config runs in bounded
@@ -100,11 +93,15 @@ class RunConfig:
     uncertainty: dict = field(default_factory=dict)  # case name -> UncertaintySpec
     policies: tuple[str, ...] = POLICY_NAMES
     betas: tuple[float, ...] = DEFAULT_BETAS
-    simplex_samples: int = 100
-    tau: float = 0.2
-    seed: int = 20260808
+    simplex_samples: int = bounded(100, 1, MAX_SIMPLEX_ROWS)
+    tau: float = bounded(0.2, 0.0, MAX_TAU, low_open=True)  # envelope horizon (s)
+    seed: int = bounded(20260808, 0, math.inf)
 
     def __post_init__(self):
+        try:
+            check_bounds(self)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not self.uncertainty:
             object.__setattr__(self, "uncertainty", default_uncertainty())
         for key in ("policies", "betas"):
@@ -118,15 +115,10 @@ class RunConfig:
         for case in self.uncertainty:
             if case not in COVARIANCE_CASES:
                 raise ConfigError(f"unknown covariance case {case!r}")
-        if self.simplex_samples < 1:
-            raise ConfigError("simplex_samples must be >= 1")
         if self.simplex_samples * self.scenario.n_others > MAX_SIMPLEX_ROWS:
             raise ConfigError(f"simplex_samples x scenario.n_others must be <= "
                               f"{MAX_SIMPLEX_ROWS}, got {self.simplex_samples} x "
                               f"{self.scenario.n_others}")
-        check_tau(self.tau)
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def default_uncertainty(contour_levels=DEFAULT_CONTOUR_LEVELS,
@@ -235,7 +227,7 @@ def _sigma(where: str, value) -> np.ndarray:
     if arr.shape == (STATE_DIM, STATE_DIM):
         return arr
     raise ConfigError(
-        f"{where} must hold 4 diagonal entries or 16 row-major entries")
+        f"{where} must hold 4 diagonal entries, 16 row-major entries or 4 rows of 4")
 
 
 SPEC_READERS = {"sigma": _sigma, "contour_levels": _numbers, "n_phi": _integer}
@@ -302,7 +294,7 @@ def envelope_input(data, cfg: RunConfig, beta: float):
     data = _object(ENVELOPE_READERS, "", data, ("ego", "sigma"))
     base = cfg.uncertainty["small"]
     spec = uncertainty_spec("", data, base.contour_levels, base.n_phi)
-    tau = check_tau(data["tau"]) if "tau" in data else cfg.tau
+    tau = replace(cfg, tau=data["tau"]).tau if "tau" in data else cfg.tau
     return (data["ego"], data.get("agents", ()), spec,
             check_beta(data.get("beta", beta)), tau)
 

@@ -112,11 +112,13 @@ def _bounds(cls) -> tuple:  # (name, lo, hi, low_open) of each bounded field
 
 
 def check_bounds(params) -> None:
-    """Raise ValueError naming the first field outside its range: NaN never fits, None does."""
+    """Raise ValueError naming the first field outside its range: NaN and the
+    infinities never fit (an infinite end is open), None does."""
     for name, lo, hi, low_open in _bounds(type(params)):
         v = getattr(params, name)
-        if v is not None and not (lo < v <= hi if low_open else lo <= v <= hi):
-            raise ValueError(f"{name} must be in {'[('[low_open]}{lo:g}, {hi:g}], got {v}")
+        if v is not None and (v == math.inf or not (lo < v <= hi if low_open else lo <= v <= hi)):
+            raise ValueError(f"{name} must be in {'[('[low_open]}{lo:g}, {hi:g}"
+                             f"{'])'[hi == math.inf]}, got {v}")
 
 
 @dataclass(frozen=True)

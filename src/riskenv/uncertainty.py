@@ -192,6 +192,11 @@ class EigenBasis:
     eigenvalues: np.ndarray   # shape (4,), descending, >= 0
     eigenvectors: np.ndarray  # shape (4, 4), columns are eigenvectors
 
+    @property
+    def is_zero(self) -> bool:
+        """Whether the covariance is zero: its largest eigenvalue is."""
+        return self.eigenvalues[0] <= 0.0
+
 
 def eigendecompose(sigma) -> EigenBasis:
     """Eigendecomposition of a symmetric PSD matrix by LAPACK (``np.linalg.eigh``).
@@ -295,7 +300,7 @@ def contour_samples(basis: EigenBasis, spec: UncertaintySpec):
     rounding.  Zero covariance collapses every contour onto the observation
     itself (``EXACT_SAMPLES``).
     """
-    if basis.eigenvalues[0] <= 0.0:  # the largest eigenvalue
+    if basis.is_zero:
         return EXACT_SAMPLES
     levels = spec.contour_levels
     q = np.array([chi2_quantile_4(p) for p in levels])

@@ -498,7 +498,8 @@ class TestOutputs:
         rows = bench.sweep(small_set, ["Simplex"], ["none"], [0.0, 0.5], cfg)
         text = bench.rows_to_csv(rows)
         lines = text.strip().split("\n")
-        assert lines[0] == bench.CSV_HEADER
+        assert lines[0] == ("policy,covariance_case,beta,success_rate,collision_rate,"
+                            "timeout_rate,n,mean_steps,mean_violation_freq")
         assert len(lines) == 1 + 2
         assert text == bench.rows_to_csv(rows)
 

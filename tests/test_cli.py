@@ -29,7 +29,7 @@ from riskenv.config import (
 )
 from riskenv.rss import MAX_POSITION, MAX_SPEED, MAX_TAU, RssParams, restrictive_sentinel
 from riskenv.sim import IdmParams, LateralControl, RoadParams
-from riskenv.uncertainty import MAX_SIGMA
+from riskenv.uncertainty import MAX_SIGMA, MAX_SIMPLEX_ROWS
 
 # Symmetric covariances with a negative eigenvalue: a 4-entry diagonal and a
 # 16-entry matrix with eigenvalues 3, 1, 1 and -1.
@@ -707,6 +707,9 @@ PARAM_SECTIONS = {"rss": RssParams, "idm": IdmParams, "road": RoadParams,
 FIELD_BOUNDS = {f"{section}.{f.name}": f.metadata.get("bounds")
                 for section, cls in PARAM_SECTIONS.items() for f in dataclasses.fields(cls)
                 if f.type in ("float", "int", "float | None")}
+# RunConfig's own numbers, by name.
+RUN_BOUNDS = {f.name: f.metadata.get("bounds") for f in dataclasses.fields(RunConfig)
+              if f.type in ("float", "int")}
 
 
 def _within(lo, hi, low_open):
@@ -739,6 +742,22 @@ class TestDeclaredBounds:
         # `elapsed > horizon - 1e-9` never holds.
         with pytest.raises(ValueError, match=f"^{key.split('.')[1]} must be in "):
             _params(key, value)
+
+    def test_run_config_numbers_declare_a_range(self):
+        assert RUN_BOUNDS == {"simplex_samples": (1, MAX_SIMPLEX_ROWS, False),
+                              "tau": (0.0, MAX_TAU, True), "seed": (0, math.inf, False)}
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", RUN_BOUNDS)
+    def test_run_config_non_finite_rejected(self, name, value):
+        # A NaN seed or simplex_samples passed the hand-written checks
+        # (`seed < 0`, `simplex_samples < 1`) before the declared ranges.
+        with pytest.raises(ConfigError, match=f"^{name} must be in "):
+            RunConfig(**{name: value})
+
+    def test_every_non_negative_seed_accepted(self):
+        assert RunConfig(seed=0).seed == 0
+        assert RunConfig(seed=10**400).seed == 10**400
 
     # Examples are whole episodes: a fixed budget keeps the property to ~2 s.
     @given(data=st.data())
@@ -867,7 +886,7 @@ class TestValidateCommand:
         path.write_text('{"tau": 1e160}')
         code, out, err = run_cli(["validate", "--config", str(path)], capsys)
         assert (code, out) == (2, "")
-        assert f"tau must be finite, > 0 and <= {MAX_TAU:g} s" in err
+        assert f"tau must be in (0, {MAX_TAU:g}], got 1e+160" in err
         path.write_text(json.dumps({"tau": MAX_TAU}))
         assert run_cli(["validate", "--config", str(path)], capsys)[:2] == (0, "config ok\n")
 

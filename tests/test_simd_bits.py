@@ -7,8 +7,9 @@ digest must not depend on the level, so each is rerun in a child process
 with ``NPY_DISABLE_CPU_FEATURES`` set, first with AVX-512 disabled, then
 with AVX2 (X86_V3) disabled as well.  Both pin rounded outputs (the bound
 solver snaps onto a grid), so a last-bit change upstream can pass them; the
-child also hashes the contour rows of the digest's specs, which must match
-this process's bit for bit.
+child also hashes, for the digest's specs, the contour rows, the stacked
+rows of a few agent states under them and the kernel's unsnapped safe
+distances to those rows, which must match this process's bit for bit.
 
 numpy 2.x warns and ignores a name that is not among its dispatch targets,
 and refuses to disable a feature that is part of its baseline; a feature
@@ -20,6 +21,7 @@ run is the parent's level; on a host without x86 dispatch both are.
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -27,6 +29,8 @@ from pathlib import Path
 
 import pytest
 
+from riskenv.prob_envelope import stacked_states
+from riskenv.rss import AgentState, RssParams, _PairGeometry
 from riskenv.uncertainty import UncertaintySpec
 from test_envelope_digest import ENVELOPE_SHA256, LARGE, SMALL
 
@@ -44,7 +48,7 @@ from pathlib import Path
 from test_simd_bits import cpu_module
 from riskenv.rss import AgentState, RssParams, pair_analysis_batch
 from test_envelope_digest import envelope_digest
-from test_simd_bits import contour_rows_digest
+from test_simd_bits import bits_digests
 
 golden = json.loads((Path(sys.argv[1]) / "kernel_golden.json").read_text())
 rows_ok = True
@@ -55,19 +59,36 @@ for case in golden["cases"]:
     for name, values in zip(("a_lon_max", "a_lat_min", "a_lat_max", "violated"), got):
         rows_ok &= values.tolist() == case[name]
 print(json.dumps({"features": cpu_module().__cpu_features__, "rows_ok": rows_ok,
-                  "digest": envelope_digest(), "contour_rows": contour_rows_digest()}))
+                  "digest": envelope_digest(), **bits_digests()}))
 """
 
 
-def contour_rows_digest() -> str:
-    """sha256 of the contour rows of every diagonal spec the digest uses."""
-    digest = hashlib.sha256()
+EGO = AgentState(x=0.0, y=0.1, theta=0.01, v=18.0)
+# Ahead, behind and beside the ego; the last drives against the road, so its
+# perturbed headings wrap at pi.
+AGENTS = (AgentState(x=22.0, y=3.4, theta=-0.02, v=15.0),
+          AgentState(x=-14.0, y=3.6, theta=0.03, v=24.0),
+          AgentState(x=2.5, y=3.5, theta=math.pi - 0.01, v=19.0))
+
+
+def bits_digests() -> dict:
+    """sha256 of each stage upstream of the snap, over every diagonal spec
+    the digest uses: its contour rows, the ``stacked_states`` rows of AGENTS
+    under them, and the kernel's d_lon and d_lat from EGO to those rows."""
+    stages = {name: hashlib.sha256() for name in ("contour_rows", "stacked_rows",
+                                                  "safe_distances")}
     for variances in (SMALL, LARGE):
         for levels in ((0.25, 0.5, 0.75, 0.93, 0.97, 0.999), (0.3, 0.6, 0.9, 0.99)):
             for n_phi in (6, 8, 12):
-                spec = UncertaintySpec.from_diagonal(variances, levels, n_phi)
-                digest.update(spec.samples[1].tobytes())
-    return digest.hexdigest()
+                rows = UncertaintySpec.from_diagonal(variances, levels, n_phi).samples[1]
+                stacked = stacked_states([(agent, rows) for agent in AGENTS])
+                geometry = _PairGeometry(EGO, *stacked, RssParams())
+                stages["contour_rows"].update(rows.tobytes())
+                for array in stacked:
+                    stages["stacked_rows"].update(array.tobytes())
+                for array in (geometry.d_lon, geometry.d_lat):
+                    stages["safe_distances"].update(array.tobytes())
+    return {name: digest.hexdigest() for name, digest in stages.items()}
 
 
 def cpu_module():
@@ -96,4 +117,5 @@ def test_pinned_bits_hold_without(level):
     assert [name for name in disabled if out["features"][name]] == []
     assert out["rows_ok"]
     assert out["digest"] == ENVELOPE_SHA256
-    assert out["contour_rows"] == contour_rows_digest()
+    here = bits_digests()
+    assert {name: out[name] for name in here} == here

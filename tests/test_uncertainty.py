@@ -173,6 +173,11 @@ class TestEigendecompose:
         b = eigendecompose(np.zeros((4, 4)))
         assert np.all(b.eigenvalues == 0.0)
         assert np.allclose(b.eigenvectors, np.eye(4))
+        assert b.is_zero
+
+    @pytest.mark.parametrize("diag", [[0.0, 0.0, 0.0, 1e-300], [0.0, 0.04, 0.0, 0.0]])
+    def test_one_positive_variance_is_not_zero(self, diag):
+        assert not eigendecompose(np.diag(diag)).is_zero
 
     def test_asymmetric_rejected(self):
         m = np.eye(4)
