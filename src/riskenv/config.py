@@ -1,9 +1,9 @@
-"""Run configuration: defaults, JSON loading, and strict validation.
-
-Every physical parameter of the library lives here.  The run config and the
-envelope input share one set of readers: an unknown key or a value of the
-wrong JSON type raises ConfigError naming its dotted key.  A covariance
-is 4 diagonal entries, 16 row-major entries or 4 rows of 4.
+"""The JSON layer over the core modules: the run config and its defaults,
+and one set of readers for the config file and the envelope input.  The
+core classes declare and enforce each field's type and range
+(``rss.check_bounds``); a reader adds the JSON rules: an unknown key or a
+value of the wrong JSON type raises ConfigError naming its dotted key.  A
+covariance is 4 diagonal entries, 16 row-major entries or 4 rows of 4.
 """
 
 from __future__ import annotations
@@ -15,9 +15,11 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .rss import MAX_POSITION, MAX_SPEED, MAX_TAU, AgentState, RssParams, bounded, check_bounds
+from .prob_envelope import check_beta
+from .rss import (MAX_POSITION, MAX_SPEED, MAX_TAU, AgentState, ConfigError, RssParams, bounded,
+                  check_bounds, integral)
 from .sim import MAX_DT, MIN_SPEED, IdmParams, LateralControl, RoadParams
-from .uncertainty import MAX_SIMPLEX_ROWS, STATE_DIM, UncertaintySpec, integral
+from .uncertainty import MAX_SIMPLEX_ROWS, STATE_DIM, UncertaintySpec
 
 DEFAULT_CONTOUR_LEVELS = (0.25, 0.5, 0.75, 0.93, 0.97, 0.999)
 DEFAULT_N_PHI = 8
@@ -30,17 +32,6 @@ COVARIANCE_CASES = ("none", "small", "large")
 # noise; the large case doubles every standard deviation.
 DEFAULT_SMALL_VARIANCES = (0.04, 0.04, 0.04, 1e-4)
 DEFAULT_LARGE_VARIANCES = (0.16, 0.16, 0.16, 4e-4)
-
-
-class ConfigError(ValueError):
-    """Configuration rejected; the message names the offending field."""
-
-
-def check_beta(beta: float, where: str = "beta") -> float:
-    """``beta`` if it is a risk level in [0, 1] (NaN is not one); errors name ``where``."""
-    if not (0.0 <= beta <= 1.0):
-        raise ConfigError(f"{where} {beta} outside [0, 1]")
-    return beta
 
 
 # Bounds on the scenario sizes, so that every accepted config runs in bounded
@@ -98,10 +89,7 @@ class RunConfig:
     seed: int = bounded(20260808, 0, math.inf)
 
     def __post_init__(self):
-        try:
-            check_bounds(self)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        check_bounds(self)
         if not self.uncertainty:
             object.__setattr__(self, "uncertainty", default_uncertainty())
         for key in ("policies", "betas"):
@@ -154,14 +142,6 @@ def _number(where: str, value) -> float:
     return number
 
 
-def _integer(where: str, value) -> int:
-    """A JSON integer; an integral number such as 8.0 counts as one."""
-    try:
-        return integral(where, value)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _list(read, where: str, value) -> tuple:
     """A JSON list, each item read by ``read``."""
     if not isinstance(value, list):
@@ -185,7 +165,7 @@ def _object(readers: dict, where: str, value, required=()) -> dict:
 
 _TYPE_READERS = {
     "float": _number,
-    "int": _integer,
+    "int": integral,
     "float | None": lambda where, value: None if value is None else _number(where, value),
 }
 
@@ -230,7 +210,7 @@ def _sigma(where: str, value) -> np.ndarray:
         f"{where} must hold 4 diagonal entries, 16 row-major entries or 4 rows of 4")
 
 
-SPEC_READERS = {"sigma": _sigma, "contour_levels": _numbers, "n_phi": _integer}
+SPEC_READERS = {"sigma": _sigma, "contour_levels": _numbers, "n_phi": integral}
 
 
 def uncertainty_spec(where: str, entry: dict, levels, n_phi) -> UncertaintySpec:
@@ -259,12 +239,12 @@ TOP_LEVEL_READERS = {
     "uncertainty": functools.partial(_object, dict.fromkeys(
         COVARIANCE_CASES, functools.partial(_object, SPEC_READERS, required=("sigma",)))),
     "contour_levels": _numbers,
-    "n_phi": _integer,
+    "n_phi": integral,
     "policies": functools.partial(_list, lambda where, name: name),  # RunConfig checks them
     "betas": _numbers,
-    "simplex_samples": _integer,
+    "simplex_samples": integral,
     "tau": _number,
-    "seed": _integer,
+    "seed": integral,
 }
 
 

@@ -26,11 +26,11 @@ from operator import add, attrgetter
 
 import numpy as np
 
-from .config import check_beta
 from .rss import (
     AgentState,
     BroadPhase,
     COMPONENTS,
+    ConfigError,
     Envelope,
     RssParams,
     pair_analysis_batch,
@@ -214,6 +214,13 @@ def envelope_distribution(ego: AgentState, obs: AgentState, spec: UncertaintySpe
     """Per-agent random envelope over the confidence contours."""
     [dist], _, _ = analyze_step(ego, [obs], contour_samples(basis, spec), (), params, tau)
     return replace(dist, agent_id=agent_id)
+
+
+def check_beta(beta: float, where: str = "beta") -> float:
+    """``beta`` if it is a risk level in [0, 1] (NaN is not one); errors name ``where``."""
+    if not (0.0 <= beta <= 1.0):
+        raise ConfigError(f"{where} {beta} outside [0, 1]")
+    return beta
 
 
 def risk_bounded_envelope(distributions, beta: float, params: RssParams) -> Envelope:

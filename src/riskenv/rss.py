@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -101,24 +102,48 @@ def wrap_angle(theta):
     return w
 
 
+class ConfigError(ValueError):
+    """Input rejected; the message names the offending field."""
+
+
+def integral(name: str, value) -> int:
+    """``value`` as an int; a bool, a string, a fraction or a non-finite
+    number raises ConfigError naming ``name``."""
+    if isinstance(value, (float, np.floating)) and math.isfinite(value) \
+            and float(value).is_integer():
+        return int(value)
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def bounded(default, lo, hi, low_open=False):
     """A dataclass field that ``check_bounds`` keeps in [lo, hi] ((lo, hi] if ``low_open``)."""
     return field(default=default, metadata={"bounds": (lo, hi, low_open)})
 
 
 @functools.cache
-def _bounds(cls) -> tuple:  # (name, lo, hi, low_open) of each bounded field
-    return tuple((f.name, *f.metadata["bounds"]) for f in fields(cls) if "bounds" in f.metadata)
+def _bounds(cls) -> tuple:  # (name, int or float, lo, hi, low_open) of each bounded field
+    return tuple((f.name, int if f.type == "int" else float, *f.metadata["bounds"])
+                 for f in fields(cls) if "bounds" in f.metadata)
 
 
 def check_bounds(params) -> None:
-    """Raise ValueError naming the first field outside its range: NaN and the
+    """Raise ConfigError naming the first field that breaks its declaration:
+    an ``int`` field takes an integer (an integral float is stored as the
+    int), a bool is no number, and the value lies in its range: NaN and the
     infinities never fit (an infinite end is open), None does."""
-    for name, lo, hi, low_open in _bounds(type(params)):
+    for name, kind, lo, hi, low_open in _bounds(type(params)):
         v = getattr(params, name)
+        if type(v) is not kind:  # skips both tests for the usual int or float
+            if kind is int:
+                v = integral(name, v)
+                object.__setattr__(params, name, v)
+            elif isinstance(v, (bool, np.bool_)):
+                raise ConfigError(f"{name} must be a number, got {v!r}")
         if v is not None and (v == math.inf or not (lo < v <= hi if low_open else lo <= v <= hi)):
-            raise ValueError(f"{name} must be in {'[('[low_open]}{lo:g}, {hi:g}"
-                             f"{'])'[hi == math.inf]}, got {v}")
+            raise ConfigError(f"{name} must be in {'[('[low_open]}{lo:g}, {hi:g}"
+                              f"{'])'[hi == math.inf]}, got {v}")
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
-from .rss import MAX_POSITION
+from .rss import MAX_POSITION, bounded, check_bounds
 
 STATE_DIM = 4  # deviation axes, in order: x, y, v, theta
 # Bound on the angle grid, n_phi^3 x contour levels; admits n_phi = 24 with
@@ -122,7 +121,7 @@ class UncertaintySpec:
 
     sigma: np.ndarray                      # 4x4 symmetric PSD covariance
     contour_levels: tuple[float, ...]      # strictly increasing, each in (0, 1)
-    n_phi: int                             # angular samples per dimension, >= 2
+    n_phi: int = bounded(MISSING, 2, MAX_GRID_SAMPLES)  # angular samples per dimension
 
     def __post_init__(self):
         sigma = np.array(self.sigma, dtype=float)  # a private, read-only copy
@@ -145,14 +144,11 @@ class UncertaintySpec:
                 raise ValueError("contour levels must be strictly increasing within (0, 1)")
             prev = p
         object.__setattr__(self, "contour_levels", levels)
-        n_phi = integral("n_phi", self.n_phi)
-        if n_phi < 2:
-            raise ValueError("n_phi must be >= 2")
-        if n_phi ** 3 * len(levels) > MAX_GRID_SAMPLES:
+        check_bounds(self)
+        if self.n_phi ** 3 * len(levels) > MAX_GRID_SAMPLES:
             raise ValueError(
                 f"n_phi = {self.n_phi} is too large for {len(levels)} contour "
                 f"levels: n_phi^3 x levels must be <= {MAX_GRID_SAMPLES}")
-        object.__setattr__(self, "n_phi", n_phi)
 
     @functools.cached_property
     def basis(self) -> "EigenBasis":
@@ -171,17 +167,6 @@ class UncertaintySpec:
     def from_diagonal(variances, contour_levels, n_phi) -> "UncertaintySpec":
         return UncertaintySpec(np.diag(np.asarray(variances, dtype=float)),
                                tuple(contour_levels), n_phi)
-
-
-def integral(name: str, value) -> int:
-    """``value`` as an int; a bool, a string, a fraction or a non-finite
-    number raises ValueError naming ``name``."""
-    if isinstance(value, (float, np.floating)) and math.isfinite(value) \
-            and float(value).is_integer():
-        return int(value)
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

@@ -473,12 +473,18 @@ class TestQuickSweepDigest:
     # rates of every policy, case and beta over 20 scenarios.  A change that
     # moves it changes what the benchmark computes.
     RATES_SHA256 = "27114b1a68c858daa800f53cbe7e07ed5ef67306ffa4e9a5ff0683f8cc70ffb5"
+    # The sha256 of the same sweep's results.json, as `riskenv benchmark`
+    # writes it: every scenario's outcome, so two scenarios that swap
+    # outcomes inside one cell move it, though not the rates.
+    RESULTS_SHA256 = "df9484940f6286d7b4397058370f5cf58c62647b813e14d4bcc6c08d8e1447ef"
 
     def test_quick_sweep_rates_unchanged(self):
         # The sweep of ``scripts/run_benchmark.py --quick``.
         rows = run_benchmark.rates(load_config(None))
         digest = hashlib.sha256(bench.rows_to_csv(rows).encode()).hexdigest()
         assert digest == self.RATES_SHA256
+        results = json.dumps(bench.rows_to_json(rows), indent=2, sort_keys=True) + "\n"
+        assert hashlib.sha256(results.encode()).hexdigest() == self.RESULTS_SHA256
 
 
 class TestDirectional:

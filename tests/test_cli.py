@@ -710,6 +710,9 @@ FIELD_BOUNDS = {f"{section}.{f.name}": f.metadata.get("bounds")
 # RunConfig's own numbers, by name.
 RUN_BOUNDS = {f.name: f.metadata.get("bounds") for f in dataclasses.fields(RunConfig)
               if f.type in ("float", "int")}
+# The fields declared int: a value that is not an integer, NaN and the
+# infinities included, fails that rule before its range.
+INT_FIELDS = ("scenario.n_scenarios", "scenario.n_others", "simplex_samples", "seed")
 
 
 def _within(lo, hi, low_open):
@@ -723,6 +726,11 @@ def _within(lo, hi, low_open):
 def _params(key: str, value):
     section, name = key.split(".")
     return section, PARAM_SECTIONS[section](**{name: value})
+
+
+def _declared(key: str, value):
+    """The section or RunConfig that holds ``key``, built with ``value`` there."""
+    return _params(key, value)[1] if "." in key else RunConfig(**{key: value})
 
 
 class TestDeclaredBounds:
@@ -740,7 +748,8 @@ class TestDeclaredBounds:
         # 17 of these fields accepted a non-finite value before the ranges.  On
         # a NaN scenario.horizon run_episode never returned: classify_outcome's
         # `elapsed > horizon - 1e-9` never holds.
-        with pytest.raises(ValueError, match=f"^{key.split('.')[1]} must be in "):
+        rule = "an integer" if key in INT_FIELDS else "in "
+        with pytest.raises(ConfigError, match=f"^{key.split('.')[1]} must be {rule}"):
             _params(key, value)
 
     def test_run_config_numbers_declare_a_range(self):
@@ -752,8 +761,32 @@ class TestDeclaredBounds:
     def test_run_config_non_finite_rejected(self, name, value):
         # A NaN seed or simplex_samples passed the hand-written checks
         # (`seed < 0`, `simplex_samples < 1`) before the declared ranges.
-        with pytest.raises(ConfigError, match=f"^{name} must be in "):
+        rule = "an integer" if name in INT_FIELDS else "in "
+        with pytest.raises(ConfigError, match=f"^{name} must be {rule}"):
             RunConfig(**{name: value})
+
+    @pytest.mark.parametrize("key", INT_FIELDS)
+    def test_fraction_rejected_on_int_fields(self, key):
+        # RunConfig(seed=2.5), RunConfig(simplex_samples=2.5) and
+        # ScenarioParams(n_scenarios=2.5) were accepted, then crashed inside
+        # numpy with TypeError; the JSON readers rejected 2.5 all along.
+        with pytest.raises(ConfigError, match=f"^{key.split('.')[-1]} must be an integer, "
+                                              f"got 2.5$"):
+            _declared(key, 2.5)
+
+    @pytest.mark.parametrize("key", INT_FIELDS)
+    def test_integral_float_stored_as_int_on_int_fields(self, key):
+        params = _declared(key, 8.0)
+        value = getattr(params, key.split(".")[-1])
+        assert type(value) is int and value == 8
+
+    @pytest.mark.parametrize("key", [*FIELD_BOUNDS, *RUN_BOUNDS])
+    def test_bool_rejected(self, key):
+        # ScenarioParams(n_others=True), RssParams(rho=True) and
+        # RunConfig(seed=True) ran as 1, though the JSON readers reject true.
+        with pytest.raises(ConfigError, match=f"^{key.split('.')[-1]} must be an? "
+                                              f"(integer|number), got True$"):
+            _declared(key, True)
 
     def test_every_non_negative_seed_accepted(self):
         assert RunConfig(seed=0).seed == 0

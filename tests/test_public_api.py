@@ -1,3 +1,4 @@
+import ast
 import inspect
 
 import riskenv
@@ -76,3 +77,27 @@ def test_one_module_turns_agents_into_kernel_rows():
         assert not hasattr(riskenv.bench, name)
     assert not hasattr(riskenv.bench.Policy, "_mean_violations")
     assert riskenv.bench.mean_violations is riskenv.prob_envelope.mean_violations
+
+
+def _imported_modules(module) -> set:
+    """Every module that ``module``'s source imports from, relative imports
+    resolved against the riskenv package."""
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ("riskenv" if node.level else "", node.module)))
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_core_modules_do_not_import_config():
+    # config is the JSON layer over the core modules: the input contract
+    # (ConfigError, integral, check_bounds, check_beta) lives below it.
+    assert "riskenv.rss.AgentState" in _imported_modules(riskenv.prob_envelope)
+    for module in (riskenv.rss, riskenv.uncertainty, riskenv.sim, riskenv.prob_envelope):
+        imported = _imported_modules(module)
+        assert [name for name in imported if name.split(".")[:2] == ["riskenv", "config"]] \
+            == [], module.__name__

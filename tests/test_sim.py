@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskenv.config import RunConfig
+from riskenv.config import RunConfig, config_from_dict
 from riskenv.rss import (
     MAX_POSITION,
     MAX_SPEED,
@@ -261,6 +261,28 @@ class TestCrossFieldConfigs:
         [trace] = tmp_path.glob("trace_*.jsonl")
         speeds = [json.loads(line)["ego"]["v"] for line in trace.read_text().splitlines()]
         assert max(speeds) == MAX_SPEED
+
+    # idm.a, idm.delta and idm.v0 at the ends of their ranges (v0 also unset),
+    # each with scenario.dt at either end.  Where the one-step bound on the
+    # others' speed is tight (a = 10, delta = 10, v0 = 100, dt = 1) they
+    # reach MAX_SPEED and stop there; every episode ends in a named outcome.
+    @pytest.mark.parametrize("dt, horizon", [(1.0, 100.0), (1e-3, 0.05)])
+    @pytest.mark.parametrize("v0", [1e-3, 100.0, None])
+    @pytest.mark.parametrize("delta", [1e-9, 10.0])
+    @pytest.mark.parametrize("a", [1e-3, 10.0])
+    def test_idm_and_step_at_their_ends(self, a, delta, v0, dt, horizon):
+        idm = {"a": a, "delta": delta} | ({} if v0 is None else {"v0": v0})
+        cfg = config_from_dict({"idm": idm, "scenario": {"dt": dt, "horizon": horizon}})
+        top = 0.0
+        for scn in bench.generate_scenarios(2, cfg.seed, cfg):
+            for kind, case in (("Simplex", "none"), ("ProbabilisticEnvelopeRestriction", "small")):
+                result = bench.run_episode(scn, kind, 0.1, case, cfg, collect_trace=True)
+                assert result.outcome in ("Success", "Collision", "Timeout")
+                if case == "none":  # the observations are the true states
+                    top = max([top] + [o.v for rec in result.records for o in rec.observations])
+        assert top <= MAX_SPEED
+        if (a, delta, v0, dt) == (10.0, 10.0, 100.0, 1.0):
+            assert top == MAX_SPEED
 
 
 class TestOutcomes:

@@ -9,7 +9,9 @@ with AVX2 (X86_V3) disabled as well.  Both pin rounded outputs (the bound
 solver snaps onto a grid), so a last-bit change upstream can pass them; the
 child also hashes, for the digest's specs, the contour rows, the stacked
 rows of a few agent states under them and the kernel's unsnapped safe
-distances to those rows, which must match this process's bit for bit.
+distances to those rows, which must match this process's bit for bit.  The
+child also runs the quick sweep of ``scripts/run_benchmark.py --quick``,
+whose rates.csv and results.json must keep their pinned sha256.
 
 numpy 2.x warns and ignores a name that is not among its dispatch targets,
 and refuses to disable a feature that is part of its baseline; a feature
@@ -32,10 +34,12 @@ import pytest
 from riskenv.prob_envelope import stacked_states
 from riskenv.rss import AgentState, RssParams, _PairGeometry
 from riskenv.uncertainty import UncertaintySpec
+import test_bench
 from test_envelope_digest import ENVELOPE_SHA256, LARGE, SMALL
 
 TESTS = Path(__file__).parent
 SRC = TESTS.parent / "src"
+SCRIPTS = TESTS.parent / "scripts"
 
 LEVELS = {
     "no-avx512": ("AVX512_SPR", "AVX512_ICL", "X86_V4"),
@@ -43,9 +47,12 @@ LEVELS = {
 }
 
 CHILD = r"""
-import json, sys
+import hashlib, json, sys
 from pathlib import Path
 from test_simd_bits import cpu_module
+import run_benchmark
+from riskenv import bench
+from riskenv.config import load_config
 from riskenv.rss import AgentState, RssParams, pair_analysis_batch
 from test_envelope_digest import envelope_digest
 from test_simd_bits import bits_digests
@@ -58,8 +65,13 @@ for case in golden["cases"]:
                               o["theta"], RssParams(**case["params"]), case["tau"])
     for name, values in zip(("a_lon_max", "a_lat_min", "a_lat_max", "violated"), got):
         rows_ok &= values.tolist() == case[name]
+rows = run_benchmark.rates(load_config(None))
+sweep = {"rates": bench.rows_to_csv(rows),
+         "results": json.dumps(bench.rows_to_json(rows), indent=2, sort_keys=True) + "\n"}
 print(json.dumps({"features": cpu_module().__cpu_features__, "rows_ok": rows_ok,
-                  "digest": envelope_digest(), **bits_digests()}))
+                  "digest": envelope_digest(), **bits_digests(),
+                  **{name: hashlib.sha256(text.encode()).hexdigest()
+                     for name, text in sweep.items()}}))
 """
 
 
@@ -110,12 +122,14 @@ def dispatched_features() -> set:
 def test_pinned_bits_hold_without(level):
     disabled = sorted(set(LEVELS[level]) & dispatched_features())
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(disabled),
-               PYTHONPATH=os.pathsep.join((str(SRC), str(TESTS))))
+               PYTHONPATH=os.pathsep.join((str(SRC), str(TESTS), str(SCRIPTS))))
     run = subprocess.run([sys.executable, "-c", CHILD, str(TESTS)], env=env,
                          capture_output=True, text=True, check=True, timeout=300)
     out = json.loads(run.stdout)
     assert [name for name in disabled if out["features"][name]] == []
     assert out["rows_ok"]
     assert out["digest"] == ENVELOPE_SHA256
+    pinned = test_bench.TestQuickSweepDigest
+    assert (out["rates"], out["results"]) == (pinned.RATES_SHA256, pinned.RESULTS_SHA256)
     here = bits_digests()
     assert {name: out[name] for name in here} == here
