@@ -31,7 +31,6 @@ from .config import (
     read_json,
 )
 from .prob_envelope import analyze_step, risk_bounded_envelope, should_switch
-from .rss import COMPONENTS
 
 log = logging.getLogger("riskenv")
 
@@ -46,10 +45,6 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _envelope_dict(env) -> dict:
-    return {name: getattr(env, name) for name, _ in COMPONENTS}
-
-
 def cmd_envelope(args) -> int:
     cfg = load_config(args.config)
     ego, agents, spec, beta, tau = envelope_input(read_json(args.input), cfg, args.beta)
@@ -57,8 +52,8 @@ def cmd_envelope(args) -> int:
                                                 tau)
     prob_env = risk_bounded_envelope(dists, beta, cfg.rss)
     out = {
-        "deterministic_envelope": _envelope_dict(det_env),
-        "probabilistic_envelope": _envelope_dict(prob_env),
+        "deterministic_envelope": det_env._asdict(),
+        "probabilistic_envelope": prob_env._asdict(),
         "per_agent_violation_expectation": expectations,
         "switch_decision": should_switch(expectations, beta),
     }
@@ -74,7 +69,7 @@ def _record_to_json(rec) -> dict:
         "t": rec.t,
         "ego": state(rec.ego),
         "obs": [state(s) for s in rec.observations],
-        "envelope": None if rec.envelope is None else _envelope_dict(rec.envelope),
+        "envelope": None if rec.envelope is None else rec.envelope._asdict(),
         "cmd": {"a_lon": rec.a_lon, "a_lat": rec.a_lat},
         "mode": rec.mode,
         "flags": {"collision": rec.collision, "success": rec.success,

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import accumulate
-from operator import add, attrgetter
+from operator import add
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from .uncertainty import (
 )
 
 MASS_TOL = 1e-12
-_COMPONENTS_OF = attrgetter(*(name for name, _ in COMPONENTS))  # in COMPONENTS order
 
 
 @dataclass(frozen=True)
@@ -99,15 +98,15 @@ def stacked_states(pairs):
     return p[:, 0], p[:, 1], np.maximum(p[:, 2], 0.0), wrap_angle(p[:, 3])
 
 
-def analyze_step(ego: AgentState, observed, samples, exact, params: RssParams,
+def analyze_step(ego: AgentState, observed, samples: SampleSet, exact, params: RssParams,
                  tau: float):
     """Everything one decision needs, from one stacked analysis of all the
     agents: the distribution (agent_id = its index) and violation expectation
-    of each ``observed`` agent under ``samples``, the ``(levels, deviations,
-    counts)`` of ``contour_samples`` (a plain tuple is wrapped in a
-    ``SampleSet``), and the worst-case envelope of the ``exact`` agents at
-    zero covariance (the unrestricted envelope when there are none), from
-    the same contours if ``exact is observed`` and samples is EXACT_SAMPLES.
+    of each ``observed`` agent under ``samples``, a ``SampleSet`` as
+    ``contour_samples`` returns it, and the worst-case envelope of the
+    ``exact`` agents at zero covariance (the unrestricted envelope when there
+    are none), from the same contours if ``exact is observed`` and samples is
+    EXACT_SAMPLES.
 
     The perturbed states of consecutive agents share one kernel pass of at
     most ``ROW_BUDGET`` rows (an agent with more rows runs alone).  A contour
@@ -117,8 +116,6 @@ def analyze_step(ego: AgentState, observed, samples, exact, params: RssParams,
     if min(samples[2]) < 1:
         raise ValueError("every contour needs at least one sample")
     once = exact is observed and samples is EXACT_SAMPLES
-    if not isinstance(samples, SampleSet):
-        samples = SampleSet(samples)
     agents = [(s, samples) for s in observed]
     agents += [] if once else [(s, EXACT_SAMPLES) for s in exact]
     contours = _contours(ego, agents, params, tau)
@@ -236,10 +233,10 @@ def risk_bounded_envelope(distributions, beta: float, params: RssParams) -> Enve
     distributions = list(distributions)
     if not distributions:
         return unrestricted_envelope(params)
-    sentinel = _COMPONENTS_OF(restrictive_sentinel(params))
+    sentinel = restrictive_sentinel(params)
     supports = ([], [], [], [])  # per component, each agent's value -> mass
     for dist in distributions:
-        columns = tuple(zip(*map(_COMPONENTS_OF, dist.envelopes))) or ((),) * len(supports)
+        columns = tuple(zip(*dist.envelopes)) or ((),) * len(supports)
         total = reduce(add, dist.masses, 0.0)  # a value on every contour, summed as below
         for k, column in enumerate(columns):
             support = {sentinel[k]: dist.residual_mass} if dist.residual_mass > 0.0 else {}

@@ -57,6 +57,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,25 +124,28 @@ def bounded(default, lo, hi, low_open=False):
 
 
 @functools.cache
-def _bounds(cls) -> tuple:  # (name, int or float, lo, hi, low_open) of each bounded field
-    return tuple((f.name, int if f.type == "int" else float, *f.metadata["bounds"])
-                 for f in fields(cls) if "bounds" in f.metadata)
+def _bounds(cls) -> tuple:  # (name, int or float, admits None, lo, hi, low_open) per field
+    return tuple((f.name, int if f.type == "int" else float, f.type.endswith("| None"),
+                  *f.metadata["bounds"]) for f in fields(cls) if "bounds" in f.metadata)
 
 
 def check_bounds(params) -> None:
     """Raise ConfigError naming the first field that breaks its declaration:
     an ``int`` field takes an integer (an integral float is stored as the
-    int), a bool is no number, and the value lies in its range: NaN and the
-    infinities never fit (an infinite end is open), None does."""
-    for name, kind, lo, hi, low_open in _bounds(type(params)):
+    int), any other field a real number (a bool is none), or None where its
+    annotation admits it, and a number lies in its range: NaN and the
+    infinities never fit (an infinite end is open)."""
+    for name, kind, optional, lo, hi, low_open in _bounds(type(params)):
         v = getattr(params, name)
-        if type(v) is not kind:  # skips both tests for the usual int or float
+        if type(v) is not kind:  # skips these tests for the usual int or float
+            if v is None and optional:
+                continue
             if kind is int:
                 v = integral(name, v)
                 object.__setattr__(params, name, v)
-            elif isinstance(v, (bool, np.bool_)):
+            elif isinstance(v, bool) or not isinstance(v, numbers.Real):  # np.bool_ is no Real
                 raise ConfigError(f"{name} must be a number, got {v!r}")
-        if v is not None and (v == math.inf or not (lo < v <= hi if low_open else lo <= v <= hi)):
+        if v == math.inf or not (lo < v <= hi if low_open else lo <= v <= hi):
             raise ConfigError(f"{name} must be in {'[('[low_open]}{lo:g}, {hi:g}"
                               f"{'])'[hi == math.inf]}, got {v}")
 
@@ -201,9 +205,9 @@ class RssParams:
             raise ValueError("b_min_brake_lon must not exceed b_max_brake_lon")
 
 
-@dataclass(frozen=True)
-class Envelope:
-    """Acceleration-limit box: [a_lon_min, a_lon_max] x [a_lat_min, a_lat_max].
+class Envelope(NamedTuple):
+    """Acceleration-limit box: [a_lon_min, a_lon_max] x [a_lat_min, a_lat_max],
+    a tuple of its four bounds in ``COMPONENTS`` order.
 
     a_lat_min bounds acceleration toward the right (-y), a_lat_max toward the
     left (+y).  The probability-accounting sentinel intentionally carries
@@ -400,8 +404,8 @@ class _PairGeometry:
     def __init__(self, ego: AgentState, ox, oy, ov, otheta, params: RssParams):
         p = params
         self.params = p
-        self.u_lon = ego.v * math.cos(ego.theta)
-        self.u_lat = ego.v * math.sin(ego.theta)
+        self.u_lon = ego.v_lon
+        self.u_lat = ego.v_lat
         ox, oy, ov, otheta = (np.asarray(a, dtype=float) for a in (ox, oy, ov, otheta))
         self.n = ox.shape[0]
         self.w_lon = ov * np.cos(otheta)
@@ -593,7 +597,7 @@ class BroadPhase:
     def __init__(self, ego: AgentState, params: RssParams, tau: float | None = None):
         p = self.params = params
         self.x, self.y, self.tau = ego.x, ego.y, tau
-        u, q = ego.v * math.cos(ego.theta), ego.v * math.sin(ego.theta)
+        u, q = ego.v_lon, ego.v_lat
         self.rear, self.front = _rear_lon(_nonneg(u), p), _front_lon(_nonneg(u), p)
         self.head = (_head_lat(q, p), _head_lat(-q, p))  # toward a left, a right agent
         self.timed = tau is not None and 0.0 < tau <= MAX_TAU  # NaN fails too

@@ -185,8 +185,7 @@ def integrate_ego(state: AgentState, a_lon: float, a_lat: float, dt: float) -> A
     fields, such as a large a_lat_limit with a stiff lateral gain, can
     command more).
     """
-    vl = state.v * math.cos(state.theta)
-    vt = state.v * math.sin(state.theta)
+    vl, vt = state.v_lon, state.v_lat
     dx, vl2 = advance_speed_clamped(vl, a_lon, dt)
     dy = vt * dt + 0.5 * a_lat * dt * dt
     vt2 = vt + a_lat * dt

@@ -124,15 +124,7 @@ class UncertaintySpec:
     n_phi: int = bounded(MISSING, 2, MAX_GRID_SAMPLES)  # angular samples per dimension
 
     def __post_init__(self):
-        sigma = np.array(self.sigma, dtype=float)  # a private, read-only copy
-        if sigma.shape != (STATE_DIM, STATE_DIM):
-            raise ValueError(f"sigma must be 4x4, got shape {sigma.shape}")
-        rows = sigma.tolist()
-        if not all(abs(v) <= MAX_SIGMA for row in rows for v in row):  # NaN fails too
-            raise ValueError(f"sigma entries must be finite and at most "
-                             f"{MAX_SIGMA:g} in magnitude")
-        if _asymmetry(rows) > 1e-9:  # eigendecompose's tolerance
-            raise ValueError("sigma must be symmetric")
+        sigma = _checked_covariance(self.sigma, "sigma")  # a private, read-only copy
         sigma.flags.writeable = False
         object.__setattr__(self, "sigma", sigma)
         levels = tuple(float(p) for p in self.contour_levels)
@@ -190,17 +182,10 @@ def eigendecompose(sigma) -> EigenBasis:
     0; equal eigenvalues ordered by the axis on which their eigenvector's
     largest-magnitude component lies, so a diagonal matrix gives unit vectors
     in axis order; each eigenvector signed so that this component is
-    positive.  A non-finite, asymmetric or indefinite matrix raises
-    ValueError.
+    positive.  A matrix that ``_checked_covariance`` rejects, or an
+    indefinite one, raises ValueError.
     """
-    a = np.array(sigma, dtype=float)
-    if a.shape != (STATE_DIM, STATE_DIM):
-        raise ValueError(f"expected a 4x4 matrix, got shape {a.shape}")
-    rows = a.tolist()  # the checks and the ordering run on floats
-    if not all(math.isfinite(v) for row in rows for v in row):
-        raise ValueError("matrix entries must be finite")
-    if _asymmetry(rows) > 1e-9:
-        raise ValueError("matrix must be symmetric")
+    a = _checked_covariance(sigma, "matrix")
     lam, v = np.linalg.eigh(0.5 * (a + a.T))
     lam, vectors = lam.tolist(), v.T.tolist()
     if min(lam) < -1e-9 * max(1.0, *map(abs, lam)):
@@ -214,9 +199,19 @@ def eigendecompose(sigma) -> EigenBasis:
                       eigenvectors=np.array([vectors[j] for j in order]).T)
 
 
-def _asymmetry(rows) -> float:
-    """Largest |a_ij - a_ji| of a square matrix given as lists of floats."""
-    return max(abs(rows[i][j] - rows[j][i]) for i in range(len(rows)) for j in range(i))
+def _checked_covariance(sigma, name: str) -> np.ndarray:
+    """``sigma`` as a new float array if it is 4x4, its entries are finite
+    and at most MAX_SIGMA in magnitude, and it is symmetric to within 1e-9;
+    else ValueError naming ``name``."""
+    a = np.array(sigma, dtype=float)
+    if a.shape != (STATE_DIM, STATE_DIM):
+        raise ValueError(f"{name} must be 4x4, got shape {a.shape}")
+    rows = a.tolist()  # the checks run on floats
+    if not all(abs(v) <= MAX_SIGMA for row in rows for v in row):  # NaN fails too
+        raise ValueError(f"{name} entries must be finite and at most {MAX_SIGMA:g} in magnitude")
+    if max(abs(rows[i][j] - rows[j][i]) for i in range(STATE_DIM) for j in range(i)) > 1e-9:
+        raise ValueError(f"{name} must be symmetric")
+    return a
 
 
 def _distinct_grid(n_phi: int):

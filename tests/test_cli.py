@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -713,6 +714,9 @@ RUN_BOUNDS = {f.name: f.metadata.get("bounds") for f in dataclasses.fields(RunCo
 # The fields declared int: a value that is not an integer, NaN and the
 # infinities included, fails that rule before its range.
 INT_FIELDS = ("scenario.n_scenarios", "scenario.n_others", "simplex_samples", "seed")
+# The fields whose annotation admits None (idm.v0 unset: each agent desires
+# its initial speed).
+NONE_FIELDS = ("idm.v0",)
 
 
 def _within(lo, hi, low_open):
@@ -780,13 +784,19 @@ class TestDeclaredBounds:
         value = getattr(params, key.split(".")[-1])
         assert type(value) is int and value == 8
 
+    @pytest.mark.parametrize("value", [True, None, "0.5"])
     @pytest.mark.parametrize("key", [*FIELD_BOUNDS, *RUN_BOUNDS])
-    def test_bool_rejected(self, key):
+    def test_non_number_rejected(self, key, value):
         # ScenarioParams(n_others=True), RssParams(rho=True) and
         # RunConfig(seed=True) ran as 1, though the JSON readers reject true.
+        # RssParams(rho=None) was accepted and failed in the kernel with a
+        # TypeError, and RssParams(rho="0.5") raised a TypeError naming no field.
+        if value is None and key in NONE_FIELDS:
+            assert getattr(_declared(key, None), key.split(".")[-1]) is None
+            return
         with pytest.raises(ConfigError, match=f"^{key.split('.')[-1]} must be an? "
-                                              f"(integer|number), got True$"):
-            _declared(key, True)
+                                              f"(integer|number), got {re.escape(repr(value))}$"):
+            _declared(key, value)
 
     def test_every_non_negative_seed_accepted(self):
         assert RunConfig(seed=0).seed == 0

@@ -24,6 +24,7 @@ from riskenv.prob_envelope import (
     stacked_states,
 )
 from riskenv.rss import (
+    COMPONENTS,
     AgentState,
     Envelope,
     RssParams,
@@ -76,7 +77,7 @@ def analyze_one(ego, obs, samples, params, tau):
 
 def worst_case_of(ego, obs, deviations, params):
     """Envelope of a single explicit contour holding ``deviations``."""
-    samples = ((0.5,), deviations, (deviations.shape[0],))
+    samples = SampleSet(((0.5,), deviations, (deviations.shape[0],)))
     dist, _ = analyze_one(ego, obs, samples, params, TAU)
     return dist.envelopes[0]
 
@@ -121,7 +122,7 @@ class TestWorstCaseContourEnvelope:
         ego = AgentState(0, 0, 0, 17)
         obs = AgentState(24, 0, 0, 15)
         near, far = np.array([[-3.0, 0, 0, 0]]), np.array([[3.0, 0, 0, 0], [4.0, 0, 0, 0]])
-        samples = ((0.5, 0.9), np.concatenate([far, near]), (2, 1))
+        samples = SampleSet(((0.5, 0.9), np.concatenate([far, near]), (2, 1)))
         dist, _ = analyze_one(ego, obs, samples, rss_params, TAU)
         assert dist.agent_id == 0
         assert dist.envelopes == (worst_case_of(ego, obs, far, rss_params),
@@ -170,6 +171,33 @@ class TestEnvelopeDistribution:
     def test_mismatched_lengths_rejected(self, masses, n_envs):
         with pytest.raises(ValueError, match="masses for"):
             EnvelopeDistribution(0, masses, (env_of(1.0),) * n_envs, 1.0 - sum(masses))
+
+
+class TestEnvelopeShape:
+    """An envelope is its four bounds in ``COMPONENTS`` order: the contours,
+    the distributions, the risk solve and the CLI all hold that tuple."""
+
+    def test_fields_are_the_components_in_order(self):
+        assert Envelope._fields == tuple(name for name, _ in COMPONENTS)
+        env = Envelope(a_lon_min=-8.0, a_lon_max=2.0, a_lat_min=-1.0, a_lat_max=3.0)
+        assert env == (-8.0, 2.0, -1.0, 3.0)
+        assert env._asdict() == {"a_lon_min": -8.0, "a_lon_max": 2.0, "a_lat_min": -1.0,
+                                 "a_lat_max": 3.0}
+
+    @pytest.mark.parametrize("beta,want", [
+        (0.0, dict(a_lon_min=-6.0, a_lon_max=2.0, a_lat_min=-1.0, a_lat_max=1.0)),
+        (1.0, dict(a_lon_min=-8.0, a_lon_max=5.0, a_lat_min=-3.0, a_lat_max=3.0)),
+    ])
+    def test_risk_solve_reads_the_components_in_order(self, rss_params, beta, want):
+        # Every component of one envelope is the more restrictive of the two
+        # for its orientation, so a solve that reads a component at another
+        # position, or with another's orientation, keeps a value from the
+        # wrong side.
+        dist = make_dist([
+            (0.5, Envelope(a_lon_min=-8.0, a_lon_max=2.0, a_lat_min=-1.0, a_lat_max=3.0)),
+            (0.5, Envelope(a_lon_min=-6.0, a_lon_max=5.0, a_lat_min=-3.0, a_lat_max=1.0)),
+        ], 0.0)
+        assert risk_bounded_envelope([dist], beta, rss_params) == Envelope(**want)
 
 
 class TestRiskBoundedSolve:
@@ -314,7 +342,8 @@ class TestViolationExpectation:
         # and safe laterally, the outer one reaches into the ego's lane box.
         ego = AgentState(0, 0, 0, 15)
         obs = AgentState(10, 3.5, 0, 15)
-        samples = ((0.5, 0.9), np.array([[0.0, 0, 0, 0], [0.0, -3.5, 0, 0]]), (1, 1))
+        samples = SampleSet(((0.5, 0.9), np.array([[0.0, 0, 0, 0], [0.0, -3.5, 0, 0]]),
+                             (1, 1)))
         _, e = analyze_one(ego, obs, samples, rss_params, TAU)
         assert not safety_violated(ego, [obs], rss_params)
         assert safety_violated(ego, [AgentState(10, 0, 0, 15)], rss_params)
@@ -381,9 +410,10 @@ class TestContourSamples:
                 spec = UncertaintySpec(sigma, LEVELS, n_phi)
                 basis = eigendecompose(spec.sigma)
                 dedup = contour_samples(basis, spec)
-                full = (LEVELS,
-                        np.concatenate([full_grid_contour(basis, p, n_phi) for p in LEVELS]),
-                        (n_phi ** 3,) * len(LEVELS))
+                full = SampleSet((
+                    LEVELS,
+                    np.concatenate([full_grid_contour(basis, p, n_phi) for p in LEVELS]),
+                    (n_phi ** 3,) * len(LEVELS)))
                 for _ in range(45):
                     ego = AgentState(0.0, 3.5 * rng.integers(2), rng.normal(0.0, 0.03),
                                      rng.uniform(10.0, 25.0))
@@ -517,7 +547,7 @@ class TestAnalyzeAgents:
         assert rows == [2 * per_agent, per_agent + 3]
         # An agent over the budget runs alone.
         rows.clear()
-        big = ((0.5,), np.zeros((ROW_BUDGET + 1, 4)), (ROW_BUDGET + 1,))
+        big = SampleSet(((0.5,), np.zeros((ROW_BUDGET + 1, 4)), (ROW_BUDGET + 1,)))
         analyze_step(ego, others[:2], big, others[2:], rss_params, TAU)
         assert rows == [ROW_BUDGET + 1, ROW_BUDGET + 1, 1]
         rows.clear()

@@ -10,6 +10,7 @@ from riskenv.config import COVARIANCE_CASES, RunConfig
 from riskenv.uncertainty import (
     EXACT_SAMPLES,
     MAX_GRID_SAMPLES,
+    MAX_SIGMA,
     EigenBasis,
     UncertaintySpec,
     chi2_cdf_4,
@@ -189,7 +190,8 @@ class TestEigendecompose:
         with pytest.raises(ValueError):
             eigendecompose(np.diag([1.0, 1.0, 1.0, -0.5]))
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    # 2 MAX_SIGMA: eigendecompose applies UncertaintySpec's bound on the entries.
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 2 * MAX_SIGMA])
     @pytest.mark.parametrize("where", [(3, 3), (0, 2)])
     def test_non_finite_rejected(self, value, where):
         m = np.eye(4)
