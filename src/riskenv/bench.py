@@ -32,6 +32,7 @@ import numpy as np
 from .config import POLICY_NAMES, RunConfig
 from .prob_envelope import (
     analyze_step,
+    check_beta,
     mean_violations,
     risk_bounded_envelope,
     should_switch,
@@ -80,13 +81,9 @@ def generate_scenarios(n: int, master_seed: int, cfg: RunConfig) -> list[Scenari
     for i in range(n):
         ego_speed = float(rng.uniform(sp.speed_min, sp.speed_max))
         others = []
-        # First platoon vehicle sits half a gap behind the merge point.
-        first_gap = float(rng.uniform(sp.gap_min, sp.gap_max))
-        x = sp.merge_lookahead - 0.5 * first_gap
-        others.append((x, 1, float(rng.uniform(sp.speed_min, sp.speed_max))))
-        for _ in range(sp.n_others - 1):
+        for j in range(sp.n_others):  # the first sits half a gap behind the merge point
             gap = float(rng.uniform(sp.gap_min, sp.gap_max))
-            x += gap
+            x = sp.merge_lookahead - 0.5 * gap if j == 0 else x + gap
             others.append((x, 1, float(rng.uniform(sp.speed_min, sp.speed_max))))
         seed = int(rng.integers(0, 2**31 - 1))
         scenarios.append(ScenarioConfig(index=i, seed=seed, ego_speed=ego_speed,
@@ -111,10 +108,12 @@ def analysis(kind: str, spec: UncertaintySpec) -> tuple[bool, bool]:
 
 
 def acting_beta(kind: str, beta: float, spec: UncertaintySpec) -> float:
-    """The risk level ``kind``'s analysis of ``spec`` acts on: 0.0 for the
-    beta-free kinds, and for any beta in [0, 1) on an exact analysis (each
-    expectation is 0 or 1, each envelope support one point); beta otherwise."""
-    if kind in BETA_FREE_POLICIES or (analysis(kind, spec)[1] and 0.0 <= beta < 1.0):
+    """The risk level ``kind``'s analysis of ``spec`` acts on, once ``check_beta``
+    accepts ``beta``: 0.0 for the beta-free kinds, and for any beta below 1 on
+    an exact analysis (each expectation is 0 or 1, each envelope support one
+    point); beta otherwise."""
+    beta = check_beta(beta)
+    if kind in BETA_FREE_POLICIES or (analysis(kind, spec)[1] and beta < 1.0):
         return 0.0
     return beta
 
@@ -272,6 +271,7 @@ def sweep(scenarios, policies, cases, betas, cfg: RunConfig,
     """
     if not (scenarios and policies and cases and betas):
         raise ValueError("scenarios, policies, cases and betas must be non-empty")
+    betas = [check_beta(beta) for beta in betas]  # each row shows its beta as a float
 
     def group(policy, case, beta):
         spec = cfg.uncertainty[case]

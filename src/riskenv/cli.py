@@ -25,7 +25,6 @@ from .config import (
     COVARIANCE_CASES,
     POLICY_NAMES,
     ConfigError,
-    check_beta,
     envelope_input,
     load_config,
     read_json,
@@ -78,7 +77,6 @@ def _record_to_json(rec) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    check_beta(args.beta)
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .prob_envelope import check_beta
 from .rss import (MAX_POSITION, MAX_SPEED, MAX_TAU, AgentState, ConfigError, RssParams, bounded,
-                  check_bounds, integral)
+                  check_bounds, integral, real)
 from .sim import MAX_DT, MIN_SPEED, IdmParams, LateralControl, RoadParams
 from .uncertainty import MAX_SIMPLEX_ROWS, STATE_DIM, UncertaintySpec
 
@@ -98,8 +98,8 @@ class RunConfig:
         for i, name in enumerate(self.policies):
             if name not in POLICY_NAMES:
                 raise ConfigError(f"policies[{i}]: unknown policy {name!r}")
-        for i, b in enumerate(self.betas):
-            check_beta(b, f"betas[{i}]")
+        object.__setattr__(self, "betas", tuple(check_beta(b, f"betas[{i}]")
+                                                for i, b in enumerate(self.betas)))
         for case in self.uncertainty:
             if case not in COVARIANCE_CASES:
                 raise ConfigError(f"unknown covariance case {case!r}")
@@ -126,22 +126,6 @@ def _key(where: str, key) -> str:
 # A reader maps (dotted key, JSON value) to a value or raises ConfigError
 # naming the key; further arguments come first, for functools.partial.
 
-def _number(where: str, value) -> float:
-    """A finite JSON number; a bool, a string, NaN, an infinity or an integer
-    literal beyond the float range is not one."""
-    if type(value) is float and math.isfinite(value):  # as JSON gives most numbers
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf if value > 0 else -math.inf
-    if not math.isfinite(number):
-        raise ConfigError(f"{where} must be finite, got {number}")
-    return number
-
-
 def _list(read, where: str, value) -> tuple:
     """A JSON list, each item read by ``read``."""
     if not isinstance(value, list):
@@ -164,9 +148,9 @@ def _object(readers: dict, where: str, value, required=()) -> dict:
 
 
 _TYPE_READERS = {
-    "float": _number,
+    "float": real,
     "int": integral,
-    "float | None": lambda where, value: None if value is None else _number(where, value),
+    "float | None": lambda where, value: None if value is None else real(where, value),
 }
 
 
@@ -186,11 +170,11 @@ def _build(cls, where: str, value, required=(), **defaults):
         raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
-_numbers = functools.partial(_list, _number)
+_numbers = functools.partial(_list, real)
 
 
 def _sigma_entry(where: str, value):
-    return _numbers(where, value) if isinstance(value, list) else _number(where, value)
+    return _numbers(where, value) if isinstance(value, list) else real(where, value)
 
 
 def _sigma(where: str, value) -> np.ndarray:
@@ -243,7 +227,7 @@ TOP_LEVEL_READERS = {
     "policies": functools.partial(_list, lambda where, name: name),  # RunConfig checks them
     "betas": _numbers,
     "simplex_samples": integral,
-    "tau": _number,
+    "tau": real,
     "seed": integral,
 }
 
@@ -264,7 +248,7 @@ def config_from_dict(data) -> RunConfig:
 
 _agent = functools.partial(_build, AgentState, required=("v",), x=0.0, y=0.0, theta=0.0)
 ENVELOPE_READERS = {"ego": _agent, "agents": functools.partial(_list, _agent),
-                    "beta": _number, "tau": _number, **SPEC_READERS}
+                    "beta": real, "tau": real, **SPEC_READERS}
 
 
 def envelope_input(data, cfg: RunConfig, beta: float):

@@ -34,6 +34,7 @@ from .rss import (
     Envelope,
     RssParams,
     pair_analysis_batch,
+    real,
     restrictive_sentinel,
     unrestricted_envelope,
     violation_batch,
@@ -151,7 +152,7 @@ def _contours(ego, agents, params, tau):
     box of it and the inner contours, from the innermost up to the first
     that is not free (the outermost's box is the whole box).  The remaining
     rows share passes of at most ``ROW_BUDGET`` rows."""
-    lon, lat = float(params.a_lon_limit), float(params.a_lat_limit)
+    lon, lat = params.a_lon_limit, params.a_lat_limit
     broad = BroadPhase(ego, params, tau)
     out, analysed, chunk, rows = [], [], [], 0
     for state, samples in agents:
@@ -214,8 +215,9 @@ def envelope_distribution(ego: AgentState, obs: AgentState, spec: UncertaintySpe
 
 
 def check_beta(beta: float, where: str = "beta") -> float:
-    """``beta`` if it is a risk level in [0, 1] (NaN is not one); errors name ``where``."""
-    if not (0.0 <= beta <= 1.0):
+    """``beta`` as a float (``real``) if it is a risk level in [0, 1]; errors name ``where``."""
+    beta = real(where, beta)
+    if not 0.0 <= beta <= 1.0:
         raise ConfigError(f"{where} {beta} outside [0, 1]")
     return beta
 

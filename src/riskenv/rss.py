@@ -118,6 +118,22 @@ def integral(name: str, value) -> int:
     return int(value)
 
 
+def real(name: str, value) -> float:
+    """``value`` as a finite float; a bool, a non-number, NaN, an infinity or
+    an integer beyond the float range raises ConfigError naming ``name``."""
+    if type(value) is float and math.isfinite(value):  # the usual case
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):  # np.bool_ is no Real
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf if value > 0 else -math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be finite, got {number}")
+    return number
+
+
 def bounded(default, lo, hi, low_open=False):
     """A dataclass field that ``check_bounds`` keeps in [lo, hi] ((lo, hi] if ``low_open``)."""
     return field(default=default, metadata={"bounds": (lo, hi, low_open)})
@@ -132,19 +148,16 @@ def _bounds(cls) -> tuple:  # (name, int or float, admits None, lo, hi, low_open
 def check_bounds(params) -> None:
     """Raise ConfigError naming the first field that breaks its declaration:
     an ``int`` field takes an integer (an integral float is stored as the
-    int), any other field a real number (a bool is none), or None where its
-    annotation admits it, and a number lies in its range: NaN and the
-    infinities never fit (an infinite end is open)."""
+    int), any other field a real number, stored as a float (``real``), or
+    None where its annotation admits it, and a number lies in its range:
+    NaN and the infinities never fit (an infinite end is open)."""
     for name, kind, optional, lo, hi, low_open in _bounds(type(params)):
         v = getattr(params, name)
         if type(v) is not kind:  # skips these tests for the usual int or float
             if v is None and optional:
                 continue
-            if kind is int:
-                v = integral(name, v)
-                object.__setattr__(params, name, v)
-            elif isinstance(v, bool) or not isinstance(v, numbers.Real):  # np.bool_ is no Real
-                raise ConfigError(f"{name} must be a number, got {v!r}")
+            v = (integral if kind is int else real)(name, v)
+            object.__setattr__(params, name, v)
         if v == math.inf or not (lo < v <= hi if low_open else lo <= v <= hi):
             raise ConfigError(f"{name} must be in {'[('[low_open]}{lo:g}, {hi:g}"
                               f"{'])'[hi == math.inf]}, got {v}")

@@ -209,8 +209,8 @@ def idm_step_others(world: WorldState, idm: IdmParams, others_v0: tuple[float, .
         lane = world.other_lanes[i]
         gap = math.inf
         lead_v = 0.0
-        for j, (x, v, ln) in enumerate(agents):
-            if j == i or ln != lane or x <= s.x:
+        for x, v, ln in agents:
+            if ln != lane or x <= s.x:  # x <= s.x skips the agent itself
                 continue
             d = x - s.x - rss.length
             if d < gap:

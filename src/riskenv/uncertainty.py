@@ -15,7 +15,7 @@ from dataclasses import MISSING, dataclass
 
 import numpy as np
 
-from .rss import MAX_POSITION, bounded, check_bounds
+from .rss import MAX_POSITION, bounded, check_bounds, real
 
 STATE_DIM = 4  # deviation axes, in order: x, y, v, theta
 # Bound on the angle grid, n_phi^3 x contour levels; admits n_phi = 24 with
@@ -127,7 +127,7 @@ class UncertaintySpec:
         sigma = _checked_covariance(self.sigma, "sigma")  # a private, read-only copy
         sigma.flags.writeable = False
         object.__setattr__(self, "sigma", sigma)
-        levels = tuple(float(p) for p in self.contour_levels)
+        levels = tuple(real(f"contour_levels[{i}]", p) for i, p in enumerate(self.contour_levels))
         if not levels:
             raise ValueError("at least one contour level is required")
         prev = 0.0

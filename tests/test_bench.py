@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from riskenv import bench, prob_envelope, rss, uncertainty
 from riskenv.config import (
     COVARIANCE_CASES,
+    ConfigError,
     DEFAULT_CONTOUR_LEVELS,
     DEFAULT_LARGE_VARIANCES,
     DEFAULT_SMALL_VARIANCES,
@@ -328,6 +330,27 @@ class TestEpisodeLoop:
     @pytest.fixture(scope="class")
     def scenarios(self, cfg):
         return bench.generate_scenarios(20, cfg.seed, cfg)
+
+    @pytest.mark.parametrize("beta,message", [
+        (2.0, "beta 2.0 outside [0, 1]"), (float("nan"), "beta must be finite, got nan"),
+        (True, "beta must be a number, got True")])
+    @pytest.mark.parametrize("kind", POLICY_NAMES)
+    def test_bad_beta_rejected_before_any_step(self, cfg, scenarios, kind, beta, message,
+                                               monkeypatch):
+        # Simplex and EnvelopeRestriction ran any beta (they act on 0.0) and
+        # bench.sweep wrote a row for it, ProbabilisticSimplex ran 2.0 and
+        # every policy ran True; ProbabilisticEnvelopeRestriction failed
+        # inside the first step's risk solve.
+        def started(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(bench, "initial_world", started)
+        monkeypatch.setattr(bench, "run_cell", started)
+        for case in COVARIANCE_CASES:
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                bench.run_episode(scenarios[0], kind, beta, case, cfg)
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                bench.sweep(scenarios[:1], [kind], [case], [0.1, beta], cfg)
 
     @pytest.mark.parametrize("kind", ["ProbabilisticEnvelopeRestriction",
                                       "ProbabilisticSimplex"])

@@ -10,6 +10,7 @@ import sys
 import tempfile
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from riskenv import bench, cli
 from riskenv.cli import build_parser, main
 from riskenv.config import (
+    DEFAULT_SMALL_VARIANCES,
     MAX_EPISODE_STEPS,
     MAX_OTHERS,
     MAX_SCENARIOS,
@@ -30,7 +32,7 @@ from riskenv.config import (
 )
 from riskenv.rss import MAX_POSITION, MAX_SPEED, MAX_TAU, RssParams, restrictive_sentinel
 from riskenv.sim import IdmParams, LateralControl, RoadParams
-from riskenv.uncertainty import MAX_SIGMA, MAX_SIMPLEX_ROWS
+from riskenv.uncertainty import MAX_SIGMA, MAX_SIMPLEX_ROWS, UncertaintySpec
 
 # Symmetric covariances with a negative eigenvalue: a 4-entry diagonal and a
 # 16-entry matrix with eigenvalues 3, 1, 1 and -1.
@@ -717,6 +719,13 @@ INT_FIELDS = ("scenario.n_scenarios", "scenario.n_others", "simplex_samples", "s
 # The fields whose annotation admits None (idm.v0 unset: each agent desires
 # its initial speed).
 NONE_FIELDS = ("idm.v0",)
+# The entries of the number lists a core class reads, each built as the first
+# entry of its list.
+LIST_ENTRIES = {
+    "betas[0]": lambda value: RunConfig(betas=(value, 0.5)),
+    "contour_levels[0]": lambda value: UncertaintySpec.from_diagonal(
+        DEFAULT_SMALL_VARIANCES, (value, 0.9), 8),
+}
 
 
 def _within(lo, hi, low_open):
@@ -797,6 +806,53 @@ class TestDeclaredBounds:
         with pytest.raises(ConfigError, match=f"^{key.split('.')[-1]} must be an? "
                                               f"(integer|number), got {re.escape(repr(value))}$"):
             _declared(key, value)
+
+    @pytest.mark.parametrize("value", [True, None, "0.5"])
+    @pytest.mark.parametrize("key", LIST_ENTRIES)
+    def test_non_number_list_entry_rejected(self, key, value):
+        # RunConfig(betas=(True,)) wrote True into rates.csv, betas=("0.5",)
+        # raised a TypeError naming no field, and a contour level of "0.5" was
+        # accepted.
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be a number, "
+                                              f"got {re.escape(repr(value))}$"):
+            LIST_ENTRIES[key](value)
+
+    @pytest.mark.parametrize("key", [key for key in (*FIELD_BOUNDS, *RUN_BOUNDS)
+                                     if key not in (*INT_FIELDS, *NONE_FIELDS)])
+    def test_real_stored_as_float_on_float_fields(self, key):
+        # RunConfig(tau=Fraction(1, 5)) was stored as given, and run_episode
+        # then failed inside numpy; RssParams(a_lon_limit=8) kept the int.
+        name = key.split(".")[-1]
+        default = getattr(PARAM_SECTIONS[key.split(".")[0]]() if "." in key else RunConfig(),
+                          name)
+        values = [Fraction(default), np.float64(default)]
+        if default.is_integer():
+            values.append(int(default))
+        for value in values:
+            stored = getattr(_declared(key, value), name)
+            assert type(stored) is float and stored == default, value
+
+    def test_episode_runs_under_fraction_tau(self):
+        cfg = RunConfig(tau=Fraction(1, 5), scenario=ScenarioParams(n_scenarios=1))
+        assert type(cfg.tau) is float and cfg.tau == 0.2
+        scn = bench.generate_scenarios(1, cfg.seed, cfg)[0]
+        got = bench.run_episode(scn, "ProbabilisticEnvelopeRestriction", 0.1, "small", cfg)
+        want = bench.run_episode(scn, "ProbabilisticEnvelopeRestriction", 0.1, "small",
+                                 RunConfig(scenario=cfg.scenario))
+        assert (got.outcome, got.steps, got.envelope_steps) == \
+            (want.outcome, want.steps, want.envelope_steps)
+
+    def test_fraction_beta_stored_and_written_as_float(self, tmp_path):
+        cfg = RunConfig(betas=(Fraction(1, 2),), policies=("Simplex",),
+                        scenario=ScenarioParams(n_scenarios=1))
+        assert cfg.betas == (0.5,) and type(cfg.betas[0]) is float
+        scenarios = bench.generate_scenarios(1, cfg.seed, cfg)
+        rows = bench.sweep(scenarios, cfg.policies, ["none"], cfg.betas, cfg)
+        assert bench.rows_to_csv(rows).splitlines()[1].startswith("Simplex,none,0.5,")
+        # bench.sweep itself wrote the betas it was given as they were.
+        rows = bench.sweep(scenarios, cfg.policies, ["none"], [Fraction(1, 2), 1], cfg)
+        assert [line.split(",")[2] for line in bench.rows_to_csv(rows).splitlines()[1:]] \
+            == ["0.5", "1.0"]
 
     def test_every_non_negative_seed_accepted(self):
         assert RunConfig(seed=0).seed == 0

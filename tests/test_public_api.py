@@ -95,7 +95,7 @@ def _imported_modules(module) -> set:
 
 def test_core_modules_do_not_import_config():
     # config is the JSON layer over the core modules: the input contract
-    # (ConfigError, integral, check_bounds, check_beta) lives below it.
+    # (ConfigError, integral, real, check_bounds, check_beta) lives below it.
     assert "riskenv.rss.AgentState" in _imported_modules(riskenv.prob_envelope)
     for module in (riskenv.rss, riskenv.uncertainty, riskenv.sim, riskenv.prob_envelope):
         imported = _imported_modules(module)

@@ -1,6 +1,8 @@
 import json
 import math
+import re
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +20,13 @@ from riskenv.rss import (
     TWO_PI,
     AgentState,
     BroadPhase,
+    ConfigError,
     Envelope,
     RssParams,
     advance_speed_clamped,
     pair_analysis_batch,
     pairwise_envelope_batch,
+    real,
     safe_distance_lat,
     safe_distance_lon,
     safety_envelope,
@@ -237,6 +241,16 @@ class TestCombination:
         assert combined == worst_of(e_lon, e_lat)
         assert combined.a_lon_max == e_lon.a_lon_max < rss_params.a_lon_limit
         assert combined.a_lat_max == e_lat.a_lat_max < rss_params.a_lat_limit
+
+    @pytest.mark.parametrize("n_others", [0, 1])
+    def test_components_are_floats_under_int_limits(self, n_others):
+        # With a_lon_limit=8, a_lon_min was the int -8 (and every component
+        # of the empty world's envelope an int).
+        params = RssParams(a_lon_limit=8, a_lat_limit=4)
+        others = [AgentState(10.0, 0.0, 0.0, 5.0)][:n_others]
+        env = safety_envelope(AgentState(0.0, 0.0, 0.0, 15.0), others, params, TAU)
+        assert [type(v) for v in env] == [float] * 4
+        assert env == safety_envelope(AgentState(0.0, 0.0, 0.0, 15.0), others, RssParams(), TAU)
 
     def test_duplicate_agents_idempotent(self, rss_params):
         rng = np.random.default_rng(3)
@@ -840,3 +854,29 @@ class TestBroadPhase:
         assert BroadPhase(ego, rss_params, tau).free(state, [0.0] * 4, [0.0] * 4) is False
         assert BroadPhase(ego, rss_params, tau).unviolated(state, [0.0] * 4, [0.0] * 4)
         assert BroadPhase(ego, rss_params, TAU).free(state, [0.0] * 4, [0.0] * 4)
+
+
+class TestReal:
+    """``real`` is the one rule for a real number wherever a scalar enters
+    the core: the JSON readers, the declared fields, risk and contour levels."""
+
+    @pytest.mark.parametrize("value,want", [
+        (0.25, 0.25), (3, 3.0), (Fraction(1, 4), 0.25), (np.float64(0.25), 0.25),
+        (np.int64(-2), -2.0), (-0.0, -0.0)])
+    def test_real_number_as_float(self, value, want):
+        got = real("x", value)
+        assert type(got) is float and got == want
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    @pytest.mark.parametrize("value", [True, np.True_, None, "0.5", 1j, [0.5]])
+    def test_non_number_rejected(self, value):
+        with pytest.raises(ConfigError, match=f"^x must be a number, "
+                                              f"got {re.escape(repr(value))}$"):
+            real("x", value)
+
+    @pytest.mark.parametrize("value,shown", [
+        (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (np.float64("nan"), "nan"),
+        (10 ** 400, "inf"), (-10 ** 400, "-inf")])
+    def test_non_finite_rejected(self, value, shown):
+        with pytest.raises(ConfigError, match=f"^x must be finite, got {shown}$"):
+            real("x", value)
