@@ -37,7 +37,7 @@ from .prob_envelope import (
     risk_bounded_envelope,
     should_switch,
 )
-from .rss import AgentState, less_restrictive_any, unrestricted_envelope
+from .rss import AgentState, ConfigError, less_restrictive_any, unrestricted_envelope
 from .sim import (
     EpisodeResult,
     ObservedWorld,
@@ -98,6 +98,16 @@ def initial_world(scn: ScenarioConfig, cfg: RunConfig) -> WorldState:
                    for x, lane, v in scn.others)
     lanes = tuple(lane for _, lane, _ in scn.others)
     return WorldState(time=0.0, ego=ego, others=others, other_lanes=lanes, road=road)
+
+
+def case_spec(cfg: RunConfig, case: str) -> UncertaintySpec:
+    """``cfg``'s UncertaintySpec of the covariance ``case``; an unknown case
+    raises ConfigError naming it and the known ones."""
+    try:
+        return cfg.uncertainty[case]
+    except (KeyError, TypeError):  # TypeError: an unhashable case
+        raise ConfigError(f"unknown covariance case {case!r}; known cases: "
+                          f"{', '.join(cfg.uncertainty)}") from None
 
 
 def analysis(kind: str, spec: UncertaintySpec) -> tuple[bool, bool]:
@@ -168,7 +178,7 @@ def run_episode(scn: ScenarioConfig, kind: str, beta: float, case: str,
     the scenario seed, so the observed world is identical across policies
     until commands diverge.
     """
-    spec = cfg.uncertainty[case]
+    spec = case_spec(cfg, case)
     obs_ss, policy_ss = np.random.SeedSequence(entropy=scn.seed, spawn_key=(0,)).spawn(2)
     obs_rng = np.random.default_rng(obs_ss)
     policy = Policy(kind, cfg, spec, np.random.default_rng(policy_ss))
@@ -274,7 +284,7 @@ def sweep(scenarios, policies, cases, betas, cfg: RunConfig,
     betas = [check_beta(beta) for beta in betas]  # each row shows its beta as a float
 
     def group(policy, case, beta):
-        spec = cfg.uncertainty[case]
+        spec = case_spec(cfg, case)
         return case, *analysis(policy, spec), acting_beta(policy, beta, spec)
 
     cells = [(policy, case, beta) for policy in policies for case in cases for beta in betas]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .prob_envelope import check_beta
 from .rss import (MAX_POSITION, MAX_SPEED, MAX_TAU, AgentState, ConfigError, RssParams, bounded,
-                  check_bounds, integral, real)
+                  check_bounds, integral, real, sequence)
 from .sim import MAX_DT, MIN_SPEED, IdmParams, LateralControl, RoadParams
 from .uncertainty import MAX_SIMPLEX_ROWS, STATE_DIM, UncertaintySpec
 
@@ -38,6 +38,11 @@ DEFAULT_LARGE_VARIANCES = (0.16, 0.16, 0.16, 4e-4)
 # time and memory.  results.json keeps one record per scenario per cell (~60
 # cells in the default sweep): 10,000 scenarios, 100x the default, is ~70 MB.
 MAX_SCENARIOS = 10_000
+# A sweep has len(policies) x 3 covariance cases x len(betas) cells, each a
+# row of rates.csv and a record of results.json with every scenario: 8
+# policies (each name twice) and 32 betas, 4x the default, are 768 cells, 8x
+# the default 96.
+MAX_POLICIES, MAX_BETAS = 8, 32
 # A simulate trace keeps one record per step: 10,000 steps is 250x the
 # default episode (8 s at dt = 0.2 s).
 MAX_EPISODE_STEPS = 10_000
@@ -92,9 +97,13 @@ class RunConfig:
         check_bounds(self)
         if not self.uncertainty:
             object.__setattr__(self, "uncertainty", default_uncertainty())
-        for key in ("policies", "betas"):
-            if not getattr(self, key):
+        for key, most in (("policies", MAX_POLICIES), ("betas", MAX_BETAS)):
+            items = sequence(key, getattr(self, key))
+            if not items:
                 raise ConfigError(f"{key} must be non-empty")
+            if len(items) > most:
+                raise ConfigError(f"{key} must hold at most {most} entries, got {len(items)}")
+            object.__setattr__(self, key, items)
         for i, name in enumerate(self.policies):
             if name not in POLICY_NAMES:
                 raise ConfigError(f"policies[{i}]: unknown policy {name!r}")

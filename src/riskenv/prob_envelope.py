@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
 from itertools import accumulate
-from operator import add
 
 import numpy as np
 
@@ -120,8 +118,7 @@ def analyze_step(ego: AgentState, observed, samples: SampleSet, exact, params: R
     agents = [(s, samples) for s in observed]
     agents += [] if once else [(s, EXACT_SAMPLES) for s in exact]
     contours = _contours(ego, agents, params, tau)
-    levels = samples[0]
-    masses = tuple(p_k - prev for p_k, prev in zip(levels, (0.0, *levels)))
+    levels, masses = samples[0], samples.masses
     dists, expectations = [], []
     for j in range(len(observed)):
         own = contours[j * len(levels):(j + 1) * len(levels)]
@@ -181,6 +178,9 @@ def _analyze_pass(ego, agents, params, tau):
     ox, oy, ov, ot = stacked_states((state, samples[1]) for state, samples in agents)
     lon_max, lat_min, lat_max, violated = pair_analysis_batch(
         ego, ox, oy, ov, ot, params, tau)
+    if len(counts) == len(ox):  # one row per contour: the rows are the contours
+        return list(zip(lon_max.tolist(), lat_min.tolist(), lat_max.tolist(),
+                        violated.tolist()))
     starts = np.array([0, *accumulate(counts[:-1])])  # each contour's first row
     return list(zip(np.minimum.reduceat(lon_max, starts).tolist(),
                     np.maximum.reduceat(lat_min, starts).tolist(),
@@ -230,26 +230,38 @@ def risk_bounded_envelope(distributions, beta: float, params: RssParams) -> Enve
     restrictive, accumulating per-agent mass strictly more restrictive than
     the candidate; the combined probability 1 - prod_j(1 - P_j) must not
     exceed beta.  With no distributions, the unrestricted envelope.
+
+    Two cases close without the walk, with its bits.  Point masses (every
+    agent has masses (1.0,) and no residual) give the component-wise most
+    restrictive envelope: the walk stops at its first candidate, where some
+    agent holds mass 1, and, as ``min`` and ``max``, keeps the first of equal
+    values in agent order.  A component where every contour of every agent
+    holds one value v0, with the sentinel sorting before it, gives v0 if
+    1 - prod_j(1 - r_j) <= beta (and the product is positive), else the
+    sentinel: the walk's one step discards exactly the residual masses r_j.
     """
     check_beta(beta)
     distributions = list(distributions)
     if not distributions:
         return unrestricted_envelope(params)
+    if all(d.masses == (1.0,) and d.residual_mass == 0.0 for d in distributions):
+        lon_min, lon_max, lat_min, lat_max = zip(*(d.envelopes[0] for d in distributions))
+        return Envelope(max(lon_min), min(lon_max), max(lat_min), min(lat_max))
     sentinel = restrictive_sentinel(params)
-    supports = ([], [], [], [])  # per component, each agent's value -> mass
-    for dist in distributions:
-        columns = tuple(zip(*dist.envelopes)) or ((),) * len(supports)
-        total = reduce(add, dist.masses, 0.0)  # a value on every contour, summed as below
-        for k, column in enumerate(columns):
-            support = {sentinel[k]: dist.residual_mass} if dist.residual_mass > 0.0 else {}
-            if column and column.count(column[0]) == len(column) and column[0] not in support:
-                support[column[0]] = total
-            else:
-                for mass, v in zip(dist.masses, column):
-                    support[v] = support.get(v, 0.0) + mass
-            supports[k].append(support)
+    inside = math.prod([1.0 - d.residual_mass for d in distributions])  # in agent order
+    columns = [tuple(zip(*d.envelopes)) or ((),) * len(COMPONENTS) for d in distributions]
     values = []
-    for (_, orientation), component in zip(COMPONENTS, supports):
+    for k, (_, orientation) in enumerate(COMPONENTS):
+        shared = {v for agent in columns for v in agent[k]}  # keeps the first of equal values
+        if len(shared) == 1 and orientation * sentinel[k] < orientation * (v0 := min(shared)):
+            values.append(v0 if 1.0 - inside <= beta and inside > 0.0 else sentinel[k])
+            continue
+        component = []  # each agent's value -> mass
+        for dist, agent in zip(distributions, columns):
+            support = {sentinel[k]: dist.residual_mass} if dist.residual_mass > 0.0 else {}
+            for mass, v in zip(dist.masses, agent[k]):
+                support[v] = support.get(v, 0.0) + mass
+            component.append(support)
         candidates = sorted({v for s in component for v in s}, reverse=orientation < 0.0)
         best, cum = candidates[0], [0.0] * len(component)
         for prev, v in zip(candidates, candidates[1:]):  # nothing to discard before the first

@@ -56,6 +56,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -132,6 +133,15 @@ def real(name: str, value) -> float:
     if not math.isfinite(number):
         raise ConfigError(f"{name} must be finite, got {number}")
     return number
+
+
+def sequence(name: str, value) -> tuple:
+    """``value`` as a tuple if it is a sequence (a list, a tuple or a 1-D
+    array), not a string; anything else raises ConfigError naming ``name``."""
+    if isinstance(value, str) or not (isinstance(value, Sequence)
+                                      or isinstance(value, np.ndarray) and value.ndim == 1):
+        raise ConfigError(f"{name} must be a sequence, got {value!r}")
+    return tuple(value)
 
 
 def bounded(default, lo, hi, low_open=False):

@@ -15,7 +15,7 @@ from dataclasses import MISSING, dataclass
 
 import numpy as np
 
-from .rss import MAX_POSITION, bounded, check_bounds, real
+from .rss import MAX_POSITION, bounded, check_bounds, real, sequence
 
 STATE_DIM = 4  # deviation axes, in order: x, y, v, theta
 # Bound on the angle grid, n_phi^3 x contour levels; admits n_phi = 24 with
@@ -127,7 +127,8 @@ class UncertaintySpec:
         sigma = _checked_covariance(self.sigma, "sigma")  # a private, read-only copy
         sigma.flags.writeable = False
         object.__setattr__(self, "sigma", sigma)
-        levels = tuple(real(f"contour_levels[{i}]", p) for i, p in enumerate(self.contour_levels))
+        levels = tuple(real(f"contour_levels[{i}]", p)
+                       for i, p in enumerate(sequence("contour_levels", self.contour_levels)))
         if not levels:
             raise ValueError("at least one contour level is required")
         prev = 0.0
@@ -157,8 +158,7 @@ class UncertaintySpec:
 
     @staticmethod
     def from_diagonal(variances, contour_levels, n_phi) -> "UncertaintySpec":
-        return UncertaintySpec(np.diag(np.asarray(variances, dtype=float)),
-                               tuple(contour_levels), n_phi)
+        return UncertaintySpec(np.diag(np.asarray(variances, dtype=float)), contour_levels, n_phi)
 
 
 @dataclass(frozen=True)
@@ -168,6 +168,11 @@ class EigenBasis:
 
     eigenvalues: np.ndarray   # shape (4,), descending, >= 0
     eigenvectors: np.ndarray  # shape (4, 4), columns are eigenvectors
+
+    @functools.cached_property
+    def scale(self) -> np.ndarray:
+        """sqrt(lambda) of each eigenvalue, computed on first use."""
+        return np.sqrt(self.eigenvalues)
 
     @property
     def is_zero(self) -> bool:
@@ -241,8 +246,13 @@ def _distinct_grid(n_phi: int):
 class SampleSet(tuple):
     """``(levels, deviations, counts)``, as ``contour_samples`` returns them,
     with the per-column (min, max) of the deviations of contours 0..k, as
-    two lists of floats, for each k (``boxes``) and for all (``box``),
-    computed on first use."""
+    two lists of floats, for each k (``boxes``) and for all (``box``), and
+    each contour's mass p_k - p_{k-1} (``masses``), computed on first use."""
+
+    @functools.cached_property
+    def masses(self) -> tuple[float, ...]:
+        levels = self[0]
+        return tuple(p_k - prev for p_k, prev in zip(levels, (0.0, *levels)))
 
     @functools.cached_property
     def box(self):
@@ -308,4 +318,4 @@ def draw_noise(basis: EigenBasis, rng: np.random.Generator, n: int) -> np.ndarra
     One call takes the same normals in the same order as n one-row calls.
     ``basis`` comes from ``eigendecompose(sigma)`` (or ``spec.basis``)."""
     z = rng.standard_normal((n, STATE_DIM))
-    return (z * np.sqrt(basis.eigenvalues)) @ basis.eigenvectors.T
+    return (z * basis.scale) @ basis.eigenvectors.T

@@ -6,8 +6,9 @@ the closed-form bound solver reproduces, the chi-square quantile's full
 bisection, exhaustive joint enumeration of
 envelope distributions, one contour point at a time, one contour level at a
 time, one agent's perturbed states at a time, the full n_phi^3 contour grid
-with its repeated points, and the episode loop with a policy that applies
-the risk level itself, one cell at a time.
+with its repeated points, the episode loop with a policy that applies
+the risk level itself, one cell at a time, and the risk solve's candidate
+walk on every component.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -33,6 +36,7 @@ from riskenv.prob_envelope import (
     EXACT_SAMPLES,
     EnvelopeDistribution,
     analyze_step,
+    check_beta,
     risk_bounded_envelope,
     should_switch,
     stacked_states,
@@ -253,6 +257,43 @@ def contour_loop_analysis(ego: AgentState, obs: AgentState, samples, params: Rss
         prev = p_k
     return (EnvelopeDistribution(agent_id, tuple(masses), tuple(envelopes), 1.0 - prev),
             expectation)
+
+
+def walk_risk_envelope(distributions, beta: float, params: RssParams) -> Envelope:
+    """The component-wise walk of ``risk_bounded_envelope`` as it was before
+    its point-mass and shared-value closures, verbatim: every call walks the
+    sorted candidates of every component."""
+    check_beta(beta)
+    distributions = list(distributions)
+    if not distributions:
+        return unrestricted_envelope(params)
+    sentinel = restrictive_sentinel(params)
+    supports = ([], [], [], [])  # per component, each agent's value -> mass
+    for dist in distributions:
+        columns = tuple(zip(*dist.envelopes)) or ((),) * len(supports)
+        total = reduce(add, dist.masses, 0.0)  # a value on every contour, summed as below
+        for k, column in enumerate(columns):
+            support = {sentinel[k]: dist.residual_mass} if dist.residual_mass > 0.0 else {}
+            if column and column.count(column[0]) == len(column) and column[0] not in support:
+                support[column[0]] = total
+            else:
+                for mass, v in zip(dist.masses, column):
+                    support[v] = support.get(v, 0.0) + mass
+            supports[k].append(support)
+    values = []
+    for (_, orientation), component in zip(COMPONENTS, supports):
+        candidates = sorted({v for s in component for v in s}, reverse=orientation < 0.0)
+        best, cum = candidates[0], [0.0] * len(component)
+        for prev, v in zip(candidates, candidates[1:]):  # nothing to discard before the first
+            cum = [c + s.get(prev, 0.0) for c, s in zip(cum, component)]
+            survive = math.prod([1.0 - c for c in cum])  # multiplied in agent order
+            # Mass that is certain to be more restrictive is never discarded,
+            # so beta = 1 still respects any agent's full support.
+            if not (1.0 - survive <= beta and survive > 0.0):
+                break
+            best = v
+        values.append(best)
+    return Envelope(*values)
 
 
 def enumerate_risk_envelope(distributions, beta: float, params: RssParams) -> Envelope:

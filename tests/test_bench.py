@@ -151,6 +151,28 @@ class TestPolicyEquivalences:
         assert len(commands) == 1
 
 
+class TestUnknownCovarianceCase:
+    """A case the config does not hold raises ConfigError naming it and the
+    known cases, before any episode runs."""
+
+    def test_sweep_rejects_before_any_episode(self, cfg, small_set, monkeypatch):
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran")
+        monkeypatch.setattr(bench, "run_episode", no_episode)
+        with pytest.raises(ConfigError, match=r"'bogus'.*none, small, large"):
+            bench.sweep(small_set, ["Simplex"], ["small", "bogus"], [0.1], cfg)
+
+    @pytest.mark.parametrize("case", ["bogus", ["small"]])
+    def test_run_episode_rejects(self, cfg, small_set, case):
+        with pytest.raises(ConfigError, match="unknown covariance case"):
+            bench.run_episode(small_set[0], "Simplex", 0.1, case, cfg)
+
+    def test_known_cases_are_those_of_the_config(self, small_set):
+        cfg = RunConfig(uncertainty={"small": RunConfig().uncertainty["small"]})
+        with pytest.raises(ConfigError, match="known cases: small$"):
+            bench.run_episode(small_set[0], "Simplex", 0.1, "none", cfg)
+
+
 class TestSweep:
     def test_rate_table_shape_and_sanity(self, cfg, small_set):
         rows = bench.sweep(small_set, ["EnvelopeRestriction", "Simplex"],

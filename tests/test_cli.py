@@ -23,6 +23,8 @@ from riskenv.config import (
     DEFAULT_SMALL_VARIANCES,
     MAX_EPISODE_STEPS,
     MAX_OTHERS,
+    MAX_BETAS,
+    MAX_POLICIES,
     MAX_SCENARIOS,
     ConfigError,
     RunConfig,
@@ -875,6 +877,51 @@ class TestDeclaredBounds:
                                    "none", cfg)
         assert result.outcome in ("Success", "Collision", "Timeout")
         assert result.steps <= cfg.scenario.horizon / cfg.scenario.dt + 1
+
+
+class TestSequenceFields:
+    """betas, policies and contour_levels take a sequence, not a string, and
+    the sweep's two lists have a ceiling; errors name the field."""
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda v: RunConfig(betas=v), "betas"),
+        (lambda v: RunConfig(policies=v), "policies"),
+        (lambda v: UncertaintySpec.from_diagonal(DEFAULT_SMALL_VARIANCES, v, 8),
+         "contour_levels"),
+        (lambda v: UncertaintySpec(np.diag(DEFAULT_SMALL_VARIANCES), v, 8), "contour_levels"),
+    ])
+    @pytest.mark.parametrize("value", [0.5, "Simplex", None, {0.5}, np.float64(0.5)])
+    def test_non_sequence_names_the_field(self, build, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a sequence"):
+            build(value)
+
+    def test_sequences_are_stored_as_tuples(self):
+        cfg = RunConfig(betas=[0.5, np.float64(0.25)], policies=["Simplex"])
+        assert (cfg.betas, cfg.policies) == ((0.5, 0.25), ("Simplex",))
+        spec = UncertaintySpec.from_diagonal(DEFAULT_SMALL_VARIANCES, np.array([0.5, 0.9]), 4)
+        assert spec.contour_levels == (0.5, 0.9)
+
+    @pytest.mark.parametrize("key, most, item", [
+        ("betas", MAX_BETAS, 0.5), ("policies", MAX_POLICIES, "Simplex")])
+    def test_ceiling(self, key, most, item):
+        assert len(getattr(RunConfig(**{key: (item,) * most}), key)) == most
+        with pytest.raises(ConfigError, match=f"^{key} must hold at most {most} entries, "
+                                              f"got {most + 1}$"):
+            RunConfig(**{key: (item,) * (most + 1)})
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--betas", ",".join(["0.5"] * (MAX_BETAS + 1))),
+        ("--policies", ",".join(["Simplex"] * (MAX_POLICIES + 1)))])
+    def test_cli_ceiling_exit_2_before_any_episode(self, tmp_path, monkeypatch, capsys,
+                                                   flag, value):
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran")
+        monkeypatch.setattr(bench, "run_episode", no_episode)
+        code, out, err = run_cli(["benchmark", flag, value, "--out", str(tmp_path / "r")],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert f"{flag[2:]} must hold at most" in err
+        assert not (tmp_path / "r").exists()
 
 
 class TestValidateCommand:

@@ -52,6 +52,7 @@ from conftest import (
     per_agent_states,
     safety_violated,
     sample_contour,
+    walk_risk_envelope,
     worst_of,
 )
 
@@ -304,6 +305,99 @@ def _random_dyadic_distributions(rng, n_agents=None):
 def expectation(ego, obs, spec, params):
     samples = contour_samples(eigendecompose(spec.sigma), spec)
     return analyze_one(ego, obs, samples, params, TAU)[1]
+
+
+SENTINEL = restrictive_sentinel(PARAMS)
+
+
+def _component_values(k: int):
+    """Values of component k that tie, sit on the sentinel or lie beyond it
+    (more restrictive), or are ordinary bounds of either sign."""
+    return (0.0, -0.0, SENTINEL[k], 1.5 * SENTINEL[k], -SENTINEL[k], 1.0, -2.5)
+
+
+@st.composite
+def _closable_inputs(draw):
+    """(distributions, beta) of 1-4 agents, each with one contour of mass 1
+    (a point mass), one of mass 1 - 1e-13, or 1-4 contours with a residual
+    of 0, 1e-15 or 0.3; a component is shared when every contour of every
+    agent holds one value (zeros of either sign)."""
+    n = draw(st.integers(1, 4))
+    kinds = draw(st.sampled_from(["point", "near-point", "contours", "mixed"]))
+    shared = [draw(st.sampled_from(_component_values(k))) if draw(st.booleans()) else None
+              for k in range(len(COMPONENTS))]
+    dists = []
+    for j in range(n):
+        kind = draw(st.sampled_from(["point", "near-point", "contours"])) \
+            if kinds == "mixed" else kinds
+        if kind == "point":
+            masses, residual = (1.0,), 0.0
+        elif kind == "near-point":
+            masses, residual = (1.0 - 1e-13,), draw(st.sampled_from([0.0, 1e-13]))
+        else:
+            residual = draw(st.sampled_from([0.0, 1e-15, 0.3]))
+            m = draw(st.integers(1, 4))
+            masses = ((1.0 - residual) / m,) * m
+        envelopes = []
+        for _ in masses:
+            values = []
+            for k, v0 in enumerate(shared):
+                if v0 is None:
+                    values.append(draw(st.sampled_from(_component_values(k))))
+                else:
+                    values.append(v0 if v0 != 0.0 else draw(st.sampled_from([0.0, -0.0])))
+            envelopes.append(Envelope(*values))
+        dists.append(EnvelopeDistribution(j, masses, tuple(envelopes), residual))
+    beta = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    return dists, beta
+
+
+def _shared_beyond_sentinel(beta):
+    """Two agents whose every contour holds a_lon_max -9, beyond the sentinel's -8."""
+    env = Envelope(-8.0, -9.0, -4.0, 4.0)
+    return [EnvelopeDistribution(j, (0.5, 0.4), (env, env), 0.1) for j in range(2)], beta
+
+
+def _near_point_masses(beta):
+    """Two agents of one contour of mass 1 - 1e-13 and no residual."""
+    return [EnvelopeDistribution(0, (1.0 - 1e-13,), (env_of(1.0, -1.0, 2.0),), 0.0),
+            EnvelopeDistribution(1, (1.0 - 1e-13,), (env_of(2.0, -2.0, 1.0),), 0.0)], beta
+
+
+class TestClosedFormSolve:
+    """``risk_bounded_envelope`` closes point masses and shared-value
+    components without the walk; both give the walk's bits, the sign of a
+    zero included (``walk_risk_envelope`` is the walk)."""
+
+    @given(case=_closable_inputs())
+    @example(case=_shared_beyond_sentinel(0.0))
+    @example(case=_shared_beyond_sentinel(1.0))
+    @example(case=_near_point_masses(1.0))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_walk(self, case):
+        dists, beta = case
+        got = risk_bounded_envelope(dists, beta, PARAMS)
+        want = walk_risk_envelope(dists, beta, PARAMS)
+        assert type(got) is Envelope
+        assert [(v, math.copysign(1.0, v)) for v in got] == \
+            [(v, math.copysign(1.0, v)) for v in want]
+
+    def test_point_masses_keep_the_first_signed_zero(self):
+        dists = [EnvelopeDistribution(j, (1.0,), (Envelope(-8.0, z, z, 4.0),), 0.0)
+                 for j, z in enumerate((-0.0, 0.0))]
+        got = risk_bounded_envelope(dists, 0.5, PARAMS)
+        assert [math.copysign(1.0, v) for v in got[1:3]] == [-1.0, -1.0]
+
+    def test_beta_checked_before_the_closed_forms(self):
+        dist = EnvelopeDistribution(0, (1.0,), (env_of(1.0),), 0.0)
+        with pytest.raises(ValueError, match="beta"):
+            risk_bounded_envelope([dist], 1.5, PARAMS)
+
+    def test_sample_set_masses(self):
+        samples = UncertaintySpec.from_diagonal([0.04, 0.04, 0.04, 1e-4], LEVELS, 4).samples
+        assert samples.masses == tuple(p - q for p, q in zip(LEVELS, (0.0, *LEVELS)))
+        assert samples.masses is samples.masses
+        assert EXACT_SAMPLES.masses == (1.0,)
 
 
 class TestViolationExpectation:
