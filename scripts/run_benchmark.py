@@ -23,8 +23,7 @@ def rates(cfg: RunConfig, n: int = QUICK_SCENARIOS) -> list[bench.RateRow]:
     """The benchmark's rate rows: n scenarios (the quick sweep's 20 by
     default) x cfg.policies x every covariance case x cfg.betas."""
     scenarios = bench.generate_scenarios(n, cfg.seed, cfg)
-    return bench.sweep(scenarios, list(cfg.policies), list(COVARIANCE_CASES),
-                       list(cfg.betas), cfg)
+    return bench.sweep(scenarios, list(COVARIANCE_CASES), cfg)
 
 
 def main() -> int:

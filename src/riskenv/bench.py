@@ -40,7 +40,6 @@ from .prob_envelope import (
 from .rss import AgentState, ConfigError, less_restrictive_any, unrestricted_envelope
 from .sim import (
     EpisodeResult,
-    ObservedWorld,
     StepRecord,
     WorldState,
     classify_outcome,
@@ -97,7 +96,7 @@ def initial_world(scn: ScenarioConfig, cfg: RunConfig) -> WorldState:
     others = tuple(AgentState(x=x, y=road.lane_center(lane), theta=0.0, v=v)
                    for x, lane, v in scn.others)
     lanes = tuple(lane for _, lane, _ in scn.others)
-    return WorldState(time=0.0, ego=ego, others=others, other_lanes=lanes, road=road)
+    return WorldState(time=0.0, ego=ego, others=others, other_lanes=lanes)
 
 
 def case_spec(cfg: RunConfig, case: str) -> UncertaintySpec:
@@ -135,31 +134,32 @@ class Policy:
     def __init__(self, kind: str, cfg: RunConfig, spec: UncertaintySpec,
                  policy_rng: np.random.Generator | None):
         if kind not in POLICY_NAMES:
-            raise ValueError(f"unknown policy {kind!r}")
+            raise ConfigError(f"unknown policy {kind!r}; known policies: "
+                              f"{', '.join(POLICY_NAMES)}")
         self.restricting, exact = analysis(kind, spec)
         self.cfg, self.rng, self.basis = cfg, policy_rng, spec.basis
         # What every agent is analysed under: the case's contour samples, or
         # EXACT_SAMPLES when exact, or None when drawn in the case's eigenbasis.
         self.samples = EXACT_SAMPLES if exact else spec.samples if self.restricting else None
 
-    def __call__(self, obs: ObservedWorld, world: WorldState):
+    def __call__(self, observed: tuple[AgentState, ...], world: WorldState):
         """Each observed agent's violation expectation; for a restricting
         policy also their envelope distributions and the envelope at the true
-        states of ``world`` for the audit, from one ``analyze_step`` call
-        (``observe`` copies the ego exactly), and None, None otherwise."""
-        cfg, others = self.cfg, obs.others
+        states of ``world`` for the audit, from one ``analyze_step`` call, and
+        None, None otherwise.  The ego is ``world.ego``."""
+        cfg, ego = self.cfg, world.ego
         if self.restricting:
             dists, expectations, true_env = analyze_step(
-                obs.ego, others, self.samples, world.others, cfg.rss, cfg.tau)
+                ego, observed, self.samples, world.others, cfg.rss, cfg.tau)
             return expectations, dists, true_env
-        sets = [self.samples] * len(others)
+        sets = [self.samples] * len(observed)
         if self.samples is None:  # one draw of k * m rows: the numbers of k draws of m rows
-            k, m = len(others), cfg.simplex_samples
+            k, m = len(observed), cfg.simplex_samples
             devs = draw_noise(self.basis, self.rng, k * m).reshape(k, m, 4)
             sets = [SampleSet(((1.0,), d, (m,))) for d in devs]
             for s, box in zip(sets, zip(devs.min(axis=1).tolist(), devs.max(axis=1).tolist())):
                 s.box = box  # one min and one max over the whole draw
-        return mean_violations(obs.ego, list(zip(others, sets)), cfg.rss), None, None
+        return mean_violations(ego, list(zip(observed, sets)), cfg.rss), None, None
 
 
 def run_episode(scn: ScenarioConfig, kind: str, beta: float, case: str,
@@ -194,20 +194,20 @@ def run_episode(scn: ScenarioConfig, kind: str, beta: float, case: str,
     noisy = not spec.basis.is_zero
     while True:
         if noisy and (not latched or collect_trace):
-            obs = observe(world, draw_noise(spec.basis, obs_rng, len(world.others)))
-        else:  # latched: only obs.ego is read; zero covariance: the draw is +-0.0
-            obs = ObservedWorld(world.ego, world.others)
+            observed = observe(world, draw_noise(spec.basis, obs_rng, len(world.others)))
+        else:  # latched: nothing is observed; zero covariance: the draw is +-0.0
+            observed = world.others
         envelope = env_violated = None
         if not latched:
-            expectations, dists, true_env = policy(obs, world)
+            expectations, dists, true_env = policy(observed, world)
             latched = should_switch(expectations, beta)
             if not latched and dists is not None:
                 envelope = risk_bounded_envelope(dists, beta, rss)
         if latched:
-            a_lon, a_lat = safety_maneuver(obs, road, rss, cfg.lateral)
+            a_lon, a_lat = safety_maneuver(world.ego, road, rss, cfg.lateral)
         else:
-            a_lon, a_lat = nominal_lane_change(obs, 1, envelope or unrestricted, road,
-                                               cfg.idm, ego_v0, rss, cfg.lateral)
+            a_lon, a_lat = nominal_lane_change(world.ego, observed, 1, envelope or unrestricted,
+                                               road, cfg.idm, ego_v0, rss, cfg.lateral)
             if true_env is not None:
                 env_violated = less_restrictive_any(envelope, true_env)
                 result.envelope_steps += 1
@@ -215,12 +215,12 @@ def run_episode(scn: ScenarioConfig, kind: str, beta: float, case: str,
         result.steps += 1
         world = WorldState(time=result.steps * dt,
                            ego=integrate_ego(world.ego, a_lon, a_lat, dt),
-                           others=idm_step_others(world, cfg.idm, others_v0, rss, dt),
-                           other_lanes=world.other_lanes, road=road)
-        outcome = classify_outcome(world, world.time, cfg.scenario.horizon, rss)
+                           others=idm_step_others(world, road, cfg.idm, others_v0, rss, dt),
+                           other_lanes=world.other_lanes)
+        outcome = classify_outcome(world, road, cfg.scenario.horizon, rss)
         if collect_trace:
             result.records.append(StepRecord(
-                t=world.time, ego=world.ego, observations=obs.others, envelope=envelope,
+                t=world.time, ego=world.ego, observations=observed, envelope=envelope,
                 a_lon=a_lon, a_lat=a_lat, mode="safety" if latched else "nominal",
                 collision=outcome == "Collision", success=outcome == "Success",
                 env_violated=env_violated))
@@ -271,23 +271,22 @@ def run_cell(scenarios, policy: str, case: str, beta: float, cfg: RunConfig) -> 
     return _aggregate(policy, case, beta, results, scenarios)
 
 
-def sweep(scenarios, policies, cases, betas, cfg: RunConfig,
-          pool=None) -> list[RateRow]:
-    """Rate table over every (policy, covariance case, beta) cell.
+def sweep(scenarios, cases, cfg: RunConfig, pool=None) -> list[RateRow]:
+    """Rate table over every (policy, covariance case, beta) cell, for
+    ``cfg.policies`` and ``cfg.betas`` (which ``RunConfig`` checks).
 
     Cells with the same case, ``analysis`` and ``acting_beta`` run the same
     episodes: the first cell of each such group runs and the rest take its
     row.  All cells share the per-scenario seeds.
     """
-    if not (scenarios and policies and cases and betas):
-        raise ValueError("scenarios, policies, cases and betas must be non-empty")
-    betas = [check_beta(beta) for beta in betas]  # each row shows its beta as a float
+    if not (scenarios and cases):
+        raise ValueError("scenarios and cases must be non-empty")
 
     def group(policy, case, beta):
         spec = case_spec(cfg, case)
         return case, *analysis(policy, spec), acting_beta(policy, beta, spec)
 
-    cells = [(policy, case, beta) for policy in policies for case in cases for beta in betas]
+    cells = [(p, c, b) for p in cfg.policies for c in cases for b in cfg.betas]
     runs = {}  # each group's first cell
     for cell in cells:
         runs.setdefault(group(*cell), cell)

@@ -118,9 +118,9 @@ def cmd_benchmark(args) -> int:
              len(scenarios), len(cfg.policies), len(cases), len(cfg.betas))
     if args.jobs > 1:
         with multiprocessing.Pool(args.jobs) as pool:
-            rows = bench.sweep(scenarios, cfg.policies, cases, cfg.betas, cfg, pool=pool)
+            rows = bench.sweep(scenarios, cases, cfg, pool=pool)
     else:
-        rows = bench.sweep(scenarios, cfg.policies, cases, cfg.betas, cfg)
+        rows = bench.sweep(scenarios, cases, cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "rates.csv"

@@ -35,14 +35,19 @@ DEFAULT_LARGE_VARIANCES = (0.16, 0.16, 0.16, 4e-4)
 
 
 # Bounds on the scenario sizes, so that every accepted config runs in bounded
-# time and memory.  results.json keeps one record per scenario per cell (~60
-# cells in the default sweep): 10,000 scenarios, 100x the default, is ~70 MB.
+# time and memory.  results.json keeps one record of about 118 bytes per
+# scenario per cell (96 cells in the default sweep): 10,000 scenarios, 100x
+# the default, are 960,000 records, about 113 MB.
 MAX_SCENARIOS = 10_000
 # A sweep has len(policies) x 3 covariance cases x len(betas) cells, each a
 # row of rates.csv and a record of results.json with every scenario: 8
 # policies (each name twice) and 32 betas, 4x the default, are 768 cells, 8x
 # the default 96.
 MAX_POLICIES, MAX_BETAS = 8, 32
+# The product of the two bounds above: at most 1,000,000 records (about 118 MB
+# of results.json), which holds the default 96 cells at MAX_SCENARIOS; 768
+# cells at MAX_SCENARIOS would be 7.68 M records, about 0.9 GB.
+MAX_RECORDS = 1_000_000
 # A simulate trace keeps one record per step: 10,000 steps is 250x the
 # default episode (8 s at dt = 0.2 s).
 MAX_EPISODE_STEPS = 10_000
@@ -109,6 +114,12 @@ class RunConfig:
                 raise ConfigError(f"policies[{i}]: unknown policy {name!r}")
         object.__setattr__(self, "betas", tuple(check_beta(b, f"betas[{i}]")
                                                 for i, b in enumerate(self.betas)))
+        sizes = (len(self.policies), len(COVARIANCE_CASES), len(self.betas),
+                 self.scenario.n_scenarios)
+        if math.prod(sizes) > MAX_RECORDS:
+            raise ConfigError(f"policies x covariance cases x betas x scenario.n_scenarios "
+                              f"must be <= {MAX_RECORDS} records, got "
+                              f"{' x '.join(map(str, sizes))}")
         for case in self.uncertainty:
             if case not in COVARIANCE_CASES:
                 raise ConfigError(f"unknown covariance case {case!r}")

@@ -7,7 +7,12 @@ of the pair kernel over the perturbed states of several agents
 (``analyze_step``) yields each agent's discrete distribution of worst-case
 envelopes, one per contour, and its violation expectation; the mass outside
 the outermost contour goes to a most-restrictive sentinel and counts as
-violated, so risk is never understated.  At zero covariance
+violated, so that mass never understates risk.  The claim covers only the
+residual mass: contour k's envelope is the worst case over the angle grid's
+points on the k-th ellipsoid, sampled, not certified.  A state inside the
+ellipsoid can get a more restrictive envelope where a smooth bound peaks
+between grid points, or where a row that every grid point leaves relaxed
+becomes restricted between them.  At zero covariance
 (``EXACT_SAMPLES``) the same pass gives each agent's deterministic envelope
 and violation flag.  The Simplex family's ``mean_violations`` take the same
 (state, SampleSet) pairs: all the stacking of agents into kernel rows is
@@ -277,5 +282,7 @@ def risk_bounded_envelope(distributions, beta: float, params: RssParams) -> Enve
 
 
 def should_switch(expectations, beta: float) -> bool:
-    """Probabilistic switch: some agent's expected violation strictly exceeds beta."""
+    """Probabilistic switch: some agent's expected violation strictly exceeds
+    beta, once ``check_beta`` accepts it."""
+    beta = check_beta(beta)
     return any(e > beta for e in expectations)

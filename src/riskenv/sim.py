@@ -3,8 +3,8 @@
 The ego's lane-change controller can be clamped into a safety envelope, and
 its emergency maneuver brakes at the physical limit; the other vehicles
 follow the intelligent-driver car-following law on the true states.
-``observe`` perturbs the others by one step's Gaussian deviations; the ego
-observes itself exactly.  The step loop, which latches the emergency
+``observe`` perturbs the others by one step's Gaussian deviations; the ego's
+own state is known.  The step loop, which latches the emergency
 maneuver once a policy switches, is ``bench.run_episode``; episodes are
 fully determined by (config, seed).
 """
@@ -67,13 +67,6 @@ class WorldState:
     ego: AgentState
     others: tuple[AgentState, ...]
     other_lanes: tuple[int, ...]
-    road: RoadParams
-
-
-@dataclass(frozen=True)
-class ObservedWorld:
-    ego: AgentState
-    others: tuple[AgentState, ...]
 
 
 @dataclass(frozen=True)
@@ -113,11 +106,10 @@ def idm_accel(ego_v: float, gap: float, lead_v: float, params: IdmParams,
     return min(max(a, -brake_limit), params.a)
 
 
-def observe(world: WorldState, deviations: np.ndarray) -> ObservedWorld:
-    """The world as the ego perceives it: other agent j perturbed by row j of
-    the (k, 4) ``deviations`` (x, y, v, theta), each quantity saturated at
-    its ``AgentState`` bound and held as a Python float (not a numpy scalar);
-    the ego state is copied exactly."""
+def observe(world: WorldState, deviations: np.ndarray) -> tuple[AgentState, ...]:
+    """The other agents as the ego perceives them: agent j perturbed by row j
+    of the (k, 4) ``deviations`` (x, y, v, theta), each quantity saturated at
+    its ``AgentState`` bound and held as a Python float (not a numpy scalar)."""
     observed = []
     for s, (dx, dy, dv, dth) in zip(world.others, deviations.tolist(), strict=True):
         x, y, v = s.x + dx, s.y + dy, s.v + dv
@@ -128,7 +120,7 @@ def observe(world: WorldState, deviations: np.ndarray) -> ObservedWorld:
             y = min(max(y, -MAX_POSITION), MAX_POSITION)
             v = min(max(v, 0.0), MAX_SPEED)
         observed.append(AgentState(x=x, y=y, theta=wrap_angle(s.theta + dth), v=v))
-    return ObservedWorld(ego=world.ego, others=tuple(observed))
+    return tuple(observed)
 
 
 @dataclass(frozen=True)
@@ -143,18 +135,17 @@ class LateralControl:
         return min(max(a, -limit), limit)
 
 
-def nominal_lane_change(obs: ObservedWorld, target_lane: int, envelope: Envelope,
-                        road: RoadParams, idm: IdmParams, ego_v0: float,
+def nominal_lane_change(ego: AgentState, observed: tuple[AgentState, ...], target_lane: int,
+                        envelope: Envelope, road: RoadParams, idm: IdmParams, ego_v0: float,
                         rss: RssParams, lat: LateralControl) -> tuple[float, float]:
     """Lane-change command: car-following toward the nearer perceived leader in
     the current or target lane, proportional-derivative steering toward the
     target centerline, both clamped into the envelope."""
-    ego = obs.ego
     ego_lane = road.lane_of(ego.y)
     lanes = {ego_lane, target_lane}
     gap = math.inf
     lead_v = 0.0
-    for s in obs.others:
+    for s in observed:
         if road.lane_of(s.y) not in lanes:
             continue
         d = s.x - ego.x - rss.length
@@ -166,11 +157,10 @@ def nominal_lane_change(obs: ObservedWorld, target_lane: int, envelope: Envelope
     return envelope.clamp(a_lon, a_lat)
 
 
-def safety_maneuver(obs: ObservedWorld, road: RoadParams, rss: RssParams,
+def safety_maneuver(ego: AgentState, road: RoadParams, rss: RssParams,
                     lat: LateralControl) -> tuple[float, float]:
     """Emergency braking plus steering back to the right lane, at physical
     limits and free of envelope restrictions."""
-    ego = obs.ego
     a_lon = -rss.b_max_brake_lon
     a_lat = lat.accel(ego.y, ego.v_lat, road.lane_center(0), rss.a_lat_limit)
     return a_lon, a_lat
@@ -195,13 +185,14 @@ def integrate_ego(state: AgentState, a_lon: float, a_lat: float, dt: float) -> A
                       theta=wrap_angle(theta2), v=min(v2, MAX_SPEED))
 
 
-def idm_step_others(world: WorldState, idm: IdmParams, others_v0: tuple[float, ...],
-                    rss: RssParams, dt: float) -> tuple[AgentState, ...]:
+def idm_step_others(world: WorldState, road: RoadParams, idm: IdmParams,
+                    others_v0: tuple[float, ...], rss: RssParams,
+                    dt: float) -> tuple[AgentState, ...]:
     """Advance the other agents by the car-following law on true states.
 
     Each agent follows its nearest same-lane leader (the ego included once it
     occupies the lane); lateral position and heading are held."""
-    ego_lane = world.road.lane_of(world.ego.y)
+    ego_lane = road.lane_of(world.ego.y)
     agents = [(s.x, s.v_lon, world.other_lanes[i]) for i, s in enumerate(world.others)]
     agents.append((world.ego.x, world.ego.v_lon, ego_lane))
     out = []
@@ -231,9 +222,8 @@ def collision(world: WorldState, rss: RssParams) -> bool:
     return any(boxes_overlap(world.ego, s, rss) for s in world.others)
 
 
-def in_goal(world: WorldState) -> bool:
+def in_goal(world: WorldState, road: RoadParams) -> bool:
     ego = world.ego
-    road = world.road
     if not (road.goal_x_min <= ego.x <= road.goal_x_max):
         return False
     if not (0.5 * road.lane_width <= ego.y <= 1.5 * road.lane_width):
@@ -243,18 +233,18 @@ def in_goal(world: WorldState) -> bool:
     return abs(ego.theta) <= road.goal_heading_max
 
 
-def classify_outcome(world: WorldState, elapsed: float, horizon: float,
+def classify_outcome(world: WorldState, road: RoadParams, horizon: float,
                      rss: RssParams) -> str | None:
     """Terminal classification for the current state, or None to continue.
 
-    Collision dominates, then goal membership; exceeding the horizon is a
-    Timeout.  Exactly one terminal outcome ends every episode.
+    Collision dominates, then goal membership; a ``world.time`` past the
+    horizon is a Timeout.  Exactly one terminal outcome ends every episode.
     """
     if collision(world, rss):
         return "Collision"
-    if in_goal(world):
+    if in_goal(world, road):
         return "Success"
-    if elapsed > horizon - 1e-9:  # the step landing on the horizon ends the episode
+    if world.time > horizon - 1e-9:  # the step landing on the horizon ends the episode
         return "Timeout"
     return None
 

@@ -59,7 +59,6 @@ from riskenv.rss import (
 )
 from riskenv.sim import (
     EpisodeResult,
-    ObservedWorld,
     StepRecord,
     WorldState,
     classify_outcome,
@@ -455,31 +454,31 @@ class OraclePolicy:
         elif not (exact or spec.basis.eigenvalues[0] <= 0.0):
             self.basis = spec.basis
 
-    def __call__(self, obs: ObservedWorld, world: WorldState
+    def __call__(self, observed: tuple[AgentState, ...], world: WorldState
                  ) -> tuple[bool, Envelope | None, Envelope | None]:
         """Switch decision (some agent's expectation exceeds beta), the
         envelope of a restricting policy (None when it switches), and the
         envelope at the true states of ``world`` for the audit.
 
         A restricting policy analyses the observed and the true agents in one
-        ``analyze_step`` call; ``observe`` copies the ego exactly.
+        ``analyze_step`` call; the ego is ``world.ego``.
         """
         cfg = self.cfg
         if self.samples is None:
-            return should_switch(self._mean_violations(obs), self.beta), None, None
+            return should_switch(self._mean_violations(world.ego, observed), self.beta), None, None
         dists, expectations, true_env = analyze_step(
-            obs.ego, obs.others, self.samples, world.others, cfg.rss, cfg.tau)
+            world.ego, observed, self.samples, world.others, cfg.rss, cfg.tau)
         if should_switch(expectations, self.beta):
             return True, None, true_env
         return False, risk_bounded_envelope(dists, self.beta, cfg.rss), true_env
 
-    def _mean_violations(self, obs: ObservedWorld):
+    def _mean_violations(self, ego: AgentState, observed: tuple[AgentState, ...]):
         """Each observed agent's mean violation over ``simplex_samples``
         drawn deviations, or over one zero deviation at zero covariance.
         One draw of k * m rows takes the same numbers as k draws of m rows.
         An agent whose rows ``BroadPhase`` finds unviolated has mean 0.0; the
         other agents' rows go to one violation_batch call."""
-        k = len(obs.others)
+        k = len(observed)
         if k == 0:
             return ()
         if self.basis is None:
@@ -488,13 +487,13 @@ class OraclePolicy:
             m = self.cfg.simplex_samples
             devs = draw_noise(self.basis, self.rng, k * m).reshape(k, m, 4)
             boxes = zip(devs.min(axis=1).tolist(), devs.max(axis=1).tolist())
-        broad = BroadPhase(obs.ego, self.cfg.rss)
-        rest = [j for j, (o, box) in enumerate(zip(obs.others, boxes))
+        broad = BroadPhase(ego, self.cfg.rss)
+        rest = [j for j, (o, box) in enumerate(zip(observed, boxes))
                 if not broad.unviolated(o, *box)]
         means = np.zeros(k)
         if rest:
-            ox, oy, ov, ot = stacked_states((obs.others[j], devs[j]) for j in rest)
-            violated = violation_batch(obs.ego, ox, oy, ov, ot, self.cfg.rss)
+            ox, oy, ov, ot = stacked_states((observed[j], devs[j]) for j in rest)
+            violated = violation_batch(ego, ox, oy, ov, ot, self.cfg.rss)
             means[rest] = violated.reshape(len(rest), m).mean(axis=1)
         return means
 
@@ -525,15 +524,15 @@ def oracle_episode(scn: ScenarioConfig, kind: str, beta: float, case: str,
     result = EpisodeResult(outcome="Timeout", steps=0)
     latched = False
     while True:
-        obs = observe(world, draw_noise(spec.basis, obs_rng, len(world.others)))
+        observed = observe(world, draw_noise(spec.basis, obs_rng, len(world.others)))
         envelope = env_violated = None
         if not latched:
-            latched, envelope, true_env = policy(obs, world)
+            latched, envelope, true_env = policy(observed, world)
         if latched:
-            a_lon, a_lat = safety_maneuver(obs, road, rss, cfg.lateral)
+            a_lon, a_lat = safety_maneuver(world.ego, road, rss, cfg.lateral)
         else:
-            a_lon, a_lat = nominal_lane_change(obs, 1, envelope or unrestricted, road,
-                                               cfg.idm, ego_v0, rss, cfg.lateral)
+            a_lon, a_lat = nominal_lane_change(world.ego, observed, 1, envelope or unrestricted,
+                                               road, cfg.idm, ego_v0, rss, cfg.lateral)
             if true_env is not None:
                 env_violated = less_restrictive_any(envelope, true_env)
                 result.envelope_steps += 1
@@ -541,12 +540,12 @@ def oracle_episode(scn: ScenarioConfig, kind: str, beta: float, case: str,
         result.steps += 1
         world = WorldState(time=result.steps * dt,
                            ego=integrate_ego(world.ego, a_lon, a_lat, dt),
-                           others=idm_step_others(world, cfg.idm, others_v0, rss, dt),
-                           other_lanes=world.other_lanes, road=road)
-        outcome = classify_outcome(world, world.time, cfg.scenario.horizon, rss)
+                           others=idm_step_others(world, road, cfg.idm, others_v0, rss, dt),
+                           other_lanes=world.other_lanes)
+        outcome = classify_outcome(world, road, cfg.scenario.horizon, rss)
         if collect_trace:
             result.records.append(StepRecord(
-                t=world.time, ego=world.ego, observations=obs.others, envelope=envelope,
+                t=world.time, ego=world.ego, observations=observed, envelope=envelope,
                 a_lon=a_lon, a_lat=a_lat, mode="safety" if latched else "nominal",
                 collision=outcome == "Collision", success=outcome == "Success",
                 env_violated=env_violated))

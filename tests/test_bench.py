@@ -25,7 +25,7 @@ from riskenv.config import (
 )
 from riskenv.prob_envelope import perturbed_state_arrays, risk_bounded_envelope, should_switch
 from riskenv.rss import AgentState, safety_envelope, violation_batch
-from riskenv.sim import ObservedWorld, WorldState, observe
+from riskenv.sim import WorldState, observe
 from riskenv.uncertainty import UncertaintySpec, draw_noise, eigendecompose
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_benchmark.py"
@@ -37,6 +37,11 @@ script_spec.loader.exec_module(run_benchmark)
 @pytest.fixture(scope="module")
 def cfg():
     return RunConfig()
+
+
+def grid(cfg, policies, betas):
+    """``cfg`` with the sweep grid ``policies`` x ``betas``."""
+    return replace(cfg, policies=policies, betas=betas)
 
 
 @pytest.fixture(scope="module")
@@ -92,11 +97,9 @@ class TestPolicyEquivalences:
                                              cfg.uncertainty["small"].n_phi)
         rng = np.random.default_rng(0)
         policy = bench.Policy(kind, cfg, spec, rng)
-        obs = ObservedWorld(ego=ego, others=tuple(others))
-        # At zero noise the true world is the observed one.
-        world = WorldState(0.0, ego, tuple(others),
-                           tuple(cfg.road.lane_of(o.y) for o in others), cfg.road)
-        return policy, obs, world, spec
+        # At zero noise the observed agents are the true ones.
+        world = WorldState(0.0, ego, tuple(others), tuple(cfg.road.lane_of(o.y) for o in others))
+        return policy, world.others, world, spec
 
     @pytest.mark.parametrize("geometry", [
         (AgentState(0, 0, 0, 17), [AgentState(28, 0, 0, 15)]),
@@ -105,7 +108,7 @@ class TestPolicyEquivalences:
     ])
     def test_zero_noise_prob_env_equals_env_restriction(self, cfg, geometry):
         ego, others = geometry
-        pa, obs, world, spec = self.zero_noise_policy(
+        pa, observed, world, spec = self.zero_noise_policy(
             cfg, "ProbabilisticEnvelopeRestriction", ego, others)
         pb, _, _, _ = self.zero_noise_policy(cfg, "EnvelopeRestriction", ego, others)
         for beta in (0.05, 0.5):
@@ -113,20 +116,20 @@ class TestPolicyEquivalences:
             # equal decisions give equal commands: PER at its own beta, ER at
             # the 0.0 it acts on.
             assert bench.acting_beta("EnvelopeRestriction", beta, spec) == 0.0
-            assert (episode_decision(pa(obs, world), beta, cfg)
-                    == episode_decision(pb(obs, world), 0.0, cfg))
+            assert (episode_decision(pa(observed, world), beta, cfg)
+                    == episode_decision(pb(observed, world), 0.0, cfg))
 
     def test_zero_noise_simplex_flavors_switch_identically(self, cfg):
         ego = AgentState(0, 1.4, 0.1, 17)
         others = [AgentState(6, 3.5, 0, 19)]
-        pa, obs, world, spec = self.zero_noise_policy(cfg, "Simplex", ego, others)
+        pa, observed, world, spec = self.zero_noise_policy(cfg, "Simplex", ego, others)
         pb, _, _, _ = self.zero_noise_policy(cfg, "ProbabilisticSimplex", ego, others)
-        assert episode_decision(pa(obs, world), 0.0, cfg) == (True, None)
+        assert episode_decision(pa(observed, world), 0.0, cfg) == (True, None)
         for beta in (0.0, 0.1, 0.9):
             assert bench.acting_beta("Simplex", beta, spec) == 0.0
             state = pb.rng.bit_generator.state
-            assert (episode_decision(pb(obs, world), beta, cfg)
-                    == episode_decision(pa(obs, world), 0.0, cfg))
+            assert (episode_decision(pb(observed, world), beta, cfg)
+                    == episode_decision(pa(observed, world), 0.0, cfg))
             # At zero covariance nothing is drawn: one zero deviation per agent.
             assert pb.rng.bit_generator.state == state
 
@@ -134,8 +137,8 @@ class TestPolicyEquivalences:
         ego = AgentState(0, 0, 0, 17)
         others = [AgentState(400, 3.5, 0, 17)]
         for kind in bench.POLICY_NAMES:
-            policy, obs, world, spec = self.zero_noise_policy(cfg, kind, ego, others)
-            switch, envelope = episode_decision(policy(obs, world),
+            policy, observed, world, spec = self.zero_noise_policy(cfg, kind, ego, others)
+            switch, envelope = episode_decision(policy(observed, world),
                                                 bench.acting_beta(kind, 0.1, spec), cfg)
             assert not switch
             assert envelope in (None, rss.unrestricted_envelope(cfg.rss))
@@ -160,7 +163,7 @@ class TestUnknownCovarianceCase:
             raise AssertionError("an episode ran")
         monkeypatch.setattr(bench, "run_episode", no_episode)
         with pytest.raises(ConfigError, match=r"'bogus'.*none, small, large"):
-            bench.sweep(small_set, ["Simplex"], ["small", "bogus"], [0.1], cfg)
+            bench.sweep(small_set, ["small", "bogus"], grid(cfg, ["Simplex"], [0.1]))
 
     @pytest.mark.parametrize("case", ["bogus", ["small"]])
     def test_run_episode_rejects(self, cfg, small_set, case):
@@ -173,18 +176,37 @@ class TestUnknownCovarianceCase:
             bench.run_episode(small_set[0], "Simplex", 0.1, "none", cfg)
 
 
+class TestUnknownPolicy:
+    """A policy name that is not one of POLICY_NAMES raises ConfigError
+    naming it and the known ones, before any step."""
+
+    MESSAGE = (r"^unknown policy 'bogus'; known policies: ProbabilisticEnvelopeRestriction, "
+               r"EnvelopeRestriction, Simplex, ProbabilisticSimplex$")
+
+    def test_run_episode_and_run_cell_reject_before_any_step(self, cfg, small_set,
+                                                             monkeypatch):
+        def started(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(bench, "initial_world", started)
+        with pytest.raises(ConfigError, match=self.MESSAGE):
+            bench.run_episode(small_set[0], "bogus", 0.1, "small", cfg)
+        with pytest.raises(ConfigError, match=self.MESSAGE):
+            bench.run_cell(small_set, "bogus", "small", 0.1, cfg)
+
+
 class TestSweep:
     def test_rate_table_shape_and_sanity(self, cfg, small_set):
-        rows = bench.sweep(small_set, ["EnvelopeRestriction", "Simplex"],
-                           ["none", "small"], [0.0, 0.1], cfg)
+        rows = bench.sweep(small_set, ["none", "small"],
+                           grid(cfg, ["EnvelopeRestriction", "Simplex"], [0.0, 0.1]))
         assert len(rows) == 2 * 2 * 2
         for r in rows:
             assert r.n == len(small_set)
             assert r.success_rate + r.collision_rate + r.timeout_rate == pytest.approx(1.0)
 
     def test_beta_free_policies_constant_across_beta(self, cfg, small_set):
-        rows = bench.sweep(small_set, ["EnvelopeRestriction"], ["small"],
-                           [0.0, 0.4, 1.0], cfg)
+        rows = bench.sweep(small_set, ["small"],
+                           grid(cfg, ["EnvelopeRestriction"], [0.0, 0.4, 1.0]))
         assert len({(r.success_rate, r.collision_rate, r.timeout_rate)
                     for r in rows}) == 1
 
@@ -209,12 +231,12 @@ class TestSweep:
             return run_cell(scenarios, policy, case, beta, cfg)
 
         scenarios = small_set[:2]
-        want = bench.sweep(scenarios, ["ProbabilisticEnvelopeRestriction", "Simplex"],
-                           ["small"], [0.1, 0.4], cfg)
+        want = bench.sweep(scenarios, ["small"], grid(
+            cfg, ["ProbabilisticEnvelopeRestriction", "Simplex"], [0.1, 0.4]))
         monkeypatch.setattr(bench, "run_cell", counted)
-        rows = bench.sweep(scenarios, ["ProbabilisticEnvelopeRestriction", "Simplex",
-                                       "ProbabilisticEnvelopeRestriction"],
-                           ["small"], [0.1, 0.4, 0.1], cfg)
+        rows = bench.sweep(scenarios, ["small"], grid(
+            cfg, ["ProbabilisticEnvelopeRestriction", "Simplex",
+                  "ProbabilisticEnvelopeRestriction"], [0.1, 0.4, 0.1]))
         assert sorted(calls) == [("ProbabilisticEnvelopeRestriction", "small", 0.1),
                                  ("ProbabilisticEnvelopeRestriction", "small", 0.4),
                                  ("Simplex", "small", 0.1)]
@@ -255,8 +277,8 @@ class TestSweep:
 
         monkeypatch.setattr(bench, "run_cell", counted)
         self._with_and_without_twins(
-            monkeypatch, scenarios, ["ProbabilisticEnvelopeRestriction",
-                                     "ProbabilisticSimplex"], ["none"], list(cfg.betas), cfg)
+            monkeypatch, scenarios, ["none"], grid(
+                cfg, ["ProbabilisticEnvelopeRestriction", "ProbabilisticSimplex"], cfg.betas))
         unmapped = 2 * len(cfg.betas)  # the sweep without twins runs every cell
         assert calls[:-unmapped] == [
             ("ProbabilisticEnvelopeRestriction", "none", cfg.betas[0]),
@@ -268,10 +290,9 @@ class TestSweep:
         # A zero covariance under another name, and a beta grid with 1.0 and
         # a repeat in it; "none" itself is left out.
         zero = replace(cfg, uncertainty={"small": cfg.uncertainty["none"],
-                                         "large": cfg.uncertainty["large"]})
-        rows = self._with_and_without_twins(
-            monkeypatch, small_set[:4], list(bench.POLICY_NAMES), ["small", "large"],
-            [0.0, 1.0, 0.3, 1.0], zero)
+                                         "large": cfg.uncertainty["large"]},
+                       policies=bench.POLICY_NAMES, betas=(0.0, 1.0, 0.3, 1.0))
+        rows = self._with_and_without_twins(monkeypatch, small_set[:4], ["small", "large"], zero)
         by_cell = {(r.policy, r.covariance_case, r.beta): r for r in rows}
         for beta in (0.0, 0.3):
             assert replace(by_cell[("ProbabilisticSimplex", "small", beta)],
@@ -280,9 +301,9 @@ class TestSweep:
 
     def test_empty_inputs_rejected(self, cfg, small_set):
         with pytest.raises(ValueError):
-            bench.sweep([], ["Simplex"], ["none"], [0.0], cfg)
+            bench.sweep([], ["none"], cfg)
         with pytest.raises(ValueError):
-            bench.sweep(small_set, [], ["none"], [0.0], cfg)
+            bench.sweep(small_set, [], cfg)
 
 
 SIGMAS = ("zero", "diagonal", "correlated")
@@ -310,9 +331,9 @@ def sweep_inputs(draw):
             sigma = 0.5 * (sigma + sigma.T)
         uncertainty[case] = UncertaintySpec(sigma, DEFAULT_CONTOUR_LEVELS,
                                             draw(st.sampled_from([4, 8])))
-    cfg = RunConfig(scenario=ScenarioParams(n_others=k, dt=dt,
-                                            horizon=dt * draw(st.integers(2, 8))),
-                    uncertainty=uncertainty, simplex_samples=draw(st.sampled_from([1, 10, 100])))
+    sizes = {"scenario": ScenarioParams(n_others=k, dt=dt,
+                                        horizon=dt * draw(st.integers(2, 8))),
+             "simplex_samples": draw(st.sampled_from([1, 10, 100]))}
     speed = st.floats(10.0, 25.0)
     other = st.tuples(st.integers(6, 40).flatmap(lambda x: st.sampled_from([-x, x])),
                       st.integers(0, 1), speed)
@@ -326,7 +347,8 @@ def sweep_inputs(draw):
     cases = draw(st.lists(st.sampled_from(COVARIANCE_CASES), min_size=1, max_size=3))
     betas = draw(st.permutations([0.0, 1.0, *draw(st.lists(
         st.sampled_from([0.0, 0.05, 0.3, 0.9, 1.0]), max_size=3))]))
-    return scenarios, policies, cases, betas, cfg
+    cfg = RunConfig(uncertainty=uncertainty, policies=policies, betas=betas, **sizes)
+    return scenarios, cases, cfg
 
 
 class TestSweepOracle:
@@ -337,8 +359,9 @@ class TestSweepOracle:
     @settings(max_examples=100, deadline=None, phases=set(Phase) - {Phase.shrink},
               suppress_health_check=[HealthCheck.too_slow])
     def test_sweep_equals_oracle_cells(self, inputs):
-        scenarios, policies, cases, betas, cfg = inputs
-        got = bench.sweep(scenarios, policies, cases, betas, cfg)
+        scenarios, cases, cfg = inputs
+        policies, betas = cfg.policies, cfg.betas
+        got = bench.sweep(scenarios, cases, cfg)
         cells = {}
         for cell in ((p, c, b) for p in policies for c in cases for b in betas):
             if cell not in cells:
@@ -362,17 +385,20 @@ class TestEpisodeLoop:
         # Simplex and EnvelopeRestriction ran any beta (they act on 0.0) and
         # bench.sweep wrote a row for it, ProbabilisticSimplex ran 2.0 and
         # every policy ran True; ProbabilisticEnvelopeRestriction failed
-        # inside the first step's risk solve.
+        # inside the first step's risk solve.  A sweep's betas are those of
+        # its RunConfig, which names the entry.
         def started(*args):
             raise AssertionError("a step ran")
 
         monkeypatch.setattr(bench, "initial_world", started)
-        monkeypatch.setattr(bench, "run_cell", started)
         for case in COVARIANCE_CASES:
             with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
                 bench.run_episode(scenarios[0], kind, beta, case, cfg)
             with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-                bench.sweep(scenarios[:1], [kind], [case], [0.1, beta], cfg)
+                bench.run_cell(scenarios[:1], kind, case, beta, cfg)
+        with pytest.raises(ConfigError,
+                           match=f"^{re.escape(message.replace('beta', 'betas[1]', 1))}$"):
+            grid(cfg, [kind], [0.1, beta])
 
     @pytest.mark.parametrize("kind", ["ProbabilisticEnvelopeRestriction",
                                       "ProbabilisticSimplex"])
@@ -383,9 +409,9 @@ class TestEpisodeLoop:
         calls = []
         decide = bench.Policy.__call__
 
-        def counted(policy, obs, world):
+        def counted(policy, observed, world):
             calls.append(None)
-            return decide(policy, obs, world)
+            return decide(policy, observed, world)
 
         monkeypatch.setattr(bench.Policy, "__call__", counted)
         switched = 0
@@ -546,7 +572,7 @@ class TestDirectional:
 
 class TestOutputs:
     def test_csv_layout(self, cfg, small_set):
-        rows = bench.sweep(small_set, ["Simplex"], ["none"], [0.0, 0.5], cfg)
+        rows = bench.sweep(small_set, ["none"], grid(cfg, ["Simplex"], [0.0, 0.5]))
         text = bench.rows_to_csv(rows)
         lines = text.strip().split("\n")
         assert lines[0] == ("policy,covariance_case,beta,success_rate,collision_rate,"
@@ -555,20 +581,20 @@ class TestOutputs:
         assert text == bench.rows_to_csv(rows)
 
     def test_json_round_trip(self, cfg, small_set):
-        rows = bench.sweep(small_set, ["Simplex"], ["none"], [0.0], cfg)
+        rows = bench.sweep(small_set, ["none"], grid(cfg, ["Simplex"], [0.0]))
         payload = bench.rows_to_json(rows)
         assert payload[0]["policy"] == "Simplex"
         assert len(payload[0]["scenarios"]) == len(small_set)
 
 
-def per_agent_draw_switch(obs, rng, m, basis, beta, params):
+def per_agent_draw_switch(ego, observed, rng, m, basis, beta, params):
     """ProbabilisticSimplex's switch with one (m, 4) draw per agent, stopping
     at the first agent whose mean violation exceeds beta."""
     scale = np.sqrt(basis.eigenvalues)
-    for o in obs.others:
+    for o in observed:
         devs = (rng.standard_normal((m, 4)) * scale) @ basis.eigenvectors.T
         ox, oy, ov, ot = perturbed_state_arrays(o, devs)
-        if float(violation_batch(obs.ego, ox, oy, ov, ot, params).mean()) > beta:
+        if float(violation_batch(ego, ox, oy, ov, ot, params).mean()) > beta:
             return True
     return False
 
@@ -592,20 +618,19 @@ class TestOneAnalysisPerStep:
         # beta = 1: EnvelopeRestriction acts on 0.0 and still switches.
         beta = bench.acting_beta(kind, 1.0, spec)
         for world in self._worlds(cfg):
-            obs = observe(world, draw_noise(spec.basis, rng, len(world.others)))
-            analysis = bench.Policy(kind, cfg, spec, None)(obs, world)
+            observed = observe(world, draw_noise(spec.basis, rng, len(world.others)))
+            analysis = bench.Policy(kind, cfg, spec, None)(observed, world)
             switch, envelope = episode_decision(analysis, beta, cfg)
             want = safety_envelope(world.ego, world.others, cfg.rss, cfg.tau)
             assert analysis[2] == want
             restricted += want != rss.unrestricted_envelope(cfg.rss)
             if kind == "EnvelopeRestriction":
                 if not switch:
-                    assert envelope == safety_envelope(obs.ego, obs.others, cfg.rss,
-                                                       cfg.tau)
+                    assert envelope == safety_envelope(world.ego, observed, cfg.rss, cfg.tau)
                     clamped += envelope != rss.unrestricted_envelope(cfg.rss)
                 assert switch is bool(violation_batch(
-                    obs.ego, [o.x for o in obs.others], [o.y for o in obs.others],
-                    [o.v for o in obs.others], [o.theta for o in obs.others],
+                    world.ego, [o.x for o in observed], [o.y for o in observed],
+                    [o.v for o in observed], [o.theta for o in observed],
                     cfg.rss).any())
                 switched += switch
         assert restricted > 20
@@ -626,10 +651,10 @@ class TestOneAnalysisPerStep:
             for step, y in enumerate(np.linspace(1.0, 1.8, 41)):
                 ego = AgentState(0.0, float(y), 0.0, 17.0)
                 others = tuple(AgentState(x, 3.5, 0.0, 17.0) for x in (-12.0, 1.0, 14.0))
-                obs = ObservedWorld(ego=ego, others=others)
-                want = per_agent_draw_switch(obs, oracle_rng, cfg.simplex_samples, basis,
-                                             beta, cfg.rss)
-                assert should_switch(policy(obs, None)[0], beta) is want
+                world = WorldState(0.0, ego, others, (1, 1, 1))
+                want = per_agent_draw_switch(ego, others, oracle_rng, cfg.simplex_samples,
+                                             basis, beta, cfg.rss)
+                assert should_switch(policy(others, world)[0], beta) is want
                 if want:
                     switch_steps.add(step)
                     break
@@ -665,13 +690,13 @@ class TestOneAnalysisPerStep:
 
         decide = bench.Policy.__call__
 
-        def decision(policy, obs, world):
+        def decision(policy, observed, world):
             before = dict(counts)
             certified.clear()
-            out = decide(policy, obs, world)
-            contours = [1] * len(obs.others)  # per agent, in stacking order
+            out = decide(policy, observed, world)
+            contours = [1] * len(observed)  # per agent, in stacking order
             if policy.restricting:
-                contours = [len(policy.samples[2])] * len(obs.others) + [1] * len(world.others)
+                contours = [len(policy.samples[2])] * len(observed) + [1] * len(world.others)
             tried = iter(certified)
             for k in contours:
                 if next(tried):  # the whole box

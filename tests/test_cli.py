@@ -25,6 +25,7 @@ from riskenv.config import (
     MAX_OTHERS,
     MAX_BETAS,
     MAX_POLICIES,
+    MAX_RECORDS,
     MAX_SCENARIOS,
     ConfigError,
     RunConfig,
@@ -762,7 +763,7 @@ class TestDeclaredBounds:
     def test_non_finite_rejected(self, key, value):
         # 17 of these fields accepted a non-finite value before the ranges.  On
         # a NaN scenario.horizon run_episode never returned: classify_outcome's
-        # `elapsed > horizon - 1e-9` never holds.
+        # `world.time > horizon - 1e-9` never holds.
         rule = "an integer" if key in INT_FIELDS else "in "
         with pytest.raises(ConfigError, match=f"^{key.split('.')[1]} must be {rule}"):
             _params(key, value)
@@ -849,10 +850,11 @@ class TestDeclaredBounds:
                         scenario=ScenarioParams(n_scenarios=1))
         assert cfg.betas == (0.5,) and type(cfg.betas[0]) is float
         scenarios = bench.generate_scenarios(1, cfg.seed, cfg)
-        rows = bench.sweep(scenarios, cfg.policies, ["none"], cfg.betas, cfg)
+        rows = bench.sweep(scenarios, ["none"], cfg)
         assert bench.rows_to_csv(rows).splitlines()[1].startswith("Simplex,none,0.5,")
-        # bench.sweep itself wrote the betas it was given as they were.
-        rows = bench.sweep(scenarios, cfg.policies, ["none"], [Fraction(1, 2), 1], cfg)
+        # The betas of a sweep are those of its RunConfig, stored as floats.
+        cfg = dataclasses.replace(cfg, betas=[Fraction(1, 2), 1])
+        rows = bench.sweep(scenarios, ["none"], cfg)
         assert [line.split(",")[2] for line in bench.rows_to_csv(rows).splitlines()[1:]] \
             == ["0.5", "1.0"]
 
@@ -875,6 +877,32 @@ class TestDeclaredBounds:
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         result = bench.run_episode(bench.generate_scenarios(1, seed, cfg)[0], "Simplex", 0.0,
                                    "none", cfg)
+        assert result.outcome in ("Success", "Collision", "Timeout")
+        assert result.steps <= cfg.scenario.horizon / cfg.scenario.dt + 1
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_two_accepted_values_run(self, data):
+        # Two declared fields, possibly of different sections, each inside its
+        # range: a cross-field rule rejects the pair at construction, or an
+        # episode of any policy on the zero covariance ends in an outcome.
+        bounds = FIELD_BOUNDS | {"simplex_samples": RUN_BOUNDS["simplex_samples"],
+                                 "tau": RUN_BOUNDS["tau"]}  # no episode reads the seed
+        keys = data.draw(st.lists(st.sampled_from(list(bounds)), min_size=2, max_size=2,
+                                  unique=True), label="keys")
+        values = {key: data.draw(_within(*bounds[key]), label=key) for key in keys}
+        sections = {}
+        for key, value in values.items():
+            section, name = key.split(".") if "." in key else (None, key)
+            sections.setdefault(section, {})[name] = value
+        try:
+            cfg = RunConfig(**sections.pop(None, {}), **{
+                section: PARAM_SECTIONS[section](**fields) for section, fields in sections.items()})
+        except ValueError:  # a cross-field rule
+            return
+        kind = data.draw(st.sampled_from(bench.POLICY_NAMES), label="policy")
+        scenario = bench.generate_scenarios(1, data.draw(st.integers(0, 2**32 - 1)), cfg)[0]
+        result = bench.run_episode(scenario, kind, 0.1, "none", cfg)
         assert result.outcome in ("Success", "Collision", "Timeout")
         assert result.steps <= cfg.scenario.horizon / cfg.scenario.dt + 1
 
@@ -921,6 +949,33 @@ class TestSequenceFields:
                                  capsys)
         assert (code, out) == (2, "")
         assert f"{flag[2:]} must hold at most" in err
+        assert not (tmp_path / "r").exists()
+
+    def test_record_ceiling(self):
+        # The default grid of 96 cells holds at MAX_SCENARIOS; the two list
+        # ceilings together (768 cells) were about 0.9 GB of results.json.
+        most = ScenarioParams(n_scenarios=MAX_SCENARIOS)
+        cfg = RunConfig(scenario=most)
+        assert len(cfg.policies) * 3 * len(cfg.betas) * MAX_SCENARIOS == 960_000 <= MAX_RECORDS
+        with pytest.raises(ConfigError, match=r"^policies x covariance cases x betas x "
+                                              r"scenario.n_scenarios must be <= 1000000 "
+                                              r"records, got 8 x 3 x 32 x 10000$"):
+            RunConfig(scenario=most, policies=("Simplex",) * MAX_POLICIES,
+                      betas=(0.5,) * MAX_BETAS)
+        with pytest.raises(ConfigError, match="got 4 x 3 x 9 x 10000$"):
+            dataclasses.replace(cfg, betas=cfg.betas + (0.5,))
+
+    def test_cli_record_ceiling_exit_2_before_any_episode(self, tmp_path, monkeypatch,
+                                                          capsys):
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran")
+        monkeypatch.setattr(bench, "run_episode", no_episode)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": {"n_scenarios": MAX_SCENARIOS}}))
+        code, out, err = run_cli(["benchmark", "--config", str(path), "--betas",
+                                  ",".join(["0.5"] * 9), "--out", str(tmp_path / "r")], capsys)
+        assert (code, out) == (2, "")
+        assert "must be <= 1000000 records, got 4 x 3 x 9 x 10000" in err
         assert not (tmp_path / "r").exists()
 
 

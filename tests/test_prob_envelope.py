@@ -1,6 +1,7 @@
 import copy
 import functools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -26,6 +27,7 @@ from riskenv.prob_envelope import (
 from riskenv.rss import (
     COMPONENTS,
     AgentState,
+    ConfigError,
     Envelope,
     RssParams,
     restrictive_sentinel,
@@ -540,6 +542,14 @@ class TestShouldSwitch:
 
     def test_strict_inequality_at_threshold(self):
         assert not should_switch([0.1], 0.1)
+
+    @pytest.mark.parametrize("beta, message", [
+        (math.nan, "beta must be finite, got nan"), (2.0, "beta 2.0 outside [0, 1]"),
+        (-0.1, "beta -0.1 outside [0, 1]"), (True, "beta must be a number, got True")])
+    def test_bad_beta_rejected(self, beta, message):
+        # No expectation exceeds NaN or 2.0, so the policy never switched.
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            should_switch([0.9], beta)
 
 
 class TestDegeneracyAndSoundness:

@@ -1,8 +1,10 @@
 import ast
+import dataclasses
 import inspect
 
 import riskenv
 import riskenv.bench
+import riskenv.cli
 
 
 def test_every_exported_name_resolves():
@@ -101,3 +103,21 @@ def test_core_modules_do_not_import_config():
         imported = _imported_modules(module)
         assert [name for name in imported if name.split(".")[:2] == ["riskenv", "config"]] \
             == [], module.__name__
+
+
+def test_one_source_per_episode_input():
+    # The ego is known, not observed: observe returns the observed agents and
+    # the controllers and the policy take the ego from the world.  The road
+    # is a parameter, elapsed time is world.time, and a sweep runs the
+    # policies and betas of the RunConfig that checked them.
+    assert not hasattr(riskenv.sim, "ObservedWorld")
+    assert [f.name for f in dataclasses.fields(riskenv.sim.WorldState)] == [
+        "time", "ego", "others", "other_lanes"]
+    assert list(inspect.signature(riskenv.sim.classify_outcome).parameters) == [
+        "world", "road", "horizon", "rss"]
+    assert list(inspect.signature(riskenv.bench.sweep).parameters) == [
+        "scenarios", "cases", "cfg", "pool"]
+    for module in (riskenv.rss, riskenv.uncertainty, riskenv.sim, riskenv.prob_envelope,
+                   riskenv.config, riskenv.bench, riskenv.cli):
+        source = inspect.getsource(module)
+        assert "obs.ego" not in source and "world.road" not in source, module.__name__

@@ -19,7 +19,6 @@ from riskenv.rss import (
 from riskenv.sim import (
     IdmParams,
     LateralControl,
-    ObservedWorld,
     RoadParams,
     WorldState,
     boxes_overlap,
@@ -41,11 +40,10 @@ IDM = IdmParams()
 LAT = LateralControl()
 
 
-def world_with(others, ego=None, lanes=None):
+def world_with(others, ego=None, lanes=None, time=0.0):
     ego = ego or AgentState(0, 0, 0, 17)
     lanes = lanes if lanes is not None else tuple(ROAD.lane_of(o.y) for o in others)
-    return WorldState(time=0.0, ego=ego, others=tuple(others),
-                      other_lanes=tuple(lanes), road=ROAD)
+    return WorldState(time=time, ego=ego, others=tuple(others), other_lanes=tuple(lanes))
 
 
 class TestIdm:
@@ -75,9 +73,8 @@ class TestIdm:
         world = world_with([follower, leader])
         v0s = (60.0, leader_v)  # follower wants far more than the leader allows
         for _ in range(300):
-            others = idm_step_others(world, IDM, v0s, RSS, dt)
-            world = WorldState(world.time + dt, world.ego, others,
-                               world.other_lanes, ROAD)
+            others = idm_step_others(world, ROAD, IDM, v0s, RSS, dt)
+            world = WorldState(world.time + dt, world.ego, others, world.other_lanes)
         follower2, leader2 = world.others
         gap = leader2.x - follower2.x - RSS.length
         assert abs(gap - (IDM.s0 + follower2.v * IDM.T)) < 0.5
@@ -92,9 +89,7 @@ class TestObserve:
         spec = self.spec(0.0)
         basis = eigendecompose(spec.sigma)
         world = world_with([AgentState(20, 3.5, 0, 15)])
-        obs = observe(world, draw_noise(basis, np.random.default_rng(0), 1))
-        assert obs.ego == world.ego
-        assert obs.others == world.others
+        assert observe(world, draw_noise(basis, np.random.default_rng(0), 1)) == world.others
 
     def test_fixed_seed_reproducible(self):
         spec = self.spec(0.04)
@@ -109,9 +104,9 @@ class TestObserve:
         basis = eigendecompose(self.spec(var).sigma)
         world = world_with([AgentState(20.0, 3.5, 0.0, 15.0), AgentState(45.0, 3.5, 0.0, 17.0)],
                            ego=AgentState(0.0, 0.0, 0.0, 17.0))
-        obs = observe(world, draw_noise(basis, np.random.default_rng(3), 2))
-        stepped = idm_step_others(world, IDM, (15.0, 17.0), RSS, 0.2)
-        for s in obs.others + stepped + (integrate_ego(world.ego, -1.3, 0.4, 0.2),):
+        observed = observe(world, draw_noise(basis, np.random.default_rng(3), 2))
+        stepped = idm_step_others(world, ROAD, IDM, (15.0, 17.0), RSS, 0.2)
+        for s in observed + stepped + (integrate_ego(world.ego, -1.3, 0.4, 0.2),):
             assert [type(getattr(s, f)) for f in ("x", "y", "theta", "v")] == [float] * 4
 
     def test_empirical_noise_covariance(self):
@@ -121,8 +116,7 @@ class TestObserve:
         rng = np.random.default_rng(17)
         devs = []
         for _ in range(10_000):
-            obs = observe(world, draw_noise(basis, rng, 1))
-            o = obs.others[0]
+            [o] = observe(world, draw_noise(basis, rng, 1))
             t = world.others[0]
             devs.append([o.x - t.x, o.y - t.y, o.v - t.v, o.theta - t.theta])
         emp = np.cov(np.array(devs).T)
@@ -140,11 +134,11 @@ class TestObserve:
                             for _ in range(n_agents)])
         devs = rng.normal(0.0, 0.5, (n_agents, 4))
         kept = devs.copy()
-        obs = observe(world, devs)
-        assert observe(world, devs) == obs
+        observed = observe(world, devs)
+        assert observe(world, devs) == observed
         assert np.array_equal(devs, kept)
-        assert obs.ego == world.ego
-        for s, d, o in zip(world.others, devs.tolist(), obs.others):
+        assert type(observed) is tuple and len(observed) == n_agents
+        for s, d, o in zip(world.others, devs.tolist(), observed, strict=True):
             assert (o.x, o.y, o.v) == (s.x + d[0], s.y + d[1], max(s.v + d[2], 0.0))
             assert o.theta == wrap_angle(s.theta + d[3])
 
@@ -157,50 +151,43 @@ class TestObserve:
         world = world_with([AgentState(MAX_POSITION - 1.0, 1.0 - MAX_POSITION, 0.0,
                                        MAX_SPEED - 0.5),
                             AgentState(1.0 - MAX_POSITION, MAX_POSITION - 1.0, 0.0, 0.5)])
-        obs = observe(world, np.array([[2.0, -2.0, 1.0, 0.0], [-2.0, 2.0, -1.0, 0.0]]))
-        assert [(o.x, o.y, o.v) for o in obs.others] == [
+        observed = observe(world, np.array([[2.0, -2.0, 1.0, 0.0], [-2.0, 2.0, -1.0, 0.0]]))
+        assert [(o.x, o.y, o.v) for o in observed] == [
             (MAX_POSITION, -MAX_POSITION, MAX_SPEED), (-MAX_POSITION, MAX_POSITION, 0.0)]
 
 
 class TestControllers:
-    def obs(self, others, ego=None):
-        ego = ego or AgentState(0, ROAD.lane_center(1), 0, 17)
-        return ObservedWorld(ego=ego, others=tuple(others))
-
     def test_equilibrium_gives_zero_commands(self):
-        obs = self.obs([], ego=AgentState(0, 3.5, 0, 17))
-        a_lon, a_lat = nominal_lane_change(obs, 1, unrestricted_envelope(RSS), ROAD,
-                                           IDM, 17.0, RSS, LAT)
+        a_lon, a_lat = nominal_lane_change(AgentState(0, 3.5, 0, 17), (), 1,
+                                           unrestricted_envelope(RSS), ROAD, IDM, 17.0, RSS, LAT)
         assert a_lon == 0.0
         assert a_lat == 0.0
 
     def test_envelope_clamps_lon(self):
-        obs = self.obs([], ego=AgentState(0, 3.5, 0, 10.0))
+        ego = AgentState(0, 3.5, 0, 10.0)
         env = unrestricted_envelope(RSS)
-        a_free, _ = nominal_lane_change(obs, 1, env, ROAD, IDM, 17.0, RSS, LAT)
+        a_free, _ = nominal_lane_change(ego, (), 1, env, ROAD, IDM, 17.0, RSS, LAT)
         assert a_free > 0.0
         clamped_env = env.__class__(env.a_lon_min, 0.0, env.a_lat_min, env.a_lat_max)
-        a_lon, _ = nominal_lane_change(obs, 1, clamped_env, ROAD, IDM, 17.0, RSS, LAT)
+        a_lon, _ = nominal_lane_change(ego, (), 1, clamped_env, ROAD, IDM, 17.0, RSS, LAT)
         assert a_lon == 0.0
 
     def test_envelope_clamps_lat(self):
-        obs = self.obs([], ego=AgentState(0, 0.0, 0, 17.0))
+        ego = AgentState(0, 0.0, 0, 17.0)
         env = unrestricted_envelope(RSS)
-        _, a_free = nominal_lane_change(obs, 1, env, ROAD, IDM, 17.0, RSS, LAT)
+        _, a_free = nominal_lane_change(ego, (), 1, env, ROAD, IDM, 17.0, RSS, LAT)
         assert a_free > 0.0
         clamped_env = env.__class__(env.a_lon_min, env.a_lon_max, env.a_lat_min, 0.0)
-        _, a_lat = nominal_lane_change(obs, 1, clamped_env, ROAD, IDM, 17.0, RSS, LAT)
+        _, a_lat = nominal_lane_change(ego, (), 1, clamped_env, ROAD, IDM, 17.0, RSS, LAT)
         assert a_lat == 0.0
 
     def test_safety_maneuver_brakes_hard(self):
-        obs = self.obs([AgentState(10, 3.5, 0, 10)], ego=AgentState(0, 2.0, 0.1, 15))
-        a_lon, a_lat = safety_maneuver(obs, ROAD, RSS, LAT)
+        a_lon, a_lat = safety_maneuver(AgentState(0, 2.0, 0.1, 15), ROAD, RSS, LAT)
         assert a_lon == -RSS.b_max_brake_lon
         assert a_lat < 0.0  # steering back toward the right lane
 
     def test_safety_maneuver_on_right_centerline(self):
-        obs = self.obs([], ego=AgentState(0, 0.0, 0, 15))
-        _, a_lat = safety_maneuver(obs, ROAD, RSS, LAT)
+        _, a_lat = safety_maneuver(AgentState(0, 0.0, 0, 15), ROAD, RSS, LAT)
         assert a_lat == 0.0
 
     def test_no_reverse_from_standstill(self):
@@ -287,25 +274,25 @@ class TestCrossFieldConfigs:
 
 class TestOutcomes:
     def test_collision_iff_boxes_overlap(self):
-        near = world_with([AgentState(RSS.length - 0.01, 0.5, 0, 15)])
-        apart = world_with([AgentState(RSS.length + 0.01, 0.5, 0, 15)])
-        assert classify_outcome(near, 1.0, 8.0, RSS) == "Collision"
-        assert classify_outcome(apart, 1.0, 8.0, RSS) != "Collision"
+        near = world_with([AgentState(RSS.length - 0.01, 0.5, 0, 15)], time=1.0)
+        apart = world_with([AgentState(RSS.length + 0.01, 0.5, 0, 15)], time=1.0)
+        assert classify_outcome(near, ROAD, 8.0, RSS) == "Collision"
+        assert classify_outcome(apart, ROAD, 8.0, RSS) != "Collision"
 
     def test_success_requires_pose_and_speed(self):
-        good = world_with([], ego=AgentState(80, 3.5, 0.05, 17))
-        assert classify_outcome(good, 5.0, 8.0, RSS) == "Success"
-        too_fast = world_with([], ego=AgentState(80, 3.5, 0.05, 26))
-        assert classify_outcome(too_fast, 5.0, 8.0, RSS) is None
-        crooked = world_with([], ego=AgentState(80, 3.5, 0.2, 17))
-        assert classify_outcome(crooked, 5.0, 8.0, RSS) is None
-        wrong_lane = world_with([], ego=AgentState(80, 0.0, 0.0, 17))
-        assert classify_outcome(wrong_lane, 5.0, 8.0, RSS) is None
+        good = world_with([], ego=AgentState(80, 3.5, 0.05, 17), time=5.0)
+        assert classify_outcome(good, ROAD, 8.0, RSS) == "Success"
+        too_fast = world_with([], ego=AgentState(80, 3.5, 0.05, 26), time=5.0)
+        assert classify_outcome(too_fast, ROAD, 8.0, RSS) is None
+        crooked = world_with([], ego=AgentState(80, 3.5, 0.2, 17), time=5.0)
+        assert classify_outcome(crooked, ROAD, 8.0, RSS) is None
+        wrong_lane = world_with([], ego=AgentState(80, 0.0, 0.0, 17), time=5.0)
+        assert classify_outcome(wrong_lane, ROAD, 8.0, RSS) is None
 
     def test_timeout_at_horizon(self):
-        idle = world_with([], ego=AgentState(0, 0, 0, 17))
-        assert classify_outcome(idle, 8.0, 8.0, RSS) == "Timeout"
-        assert classify_outcome(idle, 7.8, 8.0, RSS) is None
+        idle = world_with([], ego=AgentState(0, 0, 0, 17), time=8.0)
+        assert classify_outcome(idle, ROAD, 8.0, RSS) == "Timeout"
+        assert classify_outcome(replace(idle, time=7.8), ROAD, 8.0, RSS) is None
 
     def test_stationary_world_stays_put(self):
         # Zero commands, no other agents: nothing moves, and the step at
@@ -314,12 +301,12 @@ class TestOutcomes:
         ego = AgentState(5.0, 1.0, 0, 0.0)
         world = world_with([], ego=ego)
         for step in range(1, 41):
-            assert classify_outcome(world, world.time, 8.0, RSS) is None
+            assert classify_outcome(world, ROAD, 8.0, RSS) is None
             world = WorldState(time=step * 0.2, ego=integrate_ego(world.ego, 0.0, 0.0, 0.2),
-                               others=idm_step_others(world, IDM, (), RSS, 0.2),
-                               other_lanes=(), road=ROAD)
+                               others=idm_step_others(world, ROAD, IDM, (), RSS, 0.2),
+                               other_lanes=())
             assert world.ego == ego and world.others == ()
-        assert classify_outcome(world, world.time, 8.0, RSS) == "Timeout"
+        assert classify_outcome(world, ROAD, 8.0, RSS) == "Timeout"
 
 
 class TestEpisodes:
