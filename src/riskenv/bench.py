@@ -18,6 +18,9 @@ Four ego policies share one scenario set with paired seeds:
 A step draws perception noise only if it begins unlatched, or records a trace,
 at nonzero covariance.  Exact: nothing else reads the noise, a latched step
 reads only the ego, and a zero-covariance draw (+-0.0) moves no observed value.
+An untraced episode that latches steps the others only while the safety
+maneuver can still reach their lanes (``run_episode`` states why that is
+exact); a traced one (``simulate --out``) steps every agent to the end.
 """
 
 from __future__ import annotations
@@ -177,6 +180,17 @@ def run_episode(scn: ScenarioConfig, kind: str, beta: float, case: str,
     Observation noise and policy sampling use independent child streams of
     the scenario seed, so the observed world is identical across policies
     until commands diverge.
+
+    An untraced episode ends early once it latches: ``latched_tail`` steps
+    the ego alone to its end, and the loop steps every agent only up to the
+    last step at which the ego is within ``rss.width`` of some other's lane
+    position, then returns the ego's outcome and step count.  This is exact:
+    (1) the latched command reads only the ego; (2) nothing is drawn or
+    observed after the latch; (3) ``idm_step_others`` holds every other's
+    ``y``; (4) a collision needs ``|dy| < width``; (5) the goal and Timeout
+    rules read only the ego and ``steps * dt``; (6) an accepted config keeps
+    every state in bounds (``MAX_LOOKAHEAD`` in ``config``), so no skipped
+    step could have raised.  A traced episode steps every agent to the end.
     """
     spec = case_spec(cfg, case)
     obs_ss, policy_ss = np.random.SeedSequence(entropy=scn.seed, spawn_key=(0,)).spawn(2)
@@ -191,6 +205,7 @@ def run_episode(scn: ScenarioConfig, kind: str, beta: float, case: str,
     world = initial_world(scn, cfg)
     result = EpisodeResult(outcome="Timeout", steps=0)
     latched = False
+    near = None  # untraced and latched: the last step at which an other is reachable
     noisy = not spec.basis.is_zero
     while True:
         if noisy and (not latched or collect_trace):
@@ -201,8 +216,14 @@ def run_episode(scn: ScenarioConfig, kind: str, beta: float, case: str,
         if not latched:
             expectations, dists, true_env = policy(observed, world)
             latched = should_switch(expectations, beta)
+            if latched and not collect_trace:
+                end, end_steps, near = latched_tail(world.ego, result.steps,
+                                                    {s.y for s in world.others}, cfg)
             if not latched and dists is not None:
                 envelope = risk_bounded_envelope(dists, beta, rss)
+        if result.steps == near:
+            result.outcome, result.steps = end, end_steps
+            return result
         if latched:
             a_lon, a_lat = safety_maneuver(world.ego, road, rss, cfg.lateral)
         else:
@@ -227,6 +248,25 @@ def run_episode(scn: ScenarioConfig, kind: str, beta: float, case: str,
         if outcome is not None:
             result.outcome = outcome
             return result
+
+
+def latched_tail(ego: AgentState, steps: int, others_y, cfg: RunConfig
+                 ) -> tuple[str, int, int]:
+    """The latched ego's own path from ``ego`` after ``steps`` steps: the
+    outcome and step count that ``classify_outcome`` gives it on a road with
+    no others, and the last step at which it is within ``rss.width`` of a
+    lateral position in ``others_y`` (``steps`` if none)."""
+    rss, road, lat, dt = cfg.rss, cfg.road, cfg.lateral, cfg.scenario.dt
+    near = steps
+    while True:
+        ego = integrate_ego(ego, *safety_maneuver(ego, road, rss, lat), dt)
+        steps += 1
+        if any(abs(ego.y - y) < rss.width for y in others_y):
+            near = steps
+        outcome = classify_outcome(WorldState(steps * dt, ego, (), ()), road,
+                                   cfg.scenario.horizon, rss)
+        if outcome is not None:
+            return outcome, steps, near
 
 
 @dataclass
@@ -267,6 +307,8 @@ def _aggregate(policy: str, case: str, beta: float,
 
 
 def run_cell(scenarios, policy: str, case: str, beta: float, cfg: RunConfig) -> RateRow:
+    if not scenarios:
+        raise ValueError("scenarios must be non-empty")
     results = [run_episode(s, policy, beta, case, cfg) for s in scenarios]
     return _aggregate(policy, case, beta, results, scenarios)
 

@@ -25,7 +25,7 @@ from riskenv.config import (
 )
 from riskenv.prob_envelope import perturbed_state_arrays, risk_bounded_envelope, should_switch
 from riskenv.rss import AgentState, safety_envelope, violation_batch
-from riskenv.sim import WorldState, observe
+from riskenv.sim import LateralControl, WorldState, observe
 from riskenv.uncertainty import UncertaintySpec, draw_noise, eigendecompose
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_benchmark.py"
@@ -305,6 +305,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             bench.sweep(small_set, [], cfg)
 
+    def test_run_cell_rejects_no_scenarios(self, cfg):
+        # An empty list used to fail in _aggregate with a bare ZeroDivisionError.
+        with pytest.raises(ValueError, match="^scenarios must be non-empty$"):
+            bench.run_cell([], "Simplex", "none", 0.0, cfg)
+
 
 SIGMAS = ("zero", "diagonal", "correlated")
 
@@ -537,6 +542,121 @@ class TestEpisodeLoop:
                             want.envelope_violations)
                         latched += any(r.mode == "safety" for r in got.records)
         assert latched > 0
+
+
+def episode_key(result):
+    return (result.outcome, result.steps, result.envelope_steps, result.envelope_violations)
+
+
+@st.composite
+def latching_episodes(draw):
+    """An accepted config and a hand-built scenario of 1-4 others near the ego
+    (so that policies latch), all in the left lane or each in either lane,
+    with an undamped or a stiff lateral controller, a box narrower or wider
+    than the lane and a small or a large step."""
+    dt = draw(st.sampled_from([0.001, 0.05, 0.2, 0.2, 0.5]))
+    k = draw(st.integers(1, 4))
+    cfg = RunConfig(
+        rss=rss.RssParams(width=draw(st.sampled_from([0.3, 1.8, 1.8, 3.5 + 1e-9, 6.0])),
+                          a_lat_limit=draw(st.sampled_from([4.0, 60.0]))),
+        lateral=LateralControl(kp=draw(st.sampled_from([0.5, 3.5, 80.0])),
+                               kd=draw(st.sampled_from([0.0, 3.742]))),
+        scenario=ScenarioParams(n_others=k, dt=dt, horizon=dt * draw(st.integers(2, 80))))
+    speed = st.floats(5.0, 25.0)
+    lanes = st.integers(0, 1) if draw(st.integers(0, 3)) == 0 else st.just(1)
+    other = st.tuples(st.integers(2, 80).flatmap(lambda x: st.sampled_from([-x, x])),
+                      lanes, speed)
+    scn = bench.ScenarioConfig(
+        index=0, seed=draw(st.integers(0, 2**31 - 1)), ego_speed=draw(speed),
+        others=tuple((float(x), lane, v) for x, lane, v in
+                     draw(st.lists(other, min_size=k, max_size=k))))
+    return (scn, draw(st.sampled_from(POLICY_NAMES)), draw(st.sampled_from(COVARIANCE_CASES)),
+            draw(st.sampled_from([0.0, 0.1, 0.5])), cfg)
+
+
+class TestLatchedTail:
+    """An untraced episode that latches steps the others only up to the last
+    step at which the ego's own path comes within ``rss.width`` of their
+    lanes; the oracle steps every agent on every step."""
+
+    @given(episode=latching_episodes())
+    @settings(max_examples=100, deadline=None, phases=set(Phase) - {Phase.shrink},
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_equals_the_oracle(self, episode):
+        scn, kind, case, beta, cfg = episode
+        assert (episode_key(bench.run_episode(scn, kind, beta, case, cfg))
+                == episode_key(oracle_episode(scn, kind, beta, case, cfg)))
+
+    def built(self, others, ego_speed=20.0, **fields):
+        """A deterministic Simplex episode of ``others`` under the default
+        config with ``fields`` replaced: the untraced result and the
+        oracle's trace."""
+        cfg = replace(RunConfig(), scenario=ScenarioParams(n_others=len(others)), **fields)
+        scn = bench.ScenarioConfig(index=0, seed=0, ego_speed=ego_speed, others=others)
+        got = bench.run_episode(scn, "Simplex", 0.0, "none", cfg)
+        want = oracle_episode(scn, "Simplex", 0.0, "none", cfg, collect_trace=True)
+        assert episode_key(got) == episode_key(want)
+        return got, want.records
+
+    def test_rear_end_collision_just_inside_the_box_width(self):
+        # The ego latches on its first step and holds y = 0; the other, one
+        # lane over and faster, is 1e-9 m short of clearing it laterally.
+        got, records = self.built(((-12.0, 1, 26.0),),
+                                  rss=rss.RssParams(width=3.5 + 1e-9))
+        assert [r.mode for r in records] == ["safety"] * len(records)
+        assert all(r.ego.y == 0.0 for r in records)
+        assert got.outcome == "Collision"
+
+    def test_undamped_ego_swings_back_into_the_platoon(self):
+        # Latched mid-change without damping, the ego leaves the platoon's
+        # band (|y - 3.5| < width) and swings back into it, where a platoon
+        # car hits it: the last near step, not the first exit, bounds the
+        # full steps.
+        got, records = self.built(((-33.0, 1, 25.0), (-17.0, 1, 21.0)), ego_speed=24.0,
+                                  lateral=LateralControl(kp=6.0, kd=0.0))
+        near = [abs(r.ego.y - 3.5) < 1.8 for r in records if r.mode == "safety"]
+        left = near.index(False)
+        assert True in near[left:]
+        assert near[-1] and got.outcome == "Collision"
+
+    def test_collision_on_the_last_step_near_the_platoon(self):
+        # Latched mid-change, the ego is hit on its last step within the
+        # platoon's band; its own path then runs on to a Timeout.
+        got, records = self.built(((2.0, 1, 17.0), (-22.0, 1, 25.0)), ego_speed=24.0,
+                                  lateral=LateralControl(kp=2.0))
+        first = [r.mode for r in records].index("safety")
+        tail = bench.latched_tail(records[first - 1].ego, first, {3.5}, replace(
+            RunConfig(), lateral=LateralControl(kp=2.0)))
+        assert tail == ("Timeout", 40, got.steps)
+        assert got.outcome == "Collision"
+
+    def test_every_others_lane_is_checked(self):
+        # The first other is a lane over from the braking ego; the second,
+        # slow and ahead in its lane, is hit.
+        got, records = self.built(((-30.0, 1, 20.0), (25.0, 0, 1.0)))
+        assert records[0].mode == "safety"
+        assert all(abs(r.ego.y - 3.5) >= 1.8 for r in records)
+        assert got.outcome == "Collision"
+
+    def test_untraced_episodes_stop_stepping_the_others(self, cfg, small_set, monkeypatch):
+        # A traced episode steps the others on every step; an untraced one
+        # that latches clear of the platoon stops once no other is reachable.
+        calls = []
+        step_others = bench.idm_step_others
+        monkeypatch.setattr(bench, "idm_step_others",
+                            lambda *args: calls.append(None) or step_others(*args))
+        closed = 0
+        for scn in small_set:
+            for case in COVARIANCE_CASES:
+                calls.clear()
+                traced = bench.run_episode(scn, "Simplex", 0.0, case, cfg, collect_trace=True)
+                assert len(calls) == traced.steps
+                calls.clear()
+                got = bench.run_episode(scn, "Simplex", 0.0, case, cfg)
+                assert (got.outcome, got.steps) == (traced.outcome, traced.steps)
+                assert len(calls) <= got.steps
+                closed += len(calls) < got.steps
+        assert closed > 0
 
 
 class TestQuickSweepDigest:

@@ -53,15 +53,21 @@ def test_traced_counts_span_calls_per_step(tmp_path):
                     "0,bench.run_episode,0.0,1.0,-1\n"
                     "1,uncertainty.draw_noise,0.1,0.2,0\n"
                     "2,sim.observe,0.2,0.3,0\n"
-                    "3,uncertainty.draw_noise,0.4,0.5,0\n")
+                    "3,uncertainty.draw_noise,0.4,0.5,0\n"
+                    "4,sim.idm_step_others,0.5,0.6,0\n"
+                    "5,sim.classify_outcome,0.6,0.7,0\n"
+                    "6,sim.classify_outcome,0.7,0.8,0\n")
     calls = bench_record.span_calls(tmp_path, "sweep-baselines", 7)
-    assert calls == {"uncertainty.draw_noise.calls": 2, "sim.observe.calls": 1}
+    assert calls == {"uncertainty.draw_noise.calls": 2, "sim.observe.calls": 1,
+                     "sim.idm_step_others.calls": 1, "sim.classify_outcome.calls": 2}
     assert bench_record.span_calls(tmp_path, "sweep-baselines", 8) == {}
     data = {"metrics": {"sim.steps": {"value": 4}, "rss.kernel.calls": {"value": 8}},
             "absent": []}
     metrics = bench_record.traced(data, calls)
     assert metrics["uncertainty.draw_noise.calls_per_steps"] == 0.5
     assert metrics["sim.observe.calls_per_steps"] == 0.25
+    assert metrics["sim.idm_step_others.calls_per_steps"] == 0.25
+    assert metrics["sim.classify_outcome.calls_per_steps"] == 0.5
     assert metrics["rss.kernel.calls_per_steps"] == 2.0
     # Without a span dump the counts are left out, not failed on.
     assert "sim.observe.calls_per_steps" not in bench_record.traced(data, {})
