@@ -36,7 +36,7 @@ END_TO_END = {"ops_per_s": "higher", "setup_s": "lower", "peak_rss_mb": "lower"}
 SWEEP_PAIRS = 3  # alternating quick-sweep runs per side
 # Functions whose calls in a traced run are counted from its span dump.
 SPAN_CALLS = ("uncertainty.draw_noise", "sim.observe", "sim.idm_step_others",
-              "sim.classify_outcome")
+              "sim.integrate_ego", "sim.classify_outcome")
 # Run totals of a traced run, reported per simulated step (or per call).
 PER_STEP = (("rss.kernel.calls", "sim.steps"), ("rss.kernel.rows", "rss.kernel.calls"),
             ("rss.advance_speed_clamped.calls", "sim.steps"),

@@ -15,12 +15,10 @@ Four ego policies share one scenario set with paired seeds:
   beta 0, so the envelope is the one at the observed states and either
   switches on an observed violation.
 
-A step draws perception noise only if it begins unlatched, or records a trace,
-at nonzero covariance.  Exact: nothing else reads the noise, a latched step
-reads only the ego, and a zero-covariance draw (+-0.0) moves no observed value.
-An untraced episode that latches steps the others only while the safety
-maneuver can still reach their lanes (``run_episode`` states why that is
-exact); a traced one (``simulate --out``) steps every agent to the end.
+Once the policy switches, ``latched_finish`` ends the episode from the ego's
+own path (``latched_path``), traced (``simulate --out``) or not: a traced
+episode draws and records to the end, an untraced one stops once the safety
+maneuver can no longer reach the others' lanes.
 """
 
 from __future__ import annotations
@@ -46,6 +44,7 @@ from .sim import (
     StepRecord,
     WorldState,
     classify_outcome,
+    collision,
     idm_step_others,
     integrate_ego,
     nominal_lane_change,
@@ -167,31 +166,14 @@ class Policy:
 
 def run_episode(scn: ScenarioConfig, kind: str, beta: float, case: str,
                 cfg: RunConfig, collect_trace: bool = False) -> EpisodeResult:
-    """One deterministic episode of one policy on one covariance case.
-
-    Each step that begins unlatched, or records a trace, at nonzero
-    covariance observes one ``draw_noise`` call, and any other the true
-    states (exact, see above).  Until the policy switches, a step clamps the
-    nominal controller into its envelope and audits it against the true
-    states; once it switches, the safety maneuver is latched.  The policy's
-    analysis meets the risk level here, at ``acting_beta``: ``should_switch``,
-    then ``risk_bounded_envelope``.
-
+    """One deterministic episode of one policy on one covariance case: the
+    unlatched steps, then ``latched_finish``.  An unlatched step observes the
+    others (``look``), clamps the nominal controller into its envelope and
+    audits it against the true states; the analysis meets the risk level here,
+    at ``acting_beta``: ``should_switch``, then ``risk_bounded_envelope``.
     Observation noise and policy sampling use independent child streams of
     the scenario seed, so the observed world is identical across policies
-    until commands diverge.
-
-    An untraced episode ends early once it latches: ``latched_tail`` steps
-    the ego alone to its end, and the loop steps every agent only up to the
-    last step at which the ego is within ``rss.width`` of some other's lane
-    position, then returns the ego's outcome and step count.  This is exact:
-    (1) the latched command reads only the ego; (2) nothing is drawn or
-    observed after the latch; (3) ``idm_step_others`` holds every other's
-    ``y``; (4) a collision needs ``|dy| < width``; (5) the goal and Timeout
-    rules read only the ego and ``steps * dt``; (6) an accepted config keeps
-    every state in bounds (``MAX_LOOKAHEAD`` in ``config``), so no skipped
-    step could have raised.  A traced episode steps every agent to the end.
-    """
+    until commands diverge."""
     spec = case_spec(cfg, case)
     obs_ss, policy_ss = np.random.SeedSequence(entropy=scn.seed, spawn_key=(0,)).spawn(2)
     obs_rng = np.random.default_rng(obs_ss)
@@ -199,74 +181,91 @@ def run_episode(scn: ScenarioConfig, kind: str, beta: float, case: str,
     beta = acting_beta(kind, beta, spec)
     rss, road, dt = cfg.rss, cfg.road, cfg.scenario.dt
     ego_v0 = cfg.idm.v0 if cfg.idm.v0 is not None else scn.ego_speed
-    others_v0 = tuple(cfg.idm.v0 if cfg.idm.v0 is not None else v
-                      for _, _, v in scn.others)
+    others_v0 = tuple(cfg.idm.v0 if cfg.idm.v0 is not None else v for _, _, v in scn.others)
     unrestricted = unrestricted_envelope(rss)
     world = initial_world(scn, cfg)
     result = EpisodeResult(outcome="Timeout", steps=0)
-    latched = False
-    near = None  # untraced and latched: the last step at which an other is reachable
-    noisy = not spec.basis.is_zero
+
+    def look(world):  # a zero-covariance draw is +-0.0, which moves no observed value
+        return world.others if spec.basis.is_zero else observe(
+            world, draw_noise(spec.basis, obs_rng, len(world.others)))
+
     while True:
-        if noisy and (not latched or collect_trace):
-            observed = observe(world, draw_noise(spec.basis, obs_rng, len(world.others)))
-        else:  # latched: nothing is observed; zero covariance: the draw is +-0.0
-            observed = world.others
-        envelope = env_violated = None
-        if not latched:
-            expectations, dists, true_env = policy(observed, world)
-            latched = should_switch(expectations, beta)
-            if latched and not collect_trace:
-                end, end_steps, near = latched_tail(world.ego, result.steps,
-                                                    {s.y for s in world.others}, cfg)
-            if not latched and dists is not None:
-                envelope = risk_bounded_envelope(dists, beta, rss)
-        if result.steps == near:
-            result.outcome, result.steps = end, end_steps
-            return result
-        if latched:
-            a_lon, a_lat = safety_maneuver(world.ego, road, rss, cfg.lateral)
-        else:
-            a_lon, a_lat = nominal_lane_change(world.ego, observed, 1, envelope or unrestricted,
-                                               road, cfg.idm, ego_v0, rss, cfg.lateral)
-            if true_env is not None:
-                env_violated = less_restrictive_any(envelope, true_env)
-                result.envelope_steps += 1
-                result.envelope_violations += int(env_violated)
+        observed = look(world)
+        expectations, dists, true_env = policy(observed, world)
+        if should_switch(expectations, beta):
+            return latched_finish(world, observed, result, others_v0, cfg, collect_trace and look)
+        envelope = None if dists is None else risk_bounded_envelope(dists, beta, rss)
+        a_lon, a_lat = nominal_lane_change(world.ego, observed, 1, envelope or unrestricted,
+                                           road, cfg.idm, ego_v0, rss, cfg.lateral)
+        env_violated = None if true_env is None else less_restrictive_any(envelope, true_env)
+        result.envelope_steps += env_violated is not None
+        result.envelope_violations += bool(env_violated)
         result.steps += 1
-        world = WorldState(time=result.steps * dt,
-                           ego=integrate_ego(world.ego, a_lon, a_lat, dt),
-                           others=idm_step_others(world, road, cfg.idm, others_v0, rss, dt),
-                           other_lanes=world.other_lanes)
+        world = WorldState(result.steps * dt, integrate_ego(world.ego, a_lon, a_lat, dt),
+                           idm_step_others(world, road, cfg.idm, others_v0, rss, dt),
+                           world.other_lanes)
         outcome = classify_outcome(world, road, cfg.scenario.horizon, rss)
         if collect_trace:
             result.records.append(StepRecord(
                 t=world.time, ego=world.ego, observations=observed, envelope=envelope,
-                a_lon=a_lon, a_lat=a_lat, mode="safety" if latched else "nominal",
-                collision=outcome == "Collision", success=outcome == "Success",
-                env_violated=env_violated))
+                a_lon=a_lon, a_lat=a_lat, mode="nominal", collision=outcome == "Collision",
+                success=outcome == "Success", env_violated=env_violated))
         if outcome is not None:
             result.outcome = outcome
             return result
 
 
-def latched_tail(ego: AgentState, steps: int, others_y, cfg: RunConfig
-                 ) -> tuple[str, int, int]:
-    """The latched ego's own path from ``ego`` after ``steps`` steps: the
-    outcome and step count that ``classify_outcome`` gives it on a road with
-    no others, and the last step at which it is within ``rss.width`` of a
-    lateral position in ``others_y`` (``steps`` if none)."""
+def latched_finish(world, observed, result, others_v0, cfg, look) -> EpisodeResult:
+    """An episode's steps from its switch at ``world`` (seen as ``observed``):
+    ``latched_path``'s ego, the others stepped beside it to the first
+    collision.  Traced (``look`` is the observer), it steps every agent on
+    every step, observes on each after the first and records each; untraced
+    (``look`` false), it steps the others only up to each step at which the
+    ego is within ``rss.width`` of their lanes.  Exact: (1) the latched
+    command reads only the ego; (2) nothing reads an observation after the
+    switch; (3) ``idm_step_others`` holds every other's ``y``; (4) a collision
+    needs ``|dy| < width``; (5) the goal and Timeout rules read only the ego
+    and ``steps * dt``; (6) an accepted config keeps every state in bounds
+    (``config.MAX_LOOKAHEAD``), so no skipped step could have raised."""
+    rss, dt, start = cfg.rss, cfg.scenario.dt, result.steps
+    lanes, path = {s.y for s in world.others}, []
+    for step in latched_path(world.ego, start, cfg):
+        path.append(step)
+        if not (look or any(abs(step[0].y - y) < rss.width for y in lanes)):
+            continue
+        for ego, a_lon, a_lat, outcome in path[result.steps - start:]:
+            if look and result.steps > start:
+                observed = look(world)
+            result.steps += 1
+            world = WorldState(result.steps * dt, ego, idm_step_others(
+                world, cfg.road, cfg.idm, others_v0, rss, dt), world.other_lanes)
+            hit = collision(world, rss)
+            if look:
+                result.records.append(StepRecord(
+                    t=world.time, ego=ego, observations=observed, envelope=None,
+                    a_lon=a_lon, a_lat=a_lat, mode="safety", collision=hit,
+                    success=not hit and outcome == "Success", env_violated=None))
+            if hit:
+                result.outcome = "Collision"
+                return result
+    result.outcome, result.steps = path[-1][3], start + len(path)
+    return result
+
+
+def latched_path(ego: AgentState, steps: int, cfg: RunConfig):
+    """The latched ego's own path after ``steps`` steps at ``ego``, up to its
+    first outcome: per step ``(ego, a_lon, a_lat, outcome)``, ``outcome`` being
+    what ``classify_outcome`` gives the step on a road with no others."""
     rss, road, lat, dt = cfg.rss, cfg.road, cfg.lateral, cfg.scenario.dt
-    near = steps
-    while True:
-        ego = integrate_ego(ego, *safety_maneuver(ego, road, rss, lat), dt)
+    outcome = None
+    while outcome is None:
+        a_lon, a_lat = safety_maneuver(ego, road, rss, lat)
+        ego = integrate_ego(ego, a_lon, a_lat, dt)
         steps += 1
-        if any(abs(ego.y - y) < rss.width for y in others_y):
-            near = steps
         outcome = classify_outcome(WorldState(steps * dt, ego, (), ()), road,
                                    cfg.scenario.horizon, rss)
-        if outcome is not None:
-            return outcome, steps, near
+        yield ego, a_lon, a_lat, outcome
 
 
 @dataclass
@@ -360,19 +359,20 @@ def rows_to_json(rows) -> list[dict]:
 
 
 def spearman(xs, ys) -> float:
-    """Spearman rank correlation (average ranks for ties)."""
+    """Spearman rank correlation (average ranks for ties) of two equally long,
+    non-empty series of finite numbers; any other input raises ValueError."""
     def ranks(vals):  # (smaller values) + (equal values + 1) / 2
         s = sorted(vals)
         return [(bisect_left(s, v) + bisect_right(s, v) + 1) / 2 for v in vals]
 
-    rx = ranks(list(xs))
-    ry = ranks(list(ys))
-    n = len(rx)
-    mx = sum(rx) / n
-    my = sum(ry) / n
-    cov = sum((a - mx) * (b - my) for a, b in zip(rx, ry))
-    vx = math.sqrt(sum((a - mx) ** 2 for a in rx))
-    vy = math.sqrt(sum((b - my) ** 2 for b in ry))
+    xs, ys = list(xs), list(ys)
+    if not (0 < len(xs) == len(ys) and all(map(math.isfinite, xs + ys))):
+        raise ValueError(f"spearman needs finite series of one length > 0: {len(xs)}, {len(ys)}")
+    rx, ry = ranks(xs), ranks(ys)
+    m = (len(rx) + 1) / 2  # the mean of either series' ranks
+    cov = sum((a - m) * (b - m) for a, b in zip(rx, ry))
+    vx = math.sqrt(sum((a - m) ** 2 for a in rx))
+    vy = math.sqrt(sum((b - m) ** 2 for b in ry))
     if vx == 0.0 or vy == 0.0:
         return 0.0
     return cov / (vx * vy)

@@ -625,10 +625,14 @@ class TestLatchedTail:
         got, records = self.built(((2.0, 1, 17.0), (-22.0, 1, 25.0)), ego_speed=24.0,
                                   lateral=LateralControl(kp=2.0))
         first = [r.mode for r in records].index("safety")
-        tail = bench.latched_tail(records[first - 1].ego, first, {3.5}, replace(
-            RunConfig(), lateral=LateralControl(kp=2.0)))
-        assert tail == ("Timeout", 40, got.steps)
+        path = list(bench.latched_path(records[first - 1].ego, first, replace(
+            RunConfig(), lateral=LateralControl(kp=2.0))))
+        near = [first + k for k, (ego, *_) in enumerate(path, 1) if abs(ego.y - 3.5) < 1.8]
+        assert (path[-1][3], first + len(path), near[-1]) == ("Timeout", 40, got.steps)
         assert got.outcome == "Collision"
+        # The path is the oracle's latched ego and commands, step for step.
+        assert ([step[:3] for step in path[:got.steps - first]]
+                == [(r.ego, r.a_lon, r.a_lat) for r in records[first:]])
 
     def test_every_others_lane_is_checked(self):
         # The first other is a lane over from the braking ego; the second,
@@ -657,6 +661,43 @@ class TestLatchedTail:
                 assert len(calls) <= got.steps
                 closed += len(calls) < got.steps
         assert closed > 0
+
+
+class TestLatchedEgoSteppedOnce:
+    @pytest.fixture(scope="class")
+    def counted(self, cfg):
+        """[(scenario, traced result, its integrate_ego calls, untraced result,
+        its calls)] over every policy, case and two betas of 20 scenarios."""
+        out = []
+        with pytest.MonkeyPatch.context() as m:
+            calls, integrate = [], bench.integrate_ego
+            m.setattr(bench, "integrate_ego", lambda *args: calls.append(None) or integrate(*args))
+            for scn in bench.generate_scenarios(20, cfg.seed, cfg):
+                for kind in POLICY_NAMES:
+                    for case in COVARIANCE_CASES:
+                        for beta in (0.1, 0.6):
+                            row = [scn]
+                            for trace in (True, False):
+                                calls.clear()
+                                row += [bench.run_episode(scn, kind, beta, case, cfg,
+                                                          collect_trace=trace), len(calls)]
+                            out.append(row)
+        return out
+
+    def test_once_per_step(self, cfg, counted):
+        # Each ego state is computed once, unlatched or on the latched path,
+        # and none past a collision.  Some of these episodes come within
+        # rss.width of an other's lane after they latch, where the finish
+        # steps the others beside the path.
+        near_after_latch = 0
+        for scn, traced, traced_calls, got, got_calls in counted:
+            assert (got.outcome, got.steps) == (traced.outcome, traced.steps)
+            assert (traced_calls, got_calls) == (traced.steps, got.steps)
+            lanes = {cfg.road.lane_center(lane) for _, lane, _ in scn.others}
+            near_after_latch += any(abs(r.ego.y - y) < cfg.rss.width
+                                    for r in traced.records if r.mode == "safety"
+                                    for y in lanes)
+        assert near_after_latch > 0
 
 
 class TestQuickSweepDigest:
@@ -888,3 +929,15 @@ class TestSpearman:
 
     def test_constant_series_zero(self):
         assert bench.spearman([1, 2, 3], [5, 5, 5]) == 0.0
+
+    @pytest.mark.parametrize("xs, ys", [
+        ([1, 2, 3], [3, 2]),  # zip truncated it to -0.707
+        ([1, 2], [1, 2, 3]),
+        ([], []),  # a bare ZeroDivisionError
+        ([1.0, float("nan"), 3.0], [1, 2, 3]),  # sorted ranked the NaN anywhere
+        ([1, 2, 3], [1.0, 2.0, float("inf")]),
+        ([1, 2, 3], [1.0, 2.0, float("-inf")]),
+    ])
+    def test_refuses_unequal_empty_or_non_finite_series(self, xs, ys):
+        with pytest.raises(ValueError, match="^spearman needs finite series of one length > 0"):
+            bench.spearman(xs, ys)

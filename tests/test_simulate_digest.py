@@ -1,8 +1,9 @@
 """The bytes ``riskenv simulate --out`` writes, pinned by one sha256 per trace.
 
-``TRACES`` are three episodes of the default config: one that stays on the
-nominal controller to the goal, and two that latch the safety maneuver early
-and time out, one from each Simplex policy.  Each trace file must hash to its
+``TRACES`` are four episodes of the default config: one that stays on the
+nominal controller to the goal, two that latch the safety maneuver early
+and time out, one from each Simplex policy, and one that latches and is
+hit on the latched path.  Each trace file must hash to its
 digest, so a change that moves any written bit (a state, an observation, an
 envelope bound, a command, a mode, a flag, the JSON layout) fails here.
 
@@ -29,12 +30,15 @@ TRACES = {
         "6a1d0ec8ce7d5f3af9d6065e5de83e0eab1d6c87dc2c03df236839842731a4c6",
     ("ProbabilisticSimplex", "large", 0.05, 5):
         "82fef3a15464b9425280e99306e5df4c57f299d658d9a1f10da7372f55f30f6f",
+    ("Simplex", "small", 0.1, 55):
+        "98d1a73fa53ce7b1be9b9371a11bd4be08c3918dd1cc930399ada94b3e56d97d",
 }
 # What each trace shows: (outcome, steps, steps in safety mode).
 SHAPES = {
     ("ProbabilisticEnvelopeRestriction", "small", 0.1, 0): ("Success", 28, 0),
     ("Simplex", "large", 0.1, 3): ("Timeout", 40, 37),
     ("ProbabilisticSimplex", "large", 0.05, 5): ("Timeout", 40, 38),
+    ("Simplex", "small", 0.1, 55): ("Collision", 6, 2),
 }
 
 
