@@ -17,7 +17,7 @@ import numpy as np
 
 from .prob_envelope import check_beta
 from .rss import (MAX_POSITION, MAX_SPEED, MAX_TAU, AgentState, ConfigError, RssParams, bounded,
-                  check_bounds, integral, real, sequence)
+                  check_bounds, check_order, integral, real, sequence)
 from .sim import MAX_DT, MIN_SPEED, IdmParams, LateralControl, RoadParams
 from .uncertainty import MAX_SIMPLEX_ROWS, STATE_DIM, UncertaintySpec
 
@@ -77,9 +77,7 @@ class ScenarioParams:
 
     def __post_init__(self):
         check_bounds(self)
-        for lo, hi in (("speed_min", "speed_max"), ("gap_min", "gap_max")):
-            if getattr(self, lo) > getattr(self, hi):
-                raise ValueError(f"{lo} must not exceed {hi}")
+        check_order(self, ("speed_min", "speed_max"), ("gap_min", "gap_max"))
         if self.horizon / self.dt > MAX_EPISODE_STEPS:
             raise ValueError(f"horizon / dt must be <= {MAX_EPISODE_STEPS}")
 
@@ -284,14 +282,16 @@ def envelope_input(data, cfg: RunConfig, beta: float):
 
 
 def read_json(path) -> object:
-    """Parsed JSON file; malformed JSON, or an integer literal too long for
-    Python to convert, raises ConfigError.  The readers reject non-finite
-    numbers, naming their dotted key."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """Parsed JSON file; a path that cannot be read, malformed JSON, or an
+    integer literal too long for Python to convert, raises ConfigError naming
+    the path.  The readers reject non-finite numbers, naming their dotted key."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-        except ValueError as exc:
-            raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
 
 
 def load_config(path: str | None) -> RunConfig:

@@ -173,6 +173,14 @@ def check_bounds(params) -> None:
                               f"{'])'[hi == math.inf]}, got {v}")
 
 
+def check_order(params, *pairs) -> None:
+    """Raise ValueError naming the first ``(lo, hi)`` pair of fields of
+    ``params`` with lo above hi."""
+    for lo, hi in pairs:
+        if getattr(params, lo) > getattr(params, hi):
+            raise ValueError(f"{lo} must not exceed {hi}")
+
+
 @dataclass(frozen=True)
 class AgentState:
     """Kinematic state of one vehicle in the road-aligned frame."""
@@ -224,8 +232,7 @@ class RssParams:
 
     def __post_init__(self):
         check_bounds(self)
-        if self.b_min_brake_lon > self.b_max_brake_lon:
-            raise ValueError("b_min_brake_lon must not exceed b_max_brake_lon")
+        check_order(self, ("b_min_brake_lon", "b_max_brake_lon"))
 
 
 class Envelope(NamedTuple):

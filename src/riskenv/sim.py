@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rss import (MAX_ACCEL, MAX_POSITION, MAX_SPEED, MAX_TAU, MIN_ACCEL, AgentState,
-                  Envelope, RssParams, advance_speed_clamped, bounded, check_bounds, wrap_angle)
+                  Envelope, RssParams, advance_speed_clamped, bounded, check_bounds,
+                  check_order, wrap_angle)
 from .uncertainty import draw_noise  # noqa: F401 - perfbench's tests look it up here
 
 # IdmParams bounds that keep idm_accel finite and below MAX_SPEED: with v0 >=
@@ -52,7 +53,9 @@ class RoadParams:
     goal_speed_max: float = bounded(25.0, 0.0, MAX_SPEED)
     goal_heading_max: float = bounded(0.15, 0.0, math.pi)  # |theta| bound (rad)
 
-    __post_init__ = check_bounds
+    def __post_init__(self):
+        check_bounds(self)
+        check_order(self, ("goal_x_min", "goal_x_max"), ("goal_speed_min", "goal_speed_max"))
 
     def lane_center(self, lane: int) -> float:
         return lane * self.lane_width

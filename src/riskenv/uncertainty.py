@@ -39,22 +39,20 @@ def chi2_cdf_4(x: float) -> float:
     return 1.0 - math.exp(-0.5 * x) * (1.0 + 0.5 * x)
 
 
+# The planner asks for a few fixed contour levels per process (six by
+# default), so the memo holds every level in use; a repeated level costs a
+# lookup, and more levels than this evict the least recent.
+@functools.lru_cache(maxsize=64)
 def chi2_quantile_4(p: float) -> float:
-    """Inverse of chi2_cdf_4 on [0, 1), via bracketed bisection.
-
-    The bisection from [0, 2**j] visits dyadic points only, so after d steps
-    its bracket is some [m w, (m + 1) w], w = 2**(j - d).  ``_dyadic_bracket``
-    jumps there from a Newton estimate when that provably gives the same
-    bracket; the loop then finishes as it would have (it cannot stop before
-    d = 47, and the jump goes at most to d = 46)."""
+    """Inverse of chi2_cdf_4 on [0, 1), via bracketed bisection from
+    [0, 2**j], memoized per level."""
     if not (0.0 <= p < 1.0):
         raise ValueError(f"quantile level must lie in [0, 1), got {p}")
     if p == 0.0:
         return 0.0
-    hi = 1.0
+    lo, hi = 0.0, 1.0
     while chi2_cdf_4(hi) < p:
         hi *= 2.0
-    lo, hi = _dyadic_bracket(p, hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if chi2_cdf_4(mid) < p:
@@ -64,55 +62,6 @@ def chi2_quantile_4(p: float) -> float:
         if hi - lo <= 1e-14 * max(1.0, hi):
             break
     return 0.5 * (lo + hi)
-
-
-# chi2_cdf_4 rounds within a few ulp of 1.0 (2**-50) of the exact CDF; the
-# exact CDF must rise by CDF_STEP, 32 times that, over each grid step next to
-# a jump's bracket.
-CDF_STEP = 2.0 ** -44
-DEEPEST_JUMP = 46  # the deepest bracket a jump lands on (steps from [0, 2**j])
-
-
-def _chi2_density_4(x: float) -> float:
-    return 0.25 * x * math.exp(-0.5 * x)
-
-
-def _dyadic_bracket(p: float, top: float) -> tuple[float, float]:
-    """The bracket of chi2_quantile_4's bisection from [0, top] at some
-    depth of at most DEEPEST_JUMP steps, or (0.0, top) where it is unsure.
-
-    The bracket is the grid cell [a, b] of width w that holds a Newton
-    estimate x, with w the power of two just above 2 CDF_STEP / density(x).
-    Each midpoint visited before that depth is a multiple of 2 w, so one
-    outside [a, b] lies at least w beyond it, where the exact CDF differs
-    from its value at a (or b) by at least w times the density's minimum on
-    [a - w, b + w], reached at an end (the density is unimodal).  Where that
-    is at least CDF_STEP, and chi2_cdf_4(a) < p <= chi2_cdf_4(b), every such
-    midpoint's computed CDF lies on the side of p that sends the bisection
-    toward [a, b]; a = 0 and b = top are known ends."""
-    x = math.sqrt(8.0 * p) if p < 0.5 else 2.0 - 2.0 * math.log1p(-p)
-    for _ in range(20):  # Newton's method on the CDF, to well within w
-        e = math.exp(-0.5 * x)
-        density = 0.25 * x * e
-        if not density > 0.0:
-            break
-        step = (1.0 - e * (1.0 + 0.5 * x) - p) / density
-        x -= step
-        if abs(step) <= 1e-9 * x:
-            break
-    if not 0.0 < x < top:  # NaN fails too
-        return 0.0, top
-    need = 2.0 * CDF_STEP / _chi2_density_4(x)
-    if not need < top:
-        return 0.0, top
-    w = max(math.ldexp(top, -DEEPEST_JUMP), math.ldexp(1.0, math.frexp(need)[1]))
-    m = math.floor(x / w)
-    a, b = m * w, (m + 1) * w
-    ends = (a - w if a > 0.0 else b, b + w if b < top else a)
-    if (w * min(map(_chi2_density_4, ends)) >= CDF_STEP
-            and (a == 0.0 or chi2_cdf_4(a) < p) and (b == top or chi2_cdf_4(b) >= p)):
-        return a, b
-    return 0.0, top
 
 
 @dataclass(frozen=True)

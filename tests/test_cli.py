@@ -1153,6 +1153,48 @@ class TestValidateCommand:
             config_from_dict({"uncertainty": {"small": {"sigma": [1, 2, 3]}}})
 
 
+class TestOrderedPairs:
+    @pytest.mark.parametrize("section,lo,hi", [
+        ("rss", "b_min_brake_lon", "b_max_brake_lon"),
+        ("scenario", "speed_min", "speed_max"),
+        ("scenario", "gap_min", "gap_max"),
+        ("road", "goal_x_min", "goal_x_max"),
+        ("road", "goal_speed_min", "goal_speed_max"),
+    ])
+    def test_inverted_pair_exit_2(self, tmp_path, capsys, section, lo, hi):
+        # Each pair bounds a range: inverted, it admits nothing (an inverted
+        # goal region makes in_goal unreachable).  Equal ends are a range.
+        default = getattr(RunConfig(), section)
+        path = tmp_path / "cfg.json"
+        for low, high, code in ((getattr(default, hi), getattr(default, lo), 2),
+                                (getattr(default, lo), getattr(default, lo), 0)):
+            path.write_text(json.dumps({section: {lo: low, hi: high}}))
+            got, _, err = run_cli(["validate", "--config", str(path)], capsys)
+            assert got == code
+            if code:
+                assert err == f"error: invalid {section}: {lo} must not exceed {hi}\n"
+
+
+class TestUnreadablePaths:
+    @pytest.mark.parametrize("command", [
+        ["validate", "--config"],
+        ["simulate", "--config"],
+        ["benchmark", "--config"],
+        ["envelope", "--input", "QUERY", "--config"],
+        ["envelope", "--input"],
+    ])
+    @pytest.mark.parametrize("kind", ["directory", "missing"])
+    def test_exit_2_naming_the_path(self, tmp_path, envelope_input, capsys, command, kind):
+        # Any path open() refuses is a usage error, not only a missing one.
+        path = str(tmp_path if kind == "directory" else tmp_path / "missing.json")
+        query = envelope_input({"ego": {"v": 15.0}, "sigma": [0.0, 0.0, 0.0, 0.0]})
+        argv = [query if arg == "QUERY" else arg for arg in command] + [path]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: cannot read {path}: ")
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         env = dict(os.environ, RISKENV_LOG="error")

@@ -113,8 +113,8 @@ class TestChi2:
         assert abs(chi2_cdf_4(chi2_quantile_4(p)) - p) < 1e-9
 
 
-class TestChi2QuantileJump:
-    """The jump to a verified dyadic bracket returns the bisection's bits."""
+class TestChi2QuantileBisection:
+    """The memoized quantile returns the bisection's bits."""
 
     @pytest.mark.parametrize("p", [5e-324, 1e-300, 1e-17, 1e-9, 0.25, 0.5, 0.75, 0.93,
                                    0.97, 0.999, 1.0 - 1e-9, 1.0 - 2.0 ** -52,
@@ -146,6 +146,27 @@ class TestChi2QuantileJump:
         for p in levels:
             if 0.0 < p < 1.0:
                 assert chi2_quantile_4(p) == chi2_quantile_bisection(p), p
+
+
+class TestChi2QuantileMemo:
+    def test_bounded_and_exact(self):
+        size = chi2_quantile_4.cache_info().maxsize
+        assert size is not None
+        levels = np.linspace(0.01, 0.99, 2 * size).tolist()
+        for p in levels:
+            chi2_quantile_4(p)
+        assert chi2_quantile_4.cache_info().currsize <= size
+        hits = chi2_quantile_4.cache_info().hits
+        for _ in range(3):
+            assert chi2_quantile_4(levels[-1]) == chi2_quantile_bisection(levels[-1])
+        assert chi2_quantile_4.cache_info().hits == hits + 3
+        assert chi2_quantile_4.cache_info().currsize <= size
+
+    @pytest.mark.parametrize("bad", [-0.01, 1.0, math.nan])
+    def test_out_of_domain_raises_on_every_call(self, bad):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                chi2_quantile_4(bad)
 
 
 def random_rotation(rng):
