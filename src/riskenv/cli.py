@@ -14,13 +14,10 @@ import argparse
 import dataclasses
 import functools
 import json
-import logging
-import multiprocessing
 import os
 import sys
 from pathlib import Path
 
-from . import bench
 from .config import (
     COVARIANCE_CASES,
     POLICY_NAMES,
@@ -31,17 +28,33 @@ from .config import (
 )
 from .prob_envelope import analyze_step, risk_bounded_envelope, should_switch
 
-log = logging.getLogger("riskenv")
+# A command imports only what it runs: ``bench`` in simulate and benchmark,
+# ``multiprocessing`` for a pool, and ``logging`` for RISKENV_LOG info or debug.
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
 
 
 def _setup_logging() -> None:
-    level = os.environ.get("RISKENV_LOG", "error").lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    logging.basicConfig(level=levels.get(level, logging.ERROR),
-                        format="%(levelname)s %(name)s: %(message)s")
+    """Set the ``riskenv`` logger, not the root, to the RISKENV_LOG level on
+    every call; info and debug go to this call's stderr through one handler."""
+    level = os.environ.get("RISKENV_LOG", "error").upper()
+    if level not in ("INFO", "DEBUG"):
+        if "logging" in sys.modules:  # an earlier call may have lowered the level
+            sys.modules["logging"].getLogger("riskenv").setLevel("ERROR")
+        return
+    import logging
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    log = logging.getLogger("riskenv")
+    log.setLevel(level)
+    log.handlers, log.propagate = [handler], False
+
+
+def _log(method: str, msg: str, *args, **kwargs) -> None:
+    """``logging.getLogger("riskenv").<method>(msg, ...)`` if logging is loaded."""
+    if "logging" in sys.modules:
+        getattr(sys.modules["logging"].getLogger("riskenv"), method)(msg, *args, **kwargs)
 
 
 def cmd_envelope(args) -> int:
@@ -77,6 +90,8 @@ def _record_to_json(rec) -> dict:
 
 
 def cmd_simulate(args) -> int:
+    from . import bench
+
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
@@ -106,6 +121,8 @@ def available_cpus() -> int:
 
 
 def cmd_benchmark(args) -> int:
+    from . import bench
+
     cpus = available_cpus()
     if not 1 <= args.jobs <= cpus:
         raise ConfigError(f"--jobs must be in [1, {cpus}], got {args.jobs}")
@@ -114,9 +131,11 @@ def cmd_benchmark(args) -> int:
                               **{k: v for k, v in overrides.items() if v is not None})
     cases = [args.covariance] if args.covariance else list(COVARIANCE_CASES)
     scenarios = bench.generate_scenarios(cfg.scenario.n_scenarios, cfg.seed, cfg)
-    log.info("benchmark: %d scenarios, %d policies, %d cases, %d betas",
-             len(scenarios), len(cfg.policies), len(cases), len(cfg.betas))
+    _log("info", "benchmark: %d scenarios, %d policies, %d cases, %d betas",
+         len(scenarios), len(cfg.policies), len(cases), len(cfg.betas))
     if args.jobs > 1:
+        import multiprocessing
+
         with multiprocessing.Pool(args.jobs) as pool:
             rows = bench.sweep(scenarios, cases, cfg, pool=pool)
     else:
@@ -201,7 +220,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        log.debug("unhandled failure", exc_info=True)
+        _log("debug", "unhandled failure", exc_info=True)
         print(f"error: {exc}", file=sys.stderr)
         return RUNTIME_ERROR
 

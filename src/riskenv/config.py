@@ -82,13 +82,20 @@ class ScenarioParams:
             raise ValueError(f"horizon / dt must be <= {MAX_EPISODE_STEPS}")
 
 
+def _shared(value):
+    """A field whose default is the frozen ``value`` itself, shared by every
+    instance.  It is kept off the class: a class attribute of the field's name
+    stops Python 3.11 from specializing reads of it (16 -> 28 ns a read)."""
+    return field(default_factory=lambda: value)
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    rss: RssParams = field(default_factory=RssParams)
-    idm: IdmParams = field(default_factory=IdmParams)
-    road: RoadParams = field(default_factory=RoadParams)
-    scenario: ScenarioParams = field(default_factory=ScenarioParams)
-    lateral: LateralControl = field(default_factory=LateralControl)
+    rss: RssParams = _shared(RssParams())
+    idm: IdmParams = _shared(IdmParams())
+    road: RoadParams = _shared(RoadParams())
+    scenario: ScenarioParams = _shared(ScenarioParams())
+    lateral: LateralControl = _shared(LateralControl())
     uncertainty: dict = field(default_factory=dict)  # case name -> UncertaintySpec
     policies: tuple[str, ...] = POLICY_NAMES
     betas: tuple[float, ...] = DEFAULT_BETAS
@@ -129,6 +136,13 @@ class RunConfig:
 
 def default_uncertainty(contour_levels=DEFAULT_CONTOUR_LEVELS,
                         n_phi=DEFAULT_N_PHI) -> dict:
+    """A new dict of the three default specs, case name -> UncertaintySpec;
+    the specs, frozen with read-only arrays, are shared."""
+    return _default_specs(sequence("contour_levels", contour_levels), n_phi).copy()
+
+
+@functools.lru_cache(maxsize=4)  # a process loads few (contour_levels, n_phi) pairs
+def _default_specs(contour_levels: tuple, n_phi) -> dict:
     zeros = (0.0, 0.0, 0.0, 0.0)
     return {
         "none": UncertaintySpec.from_diagonal(zeros, contour_levels, n_phi),

@@ -22,7 +22,7 @@ from operator import add
 import numpy as np
 import pytest
 
-from riskenv import uncertainty
+from riskenv import config, uncertainty
 from riskenv.bench import (
     BETA_FREE_POLICIES,
     RESTRICTING_POLICIES,
@@ -576,6 +576,14 @@ def eigendecompose_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(uncertainty, "eigendecompose", counted)
     return calls
+
+
+@pytest.fixture
+def fresh_memos() -> None:
+    """Empty the per-process memos of config-only state (the default specs
+    and the angle-grid factors), so a test can count the work they save."""
+    config._default_specs.cache_clear()
+    uncertainty._grid_factors.cache_clear()
 
 
 @pytest.fixture

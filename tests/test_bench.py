@@ -918,6 +918,7 @@ class TestOneAnalysisPerStep:
         assert bool(partly_free) is (kind == "ProbabilisticEnvelopeRestriction")
 
 
+@pytest.mark.usefixtures("fresh_memos")
 class TestOneDecompositionPerCovariance:
     def test_run_cell_decomposes_each_spec_once(self, small_set, eigendecompose_calls):
         cfg = RunConfig()

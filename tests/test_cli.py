@@ -2,7 +2,9 @@ import contextlib
 import dataclasses
 import io
 import json
+import logging
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -17,9 +19,10 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from riskenv import bench, cli
+from riskenv import bench, cli, config
 from riskenv.cli import build_parser, main
 from riskenv.config import (
+    COVARIANCE_CASES,
     DEFAULT_SMALL_VARIANCES,
     MAX_EPISODE_STEPS,
     MAX_OTHERS,
@@ -562,7 +565,7 @@ class TestJobsBound:
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started")
 
-        monkeypatch.setattr(cli.multiprocessing, "Pool", no_pool)
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         two_cpus(monkeypatch)
         monkeypatch.chdir(tmp_path)
         code, _, err = run_cli(["benchmark", f"--jobs={jobs}", "--policies", "Simplex"],
@@ -575,6 +578,106 @@ class TestJobsBound:
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3, 5},
                             raising=False)
         assert cli.available_cpus() == 3
+
+
+class TestImportsOnDemand:
+    def test_envelope_process_leaves_out_what_it_does_not_run(self, envelope_input):
+        query = envelope_input({"ego": {"v": 15.0}, "agents": [{"x": 12.0, "y": 3.5, "v": 14.0}],
+                                "sigma": list(DEFAULT_SMALL_VARIANCES)})
+        child = ("import sys\n"
+                 "from riskenv.cli import main\n"
+                 "assert main(sys.argv[1:]) == 0\n"
+                 "print(sorted({'multiprocessing', 'logging', 'riskenv.bench'} & set(sys.modules)),"
+                 " file=sys.stderr)\n")
+        env = {key: value for key, value in os.environ.items() if key != "RISKENV_LOG"}
+        proc = subprocess.run([sys.executable, "-c", child, "envelope", "--input", query],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, "[]\n")
+        assert set(json.loads(proc.stdout)) >= {"probabilistic_envelope", "switch_decision"}
+
+    def test_benchmark_jobs_2_starts_its_pool(self, tmp_path, capsys, monkeypatch):
+        two_cpus(monkeypatch)
+        started, pool = [], multiprocessing.Pool
+
+        def recorded(processes):
+            started.append(processes)
+            return pool(processes)
+
+        monkeypatch.setattr(multiprocessing, "Pool", recorded)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"scenario": {"n_scenarios": 2}}))
+        code, _, _ = run_cli(["benchmark", "--config", str(cfg_path), "--jobs", "2",
+                              "--out", str(tmp_path), "--policies", "Simplex",
+                              "--betas", "0.1", "--covariance", "none"], capsys)
+        assert (code, started) == (0, [2])
+        assert (tmp_path / "rates.csv").exists()
+
+
+class TestLogLevel:
+    @pytest.mark.parametrize("level", ["info", "debug"])
+    def test_set_on_every_call(self, tmp_path, capsys, monkeypatch, level):
+        # logging.basicConfig did nothing once the root logger had a handler,
+        # so only a process's first call set the level.
+        root = logging.getLogger()
+        root_state = (root.level, list(root.handlers))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"scenario": {"n_scenarios": 2}}))
+        argv = ["benchmark", "--config", str(cfg_path), "--out", str(tmp_path),
+                "--policies", "Simplex", "--betas", "0.1", "--covariance", "none"]
+        line = "INFO riskenv: benchmark: 2 scenarios, 1 policies, 1 cases, 1 betas\n"
+        logger = logging.getLogger("riskenv")
+        try:
+            for env, logged in (("error", False), (level, True), ("error", False)):
+                monkeypatch.setenv("RISKENV_LOG", env)
+                code, _, err = run_cli(argv, capsys)
+                assert (code, line in err) == (0, logged)
+            assert (root.level, root.handlers) == root_state
+        finally:
+            logger.handlers.clear()
+            logger.setLevel(logging.NOTSET)
+            logger.propagate = True
+
+
+@pytest.mark.usefixtures("fresh_memos")
+class TestDefaultSpecMemo:
+    def test_loads_share_the_default_specs(self):
+        first, second = load_config(None), config_from_dict({"tau": 0.3})
+        for key in ("rss", "idm", "road", "scenario", "lateral"):
+            assert getattr(first, key) is getattr(second, key)
+        assert first.uncertainty is not second.uncertainty
+        for case in COVARIANCE_CASES:
+            assert first.uncertainty[case] is second.uncertainty[case]
+        other = config_from_dict({"n_phi": 6})
+        assert other.uncertainty["small"] is not first.uncertainty["small"]
+        assert other.uncertainty["small"].n_phi == 6
+
+    def test_an_own_case_leaves_the_defaults(self):
+        default = RunConfig().uncertainty
+        cfg = config_from_dict({"uncertainty": {"small": {"sigma": [0.1, 0.1, 0.1, 1e-3]}}})
+        assert cfg.uncertainty["small"] is not default["small"]
+        assert cfg.uncertainty["large"] is default["large"]
+        cfg.uncertainty.clear()  # a config's dict is its own
+        assert RunConfig().uncertainty == default
+        assert default["small"].sigma.diagonal().tolist() == list(DEFAULT_SMALL_VARIANCES)
+
+    def test_bounded(self):
+        memo = config._default_specs
+        size = memo.cache_info().maxsize
+        assert size is not None and size <= 8
+        for n_phi in range(2, 2 + 2 * size):
+            config_from_dict({"n_phi": n_phi})
+            assert memo.cache_info().currsize <= size
+
+    @pytest.mark.parametrize("data, message", [
+        ({"n_phi": 1}, "n_phi must be in"),
+        ({"contour_levels": [0.5, 0.4]}, "strictly increasing"),
+        ({"contour_levels": [0.5, 1.0]}, "strictly increasing"),
+    ])
+    def test_invalid_raises_on_every_call(self, data, message):
+        for _ in range(3):
+            with pytest.raises(ConfigError, match=message):
+                config_from_dict(data)
+        assert config._default_specs.cache_info().currsize == 0
 
 
 class TestPositiveSemiDefiniteSigma:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riskenv import uncertainty
 from riskenv.config import COVARIANCE_CASES, RunConfig
 from riskenv.uncertainty import (
     EXACT_SAMPLES,
@@ -167,6 +168,23 @@ class TestChi2QuantileMemo:
         for _ in range(3):
             with pytest.raises(ValueError):
                 chi2_quantile_4(bad)
+
+
+class TestGridFactorMemo:
+    def test_read_only(self):
+        for factor in uncertainty._grid_factors(8):
+            assert not factor.flags.writeable
+            with pytest.raises(ValueError):
+                factor[0] = 1.0
+
+    def test_bounded_and_shared(self):
+        memo = uncertainty._grid_factors
+        size = memo.cache_info().maxsize
+        assert size is not None and size <= 8
+        for n_phi in range(2, 2 + 2 * size):
+            UncertaintySpec.from_diagonal((0.04, 0.04, 0.04, 1e-4), (0.5, 0.9), n_phi).samples
+            assert memo.cache_info().currsize <= size
+        assert memo(3) is memo(3)
 
 
 def random_rotation(rng):
